@@ -25,7 +25,6 @@ from .symexpr import (
     PI,
     ZERO,
     Expr,
-    canonicalize,
     compile_numpy,
     cos_of,
     evaluate,
@@ -64,7 +63,6 @@ __all__ = [
     "sin_of",
     "cos_of",
     "opaque_fn",
-    "canonicalize",
     "evaluate",
     "compile_numpy",
     "semantically_equal",

@@ -241,10 +241,6 @@ class DForm:
                 acc[rest] = term if cur is None else cur + term
         return DForm(self.chart, self.degree - 1, {k: v for k, v in acc.items() if not v.is_zero})
 
-    def evaluate_comps(self, env, registry=None):
-        """Numeric coefficients at a point, keyed by index tuple."""
-        return {idx: coeff.eval(env, registry) for idx, coeff in self.comps.items()}
-
     def top_coefficient(self):
         if self.degree != self.chart.dim:
             raise DomainError("top_coefficient needs a top-degree form")

@@ -19,6 +19,9 @@ elaborator type-checks):
 NAME(expr) covers exp/sin/cos, declared opaque functions, and interior
 products spelled i_<field>(expr).  Rationals are ordinary division:
 5/2 parses as INT / INT and elaborates exactly.
+
+The grammar of each check kind is one entry of CHECK_SPECS, which drives
+both the parser and the printer.
 """
 
 from __future__ import annotations
@@ -34,26 +37,9 @@ __all__ = [
     "print_scenario",
     "random_scenario",
     "Scenario",
+    "CHECK_SPECS",
     "CHECK_KINDS",
 ]
-
-CHECK_KINDS = (
-    "closed",
-    "equal",
-    "rank_at",
-    "nearsympl_at",
-    "gradient_rank_at",
-    "contact",
-    "vanishing_locus",
-    "rank_drop_locus",
-    "fixed_points",
-    "dividing_set",
-    "pullback_eq",
-    "bracket_table",
-    "stabilize",
-    "property",
-    "positive",
-)
 
 RESERVED = frozenset(
     """chart param opaque const form vfield map metric region locus check
@@ -459,42 +445,46 @@ class _Parser:
         return Ref(name)
 
     def parse_rational(self, what="a rational number"):
+        """`[-] INT [/ INT]` as a Fraction; every rational literal comes here."""
         sign = -1 if self.eat_op("-") else 1
         num = self.expect_int(what)
-        if self.at_op("/") and self.peek(1).type == "INT":
-            self.next()
-            den = self.expect_int("a denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        if not (self.at_op("/") and self.peek(1).type == "INT"):
+            return Fraction(sign * num)
+        self.next()
+        den = self.next()
+        if den.value == 0:
+            self.error("zero denominator", den)
+        return Fraction(sign * num, den.value)
 
     def parse_bound(self):
+        t = self.peek(1 if self.at_op("-") else 0)
+        if t.type != "FLOAT":
+            return self.parse_rational("an interval bound")
         sign = -1 if self.eat_op("-") else 1
-        t = self.peek()
-        if t.type == "FLOAT":
-            self.next()
-            return sign * t.value
-        if t.type == "INT":
-            return sign * self.parse_rational_tail(self.next().value)
-        self.error("expected an interval bound")
+        self.next()
+        return sign * t.value
 
-    def parse_rational_tail(self, num):
-        if self.at_op("/") and self.peek(1).type == "INT":
-            self.next()
-            den = self.expect_int("a denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_assignments(self, what="a coordinate"):
-        self.expect_op("(")
-        out = []
-        while True:
-            name = self.expect_name(what)
-            self.expect_op("=")
-            out.append((name, self.parse_rational()))
-            if not self.eat_op(","):
-                break
-        self.expect_op(")")
+    def parse_list(self, item, *args):
+        """`item {, item}` as a tuple."""
+        out = [item(*args)]
+        while self.eat_op(","):
+            out.append(item(*args))
         return tuple(out)
+
+    def parse_group(self, item, *args):
+        """`(item {, item})` as a tuple."""
+        self.expect_op("(")
+        out = self.parse_list(item, *args)
+        self.expect_op(")")
+        return out
+
+    def parse_pair(self, what):
+        name = self.expect_name(what)
+        self.expect_op("=")
+        return (name, self.parse_rational())
+
+    def parse_assignments(self):
+        return self.parse_group(self.parse_pair, "a coordinate")
 
     # -- statements ---------------------------------------------------
 
@@ -536,26 +526,15 @@ class _Parser:
     def parse_chart(self):
         line = self.next().line
         name = self.fresh_name("a chart name")
-        self.expect_op("(")
-        coords = [self.fresh_name("a coordinate name")]
-        while self.eat_op(","):
-            coords.append(self.fresh_name("a coordinate name"))
-        self.expect_op(")")
-        return ChartStmt(name, tuple(coords), line)
+        return ChartStmt(name, self.parse_group(self.fresh_name, "a coordinate name"), line)
 
     def parse_param(self):
         line = self.next().line
-        names = [self.fresh_name("a parameter name")]
-        while self.eat_op(","):
-            names.append(self.fresh_name("a parameter name"))
-        return ParamStmt(tuple(names), line)
+        return ParamStmt(self.parse_list(self.fresh_name, "a parameter name"), line)
 
     def parse_opaque(self):
         line = self.next().line
-        names = [self.fresh_name("an opaque function name")]
-        while self.eat_op(","):
-            names.append(self.fresh_name("an opaque function name"))
-        return OpaqueStmt(tuple(names), line)
+        return OpaqueStmt(self.parse_list(self.fresh_name, "an opaque function name"), line)
 
     def parse_const(self):
         line = self.next().line
@@ -587,12 +566,7 @@ class _Parser:
         self.expect_op("->")
         target = self.expect_name("a target chart")
         self.expect_op("=")
-        self.expect_op("(")
-        comps = [self.parse_expr()]
-        while self.eat_op(","):
-            comps.append(self.parse_expr())
-        self.expect_op(")")
-        return MapStmt(name, source, target, tuple(comps), line)
+        return MapStmt(name, source, target, self.parse_group(self.parse_expr), line)
 
     def parse_metric(self):
         line = self.next().line
@@ -603,12 +577,7 @@ class _Parser:
         if self.eat_keyword("euclidean"):
             return MetricStmt(name, chart, (), line)
         self.expect_keyword("diag")
-        self.expect_op("(")
-        diag = [self.parse_rational()]
-        while self.eat_op(","):
-            diag.append(self.parse_rational())
-        self.expect_op(")")
-        return MetricStmt(name, chart, tuple(diag), line)
+        return MetricStmt(name, chart, self.parse_group(self.parse_rational), line)
 
     def parse_region(self):
         line = self.next().line
@@ -626,11 +595,7 @@ class _Parser:
                 intervals.append(self.parse_interval())
         self.expect_keyword("lattice")
         if self.at_op("("):
-            self.next()
-            lattice = [self.expect_int("a lattice resolution")]
-            while self.eat_op(","):
-                lattice.append(self.expect_int("a lattice resolution"))
-            self.expect_op(")")
+            lattice = self.parse_group(self.expect_int, "a lattice resolution")
         else:
             lattice = [self.expect_int("a lattice resolution")] * len(intervals)
         self.expect_keyword("random")
@@ -657,12 +622,7 @@ class _Parser:
         if self.eat_keyword("coords"):
             return LocusStmt(name, chart, "coords", self.parse_assignments(), line)
         if self.eat_keyword("points"):
-            self.expect_op("(")
-            pts = [self.parse_point()]
-            while self.eat_op(","):
-                pts.append(self.parse_point())
-            self.expect_op(")")
-            return LocusStmt(name, chart, "points", tuple(pts), line)
+            return LocusStmt(name, chart, "points", self.parse_group(self.parse_group, self.parse_rational), line)
         if self.eat_keyword("image"):
             self.expect_op("(")
             map_name = self.expect_name("a map name or id")
@@ -671,21 +631,8 @@ class _Parser:
             self.expect_op(")")
             return LocusStmt(name, chart, "image", (map_name, region), line)
         if self.eat_keyword("union"):
-            self.expect_op("(")
-            parts = [self.expect_name("a locus name")]
-            while self.eat_op(","):
-                parts.append(self.expect_name("a locus name"))
-            self.expect_op(")")
-            return LocusStmt(name, chart, "union", tuple(parts), line)
+            return LocusStmt(name, chart, "union", self.parse_group(self.expect_name, "a locus name"), line)
         self.error("expected a locus flavour (coords, points, image, union, empty)", t)
-
-    def parse_point(self):
-        self.expect_op("(")
-        vals = [self.parse_rational()]
-        while self.eat_op(","):
-            vals.append(self.parse_rational())
-        self.expect_op(")")
-        return tuple(vals)
 
     # -- checks ---------------------------------------------------------
 
@@ -693,21 +640,13 @@ class _Parser:
         line = self.next().line
         t = self.peek()
         kind = self.expect_name("a check kind")
-        if kind not in CHECK_KINDS:
+        spec = CHECK_SPECS.get(kind)
+        if spec is None:
             self.error(f"unknown check kind {kind!r}", t)
-        payload = getattr(self, f"_check_{kind}")()
-        where = ()
+        payload = {}
+        spec.read(self, payload)
+        where = self.parse_list(self.parse_pair, "a parameter name") if self.eat_keyword("where") else ()
         note = ""
-        if self.at_keyword("where"):
-            self.next()
-            pairs = [(self.expect_name("a parameter name"), None)]
-            self.expect_op("=")
-            pairs[0] = (pairs[0][0], self.parse_rational())
-            while self.eat_op(","):
-                n = self.expect_name("a parameter name")
-                self.expect_op("=")
-                pairs.append((n, self.parse_rational()))
-            where = tuple(pairs)
         if self.at_keyword("note"):
             self.next()
             t = self.peek()
@@ -722,169 +661,6 @@ class _Parser:
                 self.error("expected pass, fail, or report", t)
             expect = word
         return CheckStmt(kind, payload, where, note, expect, line)
-
-    def _locus_region_tail(self, payload):
-        self.expect_keyword("on")
-        payload["locus"] = self.expect_name("a locus name")
-        self.expect_keyword("region")
-        payload["region"] = self.expect_name("a region name")
-        return payload
-
-    def _opt_via_margin(self, payload):
-        payload.setdefault("via", None)
-        payload.setdefault("margin", None)
-        while True:
-            if self.eat_keyword("via"):
-                payload["via"] = self.expect_name("a map name")
-            elif self.eat_keyword("margin"):
-                payload["margin"] = self.parse_rational("a margin")
-            else:
-                return payload
-
-    def _check_closed(self):
-        return {"form": self.parse_expr()}
-
-    def _check_equal(self):
-        left = self.parse_expr()
-        self.expect_op(",")
-        return {"left": left, "right": self.parse_expr()}
-
-    def _point_or_locus(self, payload, with_rank):
-        if with_rank:
-            self.expect_op(",")
-            payload["rank"] = self.expect_int("a rank")
-        if self.eat_keyword("at"):
-            payload["mode"] = "at"
-            payload["point"] = self.parse_assignments()
-            return payload
-        mode = "on" if self.at_keyword("on") else "off" if self.at_keyword("off") else None
-        if mode is None:
-            self.error("expected at, on, or off")
-        self.next()
-        payload["mode"] = mode
-        payload["locus"] = self.expect_name("a locus name")
-        self.expect_keyword("region")
-        payload["region"] = self.expect_name("a region name")
-        payload["points"] = None
-        if self.eat_keyword("points"):
-            payload["points"] = self.expect_int("a point count")
-        self._opt_via_margin(payload)
-        return payload
-
-    def _check_rank_at(self):
-        return self._point_or_locus({"form": self.parse_expr()}, with_rank=True)
-
-    def _check_nearsympl_at(self):
-        return self._point_or_locus({"form": self.parse_expr()}, with_rank=False)
-
-    def _check_gradient_rank_at(self):
-        payload = {"form": self.parse_expr()}
-        self.expect_op(",")
-        payload["rank"] = self.expect_int("a rank")
-        self.expect_keyword("at")
-        payload["point"] = self.parse_assignments()
-        return payload
-
-    def _check_contact(self):
-        payload = {"form": self.parse_expr(), "maps": (), "grid": None, "aux": None}
-        if self.eat_keyword("via"):
-            self.expect_op("(")
-            maps = [self.expect_name("a map name")]
-            while self.eat_op(","):
-                maps.append(self.expect_name("a map name"))
-            self.expect_op(")")
-            payload["maps"] = tuple(maps)
-        if self.eat_keyword("grid"):
-            payload["grid"] = self.expect_int("a grid resolution")
-        if self.eat_keyword("aux"):
-            payload["aux"] = self.expect_int("an auxiliary sample count")
-        return payload
-
-    def _check_vanishing_locus(self):
-        payload = {"form": self.parse_expr(), "off_mode": "nonzero", "off_form": None}
-        self._locus_region_tail(payload)
-        if self.eat_keyword("off"):
-            t = self.peek()
-            mode = self.expect_name("an off-locus mode")
-            if mode not in ("nonzero", "positive", "negative", "none"):
-                self.error("expected nonzero, positive, negative, or none", t)
-            payload["off_mode"] = mode
-            if mode != "none" and self.at_op("("):
-                self.next()
-                payload["off_form"] = self.parse_expr()
-                self.expect_op(")")
-        return self._opt_via_margin(payload)
-
-    def _check_rank_drop_locus(self):
-        payload = {"map": self.expect_name("a map name")}
-        self._locus_region_tail(payload)
-        self.expect_keyword("regular")
-        payload["regular"] = self.expect_int("a rank")
-        self.expect_keyword("singular")
-        payload["singular"] = self.expect_int("a rank")
-        return self._opt_via_margin(payload)
-
-    def _check_fixed_points(self):
-        payload = {"field": self.expect_name("a field name")}
-        self._locus_region_tail(payload)
-        return self._opt_via_margin(payload)
-
-    def _check_dividing_set(self):
-        payload = {"alpha": self.parse_expr()}
-        self.expect_op(",")
-        payload["field"] = self.expect_name("a field name")
-        self.expect_op(",")
-        payload["scalar"] = self.parse_expr()
-        self._locus_region_tail(payload)
-        return self._opt_via_margin(payload)
-
-    def _check_pullback_eq(self):
-        payload = {"map": self.expect_name("a map name")}
-        self.expect_op(",")
-        payload["form"] = self.parse_expr()
-        self.expect_op(",")
-        payload["expected"] = self.parse_expr()
-        return payload
-
-    def _check_bracket_table(self):
-        payload = {"h": self.parse_expr()}
-        self.expect_keyword("dim")
-        payload["dim"] = self.expect_int("an even dimension")
-        return payload
-
-    def _check_stabilize(self):
-        payload = {"eta": self.parse_expr()}
-        self.expect_op(",")
-        payload["base"] = self.parse_expr()
-        self.expect_keyword("region")
-        payload["region"] = self.expect_name("a region name")
-        payload["k_max"] = None
-        if self.eat_keyword("k_max"):
-            payload["k_max"] = self.expect_int("a bound")
-        return payload
-
-    def _check_property(self):
-        t = self.peek()
-        name = self.expect_name("a property name")
-        if name not in ("dd_zero", "graded_comm", "functorial", "antiderivation", "double_star"):
-            self.error("unknown property name", t)
-        payload = {"name": name, "samples": None, "dims": None}
-        if self.eat_keyword("samples"):
-            payload["samples"] = self.expect_int("a sample count")
-        if self.eat_keyword("dims"):
-            self.expect_op("(")
-            dims = [self.expect_int("a dimension")]
-            while self.eat_op(","):
-                dims.append(self.expect_int("a dimension"))
-            self.expect_op(")")
-            payload["dims"] = tuple(dims)
-        return payload
-
-    def _check_positive(self):
-        payload = {"form": self.parse_expr()}
-        self.expect_keyword("region")
-        payload["region"] = self.expect_name("a region name")
-        return payload
 
 
 def parse_scenario(text):
@@ -951,90 +727,212 @@ def _print_assignments(pairs):
     return "(" + ", ".join(f"{n}={v}" for n, v in pairs) + ")"
 
 
+# ---------------------------------------------------------------------------
+# Check grammar
+#
+# CHECK_SPECS is the grammar of record for check lines: one _Spec per kind,
+# in the order CHECK_KINDS lists them.  A spec holds the kind's required
+# items in order (a literal `,` or keyword, or a typed slot that fills
+# payload fields), then its keyword options.  Options may come in any order;
+# a repeated option keeps its last value, and an absent one leaves its
+# default in the payload.  The printer writes an option only when it differs
+# from that default.  Runners are looked up by the same kind names in
+# `runner._RUNNERS`.
+
+
+class _Lit:
+    """A fixed token of a check line: `,` or a keyword."""
+
+    def __init__(self, text):
+        self.text = text
+        self._expect = _Parser.expect_op if text == "," else _Parser.expect_keyword
+
+    def read(self, parser, out):
+        self._expect(parser, self.text)
+
+    def write(self, payload):
+        return self.text
+
+
+class _Field:
+    """A typed slot that fills one payload field; `default` is its value
+    when the slot is an option and the line leaves it out."""
+
+    def __init__(self, name, read, write=str, default=None):
+        self.name = name
+        self.read_value = read
+        self.write_value = write
+        self.defaults = {name: default}
+
+    def read(self, parser, out):
+        out[self.name] = self.read_value(parser)
+
+    def write(self, payload):
+        return self.write_value(payload[self.name])
+
+
+def _expr(name):
+    return _Field(name, _Parser.parse_expr, _print_expr)
+
+
+def _int(name, what):
+    return _Field(name, lambda p: p.expect_int(what))
+
+
+def _name(name, what):
+    return _Field(name, lambda p: p.expect_name(what))
+
+
+def _choice(name, what, choices, complaint):
+    def read(p):
+        t = p.peek()
+        word = p.expect_name(what)
+        if word not in choices:
+            p.error(complaint, t)
+        return word
+
+    return _Field(name, read)
+
+
+def _group(item, default=None):
+    """`(a, b, ...)`: one or more of `item`'s values, as a tuple."""
+    return _Field(
+        item.name,
+        lambda p: p.parse_group(item.read_value, p),
+        lambda values: "(" + ", ".join(map(str, values)) + ")",
+        default,
+    )
+
+
+class _Spec:
+    """Required items in order, then keyword options (keyword -> slot)."""
+
+    def __init__(self, *items, **options):
+        self.items = tuple(_Lit(i) if isinstance(i, str) else i for i in items)
+        self.options = options
+        self.defaults = {}
+        for slot in options.values():
+            self.defaults.update(slot.defaults)
+
+    def read(self, parser, out):
+        for item in self.items:
+            item.read(parser, out)
+        out.update(self.defaults)
+        while True:
+            t = parser.peek()
+            slot = self.options.get(t.value) if t.type == "NAME" else None
+            if slot is None:
+                return
+            parser.next()
+            slot.read(parser, out)
+
+    def write(self, payload):
+        parts = []
+        for item in self.items:
+            text = item.write(payload)
+            if text == ",":
+                parts[-1] += text
+            else:
+                parts.append(text)
+        for keyword, slot in self.options.items():
+            if any(payload.get(k, d) != d for k, d in slot.defaults.items()):
+                parts.append(f"{keyword} {slot.write(payload)}")
+        return " ".join(parts)
+
+
+class _OffMode:
+    """`mode[(expr)]` after `off`: how a vanishing locus tests its complement."""
+
+    _modes = ("nonzero", "positive", "negative", "none")
+    _mode = _choice("off_mode", "an off-locus mode", _modes, "expected nonzero, positive, negative, or none")
+    defaults = {"off_mode": "nonzero", "off_form": None}
+
+    def read(self, parser, out):
+        self._mode.read(parser, out)
+        form = None
+        if out["off_mode"] != "none" and parser.eat_op("("):
+            form = parser.parse_expr()
+            parser.expect_op(")")
+        out["off_form"] = form
+
+    def write(self, payload):
+        form = payload["off_form"]
+        return payload["off_mode"] + ("" if form is None else f"({_print_expr(form)})")
+
+
+_LOCUS = _name("locus", "a locus name")
+_REGION = ("region", _name("region", "a region name"))
+_ON_LOCUS = ("on", _LOCUS, *_REGION)
+_VIA_MARGIN = {"via": _name("via", "a map name"), "margin": _Field("margin", lambda p: p.parse_rational("a margin"))}
+
+
+class _Place:
+    """Where a pointwise check looks: `at (point)`, or
+    `on|off L region R [points n] [via m] [margin q]`."""
+
+    _sampled = _Spec(_LOCUS, *_REGION, points=_int("points", "a point count"), **_VIA_MARGIN)
+
+    def read(self, parser, out):
+        if parser.eat_keyword("at"):
+            out["mode"] = "at"
+            out["point"] = parser.parse_assignments()
+            return
+        if not (parser.at_keyword("on") or parser.at_keyword("off")):
+            parser.error("expected at, on, or off")
+        out["mode"] = parser.next().value
+        self._sampled.read(parser, out)
+
+    def write(self, payload):
+        if payload["mode"] == "at":
+            return "at " + _print_assignments(payload["point"])
+        return f"{payload['mode']} {self._sampled.write(payload)}"
+
+
+_RANK = _int("rank", "a rank")
+_PROPERTIES = ("dd_zero", "graded_comm", "functorial", "antiderivation", "double_star")
+
+CHECK_SPECS = {
+    "closed": _Spec(_expr("form")),
+    "equal": _Spec(_expr("left"), ",", _expr("right")),
+    "rank_at": _Spec(_expr("form"), ",", _RANK, _Place()),
+    "nearsympl_at": _Spec(_expr("form"), _Place()),
+    "gradient_rank_at": _Spec(
+        _expr("form"), ",", _RANK, "at", _Field("point", _Parser.parse_assignments, _print_assignments)
+    ),
+    "contact": _Spec(
+        _expr("form"),
+        via=_group(_name("maps", "a map name"), default=()),
+        grid=_int("grid", "a grid resolution"),
+        aux=_int("aux", "an auxiliary sample count"),
+    ),
+    "vanishing_locus": _Spec(_expr("form"), *_ON_LOCUS, off=_OffMode(), **_VIA_MARGIN),
+    "rank_drop_locus": _Spec(
+        _name("map", "a map name"), *_ON_LOCUS,
+        "regular", _int("regular", "a rank"), "singular", _int("singular", "a rank"), **_VIA_MARGIN,
+    ),
+    "fixed_points": _Spec(_name("field", "a field name"), *_ON_LOCUS, **_VIA_MARGIN),
+    "dividing_set": _Spec(
+        _expr("alpha"), ",", _name("field", "a field name"), ",", _expr("scalar"), *_ON_LOCUS, **_VIA_MARGIN
+    ),
+    "pullback_eq": _Spec(_name("map", "a map name"), ",", _expr("form"), ",", _expr("expected")),
+    "bracket_table": _Spec(_expr("h"), "dim", _int("dim", "an even dimension")),
+    "stabilize": _Spec(_expr("eta"), ",", _expr("base"), *_REGION, k_max=_int("k_max", "a bound")),
+    "property": _Spec(
+        _choice("name", "a property name", _PROPERTIES, "unknown property name"),
+        samples=_int("samples", "a sample count"),
+        dims=_group(_int("dims", "a dimension")),
+    ),
+    "positive": _Spec(_expr("form"), *_REGION),
+}
+
+CHECK_KINDS = tuple(CHECK_SPECS)
+
+
 def _print_check(stmt):
-    p = stmt.payload
-    parts = ["check", stmt.kind]
-
-    def locus_tail():
-        parts.append(f"on {p['locus']} region {p['region']}")
-
-    def via_margin():
-        if p.get("via"):
-            parts.append(f"via {p['via']}")
-        if p.get("margin") is not None:
-            parts.append(f"margin {p['margin']}")
-
-    if stmt.kind == "closed":
-        parts.append(_print_expr(p["form"]))
-    elif stmt.kind == "equal":
-        parts.append(f"{_print_expr(p['left'])}, {_print_expr(p['right'])}")
-    elif stmt.kind in ("rank_at", "nearsympl_at"):
-        head = _print_expr(p["form"])
-        if stmt.kind == "rank_at":
-            head += f", {p['rank']}"
-        parts.append(head)
-        if p["mode"] == "at":
-            parts.append("at " + _print_assignments(p["point"]))
-        else:
-            parts.append(f"{p['mode']} {p['locus']} region {p['region']}")
-            if p.get("points") is not None:
-                parts.append(f"points {p['points']}")
-            via_margin()
-    elif stmt.kind == "gradient_rank_at":
-        parts.append(f"{_print_expr(p['form'])}, {p['rank']}")
-        parts.append("at " + _print_assignments(p["point"]))
-    elif stmt.kind == "contact":
-        parts.append(_print_expr(p["form"]))
-        if p["maps"]:
-            parts.append("via (" + ", ".join(p["maps"]) + ")")
-        if p["grid"] is not None:
-            parts.append(f"grid {p['grid']}")
-        if p["aux"] is not None:
-            parts.append(f"aux {p['aux']}")
-    elif stmt.kind == "vanishing_locus":
-        parts.append(_print_expr(p["form"]))
-        locus_tail()
-        if p["off_mode"] != "nonzero" or p["off_form"] is not None:
-            off = f"off {p['off_mode']}"
-            if p["off_form"] is not None:
-                off += f"({_print_expr(p['off_form'])})"
-            parts.append(off)
-        via_margin()
-    elif stmt.kind == "rank_drop_locus":
-        parts.append(p["map"])
-        locus_tail()
-        parts.append(f"regular {p['regular']} singular {p['singular']}")
-        via_margin()
-    elif stmt.kind == "fixed_points":
-        parts.append(p["field"])
-        locus_tail()
-        via_margin()
-    elif stmt.kind == "dividing_set":
-        parts.append(f"{_print_expr(p['alpha'])}, {p['field']}, {_print_expr(p['scalar'])}")
-        locus_tail()
-        via_margin()
-    elif stmt.kind == "pullback_eq":
-        parts.append(f"{p['map']}, {_print_expr(p['form'])}, {_print_expr(p['expected'])}")
-    elif stmt.kind == "bracket_table":
-        parts.append(_print_expr(p["h"]))
-        parts.append(f"dim {p['dim']}")
-    elif stmt.kind == "stabilize":
-        parts.append(f"{_print_expr(p['eta'])}, {_print_expr(p['base'])}")
-        parts.append(f"region {p['region']}")
-        if p["k_max"] is not None:
-            parts.append(f"k_max {p['k_max']}")
-    elif stmt.kind == "property":
-        parts.append(p["name"])
-        if p["samples"] is not None:
-            parts.append(f"samples {p['samples']}")
-        if p["dims"] is not None:
-            parts.append("dims (" + ", ".join(str(d) for d in p["dims"]) + ")")
-    elif stmt.kind == "positive":
-        parts.append(_print_expr(p["form"]))
-        parts.append(f"region {p['region']}")
-    else:
+    spec = CHECK_SPECS.get(stmt.kind)
+    if spec is None:
         raise TypeError(f"unknown check kind {stmt.kind!r}")
-
+    parts = ["check", stmt.kind, spec.write(stmt.payload)]
     if stmt.where:
         parts.append("where " + ", ".join(f"{n}={v}" for n, v in stmt.where))
     if stmt.note:

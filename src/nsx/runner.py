@@ -573,12 +573,12 @@ def _sample_envs(ctx, p):
     locus = ctx.locus(p["locus"])
     region = ctx.region(p["region"])
     sampler = LocusSampler(locus, region, ctx.seed)
-    cap = p.get("points")
+    cap = p["points"]
     if p["mode"] == "on":
         envs = sampler.on_envs
         return envs[:cap] if cap else envs
     count = cap if cap else 8
-    envs, exhausted = off_locus_envs(sampler, ctx.margin(p.get("margin")), count, ctx.seed)
+    envs, exhausted = off_locus_envs(sampler, ctx.margin(p["margin"]), count, ctx.seed)
     if exhausted:
         raise ElaborationError("not enough off-locus samples in the region")
     return envs
@@ -723,8 +723,8 @@ def _run_vanishing_locus(ctx, p):
         ctx.region(p["region"]),
         off_form=off_form,
         off_mode=p["off_mode"],
-        via=ctx.via(p.get("via")),
-        margin=ctx.margin(p.get("margin")),
+        via=ctx.via(p["via"]),
+        margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
         registry=ctx.registry,
@@ -740,7 +740,7 @@ def _run_rank_drop_locus(ctx, p):
         ctx.region(p["region"]),
         regular_rank=p["regular"],
         singular_rank=p["singular"],
-        margin=ctx.margin(p.get("margin")),
+        margin=ctx.margin(p["margin"]),
         seed=ctx.seed,
     )
     return _locus_report_result(report)
@@ -751,8 +751,8 @@ def _run_fixed_points(ctx, p):
         ctx.vfield(p["field"]),
         ctx.locus(p["locus"]),
         ctx.region(p["region"]),
-        via=ctx.via(p.get("via")),
-        margin=ctx.margin(p.get("margin")),
+        via=ctx.via(p["via"]),
+        margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
         registry=ctx.registry,
@@ -769,8 +769,8 @@ def _run_dividing_set(ctx, p):
         scalar,
         ctx.locus(p["locus"]),
         ctx.region(p["region"]),
-        via=ctx.via(p.get("via")),
-        margin=ctx.margin(p.get("margin")),
+        via=ctx.via(p["via"]),
+        margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
         registry=ctx.registry,

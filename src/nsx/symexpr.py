@@ -783,16 +783,6 @@ def _build_atom_numpy(atom, e, registry):
     return lambda env: base(env) ** e
 
 
-def canonicalize(expr):
-    """Return the canonical form of an expression.
-
-    Construction already normalizes, so this is the identity; it exists
-    so call sites can state intent, and so the idempotence and
-    evaluation-preservation properties have a named subject.
-    """
-    return _as_expr(expr)
-
-
 # -- semantic comparison -----------------------------------------------
 
 

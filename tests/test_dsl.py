@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsx import runner
 from nsx.dsl import CHECK_KINDS, parse_scenario, print_scenario, random_scenario, tokenize
 from nsx.errors import ParseError
 from nsx.scenarios import SUITE
@@ -67,6 +68,65 @@ def test_builtin_scenarios_round_trip():
         assert s.checks(), sid
         printed = print_scenario(s)
         assert print_scenario(parse_scenario(printed)) == printed, sid
+
+
+# One body per kind with every keyword option and one with none; the
+# pointwise kinds also in their at, on and off forms.  Each body is written
+# as the printer writes it.
+CHECK_BODIES = {
+    "closed": ["om"],
+    "equal": ["om, d(x)"],
+    "rank_at": ["om, 2 at (x=1, y=-1/2)", "om, 2 on L region R", "om, 0 off L region R points 4 via m margin 1/8"],
+    "nearsympl_at": ["om at (x=0, y=0)", "om on L region R points 3 via m margin 1/4", "om off L region R"],
+    "gradient_rank_at": ["om, 3 at (x=0, y=0)"],
+    "contact": ["al", "al via (m1, m2) grid 64 aux 8"],
+    "vanishing_locus": [
+        "om on L region R",
+        "om on L region R off positive(om2) via m margin 1/8",
+        "om on L region R off negative",
+        "om on L region R off none",
+    ],
+    "rank_drop_locus": ["f on L region R regular 4 singular 3", "f on L region R regular 4 singular 3 via m margin 1/8"],
+    "fixed_points": ["X on L region R", "X on L region R via m margin 1/2"],
+    "dividing_set": ["al, X, 5/2*x on L region R", "al, X, x on L region R via m margin 1/8"],
+    "pullback_eq": ["m, d(x), d(y)"],
+    "bracket_table": ["y1^2 dim 4"],
+    "stabilize": ["t, f region R", "t, f region R k_max 64"],
+    "property": ["functorial", "dd_zero samples 10 dims (2, 3)"],
+    "positive": ["i_X(om) region R"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, body", [(kind, body) for kind, bodies in CHECK_BODIES.items() for body in bodies]
+)
+def test_check_lines_round_trip(kind, body):
+    text = f"check {kind} {body} expect report\n"
+    s = parse_scenario(text)
+    printed = print_scenario(s)
+    assert printed == text
+    assert parse_scenario(printed) == s
+
+
+def test_round_trip_rows_cover_every_kind():
+    assert list(CHECK_BODIES) == list(CHECK_KINDS)
+
+
+def test_every_kind_has_a_runner():
+    assert set(runner._RUNNERS) == set(CHECK_KINDS)
+
+
+def test_keyword_options_in_any_order():
+    # A repeated option keeps its last value.
+    for canonical, shuffled in [
+        ("check contact al via (m) grid 64 aux 8", "check contact al aux 8 grid 3 via (m) grid 64"),
+        ("check rank_at om, 2 off L region R points 4 via m margin 1/8", "check rank_at om, 2 off L region R margin 1/8 via m points 4"),
+        ("check property dd_zero samples 10 dims (2, 3)", "check property dd_zero dims (2, 3) samples 10"),
+        ("check vanishing_locus om on L region R off none via m", "check vanishing_locus om on L region R via m off none"),
+        ("check vanishing_locus om on L region R off none", "check vanishing_locus om on L region R off positive(om2) off none"),
+    ]:
+        assert parse_scenario(shuffled) == parse_scenario(canonical)
+        assert print_scenario(parse_scenario(shuffled)) == canonical + " expect pass\n"
 
 
 # -- statement and payload shapes ------------------------------------------
@@ -169,6 +229,13 @@ def test_check_kinds_inventory():
             40,
             "expected keyword 'random'",
         ),
+        ("chart C(x, y)\ncheck rank_at om, 2 at (x=1/0, y=0)\n", 2, 29, "zero denominator"),
+        ("chart C(x, y)\ncheck closed om where Kp=1/0\n", 2, 28, "zero denominator"),
+        ("chart C(x, y)\ncheck fixed_points X on L region R margin 1/0\n", 2, 45, "zero denominator"),
+        ("chart C(x, y)\nregion R on C = [0, 1/0]^2 lattice 3 random 0\n", 2, 23, "zero denominator"),
+        ("chart C(x, y)\nmetric g on C = diag(1, 2/0)\n", 2, 27, "zero denominator"),
+        ("chart C(x, y)\nlocus L on C = coords(x=-1/0)\n", 2, 28, "zero denominator"),
+        ("chart C(x, y)\nlocus L on C = points((0, 1/0))\n", 2, 29, "zero denominator"),
     ],
 )
 def test_parse_errors_are_positioned(text, line, col, snippet):
