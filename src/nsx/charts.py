@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import _linalg
@@ -379,9 +380,14 @@ class ChartMap:
 
     def jacobian(self):
         """Rows indexed by target component, columns by source coordinate."""
-        return [
-            [comp.diff(s) for s in self.source.coords] for comp in self.comps
-        ]
+        return self._jacobian
+
+    @cached_property
+    def _jacobian(self):
+        # Differentiated once per map; tuples, since every caller shares them.
+        return tuple(
+            tuple(comp.diff(s) for s in self.source.coords) for comp in self.comps
+        )
 
     def pullback(self, form):
         """Pull a form on the target chart back to the source chart."""

@@ -779,6 +779,19 @@ def _int(name, what):
     return _Field(name, lambda p: p.expect_int(what))
 
 
+def _count(name, what):
+    """A budget option: an integer of at least 1."""
+
+    def read(p):
+        t = p.peek()
+        n = p.expect_int(what)
+        if n < 1:
+            p.error(f"{name} must be at least 1", t)
+        return n
+
+    return _Field(name, read)
+
+
 def _name(name, what):
     return _Field(name, lambda p: p.expect_name(what))
 
@@ -870,7 +883,7 @@ class _Place:
     """Where a pointwise check looks: `at (point)`, or
     `on|off L region R [points n] [via m] [margin q]`."""
 
-    _sampled = _Spec(_LOCUS, *_REGION, points=_int("points", "a point count"), **_VIA_MARGIN)
+    _sampled = _Spec(_LOCUS, *_REGION, points=_count("points", "a point count"), **_VIA_MARGIN)
 
     def read(self, parser, out):
         if parser.eat_keyword("at"):
@@ -903,7 +916,7 @@ CHECK_SPECS = {
         _expr("form"),
         via=_group(_name("maps", "a map name"), default=()),
         grid=_int("grid", "a grid resolution"),
-        aux=_int("aux", "an auxiliary sample count"),
+        aux=_count("aux", "an auxiliary sample count"),
     ),
     "vanishing_locus": _Spec(_expr("form"), *_ON_LOCUS, off=_OffMode(), **_VIA_MARGIN),
     "rank_drop_locus": _Spec(
@@ -916,7 +929,7 @@ CHECK_SPECS = {
     ),
     "pullback_eq": _Spec(_name("map", "a map name"), ",", _expr("form"), ",", _expr("expected")),
     "bracket_table": _Spec(_expr("h"), "dim", _int("dim", "an even dimension")),
-    "stabilize": _Spec(_expr("eta"), ",", _expr("base"), *_REGION, k_max=_int("k_max", "a bound")),
+    "stabilize": _Spec(_expr("eta"), ",", _expr("base"), *_REGION, k_max=_count("k_max", "a bound")),
     "property": _Spec(
         _choice("name", "a property name", _PROPERTIES, "unknown property name"),
         samples=_int("samples", "a sample count"),

@@ -75,7 +75,13 @@ def _is_rational_number(v):
 def _dyadic_between(rng, lo, hi):
     k = rng.randrange(0, (1 << _DYADIC_BITS) + 1)
     if _is_rational_number(lo) and _is_rational_number(hi):
-        return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(k, 1 << _DYADIC_BITS)
+        # lo + (hi - lo) * k / 2**bits over the common denominator
+        # lo.d * hi.d * 2**bits, so only the result is a Fraction.
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        return Fraction(
+            (ln * hd << _DYADIC_BITS) + (hn * ld - ln * hd) * k, ld * hd << _DYADIC_BITS
+        )
     return float(lo) + (float(hi) - float(lo)) * (k / float(1 << _DYADIC_BITS))
 
 
@@ -269,38 +275,36 @@ class LocusSampler:
         self.region = region
         self.seed = seed
         self.on_envs = _locus_on_envs(locus, region, seed)
-        self._cloud = self._build_cloud(locus, seed)
-
-    def _build_cloud(self, locus, seed):
         # Point clouds back the distance oracle for loci without a
-        # coordinate description.
+        # coordinate description, keyed by the id of their locus.  A
+        # top-level cloud is drawn now; a union part's cloud is drawn on
+        # its first distance query, with the sampler's own seed.
+        self._clouds = {}
         if isinstance(locus, (PointsLocus, ImageLocus)):
-            return _locus_on_envs(locus, self.region, derive_seed(seed, "cloud"))
-        if isinstance(locus, UnionLocus):
-            return None  # parts handle their own distances
-        return None
+            self._clouds[id(locus)] = _locus_on_envs(locus, region, derive_seed(seed, "cloud"))
+
+    def _cloud(self, locus):
+        cloud = self._clouds.get(id(locus))
+        if cloud is None:
+            cloud = self._clouds[id(locus)] = _locus_on_envs(locus, self.region, self.seed)
+        return cloud
 
     def distance_sq(self, env):
         """Squared distance from env to the locus, None for an empty locus.
 
         Exact Fractions whenever every participating value is rational.
         """
-        return self._dist_sq(self.locus, env, self._cloud)
+        return self._dist_sq(self.locus, env)
 
-    def _dist_sq(self, locus, env, cloud):
+    def _dist_sq(self, locus, env):
         if isinstance(locus, EmptyLocus):
             return None
         if isinstance(locus, CoordLocus):
-            total = Fraction(0)
-            for c, v in locus.values:
-                d = env[c] - v
-                total = total + d * d
-            return total
+            return _coord_dist_sq(locus.values, env)
         if isinstance(locus, (PointsLocus, ImageLocus)):
-            pts = cloud if cloud is not None else _locus_on_envs(locus, self.region, self.seed)
             best = None
             coords = locus.chart.coords
-            for p in pts:
+            for p in self._cloud(locus):
                 t = Fraction(0)
                 for c in coords:
                     d = env[c] - p[c]
@@ -309,10 +313,37 @@ class LocusSampler:
                     best = t
             return best
         if isinstance(locus, UnionLocus):
-            ds = [self._dist_sq(p, env, None) for p in locus.parts]
+            ds = [self._dist_sq(p, env) for p in locus.parts]
             ds = [d for d in ds if d is not None]
             return min(ds) if ds else None
         raise DomainError(f"unknown locus flavour {type(locus).__name__}")
+
+
+def _coord_dist_sq(values, env):
+    """Sum of (env[c] - v)**2 over the pinned (c, v) pairs.
+
+    Rational values are summed as one integer numerator over one integer
+    denominator; any other value takes the Fraction-then-float sum, so a
+    float result keeps its bits.
+    """
+    num, den = 0, 1
+    for c, v in values:
+        e = env[c]
+        if not (_is_rational_number(e) and _is_rational_number(v)):
+            return _coord_dist_sq_mixed(values, env)
+        ed, vd = e.denominator, v.denominator
+        a = e.numerator * vd - v.numerator * ed  # (e - v) == a / (ed * vd)
+        b = (ed * vd) ** 2
+        num, den = num * b + a * a * den, den * b
+    return Fraction(num, den)
+
+
+def _coord_dist_sq_mixed(values, env):
+    total = Fraction(0)
+    for c, v in values:
+        d = env[c] - v
+        total = total + d * d
+    return total
 
 
 def off_locus_envs(sampler, margin, count, seed):

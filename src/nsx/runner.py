@@ -576,8 +576,8 @@ def _sample_envs(ctx, p):
     cap = p["points"]
     if p["mode"] == "on":
         envs = sampler.on_envs
-        return envs[:cap] if cap else envs
-    count = cap if cap else 8
+        return envs if cap is None else envs[:cap]
+    count = 8 if cap is None else cap
     envs, exhausted = off_locus_envs(sampler, ctx.margin(p["margin"]), count, ctx.seed)
     if exhausted:
         raise ElaborationError("not enough off-locus samples in the region")
@@ -665,7 +665,7 @@ def _run_contact(ctx, p):
     maps = [ctx.scope.named("maps", m, "map") for m in p["maps"]]
     parametrizations = maps if maps else [None]
     grid = ctx.config.grid_n(p["grid"])
-    aux = p["aux"] if p["aux"] else 8
+    aux = 8 if p["aux"] is None else p["aux"]
     verdict = contact_test(
         form,
         parametrizations,
@@ -818,7 +818,7 @@ def _run_stabilize(ctx, p):
     rng = _random.Random(derive_seed(ctx.seed, "stabilize"))
     envs = lattice_envs(region)
     envs += [random_env(region, rng) for _ in range(region.random_count)]
-    k_max = p["k_max"] if p["k_max"] else 1 << 16
+    k_max = (1 << 16) if p["k_max"] is None else p["k_max"]
     result = stabilizing_constant_search(eta, base, envs, k_max=k_max, registry=ctx.registry)
     evidence = {
         "found": result.found,
@@ -888,6 +888,8 @@ def run_check(scope, stmt, sid, index, config):
         verdict, evidence, detail = _RUNNERS[stmt.kind](ctx, stmt.payload)
     except NsxError as e:
         verdict, evidence, detail = "error", {"error": str(e)}, "(error)"
+    except Exception as e:  # an engine fault is this check's error, not the suite's
+        verdict, evidence, detail = "error", {"error": str(e), "exception": type(e).__name__}, "(error)"
     ok = stmt.expect == "report" or verdict == stmt.expect
     return CheckRecord(
         index=index,

@@ -329,6 +329,20 @@ def test_jacobian_shape():
     assert J[0][0] == cos_of(sym("th"))
 
 
+def test_jacobian_is_differentiated_once_per_map(monkeypatch):
+    from nsx.symexpr import Expr
+
+    calls = []
+    diff = Expr.diff
+    monkeypatch.setattr(Expr, "diff", lambda self, c: calls.append(c) or diff(self, c))
+    m = _polar()
+    first = m.jacobian()
+    n = len(calls)
+    assert n >= 4
+    assert m.jacobian() is first and len(calls) == n
+    assert m == _polar() and hash(m) == hash(_polar())
+
+
 def test_pullback_against_numeric_jacobian():
     m = _polar()
     rng = random.Random(10)

@@ -236,6 +236,10 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\nmetric g on C = diag(1, 2/0)\n", 2, 27, "zero denominator"),
         ("chart C(x, y)\nlocus L on C = coords(x=-1/0)\n", 2, 28, "zero denominator"),
         ("chart C(x, y)\nlocus L on C = points((0, 1/0))\n", 2, 29, "zero denominator"),
+        ("chart C(x, y)\ncheck rank_at om, 2 off L region R points 0\n", 2, 43, "points must be at least 1"),
+        ("chart C(x, y)\ncheck nearsympl_at om on L region R points 0\n", 2, 44, "points must be at least 1"),
+        ("chart C(x, y)\ncheck contact al grid 8 aux 0\n", 2, 29, "aux must be at least 1"),
+        ("chart C(x, y)\ncheck stabilize eta, om region R k_max 0\n", 2, 40, "k_max must be at least 1"),
     ],
 )
 def test_parse_errors_are_positioned(text, line, col, snippet):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsx import locus as locus_mod
 from nsx.charts import Chart, ChartMap, VectorField, coord_differential, function_form, zero_form
 from nsx.errors import DomainError
 from nsx.locus import (
@@ -78,6 +81,61 @@ def test_random_env_dyadic_and_bounded():
             assert isinstance(v, Fraction)
             assert F(-1) <= v <= F(1)
             assert (v.denominator & (v.denominator - 1)) == 0  # dyadic
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _old_dyadic_between(rng, lo, hi):
+    k = rng.randrange(0, 4097)
+    if isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction)):
+        return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(k, 4096)
+    return float(lo) + (float(hi) - float(lo)) * (k / float(4096))
+
+
+def _same_draw(lo, hi, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got, want = locus_mod._dyadic_between(rng, lo, hi), _old_dyadic_between(ref, lo, hi)
+    assert rng.getstate() == ref.getstate()  # one randrange per draw
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS, st.integers(0, 2**32))
+def test_dyadic_between_matches_fraction_reference(lo, hi, seed):
+    for a, b in ((lo, hi), (hi, lo), (lo, lo)):
+        got, want = _same_draw(a, b, seed)
+        assert isinstance(got, Fraction) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_FLOATS, _RATIONALS), _FLOATS, st.integers(0, 2**32))
+def test_dyadic_between_float_bounds_are_bit_identical(lo, hi, seed):
+    for a, b in ((lo, hi), (hi, lo), (hi, hi)):
+        got, want = _same_draw(a, b, seed)
+        assert isinstance(got, float) and got.hex() == want.hex()
+
+
+class _FixedDraw:
+    """A stand-in generator whose one draw is a chosen k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def randrange(self, start, stop):
+        assert (start, stop) == (0, 4097)
+        return self.k
+
+
+@pytest.mark.parametrize("lo, hi", [(F(-3, 7), F(5, 11)), (-2, 3), (F(9, 4), -1), (F(1, 3), F(1, 3))])
+def test_dyadic_between_every_k_matches_fraction_reference(lo, hi):
+    for k in range(4097):
+        got = locus_mod._dyadic_between(_FixedDraw(k), lo, hi)
+        assert got == _old_dyadic_between(_FixedDraw(k), lo, hi)
 
 
 def test_region_validation():
@@ -169,6 +227,62 @@ def test_coord_locus_distance_is_exact():
     s = LocusSampler(CoordLocus(C2, (("x", F(0)),)), _region(), seed=0)
     d = s.distance_sq({"x": F(3, 4), "y": F(17)})
     assert d == F(9, 16) and isinstance(d, Fraction)
+
+
+def _old_coord_dist_sq(values, env):
+    total = Fraction(0)
+    for c, v in values:
+        d = env[c] - v
+        total = total + d * d
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RATIONALS, min_size=2, max_size=2), st.lists(_RATIONALS, min_size=2, max_size=2))
+def test_coord_locus_distance_matches_fraction_sum(pins, point):
+    for values in ((("x", pins[0]),), (("y", pins[1]),), (("x", pins[0]), ("y", pins[1]))):
+        s = LocusSampler(CoordLocus(C2, values), None if len(values) == 2 else _region(), seed=0)
+        env = {"x": point[0], "y": point[1]}
+        d = s.distance_sq(env)
+        assert isinstance(d, Fraction)
+        assert d == sum(((env[c] - v) ** 2 for c, v in values), Fraction(0))
+
+
+def test_coord_locus_distance_with_a_float_keeps_its_bits():
+    values = (("x", F(1, 3)), ("y", F(-2, 7)))
+    s = LocusSampler(CoordLocus(C2, values), None, seed=0)
+    for env in ({"x": 0.1, "y": F(5, 9)}, {"x": F(5, 9), "y": 0.1}, {"x": 0.1, "y": -2.75}):
+        d = s.distance_sq(env)
+        want = _old_coord_dist_sq(values, env)
+        assert isinstance(d, float) and d.hex() == want.hex()
+
+
+def test_union_parts_draw_their_clouds_once(monkeypatch):
+    src = Region(P2, ((F(0), F(1)), (F(0), F(1))), (2, 2), 5)
+    sq = ChartMap("sq", P2, C2, (sym("u") ** 2, sym("v")))
+    shift = ChartMap("shift", P2, C2, (sym("u") + 2, sym("v") - 1))
+    parts = (ImageLocus(sq, src), ImageLocus(shift, src))
+    u = UnionLocus(parts)
+    s = LocusSampler(u, _region(), seed=11)
+
+    drawn = []
+    original = locus_mod._locus_on_envs
+    monkeypatch.setattr(
+        locus_mod, "_locus_on_envs", lambda lc, r, seed: drawn.append(lc) or original(lc, r, seed)
+    )
+    envs = [random_env(_region(), random.Random(i)) for i in range(20)]
+    got = [s.distance_sq(e) for e in envs]
+    assert len(drawn) == 2 and {id(p) for p in drawn} == {id(p) for p in parts}
+
+    # A part's cloud is drawn with the sampler's seed itself.
+    clouds = [original(p, None, 11) for p in parts]
+    for env, d in zip(envs, got):
+        want = min(
+            sum(((env[c] - q[c]) ** 2 for c in ("x", "y")), Fraction(0))
+            for cloud in clouds
+            for q in cloud
+        )
+        assert d == want
 
 
 def test_points_locus_distance_takes_nearest():

@@ -8,10 +8,12 @@ such rather than papering over it.
 """
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nsx.runner import report_text, suite_dict
+from nsx.runner import DEFAULT_SEED, RunConfig, report_json, report_text, run_suite, suite_dict
 
 EXPECTED_STATUS = {
     "S1": "pass",
@@ -237,3 +239,21 @@ def test_full_report_matches_schema(suite):
         importlib.resources.files("nsx").joinpath("schema.json").read_text()
     )
     jsonschema.validate(suite_dict(suite), schema)
+
+
+# The exact-path scenarios, whose report bytes every change to sampling,
+# distances, evaluation or exact linear algebra must keep.  The file was
+# written by the engine before its sampler moved to scaled integers.
+EXACT_SCENARIOS = ("S1", "S2", "S3", "S4", "S5", "S6", "S10", "S11")
+GOLDEN_EXACT = Path(__file__).parent / "golden" / "exact_sampling_report.json"
+
+
+def test_exact_scenarios_match_golden_report(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD would make the golden bytes depend on BLAS")
+
+    # A forbidden SVD becomes an error verdict, so the bytes would differ.
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    suite = run_suite(only=EXACT_SCENARIOS, config=RunConfig(seed=DEFAULT_SEED))
+    assert [s.sid for s in suite.scenarios] == list(EXACT_SCENARIOS)
+    assert report_json(suite) == GOLDEN_EXACT.read_text()

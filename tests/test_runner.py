@@ -155,6 +155,40 @@ def test_check_error_verdict():
     assert reported.checks[0].verdict == "error" and reported.checks[0].ok
 
 
+SAMPLED_PLANE = (
+    PLANE
+    + "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+    + "locus L on C = coords(x=0)\n"
+)
+
+
+@pytest.mark.parametrize("mode, points", [("off", 1), ("off", 3), ("on", 1), ("on", 2)])
+def test_explicit_point_budget_is_kept(mode, points):
+    rep = _run(SAMPLED_PLANE + f"check rank_at area, 2 {mode} L region R points {points}\n")
+    (rec,) = rep.checks
+    assert rec.verdict == "pass"
+    assert rec.evidence["points"] == points
+
+
+def test_engine_fault_is_an_error_verdict_and_the_suite_finishes(monkeypatch):
+    import numpy as np
+
+    from nsx import runner
+
+    def broken(ctx, p):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(runner._RUNNERS, "closed", broken)
+    suite = run_suite(only=["S1", "S9"])
+    assert [s.sid for s in suite.scenarios] == ["S1", "S9"]
+    rec = suite.scenarios[0].checks[0]
+    assert rec.kind == "closed" and rec.verdict == "error" and rec.detail == "(error)"
+    assert rec.evidence == {"error": "SVD did not converge", "exception": "LinAlgError"}
+    assert [c.verdict for c in suite.scenarios[0].checks[1:]] == ["pass"] * 4
+    assert suite.scenarios[1].status == "pass"
+    json.loads(report_json(suite))
+
+
 def test_where_binding_substitutes_params():
     text = (
         "chart C(x, y)\n"
