@@ -401,16 +401,8 @@ class ChartMap:
         # same way wedge does so the accumulator matches the pieces.
         out = zero_form(self.source, min(form.degree, self.source.dim))
         differentials = [
-            DForm(
-                self.source,
-                1,
-                {
-                    (j,): d
-                    for j, s in enumerate(self.source.coords)
-                    if not (d := comp.diff(s)).is_zero
-                },
-            )
-            for comp in self.comps
+            DForm(self.source, 1, {(j,): d for j, d in enumerate(row) if not d.is_zero})
+            for row in self.jacobian()
         ]
         for idx, coeff in form.comps.items():
             piece = function_form(self.source, coeff.subs(subs))

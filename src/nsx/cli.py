@@ -127,10 +127,10 @@ def _join_signed(parts):
     return text
 
 
-def _eval_form(name, form, env, registry, out):
+def _eval_form(name, form, env, out):
     parts = []
     for idx in sorted(form.comps):
-        v = evaluate(form.comps[idx], env, registry)
+        v = evaluate(form.comps[idx], env)
         if v == 0:
             continue
         parts.append(_fmt(v) if not idx else f"{_fmt(v)} {_basis_label(form.chart, idx)}")
@@ -154,19 +154,19 @@ def _cmd_eval(args):
     out = []
     for name, expr in scope.consts.items():
         try:
-            out.append(f"{name} = {_fmt(evaluate(expr, env, scope.registry))}")
+            out.append(f"{name} = {_fmt(evaluate(expr, env))}")
         except EvaluationError as e:
             out.append(f"{name}: skipped ({e})")
     for name, form in scope.forms.items():
         try:
-            _eval_form(name, form, env, scope.registry, out)
+            _eval_form(name, form, env, out)
         except EvaluationError as e:
             out.append(f"{name}: skipped ({e})")
     for name, field in scope.vfields.items():
         try:
             parts = []
             for i in sorted(field.comps):
-                v = evaluate(field.comps[i], env, scope.registry)
+                v = evaluate(field.comps[i], env)
                 if v != 0:
                     parts.append(f"{_fmt(v)} e({field.chart.coords[i]})")
             out.append(f"{name} = {_join_signed(parts)}")
@@ -178,10 +178,20 @@ def _cmd_eval(args):
     return 0
 
 
+def _at_least_one(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_config_flags(sub, samples=True):
     sub.add_argument("--seed", type=int, default=None, help="base seed for derived sampling")
     if samples:
-        sub.add_argument("--samples", type=int, default=None, help="scale down sampling budgets")
+        sub.add_argument("--samples", type=_at_least_one, default=None, help="scale down sampling budgets")
         sub.add_argument("--tol", type=float, default=None, help="numeric comparison tolerance")
 
 

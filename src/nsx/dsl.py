@@ -915,7 +915,7 @@ CHECK_SPECS = {
     "contact": _Spec(
         _expr("form"),
         via=_group(_name("maps", "a map name"), default=()),
-        grid=_int("grid", "a grid resolution"),
+        grid=_count("grid", "a grid resolution"),
         aux=_count("aux", "an auxiliary sample count"),
     ),
     "vanishing_locus": _Spec(_expr("form"), *_ON_LOCUS, off=_OffMode(), **_VIA_MARGIN),
@@ -932,7 +932,7 @@ CHECK_SPECS = {
     "stabilize": _Spec(_expr("eta"), ",", _expr("base"), *_REGION, k_max=_count("k_max", "a bound")),
     "property": _Spec(
         _choice("name", "a property name", _PROPERTIES, "unknown property name"),
-        samples=_int("samples", "a sample count"),
+        samples=_count("samples", "a sample count"),
         dims=_group(_int("dims", "a dimension")),
     ),
     "positive": _Spec(_expr("form"), *_REGION),

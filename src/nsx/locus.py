@@ -25,7 +25,6 @@ from .charts import ChartMap, DForm, VectorField
 from .errors import DomainError
 from .pointcheck import map_rank_at
 from .symexpr import (
-    DEFAULT_REGISTRY,
     Equal,
     NotEqual,
     compile_numpy,
@@ -134,12 +133,16 @@ class Region:
 
 
 def lattice_envs(region):
-    axes = [
-        _axis_lattice(lo, hi, res)
-        for (lo, hi), res in zip(region.intervals, region.lattice)
-    ]
-    envs = [{}]
-    for coord, pts in zip(region.chart.coords, axes):
+    return _lattice_product({}, region, region.chart.coords)
+
+
+def _lattice_product(pinned, region, coords):
+    """`pinned` extended by every combination of the region's lattice
+    points on `coords`, the first coordinate varying slowest."""
+    idx = {c: i for i, c in enumerate(region.chart.coords)}
+    axes = [_axis_lattice(*region.intervals[idx[c]], region.lattice[idx[c]]) for c in coords]
+    envs = [dict(pinned)]
+    for coord, pts in zip(coords, axes):
         envs = [dict(e, **{coord: p}) for e in envs for p in pts]
     return envs
 
@@ -149,6 +152,12 @@ def random_env(region, rng):
         c: _dyadic_between(rng, lo, hi)
         for c, (lo, hi) in zip(region.chart.coords, region.intervals)
     }
+
+
+def region_envs(region, seed):
+    """The region's lattice followed by its `random_count` seeded draws."""
+    rng = random.Random(seed)
+    return lattice_envs(region) + [random_env(region, rng) for _ in range(region.random_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +247,9 @@ def _locus_on_envs(locus, region, seed):
                 )
             return [dict(pinned)]
         free = [c for c in locus.chart.coords if c not in pinned]
-        if not free:
-            return [dict(pinned)]
-        idx = {c: i for i, c in enumerate(region.chart.coords)}
-        axes = [
-            _axis_lattice(*region.intervals[idx[c]], region.lattice[idx[c]])
-            for c in free
-        ]
-        envs = [dict(pinned)]
-        for coord, pts in zip(free, axes):
-            envs = [dict(e, **{coord: p}) for e in envs for p in pts]
-        return envs
+        return _lattice_product(pinned, region, free)
     if isinstance(locus, ImageLocus):
-        rng = random.Random(derive_seed(seed, "image-locus"))
-        src = lattice_envs(locus.source_region)
-        src += [
-            random_env(locus.source_region, rng)
-            for _ in range(locus.source_region.random_count)
-        ]
+        src = region_envs(locus.source_region, derive_seed(seed, "image-locus"))
         if locus.cmap is None:
             return src
         return [locus.cmap.apply(e) for e in src]
@@ -426,8 +420,12 @@ def _pull_subject(subject, via):
     return subject.subs(subst)
 
 
-def _float_env(envs, coords):
-    return {c: np.array([float(e[c]) for e in envs]) for c in coords}
+def _float_values(exprs, envs, coords, registry):
+    """Float values of the expressions over the envs, one row per expression."""
+    envf = {c: np.array([float(e[c]) for e in envs]) for c in coords}
+    return np.stack(
+        [np.broadcast_to(compile_numpy(e, registry)(envf), (len(envs),)) for e in exprs]
+    )
 
 
 def _check_on_vanishing(report, exprs, envs, tol, registry):
@@ -446,7 +444,7 @@ def _exact_recheck(expr, env):
     """Exact value when both the expression and the point allow it."""
     if not expr.is_polynomial():
         return None
-    if not all(_is_rational_number(v) or isinstance(v, Fraction) for v in env.values()):
+    if not all(_is_rational_number(v) for v in env.values()):
         return None
     return evaluate(expr, env, None)
 
@@ -460,9 +458,7 @@ def _check_off_requirement(report, exprs, envs, mode, tol, registry, coords):
     """
     if not envs:
         return
-    envf = _float_env(envs, coords)
-    fns = [compile_numpy(e, registry) for e in exprs]
-    vals = np.stack([np.broadcast_to(f(envf), (len(envs),)) for f in fns])
+    vals = _float_values(exprs, envs, coords, registry)
     if mode == "nonzero":
         score = np.max(np.abs(vals), axis=0)
         bad = np.nonzero(score <= tol)[0]
@@ -472,38 +468,35 @@ def _check_off_requirement(report, exprs, envs, mode, tol, registry, coords):
         bad = np.nonzero(vals[0] >= -tol)[0]
     else:
         raise DomainError(f"unknown off-locus mode {mode!r}")
-    for i in bad:
-        env = envs[int(i)]
-        rescued = False
-        if len(exprs) == 1:
-            exact = _exact_recheck(exprs[0], env)
-            if exact is not None:
-                if mode == "nonzero":
-                    rescued = exact != 0
-                elif mode == "positive":
-                    rescued = exact > 0
-                else:
-                    rescued = exact < 0
-                if not rescued:
-                    report.add_counterexample(
-                        env, f"off-locus {mode} violated", exact, side="off"
-                    )
-                    continue
-        if not rescued:
-            col = vals[:, int(i)]
-            report.add_counterexample(
-                env,
-                f"off-locus {mode} violated",
-                float(col.flat[np.argmax(np.abs(col))]),
-                side="off",
-            )
+    for i in map(int, bad):
+        env = envs[i]
+        exact = _exact_recheck(exprs[0], env) if len(exprs) == 1 else None
+        if exact is None:
+            col = vals[:, i]
+            value = float(col.flat[np.argmax(np.abs(col))])
+        elif {"nonzero": exact != 0, "positive": exact > 0, "negative": exact < 0}[mode]:
+            continue  # the float was inside the band; the exact value holds
+        else:
+            value = exact
+        report.add_counterexample(env, f"off-locus {mode} violated", value, side="off")
 
 
-def _enforce_floors(report, locus, off_mode, min_on, min_off):
-    if report.on_count < min_on and not isinstance(locus, EmptyLocus):
-        report.fail(f"only {report.on_count} on-locus samples, need {min_on}")
-    if off_mode != "none" and report.off_count < min_off:
-        report.fail(f"only {report.off_count} off-locus samples, need {min_off}")
+def _off_envs(report, sampler, margin, seed):
+    """Margin-separated off-locus samples of the sampler's region, counted
+    on the report, which fails when the draw budget runs out first."""
+    count = max(MIN_OFF_SAMPLES, sampler.region.random_count)
+    envs, exhausted = off_locus_envs(sampler, margin, count, seed)
+    report.off_count = len(envs)
+    if exhausted:
+        report.fail("rejection sampling exhausted before the requested count")
+    return envs
+
+
+def _enforce_floors(report, locus, off_mode):
+    if report.on_count < MIN_ON_SAMPLES and not isinstance(locus, EmptyLocus):
+        report.fail(f"only {report.on_count} on-locus samples, need {MIN_ON_SAMPLES}")
+    if off_mode != "none" and report.off_count < MIN_OFF_SAMPLES:
+        report.fail(f"only {report.off_count} off-locus samples, need {MIN_OFF_SAMPLES}")
 
 
 def verify_vanishing_locus(
@@ -518,8 +511,6 @@ def verify_vanishing_locus(
     tol=1e-9,
     seed=0,
     registry=None,
-    min_on=MIN_ON_SAMPLES,
-    min_off=MIN_OFF_SAMPLES,
 ):
     """Every coefficient of `form` vanishes on the locus; off the locus,
     `off_form` (default: `form` itself) meets the declared requirement.
@@ -534,7 +525,6 @@ def verify_vanishing_locus(
     vanishing at the parametrized points (not the pullback, which could
     also vanish by restriction).
     """
-    registry = DEFAULT_REGISTRY if registry is None else registry
     report = LocusReport(kind="vanishing_locus", passed=True)
     sampler = LocusSampler(locus, region, seed)
     on_envs = sampler.on_envs
@@ -555,11 +545,7 @@ def verify_vanishing_locus(
         off_exprs = _pull_subject([target.comps[k] for k in sorted(target.comps)], via)
         if off_mode in ("positive", "negative") and len(off_exprs) > 1:
             raise DomainError(f"{off_mode} requires a single-coefficient form")
-        count = max(min_off, region.random_count)
-        envs, exhausted = off_locus_envs(sampler, margin, count, seed)
-        report.off_count = len(envs)
-        if exhausted:
-            report.fail("rejection sampling exhausted before the requested count")
+        envs = _off_envs(report, sampler, margin, seed)
         if not off_exprs:
             for env in envs:
                 report.add_counterexample(env, f"off-locus {off_mode} violated", 0, side="off")
@@ -571,7 +557,7 @@ def verify_vanishing_locus(
     else:
         report.notes.append("off-locus requirement waived")
 
-    _enforce_floors(report, locus, off_mode, min_on, min_off)
+    _enforce_floors(report, locus, off_mode)
     return report
 
 
@@ -588,16 +574,13 @@ def verify_positive(
     whole region: exact sign at lattice points, float sign beyond tol at
     random points.
     """
-    registry = DEFAULT_REGISTRY if registry is None else registry
     report = LocusReport(kind="positive", passed=True)
     exprs = [form.comps[k] for k in sorted(form.comps)]
     if len(exprs) != 1:
         report.fail("form does not have exactly one coefficient")
         return report
     expr = exprs[0]
-    rng = random.Random(derive_seed(seed, "positive"))
-    envs = lattice_envs(region)
-    envs += [random_env(region, rng) for _ in range(region.random_count)]
+    envs = region_envs(region, derive_seed(seed, "positive"))
     report.on_count = len(envs)
     mode = "negative" if negative else "positive"
     for env in envs:
@@ -620,8 +603,6 @@ def verify_rank_drop_locus(
     singular_rank,
     margin=DEFAULT_MARGIN,
     seed=0,
-    min_on=MIN_ON_SAMPLES,
-    min_off=MIN_OFF_SAMPLES,
 ):
     """Jacobian rank of `cmap` equals singular_rank on the locus and
     regular_rank at margin-separated off-locus samples.
@@ -642,13 +623,8 @@ def verify_rank_drop_locus(
                 )
 
     rank_claim(sampler.on_envs, singular_rank, "on locus", "on")
-    count = max(min_off, region.random_count)
-    envs, exhausted = off_locus_envs(sampler, margin, count, seed)
-    report.off_count = len(envs)
-    if exhausted:
-        report.fail("rejection sampling exhausted before the requested count")
-    rank_claim(envs, regular_rank, "off locus", "off")
-    _enforce_floors(report, locus, "nonzero", min_on, min_off)
+    rank_claim(_off_envs(report, sampler, margin, seed), regular_rank, "off locus", "off")
+    _enforce_floors(report, locus, "nonzero")
     return report
 
 
@@ -662,8 +638,6 @@ def verify_fixed_points(
     tol=1e-9,
     seed=0,
     registry=None,
-    min_on=MIN_ON_SAMPLES,
-    min_off=MIN_OFF_SAMPLES,
 ):
     """The field vanishes on the locus and is bounded away from zero off
     it: squared norm > tol**2 at every off-locus sample.
@@ -671,7 +645,6 @@ def verify_fixed_points(
     With `via`, the field lives on via.target while locus, region, and
     margins live on via.source; components are pulled through the map.
     """
-    registry = DEFAULT_REGISTRY if registry is None else registry
     report = LocusReport(kind="fixed_points", passed=True)
     chart = xfield.chart if via is None else via.source
     comps = [xfield.comps.get(i, None) for i in range(xfield.chart.dim)]
@@ -685,16 +658,9 @@ def verify_fixed_points(
     report.on_count = len(sampler.on_envs)
     _check_on_vanishing(report, comps, sampler.on_envs, tol, registry)
 
-    count = max(min_off, region.random_count)
-    envs, exhausted = off_locus_envs(sampler, margin, count, seed)
-    report.off_count = len(envs)
-    if exhausted:
-        report.fail("rejection sampling exhausted before the requested count")
+    envs = _off_envs(report, sampler, margin, seed)
     if envs:
-        envf = _float_env(envs, chart.coords)
-        vals = np.stack(
-            [np.broadcast_to(compile_numpy(c, registry)(envf), (len(envs),)) for c in comps]
-        )
+        vals = _float_values(comps, envs, chart.coords, registry)
         norm_sq = np.sum(vals * vals, axis=0)
         for i in np.nonzero(norm_sq <= tol * tol)[0]:
             report.add_counterexample(
@@ -703,7 +669,7 @@ def verify_fixed_points(
                 float(norm_sq[int(i)]),
                 side="off",
             )
-    _enforce_floors(report, locus, "nonzero", min_on, min_off)
+    _enforce_floors(report, locus, "nonzero")
     return report
 
 
@@ -719,8 +685,6 @@ def verify_dividing_set(
     tol=1e-9,
     seed=0,
     registry=None,
-    min_on=MIN_ON_SAMPLES,
-    min_off=MIN_OFF_SAMPLES,
 ):
     """The pairing of a 1-form with a field cuts out the declared locus.
 
@@ -732,7 +696,6 @@ def verify_dividing_set(
     declared-empty locus passes when the off-locus requirement holds
     everywhere sampled.
     """
-    registry = DEFAULT_REGISTRY if registry is None else registry
     report = LocusReport(kind="dividing_set", passed=True)
     paired = alpha.interior(xfield)
     computed = paired.coefficient(())
@@ -761,11 +724,7 @@ def verify_dividing_set(
     report.on_count = len(sampler.on_envs)
     _check_on_vanishing(report, [scalar], sampler.on_envs, tol, registry)
 
-    count = max(min_off, region.random_count)
-    envs, exhausted = off_locus_envs(sampler, margin, count, seed)
-    report.off_count = len(envs)
-    if exhausted:
-        report.fail("rejection sampling exhausted before the requested count")
+    envs = _off_envs(report, sampler, margin, seed)
     _check_off_requirement(report, [scalar], envs, "nonzero", tol, registry, chart.coords)
-    _enforce_floors(report, locus, "nonzero", min_on, min_off)
+    _enforce_floors(report, locus, "nonzero")
     return report

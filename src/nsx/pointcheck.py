@@ -60,19 +60,19 @@ def form_matrix_at(form, env, registry=None):
     return m, exact
 
 
-def _matrix_rank(rows, exact, threshold, band_floor):
+def _matrix_rank(rows, exact):
     if exact:
         return RankVerdict(_linalg.exact_rank(rows), False, True)
-    rank, und = _linalg.float_rank(rows, threshold, band_floor)
+    rank, und = _linalg.float_rank(rows, RANK_THRESHOLD, RANK_BAND_FLOOR)
     return RankVerdict(rank, und, False)
 
 
-def rank_at(form, env, *, threshold=RANK_THRESHOLD, band_floor=RANK_BAND_FLOOR, registry=None):
+def rank_at(form, env, *, registry=None):
     m, exact = form_matrix_at(form, env, registry)
-    return _matrix_rank(m, exact, threshold, band_floor)
+    return _matrix_rank(m, exact)
 
 
-def kernel_at(form, env, *, threshold=RANK_THRESHOLD, registry=None):
+def kernel_at(form, env, *, registry=None):
     """Basis of the null space of the 2-form's matrix at a point."""
     m, exact = form_matrix_at(form, env, registry)
     n = form.chart.dim
@@ -81,10 +81,10 @@ def kernel_at(form, env, *, threshold=RANK_THRESHOLD, registry=None):
     a = np.asarray(m, dtype=float)
     u, sv, vt = np.linalg.svd(a)
     scale = float(sv[0]) if sv.size and sv[0] > 0 else 1.0
-    return [vt[i] for i in range(n) if i >= sv.size or sv[i] <= threshold * scale]
+    return [vt[i] for i in range(n) if i >= sv.size or sv[i] <= RANK_THRESHOLD * scale]
 
 
-def map_rank_at(cmap, env, *, threshold=RANK_THRESHOLD, band_floor=RANK_BAND_FLOOR, registry=None):
+def map_rank_at(cmap, env, *, registry=None):
     rows = []
     exact = True
     for row in cmap.jacobian():
@@ -93,7 +93,7 @@ def map_rank_at(cmap, env, *, threshold=RANK_THRESHOLD, band_floor=RANK_BAND_FLO
         rows.append(vals)
     if not exact:
         rows = [[float(x) for x in row] for row in rows]
-    return _matrix_rank(rows, exact, threshold, band_floor)
+    return _matrix_rank(rows, exact)
 
 
 def gradient_matrix_at(form, env, registry=None):
@@ -120,9 +120,9 @@ def gradient_matrix_at(form, env, registry=None):
     return rows, exact
 
 
-def gradient_rank_at(form, env, *, threshold=RANK_THRESHOLD, band_floor=RANK_BAND_FLOOR, registry=None):
+def gradient_rank_at(form, env, *, registry=None):
     rows, exact = gradient_matrix_at(form, env, registry)
-    return _matrix_rank(rows, exact, threshold, band_floor)
+    return _matrix_rank(rows, exact)
 
 
 # -- degeneracy-point test ----------------------------------------------
@@ -271,6 +271,7 @@ class ContactChartReport:
     n_pos: int = 0
     n_neg: int = 0
     n_zero: int = 0
+    non_finite: int = 0
     min_abs: float | None = None
     worst_point: dict | None = None
     jacobian_drops: int = 0
@@ -282,6 +283,7 @@ class ContactVerdict:
     orientation_reversed: bool
     reason: str
     charts: list
+    undecided: bool = False
 
 
 def _constant_sign(expr):
@@ -332,7 +334,8 @@ def contact_test(
 
     Pass needs one strict sign across every sample of every chart;
     all-negative passes flagged orientation_reversed.  A parametrization
-    whose Jacobian drops rank at any sample fails the whole check.
+    whose Jacobian drops rank at any sample fails the whole check; any
+    other chart with a NaN or infinite sample leaves it undecided.
     """
     rng = random.Random(seed)
     reports = []
@@ -365,6 +368,8 @@ def contact_test(
     drops = sum(r.jacobian_drops for r in reports)
     if drops:
         return ContactVerdict(False, False, "degenerate parametrization samples", reports)
+    if any(r.non_finite for r in reports):
+        return ContactVerdict(False, False, "non-finite samples", reports, undecided=True)
     if signs == {1}:
         return ContactVerdict(True, False, "", reports)
     if signs == {-1}:
@@ -383,33 +388,39 @@ def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol
             ph: ((np.arange(grid_n) + 0.5) * 2 * math.pi / grid_n).reshape(1, 1, -1),
         }
         for c in aux:
-            vals = np.array(
-                [rng.randint(-(1 << 12), 1 << 12) / float(1 << 12) for _ in range(aux_count)]
-            )
-            env[c] = vals.reshape(-1, 1, 1)
+            env[c] = _unit_draws(rng, aux_count).reshape(-1, 1, 1)
         shape = (aux_count, grid_n, grid_n)
     else:
         n = grid_n * grid_n
-        env = {
-            c: np.array([rng.randint(-(1 << 12), 1 << 12) / float(1 << 12) for _ in range(n)])
-            for c in chart.coords
-        }
+        env = {c: _unit_draws(rng, n) for c in chart.coords}
         shape = (n,)
     values = np.broadcast_to(np.asarray(compile_numpy(coeff, registry)(env), dtype=float), shape)
     report = ContactChartReport(label, "sampled", 0, samples=int(values.size))
-    report.n_pos = int(np.sum(values > tol))
-    report.n_neg = int(np.sum(values < -tol))
-    report.n_zero = report.samples - report.n_pos - report.n_neg
-    report.min_abs = float(np.min(np.abs(values)))
-    worst = np.unravel_index(int(np.argmin(np.abs(values))), shape)
-    report.worst_point = _env_at(env, worst, shape)
-    if report.n_neg == 0 and report.n_zero == 0:
-        report.sign = 1
-    elif report.n_pos == 0 and report.n_zero == 0:
-        report.sign = -1
+    # A NaN or infinite sample is neither signed nor zero, and is left
+    # out of the smallest absolute value.
+    finite = np.isfinite(values)
+    report.non_finite = report.samples - int(np.count_nonzero(finite))
+    report.n_pos = int(np.count_nonzero(finite & (values > tol)))
+    report.n_neg = int(np.count_nonzero(finite & (values < -tol)))
+    report.n_zero = report.samples - report.non_finite - report.n_pos - report.n_neg
+    if report.non_finite < report.samples:
+        abs_values = np.where(finite, np.abs(values), np.inf)
+        worst = int(np.argmin(abs_values))
+        report.min_abs = float(abs_values.flat[worst])
+        report.worst_point = _env_at(env, np.unravel_index(worst, shape), shape)
+    if report.non_finite == 0 and report.n_zero == 0:
+        if report.n_neg == 0:
+            report.sign = 1
+        elif report.n_pos == 0:
+            report.sign = -1
     if parm is not None:
         report.jacobian_drops = _count_jacobian_drops(parm, env, shape, registry)
     return report
+
+
+def _unit_draws(rng, n):
+    """n seeded floats k / 2**12 in [-1, 1], k an integer."""
+    return np.array([rng.randint(-(1 << 12), 1 << 12) / float(1 << 12) for _ in range(n)])
 
 
 def _env_at(env, idx, shape):

@@ -155,6 +155,6 @@ def run_property_battery(name, samples, dims, seed):
     }
     if name not in runners:
         raise ValueError(f"unknown property battery {name!r}")
-    count = samples if samples else 100
+    count = 100 if samples is None else samples
     failures = runners[name](rng, count, dims)
     return failures == 0, {"samples": count, "failures": failures, "dims": list(dims)}

@@ -32,9 +32,8 @@ from .locus import (
     Region,
     UnionLocus,
     derive_seed,
-    lattice_envs,
     off_locus_envs,
-    random_env,
+    region_envs,
     verify_dividing_set,
     verify_fixed_points,
     verify_positive,
@@ -50,7 +49,6 @@ from .pointcheck import (
 )
 from .props import run_property_battery
 from .symexpr import (
-    DEFAULT_REGISTRY,
     PI,
     Equal,
     NotEqual,
@@ -93,7 +91,7 @@ class RunConfig:
     def grid_n(self, declared):
         if self.samples is not None:
             return self.samples
-        return declared if declared else 64
+        return 64 if declared is None else declared
 
 
 @dataclass
@@ -144,7 +142,6 @@ class Scope:
         self.metrics = {}
         self.regions = {}
         self.loci = {}
-        self.registry = DEFAULT_REGISTRY
 
     def declare(self, kind, name, value):
         for space in (
@@ -442,7 +439,6 @@ class _Ctx:
         self.seed = derive_seed(config.seed, sid, index)
         self.tol = config.tol
         self.where = _where_mapping(stmt.where)
-        self.registry = scope.registry
 
     def form(self, node, degree=None, what="a form"):
         value = _subs_value(_infer_value(self.scope, node), self.where)
@@ -516,9 +512,7 @@ def _compare_forms(left, right, ctx, evidence):
     for key in keys:
         a = left.coefficient(key)
         b = right.coefficient(key)
-        outcome = semantically_equal(
-            a, b, seed=ctx.seed, tol=ctx.tol, registry=ctx.registry
-        )
+        outcome = semantically_equal(a, b, seed=ctx.seed, tol=ctx.tol)
         if isinstance(outcome, NotEqual):
             evidence["status"] = "not equal"
             evidence["differs_at"] = list(key)
@@ -569,7 +563,10 @@ def _run_pullback_eq(ctx, p):
     return verdict, evidence, detail
 
 
-def _sample_envs(ctx, p):
+def _sample_envs(ctx, p, chart):
+    """The declared point, or the samples on or off the declared locus."""
+    if p["mode"] == "at":
+        return [ctx.point_env(p["point"], chart)]
     locus = ctx.locus(p["locus"])
     region = ctx.region(p["region"])
     sampler = LocusSampler(locus, region, ctx.seed)
@@ -587,16 +584,11 @@ def _sample_envs(ctx, p):
 def _run_rank_at(ctx, p):
     form = ctx.form(p["form"])
     expected = p["rank"]
-    if p["mode"] == "at":
-        envs = [ctx.point_env(p["point"], form.chart)]
-    else:
-        envs = _sample_envs(ctx, p)
+    envs = _sample_envs(ctx, p, form.chart)
     failures = []
     undecided = 0
-    got = None
     for env in envs:
-        v = rank_at(form, env, registry=ctx.registry)
-        got = v.rank
+        v = rank_at(form, env)
         if v.undecided:
             undecided += 1
         elif v.rank != expected:
@@ -620,7 +612,7 @@ def _run_rank_at(ctx, p):
 def _run_gradient_rank_at(ctx, p):
     form = ctx.form(p["form"])
     env = ctx.point_env(p["point"], form.chart)
-    v = gradient_rank_at(form, env, registry=ctx.registry)
+    v = gradient_rank_at(form, env)
     evidence = {"expected": p["rank"], "rank": v.rank, "exact": v.exact}
     if v.undecided:
         return "undecided", evidence, "(rank undecided)"
@@ -631,15 +623,12 @@ def _run_gradient_rank_at(ctx, p):
 
 def _run_nearsympl_at(ctx, p):
     form = ctx.form(p["form"])
-    if p["mode"] == "at":
-        envs = [ctx.point_env(p["point"], form.chart)]
-    else:
-        envs = _sample_envs(ctx, p)
+    envs = _sample_envs(ctx, p, form.chart)
     failures = []
     q_signs = set()
     consistent = True
     for env in envs:
-        v = near_symplectic_at(form, env, registry=ctx.registry)
+        v = near_symplectic_at(form, env)
         if v.passed:
             q_signs.add(v.q_sign)
             if v.grad_kernel_consistent is False:
@@ -673,7 +662,6 @@ def _run_contact(ctx, p):
         aux_count=aux,
         seed=ctx.seed,
         tol=ctx.tol,
-        registry=ctx.registry,
     )
     charts_ev = []
     symbolic = []
@@ -689,6 +677,8 @@ def _run_contact(ctx, p):
             "zero": rep.n_zero,
             "jacobian_drops": rep.jacobian_drops,
         }
+        if rep.non_finite:
+            entry["non_finite"] = rep.non_finite
         if rep.symbolic_value is not None:
             entry["symbolic_value"] = rep.symbolic_value
             symbolic.append(rep.symbolic_value)
@@ -711,6 +701,8 @@ def _run_contact(ctx, p):
         detail = f"({pos + neg} samples, one sign)"
     else:
         detail = f"({verdict.reason}; +{pos} -{neg} 0:{zero})"
+    if verdict.undecided:
+        return "undecided", evidence, detail
     return ("pass" if verdict.passed else "fail"), evidence, detail
 
 
@@ -727,7 +719,6 @@ def _run_vanishing_locus(ctx, p):
         margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
-        registry=ctx.registry,
     )
     return _locus_report_result(report)
 
@@ -755,7 +746,6 @@ def _run_fixed_points(ctx, p):
         margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
-        registry=ctx.registry,
     )
     return _locus_report_result(report)
 
@@ -773,7 +763,6 @@ def _run_dividing_set(ctx, p):
         margin=ctx.margin(p["margin"]),
         tol=ctx.tol,
         seed=ctx.seed,
-        registry=ctx.registry,
     )
     return _locus_report_result(report)
 
@@ -812,14 +801,9 @@ def _run_bracket_table(ctx, p):
 def _run_stabilize(ctx, p):
     eta = ctx.form(p["eta"], degree=2, what="a 2-form")
     base = ctx.form(p["base"], degree=2, what="a 2-form")
-    region = ctx.region(p["region"])
-    import random as _random
-
-    rng = _random.Random(derive_seed(ctx.seed, "stabilize"))
-    envs = lattice_envs(region)
-    envs += [random_env(region, rng) for _ in range(region.random_count)]
+    envs = region_envs(ctx.region(p["region"]), derive_seed(ctx.seed, "stabilize"))
     k_max = (1 << 16) if p["k_max"] is None else p["k_max"]
-    result = stabilizing_constant_search(eta, base, envs, k_max=k_max, registry=ctx.registry)
+    result = stabilizing_constant_search(eta, base, envs, k_max=k_max)
     evidence = {
         "found": result.found,
         "constant": str(result.constant) if result.constant is not None else None,
@@ -852,7 +836,6 @@ def _run_positive(ctx, p):
         ctx.region(p["region"]),
         tol=ctx.tol,
         seed=ctx.seed,
-        registry=ctx.registry,
     )
     evidence = {
         "samples": report.on_count,

@@ -218,8 +218,8 @@ class Expr:
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m, extra = _normalize_monomial(list(m1) + list(m2))
-                c = c1 * c2 * extra
+                m = _normalize_monomial(list(m1) + list(m2))
+                c = c1 * c2
                 if c:
                     acc[m] = acc.get(m, _F0) + c
         return _from_dict(acc)
@@ -249,8 +249,8 @@ class Expr:
             mono, c = self.single_monomial()
             if c == 0:
                 raise DomainError("division by zero expression")
-            inv_mono, extra = _normalize_monomial([(a, -e) for a, e in mono])
-            base = _from_dict({inv_mono: (1 / c) * extra})
+            inv_mono = _normalize_monomial([(a, -e) for a, e in mono])
+            base = _from_dict({inv_mono: 1 / c})
             return base ** (-n)
         result = ONE
         power = self
@@ -272,11 +272,11 @@ class Expr:
                 da = _atom_derivative(atom, name)
                 if da.is_zero:
                     continue
-                rest, extra = _normalize_monomial(
+                rest = _normalize_monomial(
                     [(a, x) for j, (a, x) in enumerate(mono) if j != i]
                     + ([(atom, e - 1)] if e != 1 else [])
                 )
-                piece = _from_dict({rest: c * e * extra}) * da
+                piece = _from_dict({rest: c * e}) * da
                 for m2, c2 in piece.terms:
                     acc[m2] = acc.get(m2, _F0) + c2
         return _from_dict(acc)
@@ -352,12 +352,8 @@ def _as_expr(x):
 
 
 def _normalize_monomial(pairs):
-    """Collapse duplicate atoms and merge exponentials.
-
-    Returns (monomial, extra) where extra is a Fraction multiplier
-    (1 always, today; the slot keeps folds that produce constants from
-    needing a sentinel).
-    """
+    """Collapse duplicate atoms and merge exponentials into a sorted
+    monomial."""
     combined = {}
     for atom, e in pairs:
         if e == 0:
@@ -376,7 +372,7 @@ def _normalize_monomial(pairs):
     if exp_arg is not None and not exp_arg.is_zero:
         out.append((("exp", exp_arg), 1))
     out.sort(key=lambda pair: _atom_key(pair[0]))
-    return tuple(out), _F1
+    return tuple(out)
 
 
 def _mono_adjust_trig(mono, u, sin_delta, cos_delta):
@@ -804,12 +800,16 @@ class Undecided:
     kind: str = "undecided"
 
 
-def _dyadic(rng, lo=-2, hi=2, bits=12):
-    frac = Fraction(rng.getrandbits(bits), 1 << bits)
-    return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * frac
+# Sampled points per comparison outside the polynomial fragment.
+_SEMANTIC_SAMPLES = 32
 
 
-def semantically_equal(e1, e2, *, seed=0, samples=32, tol=1e-9, registry=None):
+def _dyadic(rng):
+    """-2 + 4 * k / 2**12 for 12 random bits k: a dyadic point in [-2, 2)."""
+    return Fraction(rng.getrandbits(12) - (1 << 11), 1 << 10)
+
+
+def semantically_equal(e1, e2, *, seed=0, tol=1e-9, registry=None):
     """Three-valued equality test.
 
     Equal       canonical forms coincide (exact, complete for the
@@ -846,12 +846,11 @@ def semantically_equal(e1, e2, *, seed=0, samples=32, tol=1e-9, registry=None):
     for name in sorted(e1.opaque_names() | e2.opaque_names()):
         if not registry.known(name):
             return Undecided(samples=0)
-    n = max(1, samples)
-    for _ in range(n):
+    for _ in range(_SEMANTIC_SAMPLES):
         env = {c: _dyadic(rng) for c in coords}
         a = float(evaluate(e1, env, registry))
         b = float(evaluate(e2, env, registry))
         scale = max(1.0, abs(a), abs(b))
         if abs(a - b) > tol * scale:
             return NotEqual(witness=tuple(sorted(env.items())), values=(a, b))
-    return Undecided(samples=n)
+    return Undecided(samples=_SEMANTIC_SAMPLES)

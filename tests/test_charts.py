@@ -343,6 +343,20 @@ def test_jacobian_is_differentiated_once_per_map(monkeypatch):
     assert m == _polar() and hash(m) == hash(_polar())
 
 
+def test_pullback_reuses_the_cached_jacobian(monkeypatch):
+    from nsx.symexpr import Expr
+
+    m = _polar()
+    m.jacobian()
+    w = _rand_form(random.Random(3), m.target, 1)
+    expected = m.pullback(w)
+    calls = []
+    diff = Expr.diff
+    monkeypatch.setattr(Expr, "diff", lambda self, c: calls.append(c) or diff(self, c))
+    assert m.pullback(w) == expected
+    assert calls == []
+
+
 def test_pullback_against_numeric_jacobian():
     m = _polar()
     rng = random.Random(10)

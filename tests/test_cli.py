@@ -1,0 +1,31 @@
+"""The command-line front end: argument checks and exit codes."""
+
+import pytest
+
+from nsx import cli
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", [["paper-suite"], ["check", "unused.nsx"]])
+def test_samples_below_one_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(command + ["--samples", value])
+    assert e.value.code == 2
+    assert f"--samples: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_samples_must_be_an_int(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["paper-suite", "--samples", "two"])
+    assert e.value.code == 2
+    assert "--samples: invalid int value: 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["check property dd_zero samples 0", "check contact al grid 0"]
+)
+def test_zero_budget_in_a_file_exits_2(tmp_path, line, capsys):
+    path = tmp_path / "zero.nsx"
+    path.write_text(f"chart C(x, y, z)\nform al on C = d(z)\n{line}\n")
+    assert cli.main(["check", str(path)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -240,6 +240,8 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\ncheck nearsympl_at om on L region R points 0\n", 2, 44, "points must be at least 1"),
         ("chart C(x, y)\ncheck contact al grid 8 aux 0\n", 2, 29, "aux must be at least 1"),
         ("chart C(x, y)\ncheck stabilize eta, om region R k_max 0\n", 2, 40, "k_max must be at least 1"),
+        ("chart C(x, y)\ncheck property dd_zero samples 0\n", 2, 32, "samples must be at least 1"),
+        ("chart C(x, y)\ncheck contact al grid 0\n", 2, 23, "grid must be at least 1"),
     ],
 )
 def test_parse_errors_are_positioned(text, line, col, snippet):

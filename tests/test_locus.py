@@ -354,6 +354,21 @@ def test_vanishing_locus_off_positive_mode():
     assert not bad.passed and bad.off_failures == 16
 
 
+def test_off_locus_band_hits_are_rechecked_exactly():
+    # x^2 / 10^12 is below tol at every off-locus sample, so each float
+    # value lands in the band and the exact value decides the sample.
+    form = _dy_times_x()
+    tiny = function_form(C2, sym("x") ** 2 * F(1, 10**12))
+    locus = CoordLocus(C2, (("x", F(0)),))
+    for mode in ("positive", "nonzero"):
+        rep = verify_vanishing_locus(form, locus, _region(), off_form=tiny, off_mode=mode)
+        assert rep.passed and rep.off_count == 16, mode
+    bad = verify_vanishing_locus(form, locus, _region(), off_form=tiny, off_mode="negative")
+    assert bad.off_failures == 16
+    first = bad.counterexamples[0]
+    assert F(first["value"]) == F(first["point"]["x"]) ** 2 / 10**12
+
+
 def test_vanishing_locus_positive_mode_needs_one_coefficient():
     two = _dy_times_x() + coord_differential(C2, "x") * sym("y")
     with pytest.raises(DomainError):

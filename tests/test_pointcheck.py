@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nsx.charts import Chart, ChartMap, coord_differential, zero_form
@@ -16,7 +17,7 @@ from nsx.pointcheck import (
     stabilizing_constant_search,
     _constant_sign,
 )
-from nsx.symexpr import ONE, PI, ZERO, exp_of, rat, sin_of, sym
+from nsx.symexpr import ONE, PI, ZERO, OpaqueRegistry, exp_of, opaque_fn, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -294,6 +295,32 @@ def test_contact_degenerate_parametrization():
     assert not v.passed
     assert v.reason == "degenerate parametrization samples"
     assert v.charts[0].jacobian_drops == 128
+
+
+def test_contact_non_finite_samples_are_undecided():
+    # The density is f'(x), whose registered numeric is NaN for x < 0;
+    # those samples are neither signed nor zero, and the sweep is undecided.
+    reg = OpaqueRegistry()
+    reg.register("f'", lambda t: np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0))
+    al = _dx(C3, "z") + _dx(C3, "y") * opaque_fn("f", "x")
+    v = contact_test(al, grid_n=8, registry=reg)
+    assert (v.passed, v.undecided, v.reason) == (False, True, "non-finite samples")
+    (r,) = v.charts
+    assert (r.mode, r.sign, r.samples) == ("sampled", 0, 64)
+    assert 0 < r.non_finite < 64
+    assert (r.n_pos, r.n_neg, r.n_zero) == (64 - r.non_finite, 0, 0)
+    assert r.min_abs == 1.0 and r.worst_point["x"] >= 0
+
+
+def test_contact_all_non_finite_samples_have_no_worst_point():
+    reg = OpaqueRegistry()
+    reg.register("f'", lambda t: np.full(np.shape(t), np.inf))
+    al = _dx(C3, "z") + _dx(C3, "y") * opaque_fn("f", "x")
+    v = contact_test(al, grid_n=4, registry=reg)
+    assert v.undecided
+    (r,) = v.charts
+    assert (r.non_finite, r.n_pos, r.n_neg, r.n_zero) == (16, 0, 0, 0)
+    assert r.min_abs is None and r.worst_point is None
 
 
 def test_contact_needs_odd_chart():

@@ -41,7 +41,7 @@ def test_region_count_scaling():
 
 def test_grid_scaling():
     assert RunConfig().grid_n(32) == 32
-    assert RunConfig().grid_n(0) == 64
+    assert RunConfig().grid_n(None) == 64
     assert RunConfig(samples=4).grid_n(32) == 4
 
 
@@ -269,3 +269,38 @@ def test_report_validates_against_schema():
 def test_default_seed_in_report():
     suite = run_suite(only=["S9"])
     assert suite_dict(suite)["seed"] == DEFAULT_SEED == 0xC0FFEE
+
+
+def test_non_finite_contact_samples_are_undecided(monkeypatch):
+    import numpy as np
+
+    from nsx.symexpr import DEFAULT_REGISTRY
+
+    # The density is nanl'(x), whose numeric is NaN wherever x < 0.  The
+    # name is used nowhere else, since compiled default-registry
+    # expressions are cached per process.
+    def nan_left(t):
+        return np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0)
+
+    monkeypatch.setitem(DEFAULT_REGISTRY._numeric, "nanl'", nan_left)
+    text = (
+        "chart C(x, y, z)\n"
+        "opaque nanl\n"
+        "form al on C = d(z) + nanl(x) * d(y)\n"
+        "check contact al grid 8\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and not rec.ok
+    assert rec.evidence["reason"] == "non-finite samples"
+    (chart,) = rec.evidence["charts"]
+    assert chart["non_finite"] > 0 and chart["zero"] == 0 and chart["negative"] == 0
+    assert chart["non_finite"] + chart["positive"] == 64
+    assert chart["min_abs"] == 1.0 and chart["worst_point"]["x"] >= 0
+    assert rec.detail == f"(non-finite samples; +{chart['positive']} -0 0:0)"
+
+
+def test_finite_contact_evidence_has_no_non_finite_key():
+    text = "chart C(x, y, z)\nform al on C = d(z) + (x^3 + x) * d(y)\ncheck contact al grid 8\n"
+    (rec,) = _run(text).checks
+    assert rec.verdict == "pass"
+    assert "non_finite" not in rec.evidence["charts"][0]
