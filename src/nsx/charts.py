@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import _linalg
 from .errors import DomainError, UnsupportedMetricError
-from .symexpr import Expr, _as_expr, rat, sym
+from .symexpr import _as_expr, rat, sym
 
 MAX_DIM = 8
 
@@ -422,12 +422,9 @@ class ChartMap:
         comps = tuple(c.subs(subs) for c in other.comps)
         return ChartMap(f"{other.name}.{self.name}", self.source, other.target, comps)
 
-    def apply(self, env, registry=None):
+    def apply(self, env):
         """Numeric image of a point given as an env over source coords."""
-        return {
-            t: comp.eval(env, registry)
-            for t, comp in zip(self.target.coords, self.comps)
-        }
+        return {t: comp.eval(env) for t, comp in zip(self.target.coords, self.comps)}
 
 
 class Metric:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
+from .props import PROPERTY_NAMES
 
 __all__ = [
     "tokenize",
@@ -902,7 +903,6 @@ class _Place:
 
 
 _RANK = _int("rank", "a rank")
-_PROPERTIES = ("dd_zero", "graded_comm", "functorial", "antiderivation", "double_star")
 
 CHECK_SPECS = {
     "closed": _Spec(_expr("form")),
@@ -931,7 +931,7 @@ CHECK_SPECS = {
     "bracket_table": _Spec(_expr("h"), "dim", _int("dim", "an even dimension")),
     "stabilize": _Spec(_expr("eta"), ",", _expr("base"), *_REGION, k_max=_count("k_max", "a bound")),
     "property": _Spec(
-        _choice("name", "a property name", _PROPERTIES, "unknown property name"),
+        _choice("name", "a property name", PROPERTY_NAMES, "unknown property name"),
         samples=_count("samples", "a sample count"),
         dims=_group(_int("dims", "a dimension")),
     ),

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charts import ChartMap, DForm, VectorField
 from .errors import DomainError
 from .pointcheck import map_rank_at
 from .symexpr import (
@@ -374,6 +373,7 @@ class LocusReport:
     off_count: int = 0
     on_failures: int = 0
     off_failures: int = 0
+    non_finite: int = 0
     counterexamples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     undecided: bool = False
@@ -420,18 +420,29 @@ def _pull_subject(subject, via):
     return subject.subs(subst)
 
 
-def _float_values(exprs, envs, coords, registry):
+def _float_values(exprs, envs, coords):
     """Float values of the expressions over the envs, one row per expression."""
     envf = {c: np.array([float(e[c]) for e in envs]) for c in coords}
-    return np.stack(
-        [np.broadcast_to(compile_numpy(e, registry)(envf), (len(envs),)) for e in exprs]
-    )
+    return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
-def _check_on_vanishing(report, exprs, envs, tol, registry):
+def _finite_samples(report, vals):
+    """Mask of the samples (columns of vals) whose values are all finite.
+
+    A NaN or infinite sample neither meets nor violates an off-locus
+    requirement; it is counted on the report and leaves it undecided.
+    """
+    finite = np.all(np.isfinite(vals), axis=0)
+    report.non_finite += int(np.count_nonzero(~finite))
+    if report.non_finite:
+        report.undecided = True
+    return finite
+
+
+def _check_on_vanishing(report, exprs, envs, tol):
     for env in envs:
         for e in exprs:
-            v = evaluate(e, env, registry)
+            v = evaluate(e, env)
             if isinstance(v, Fraction):
                 ok = v == 0
             else:
@@ -446,10 +457,10 @@ def _exact_recheck(expr, env):
         return None
     if not all(_is_rational_number(v) for v in env.values()):
         return None
-    return evaluate(expr, env, None)
+    return evaluate(expr, env)
 
 
-def _check_off_requirement(report, exprs, envs, mode, tol, registry, coords):
+def _check_off_requirement(report, exprs, envs, mode, tol, coords):
     """Sign or nonvanishing requirement over the off-locus population.
 
     Floats drive the sweep; any sample that lands inside the tolerance
@@ -458,17 +469,17 @@ def _check_off_requirement(report, exprs, envs, mode, tol, registry, coords):
     """
     if not envs:
         return
-    vals = _float_values(exprs, envs, coords, registry)
+    vals = _float_values(exprs, envs, coords)
     if mode == "nonzero":
-        score = np.max(np.abs(vals), axis=0)
-        bad = np.nonzero(score <= tol)[0]
+        violated = np.max(np.abs(vals), axis=0) <= tol
     elif mode == "positive":
-        bad = np.nonzero(vals[0] <= tol)[0]
+        violated = vals[0] <= tol
     elif mode == "negative":
-        bad = np.nonzero(vals[0] >= -tol)[0]
+        violated = vals[0] >= -tol
     else:
         raise DomainError(f"unknown off-locus mode {mode!r}")
-    for i in map(int, bad):
+    finite = _finite_samples(report, vals)
+    for i in map(int, np.nonzero(violated & finite)[0]):
         env = envs[i]
         exact = _exact_recheck(exprs[0], env) if len(exprs) == 1 else None
         if exact is None:
@@ -510,7 +521,6 @@ def verify_vanishing_locus(
     margin=DEFAULT_MARGIN,
     tol=1e-9,
     seed=0,
-    registry=None,
 ):
     """Every coefficient of `form` vanishes on the locus; off the locus,
     `off_form` (default: `form` itself) meets the declared requirement.
@@ -518,7 +528,8 @@ def verify_vanishing_locus(
     Modes: nonzero (some coefficient exceeds tol in absolute value),
     positive / negative (single-coefficient forms only, strict sign
     beyond tol), none (off requirement waived; an identically zero form
-    passes only under this waiver).
+    passes only under this waiver).  A NaN or infinite off-locus sample
+    leaves the check undecided.
 
     With `via`, the forms live on via.target while locus and region live
     on via.source; coefficients are composed with the map, which tests
@@ -538,7 +549,7 @@ def verify_vanishing_locus(
     on_exprs = _pull_subject([form.comps[k] for k in sorted(form.comps)], via)
     if not on_exprs:
         report.notes.append("form is identically zero")
-    _check_on_vanishing(report, on_exprs, on_envs, tol, registry)
+    _check_on_vanishing(report, on_exprs, on_envs, tol)
 
     if off_mode != "none":
         target = form if off_form is None else off_form
@@ -551,9 +562,7 @@ def verify_vanishing_locus(
                 report.add_counterexample(env, f"off-locus {off_mode} violated", 0, side="off")
             report.fail("off-locus form is identically zero")
         else:
-            _check_off_requirement(
-                report, off_exprs, envs, off_mode, tol, registry, region.chart.coords
-            )
+            _check_off_requirement(report, off_exprs, envs, off_mode, tol, region.chart.coords)
     else:
         report.notes.append("off-locus requirement waived")
 
@@ -568,7 +577,6 @@ def verify_positive(
     negative=False,
     tol=1e-9,
     seed=0,
-    registry=None,
 ):
     """Single-coefficient form is strictly positive (or negative) on the
     whole region: exact sign at lattice points, float sign beyond tol at
@@ -584,7 +592,7 @@ def verify_positive(
     report.on_count = len(envs)
     mode = "negative" if negative else "positive"
     for env in envs:
-        v = evaluate(expr, env, registry)
+        v = evaluate(expr, env)
         if isinstance(v, Fraction):
             ok = v < 0 if negative else v > 0
         else:
@@ -637,10 +645,10 @@ def verify_fixed_points(
     margin=DEFAULT_MARGIN,
     tol=1e-9,
     seed=0,
-    registry=None,
 ):
     """The field vanishes on the locus and is bounded away from zero off
-    it: squared norm > tol**2 at every off-locus sample.
+    it: squared norm > tol**2 at every off-locus sample.  A NaN or
+    infinite off-locus sample leaves the check undecided.
 
     With `via`, the field lives on via.target while locus, region, and
     margins live on via.source; components are pulled through the map.
@@ -656,13 +664,14 @@ def verify_fixed_points(
 
     sampler = LocusSampler(locus, region, seed)
     report.on_count = len(sampler.on_envs)
-    _check_on_vanishing(report, comps, sampler.on_envs, tol, registry)
+    _check_on_vanishing(report, comps, sampler.on_envs, tol)
 
     envs = _off_envs(report, sampler, margin, seed)
     if envs:
-        vals = _float_values(comps, envs, chart.coords, registry)
+        vals = _float_values(comps, envs, chart.coords)
         norm_sq = np.sum(vals * vals, axis=0)
-        for i in np.nonzero(norm_sq <= tol * tol)[0]:
+        finite = _finite_samples(report, vals)
+        for i in np.nonzero((norm_sq <= tol * tol) & finite)[0]:
             report.add_counterexample(
                 envs[int(i)],
                 "field approximately zero off locus",
@@ -684,7 +693,6 @@ def verify_dividing_set(
     margin=DEFAULT_MARGIN,
     tol=1e-9,
     seed=0,
-    registry=None,
 ):
     """The pairing of a 1-form with a field cuts out the declared locus.
 
@@ -694,12 +702,13 @@ def verify_dividing_set(
     while staying nonzero at margin-separated off-locus samples.  An
     identically zero pairing is flagged as degenerate and fails; a
     declared-empty locus passes when the off-locus requirement holds
-    everywhere sampled.
+    everywhere sampled.  A NaN or infinite off-locus sample leaves the
+    check undecided.
     """
     report = LocusReport(kind="dividing_set", passed=True)
     paired = alpha.interior(xfield)
     computed = paired.coefficient(())
-    outcome = semantically_equal(computed, declared_scalar, registry=registry)
+    outcome = semantically_equal(computed, declared_scalar)
     if isinstance(outcome, NotEqual):
         report.fail("computed pairing disagrees with the declared scalar")
         # The witness is a tuple of (coord, value) pairs and may be absent.
@@ -722,9 +731,9 @@ def verify_dividing_set(
     chart = region.chart
     sampler = LocusSampler(locus, region, seed)
     report.on_count = len(sampler.on_envs)
-    _check_on_vanishing(report, [scalar], sampler.on_envs, tol, registry)
+    _check_on_vanishing(report, [scalar], sampler.on_envs, tol)
 
     envs = _off_envs(report, sampler, margin, seed)
-    _check_off_requirement(report, [scalar], envs, "nonzero", tol, registry, chart.coords)
+    _check_off_requirement(report, [scalar], envs, "nonzero", tol, chart.coords)
     _enforce_floors(report, locus, "nonzero")
     return report

@@ -1,7 +1,7 @@
 """Pointwise linear-algebra verdicts for forms and maps.
 
 Everything here answers a question at a point or over a prepared sample
-set: the rank and kernel of a 2-form, the rank of a map's Jacobian, the
+set: the rank of a 2-form, the rank of a map's Jacobian, the
 intrinsic-gradient rank of a form, the 4-dimensional-kernel degeneracy
 test with its semi-definiteness condition, the contact-sign sweep, and
 the dyadic search for a stabilizing constant.
@@ -37,27 +37,26 @@ class RankVerdict:
     exact: bool
 
 
-def form_matrix_at(form, env, registry=None):
-    """Skew matrix of a 2-form at a point.
+def _exact_or_float(rows):
+    """A matrix of point values and whether it is exact: kept as is when
+    every entry is a Fraction, otherwise with every entry made a float."""
+    if all(isinstance(v, Fraction) for row in rows for v in row):
+        return rows, True
+    return [[float(v) for v in row] for row in rows], False
 
-    Entries are Fractions when every coefficient evaluates exactly
-    there, floats otherwise (mixed rows are promoted to float).
-    """
+
+def form_matrix_at(form, env):
+    """Skew matrix of a 2-form at a point, with its exactness flag."""
     if form.degree != 2:
         raise DomainError("form_matrix_at needs a 2-form")
     n = form.chart.dim
     zero = Fraction(0)
     m = [[zero] * n for _ in range(n)]
-    exact = True
     for (i, j), coeff in form.comps.items():
-        v = coeff.eval(env, registry)
-        if not isinstance(v, Fraction):
-            exact = False
+        v = coeff.eval(env)
         m[i][j] = v
         m[j][i] = -v
-    if not exact:
-        m = [[float(x) for x in row] for row in m]
-    return m, exact
+    return _exact_or_float(m)
 
 
 def _matrix_rank(rows, exact):
@@ -67,62 +66,33 @@ def _matrix_rank(rows, exact):
     return RankVerdict(rank, und, False)
 
 
-def rank_at(form, env, *, registry=None):
-    m, exact = form_matrix_at(form, env, registry)
-    return _matrix_rank(m, exact)
+def rank_at(form, env):
+    return _matrix_rank(*form_matrix_at(form, env))
 
 
-def kernel_at(form, env, *, registry=None):
-    """Basis of the null space of the 2-form's matrix at a point."""
-    m, exact = form_matrix_at(form, env, registry)
-    n = form.chart.dim
-    if exact:
-        return _linalg.exact_kernel(m, n)
-    a = np.asarray(m, dtype=float)
-    u, sv, vt = np.linalg.svd(a)
-    scale = float(sv[0]) if sv.size and sv[0] > 0 else 1.0
-    return [vt[i] for i in range(n) if i >= sv.size or sv[i] <= RANK_THRESHOLD * scale]
+def map_rank_at(cmap, env):
+    rows = [[e.eval(env) for e in row] for row in cmap.jacobian()]
+    return _matrix_rank(*_exact_or_float(rows))
 
 
-def map_rank_at(cmap, env, *, registry=None):
-    rows = []
-    exact = True
-    for row in cmap.jacobian():
-        vals = [e.eval(env, registry) for e in row]
-        exact = exact and all(isinstance(v, Fraction) for v in vals)
-        rows.append(vals)
-    if not exact:
-        rows = [[float(x) for x in row] for row in rows]
-    return _matrix_rank(rows, exact)
-
-
-def gradient_matrix_at(form, env, registry=None):
+def gradient_matrix_at(form, env):
     """First partials of every coefficient: rows by coordinate, columns
     by increasing index tuple over the full C(n, k) tuple space."""
     chart = form.chart
     cols = list(combinations(range(chart.dim), form.degree))
+    zero = Fraction(0)
     rows = []
-    exact = True
     for coord in chart.coords:
         row = []
         for idx in cols:
             c = form.comps.get(idx)
-            if c is None:
-                row.append(Fraction(0))
-                continue
-            v = c.diff(coord).eval(env, registry)
-            if not isinstance(v, Fraction):
-                exact = False
-            row.append(v)
+            row.append(zero if c is None else c.diff(coord).eval(env))
         rows.append(row)
-    if not exact:
-        rows = [[float(x) for x in row] for row in rows]
-    return rows, exact
+    return _exact_or_float(rows)
 
 
-def gradient_rank_at(form, env, *, registry=None):
-    rows, exact = gradient_matrix_at(form, env, registry)
-    return _matrix_rank(rows, exact)
+def gradient_rank_at(form, env):
+    return _matrix_rank(*gradient_matrix_at(form, env))
 
 
 # -- degeneracy-point test ----------------------------------------------
@@ -160,7 +130,7 @@ class DegeneracyVerdict:
     exact: bool = True
 
 
-def near_symplectic_at(form, env, registry=None):
+def near_symplectic_at(form, env):
     """The 4-dim-kernel transversality test at a single point.
 
     Pass requires: rank of the 2-form drops to dim-4 there, the
@@ -173,7 +143,7 @@ def near_symplectic_at(form, env, registry=None):
     dim = chart.dim
     if dim % 2 or dim < 4:
         raise DomainError("degeneracy test needs an even chart dimension >= 4")
-    m, exact = form_matrix_at(form, env, registry)
+    m, exact = form_matrix_at(form, env)
     if not exact:
         return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
     rank = _linalg.exact_rank(m)
@@ -188,7 +158,7 @@ def near_symplectic_at(form, env, registry=None):
     for coord in chart.coords:
         rows = [[Fraction(0)] * dim for _ in range(dim)]
         for (i, j), coeff in form.comps.items():
-            v = coeff.diff(coord).eval(env, registry)
+            v = coeff.diff(coord).eval(env)
             if not isinstance(v, Fraction):
                 return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
             rows[i][j] = v
@@ -226,7 +196,7 @@ def near_symplectic_at(form, env, registry=None):
         image_dim=image_dim,
         ker_dk_dim=4 - image_dim,
     )
-    verdict.grad_kernel_consistent = _grad_kernel_consistent(form, env, registry)
+    verdict.grad_kernel_consistent = _grad_kernel_consistent(form, env)
     if image_dim != 3:
         verdict.passed = False
         verdict.reason = "image rank != 3"
@@ -245,14 +215,14 @@ def near_symplectic_at(form, env, registry=None):
     return verdict
 
 
-def _grad_kernel_consistent(form, env, registry):
+def _grad_kernel_consistent(form, env):
     # Directions that freeze the form to first order should equally
     # freeze its half-top wedge power; compared through column spans.
     half = form.chart.dim // 2
     if half - 1 < 2:
         return True
-    a, a_exact = gradient_matrix_at(form, env, registry)
-    b, b_exact = gradient_matrix_at(form.wedge_power(half - 1), env, registry)
+    a, a_exact = gradient_matrix_at(form, env)
+    b, b_exact = gradient_matrix_at(form.wedge_power(half - 1), env)
     if not (a_exact and b_exact):
         return None
     return _linalg.column_span_equal(a, b)
@@ -320,7 +290,6 @@ def contact_test(
     aux_count=8,
     seed=0,
     tol=1e-9,
-    registry=None,
 ):
     """Sign verdict for alpha wedge (d alpha)^m, restricted per chart.
 
@@ -361,7 +330,7 @@ def contact_test(
             continue
         reports.append(
             _sampled_chart_report(
-                label, coeff, beta.chart, parm, grid_n, aux_count, rng, tol, registry
+                label, coeff, beta.chart, parm, grid_n, aux_count, rng, tol
             )
         )
     signs = {r.sign for r in reports}
@@ -379,7 +348,7 @@ def contact_test(
     return ContactVerdict(False, False, "mixed signs", reports)
 
 
-def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol, registry):
+def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol):
     if parm is not None:
         aux = chart.coords[:-2]
         th, ph = chart.coords[-2], chart.coords[-1]
@@ -394,7 +363,7 @@ def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol
         n = grid_n * grid_n
         env = {c: _unit_draws(rng, n) for c in chart.coords}
         shape = (n,)
-    values = np.broadcast_to(np.asarray(compile_numpy(coeff, registry)(env), dtype=float), shape)
+    values = np.broadcast_to(np.asarray(compile_numpy(coeff)(env), dtype=float), shape)
     report = ContactChartReport(label, "sampled", 0, samples=int(values.size))
     # A NaN or infinite sample is neither signed nor zero, and is left
     # out of the smallest absolute value.
@@ -414,7 +383,7 @@ def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol
         elif report.n_pos == 0:
             report.sign = -1
     if parm is not None:
-        report.jacobian_drops = _count_jacobian_drops(parm, env, shape, registry)
+        report.jacobian_drops = _count_jacobian_drops(parm, env, shape)
     return report
 
 
@@ -431,13 +400,13 @@ def _env_at(env, idx, shape):
     return out
 
 
-def _count_jacobian_drops(parm, env, shape, registry):
+def _count_jacobian_drops(parm, env, shape):
     src_dim = parm.source.dim
     entries = []
     for row in parm.jacobian():
         entries.append(
             [
-                np.broadcast_to(np.asarray(compile_numpy(e, registry)(env), dtype=float), shape)
+                np.broadcast_to(np.asarray(compile_numpy(e)(env), dtype=float), shape)
                 for e in row
             ]
         )
@@ -461,7 +430,7 @@ class StabilizeResult:
     witness: dict | None
 
 
-def stabilizing_constant_search(eta, base, sample_envs, *, k_max=1 << 16, registry=None):
+def stabilizing_constant_search(eta, base, sample_envs, *, k_max=1 << 16):
     """Smallest dyadic K = 2^j <= k_max making eta + K*base full rank at
     every sample.  Returns the failing sample of the last attempt when
     the budget runs out."""
@@ -475,7 +444,7 @@ def stabilizing_constant_search(eta, base, sample_envs, *, k_max=1 << 16, regist
         candidate = eta + base * rat(k)
         witness = None
         for env in sample_envs:
-            verdict = rank_at(candidate, env, registry=registry)
+            verdict = rank_at(candidate, env)
             if verdict.rank != dim or verdict.undecided:
                 witness = dict(env)
                 break

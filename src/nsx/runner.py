@@ -16,7 +16,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dsl
@@ -493,10 +493,13 @@ def _locus_report_result(report):
         "notes": report.notes,
     }
     detail = (
-        f"({report.on_count - report.on_failures}/{report.on_count} on-locus, "
-        f"{report.off_count - report.off_failures}/{report.off_count} off-locus)"
+        f"{report.on_count - report.on_failures}/{report.on_count} on-locus, "
+        f"{report.off_count - report.off_failures - report.non_finite}/{report.off_count} off-locus"
     )
-    return verdict, evidence, detail
+    if report.non_finite:
+        evidence["non_finite"] = report.non_finite
+        detail += f", {report.non_finite} non-finite"
+    return verdict, evidence, f"({detail})"
 
 
 def _compare_forms(left, right, ctx, evidence):

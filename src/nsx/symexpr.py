@@ -29,8 +29,12 @@ Opaque functions model compactly supported cutoffs and similar data
 that have no closed form.  Differentiation appends a prime to the
 function name, so the derivative chain chi, chi', chi'' needs no
 registration to exist symbolically.  Numeric evaluation does need a
-registered callable per name; a standard bump function is registered
-for chi and chi' out of the box.
+callable per name, and DEFAULT_REGISTRY is the only place one comes
+from: a standard bump function is registered for chi and chi' out of
+the box, and DEFAULT_REGISTRY.register adds or replaces a name.  Both
+evaluate and compile_numpy look the callable up when they run, so a
+name registered again takes effect immediately, also for functions
+compiled before.
 """
 
 from __future__ import annotations
@@ -298,8 +302,8 @@ class Expr:
             total = total + piece
         return total
 
-    def eval(self, env, registry=None):
-        return evaluate(self, env, registry)
+    def eval(self, env):
+        return evaluate(self, env)
 
     # -- printing -----------------------------------------------------
 
@@ -600,10 +604,17 @@ DEFAULT_REGISTRY.register("chi", bump)
 DEFAULT_REGISTRY.register("chi'", bump_prime)
 
 
+def _opaque_numeric(name):
+    fn = DEFAULT_REGISTRY.numeric(name)
+    if fn is None:
+        raise EvaluationError(f"opaque function {name} has no registered numeric")
+    return fn
+
+
 # -- evaluation --------------------------------------------------------
 
 
-def evaluate(expr, env, registry=None):
+def evaluate(expr, env):
     """Evaluate at a point.  env maps coordinate name -> Fraction or float.
 
     Results stay exact Fractions as long as every factor evaluates
@@ -613,17 +624,15 @@ def evaluate(expr, env, registry=None):
     multiply the vanishing coordinates.  Opaque functions must be
     registered before their term is inspected at all; a term that
     would short-circuit still raises on an unregistered opaque, so a
-    misconfigured registry cannot hide behind a zero.
+    missing registration cannot hide behind a zero.
     """
-    registry = registry or DEFAULT_REGISTRY
     for name in sorted(expr.opaque_names()):
-        if not registry.known(name):
-            raise EvaluationError(f"opaque function {name} has no registered numeric")
+        _opaque_numeric(name)
     exact_sum = _F0
     float_sum = 0.0
     has_float = False
     for mono, c in expr.terms:
-        value = _eval_term(mono, c, env, registry)
+        value = _eval_term(mono, c, env)
         if value is None:
             continue
         if isinstance(value, Fraction):
@@ -648,7 +657,7 @@ def _env_value(env, name):
     raise EvaluationError(f"bad value for coordinate {name}: {v!r}")
 
 
-def _eval_term(mono, c, env, registry):
+def _eval_term(mono, c, env):
     # Exact pass first: rational coordinate factors and exact-foldable
     # transcendental arguments.  Returns None for an exact zero term.
     exact = c
@@ -674,7 +683,7 @@ def _eval_term(mono, c, env, registry):
     # evaluated argument keep exactness through transcendental atoms.
     result = exact
     for atom, e in deferred:
-        v = _eval_atom(atom, env, registry)
+        v = _eval_atom(atom, env)
         if isinstance(v, Fraction):
             if v == 0:
                 if e < 0:
@@ -695,19 +704,16 @@ def _to_float(x):
     return float(x) if isinstance(x, Fraction) else x
 
 
-def _eval_atom(atom, env, registry):
+def _eval_atom(atom, env):
     kind = atom[0]
     if kind == "sym":
         return _env_value(env, atom[1])
     if kind == "pi":
         return math.pi
     if kind == "opq":
-        fn = registry.numeric(atom[1])
-        if fn is None:
-            raise EvaluationError(f"opaque function {atom[1]} has no registered numeric")
         v = _env_value(env, atom[2])
-        return float(fn(float(v)))
-    arg = evaluate(atom[1], env, registry)
+        return float(_opaque_numeric(atom[1])(float(v)))
+    arg = evaluate(atom[1], env)
     if isinstance(arg, Fraction):
         if arg == 0:
             return {"exp": _F1, "sin": _F0, "cos": _F1}[kind]
@@ -718,28 +724,30 @@ def _eval_atom(atom, env, registry):
 # -- vectorized evaluation ---------------------------------------------
 
 
-def compile_numpy(expr, registry=None):
+def compile_numpy(expr):
     """Compile to a function of a dict of equal-shape float arrays.
 
     The compiled function evaluates the expression elementwise over
     numpy arrays, which is what the sampled sweeps use.  Exactness is
-    not preserved; use evaluate() for that.
+    not preserved; use evaluate() for that.  Compilations are cached per
+    expression; an opaque atom looks its numeric up on every call, and
+    an unregistered name raises here, before anything runs.
     """
-    registry = registry or DEFAULT_REGISTRY
-    if registry is DEFAULT_REGISTRY:
-        return _compile_default(expr)
-    return _build_numpy(expr, registry)
+    names, fn = _compile(expr)
+    for name in names:
+        _opaque_numeric(name)
+    return fn
 
 
 @lru_cache(maxsize=4096)
-def _compile_default(expr):
-    return _build_numpy(expr, DEFAULT_REGISTRY)
+def _compile(expr):
+    return sorted(expr.opaque_names()), _build_numpy(expr)
 
 
-def _build_numpy(expr, registry):
+def _build_numpy(expr):
     terms = []
     for mono, c in expr.terms:
-        factors = [_build_atom_numpy(atom, e, registry) for atom, e in mono]
+        factors = [_build_atom_numpy(atom, e) for atom, e in mono]
         terms.append((float(c), factors))
 
     def fn(env):
@@ -757,7 +765,7 @@ def _build_numpy(expr, registry):
     return fn
 
 
-def _build_atom_numpy(atom, e, registry):
+def _build_atom_numpy(atom, e):
     kind = atom[0]
     if kind == "sym":
         name = atom[1]
@@ -765,13 +773,10 @@ def _build_atom_numpy(atom, e, registry):
     elif kind == "pi":
         base = lambda env: math.pi
     elif kind == "opq":
-        fn = registry.numeric(atom[1])
-        if fn is None:
-            raise EvaluationError(f"opaque function {atom[1]} has no registered numeric")
-        name = atom[2]
-        base = lambda env: fn(np.asarray(env[name], dtype=float))
+        fname, name = atom[1], atom[2]
+        base = lambda env: _opaque_numeric(fname)(np.asarray(env[name], dtype=float))
     else:
-        inner = _build_numpy(atom[1], registry)
+        inner = _build_numpy(atom[1])
         outer = {"exp": np.exp, "sin": np.sin, "cos": np.cos}[kind]
         base = lambda env: outer(inner(env))
     if e == 1:
@@ -809,7 +814,7 @@ def _dyadic(rng):
     return Fraction(rng.getrandbits(12) - (1 << 11), 1 << 10)
 
 
-def semantically_equal(e1, e2, *, seed=0, tol=1e-9, registry=None):
+def semantically_equal(e1, e2, *, seed=0, tol=1e-9):
     """Three-valued equality test.
 
     Equal       canonical forms coincide (exact, complete for the
@@ -820,7 +825,6 @@ def semantically_equal(e1, e2, *, seed=0, tol=1e-9, registry=None):
                 beyond tol relative to scale.  Carries a witness.
     Undecided   everything else.  Never treated as a pass by callers.
     """
-    registry = registry or DEFAULT_REGISTRY
     e1 = _as_expr(e1)
     e2 = _as_expr(e2)
     if e1 == e2:
@@ -835,8 +839,8 @@ def semantically_equal(e1, e2, *, seed=0, tol=1e-9, registry=None):
         best = -1.0
         for _ in range(8):
             env = {c: _dyadic(rng) for c in coords}
-            a = float(evaluate(e1, env, registry))
-            b = float(evaluate(e2, env, registry))
+            a = float(evaluate(e1, env))
+            b = float(evaluate(e2, env))
             if abs(a - b) > best:
                 best = abs(a - b)
                 witness = (tuple(sorted(env.items())), (a, b))
@@ -844,12 +848,12 @@ def semantically_equal(e1, e2, *, seed=0, tol=1e-9, registry=None):
             return NotEqual(witness=witness[0], values=witness[1])
         return NotEqual()
     for name in sorted(e1.opaque_names() | e2.opaque_names()):
-        if not registry.known(name):
+        if not DEFAULT_REGISTRY.known(name):
             return Undecided(samples=0)
     for _ in range(_SEMANTIC_SAMPLES):
         env = {c: _dyadic(rng) for c in coords}
-        a = float(evaluate(e1, env, registry))
-        b = float(evaluate(e2, env, registry))
+        a = float(evaluate(e1, env))
+        b = float(evaluate(e2, env))
         scale = max(1.0, abs(a), abs(b))
         if abs(a - b) > tol * scale:
             return NotEqual(witness=tuple(sorted(env.items())), values=(a, b))

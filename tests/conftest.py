@@ -1,6 +1,7 @@
 import pytest
 
 from nsx.runner import RunConfig, run_suite
+from nsx.symexpr import DEFAULT_REGISTRY
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +18,11 @@ def suite():
 @pytest.fixture(scope="session")
 def by_id(suite):
     return {s.sid: s for s in suite.scenarios}
+
+
+@pytest.fixture
+def register_opaque(monkeypatch):
+    """DEFAULT_REGISTRY.register for one test: the registry gets a copy of
+    its entries for the test, and the original entries back afterwards."""
+    monkeypatch.setattr(DEFAULT_REGISTRY, "_numeric", dict(DEFAULT_REGISTRY._numeric))
+    return DEFAULT_REGISTRY.register

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from nsx.locus import (
     verify_rank_drop_locus,
     verify_vanishing_locus,
 )
-from nsx.symexpr import OpaqueRegistry, opaque_fn, rat, sym
+from nsx.symexpr import opaque_fn, rat, sym
 
 C2 = Chart("c2", ("x", "y"))
 P2 = Chart("p2", ("u", "v"))
@@ -40,6 +41,11 @@ def _region(intervals=((F(-1), F(1)), (F(-1), F(1))), lattice=(3, 3), count=16, 
 
 def _dy_times_x():
     return coord_differential(C2, "y") * sym("x")
+
+
+def _nan_left(t):
+    """Numeric of an opaque that is NaN for t < 0 and 1 elsewhere."""
+    return np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0)
 
 
 # -- seeds, lattices, sampling --------------------------------------------
@@ -369,6 +375,28 @@ def test_off_locus_band_hits_are_rechecked_exactly():
     assert F(first["value"]) == F(first["point"]["x"]) ** 2 / 10**12
 
 
+def test_vanishing_locus_non_finite_off_samples_are_undecided(register_opaque):
+    # x*nanf(y) is an exact 0 on x = 0 and NaN at every off-locus sample.
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    form = coord_differential(C2, "y") * (sym("x") * opaque_fn("nanf", "y"))
+    rep = verify_vanishing_locus(form, CoordLocus(C2, (("x", F(0)),)), _region())
+    assert rep.undecided and rep.on_failures == 0
+    assert (rep.off_count, rep.non_finite, rep.off_failures) == (16, 16, 0)
+
+
+@pytest.mark.parametrize("mode", ["positive", "negative"])
+def test_signed_off_mode_leaves_non_finite_samples_undecided(register_opaque, mode):
+    # nanl(x) is NaN at the samples with x < 0 and 1 at the others, which
+    # still meet (positive) or violate (negative) the sign requirement.
+    register_opaque("nanl", _nan_left)
+    off = function_form(C2, opaque_fn("nanl", "x"))
+    locus = CoordLocus(C2, (("x", F(0)),))
+    rep = verify_vanishing_locus(_dy_times_x(), locus, _region(), off_form=off, off_mode=mode)
+    assert rep.undecided and 0 < rep.non_finite < rep.off_count == 16
+    assert rep.off_failures == (0 if mode == "positive" else 16 - rep.non_finite)
+    assert all(c["value"] == 1.0 for c in rep.counterexamples)
+
+
 def test_vanishing_locus_positive_mode_needs_one_coefficient():
     two = _dy_times_x() + coord_differential(C2, "x") * sym("y")
     with pytest.raises(DomainError):
@@ -480,6 +508,15 @@ def test_fixed_points_pass_and_fail():
     assert not bad.passed and bad.on_failures == 1
 
 
+def test_fixed_points_non_finite_off_samples_are_undecided(register_opaque):
+    register_opaque("nanl", _nan_left)
+    field = VectorField.build(C2, [("x", sym("x")), ("y", sym("y") * opaque_fn("nanl", "x"))])
+    origin = PointsLocus(C2, ((("x", F(0)), ("y", F(0))),))
+    rep = verify_fixed_points(field, origin, _region())
+    assert rep.undecided and rep.on_failures == 0 and rep.off_failures == 0
+    assert 0 < rep.non_finite < rep.off_count == 16
+
+
 def test_fixed_points_zero_field_degenerate():
     zero = VectorField(C2, {})
     origin = PointsLocus(C2, ((("x", F(0)), ("y", F(0))),))
@@ -519,19 +556,29 @@ def test_dividing_set_scalar_mismatch():
     assert rep.counterexamples and rep.counterexamples[0]["reason"] == "scalar mismatch"
 
 
-def test_dividing_set_inconclusive_scalar():
+def test_dividing_set_inconclusive_scalar(register_opaque):
     # Two opaque names backed by the same numeric: samples agree but the
     # comparison cannot be settled, so the verdict carries undecided.
-    reg = OpaqueRegistry()
-    reg.register("f", lambda t: t)
-    reg.register("g", lambda t: t)
+    register_opaque("f", lambda t: t)
+    register_opaque("g", lambda t: t)
     alpha = coord_differential(C2, "y") * opaque_fn("f", "x")
     ey = VectorField.build(C2, [("y", rat(1))])
     locus = CoordLocus(C2, (("x", F(0)),))
-    rep = verify_dividing_set(alpha, ey, opaque_fn("g", "x"), locus, _region(), registry=reg)
+    rep = verify_dividing_set(alpha, ey, opaque_fn("g", "x"), locus, _region())
     assert rep.undecided
     assert "scalar comparison inconclusive" in rep.notes
     assert rep.passed
+
+
+def test_dividing_set_non_finite_off_samples_are_undecided(register_opaque):
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    scalar = sym("x") * opaque_fn("nanf", "y")
+    alpha = coord_differential(C2, "y") * scalar
+    ey = VectorField.build(C2, [("y", rat(1))])
+    rep = verify_dividing_set(alpha, ey, scalar, CoordLocus(C2, (("x", F(0)),)), _region())
+    assert "computed pairing matches the declared scalar" in rep.notes
+    assert rep.undecided and rep.on_failures == 0
+    assert (rep.off_count, rep.non_finite, rep.off_failures) == (16, 16, 0)
 
 
 def test_dividing_set_degenerate_pairing():

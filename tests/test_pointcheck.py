@@ -4,20 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nsx import _linalg
 from nsx.charts import Chart, ChartMap, coord_differential, zero_form
 from nsx.errors import DomainError
 from nsx.pointcheck import (
     contact_test,
     form_matrix_at,
     gradient_rank_at,
-    kernel_at,
     map_rank_at,
     near_symplectic_at,
     rank_at,
     stabilizing_constant_search,
     _constant_sign,
 )
-from nsx.symexpr import ONE, PI, ZERO, OpaqueRegistry, exp_of, opaque_fn, rat, sin_of, sym
+from nsx.symexpr import ONE, PI, ZERO, exp_of, opaque_fn, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -102,20 +102,18 @@ def test_rank_at_below_band_floor_decided():
     assert (v.rank, v.undecided) == (2, False)
 
 
-def test_kernel_at_exact():
-    ker = kernel_at(_w(0, 1), _origin(C4))
+def _exact_kernel_at(form, env):
+    m, exact = form_matrix_at(form, env)
+    assert exact
+    return _linalg.exact_kernel(m, form.chart.dim)
+
+
+def test_exact_kernel_of_form_matrix():
+    ker = _exact_kernel_at(_w(0, 1), _origin(C4))
     assert len(ker) == 2
     for vec in ker:
         assert vec[0] == 0 and vec[1] == 0
-    assert kernel_at(OM_STD, _origin(C4)) == []
-
-
-def test_kernel_at_float():
-    env = {"t": 0.5, "x1": 0.0, "x2": 0.0, "x3": 0.0}
-    ker = kernel_at(_w(0, 1), env)
-    assert len(ker) == 2
-    for vec in ker:
-        assert abs(vec[0]) < 1e-12 and abs(vec[1]) < 1e-12
+    assert _exact_kernel_at(OM_STD, _origin(C4)) == []
 
 
 def test_map_rank_at():
@@ -297,13 +295,12 @@ def test_contact_degenerate_parametrization():
     assert v.charts[0].jacobian_drops == 128
 
 
-def test_contact_non_finite_samples_are_undecided():
+def test_contact_non_finite_samples_are_undecided(register_opaque):
     # The density is f'(x), whose registered numeric is NaN for x < 0;
     # those samples are neither signed nor zero, and the sweep is undecided.
-    reg = OpaqueRegistry()
-    reg.register("f'", lambda t: np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0))
+    register_opaque("f'", lambda t: np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0))
     al = _dx(C3, "z") + _dx(C3, "y") * opaque_fn("f", "x")
-    v = contact_test(al, grid_n=8, registry=reg)
+    v = contact_test(al, grid_n=8)
     assert (v.passed, v.undecided, v.reason) == (False, True, "non-finite samples")
     (r,) = v.charts
     assert (r.mode, r.sign, r.samples) == ("sampled", 0, 64)
@@ -312,11 +309,10 @@ def test_contact_non_finite_samples_are_undecided():
     assert r.min_abs == 1.0 and r.worst_point["x"] >= 0
 
 
-def test_contact_all_non_finite_samples_have_no_worst_point():
-    reg = OpaqueRegistry()
-    reg.register("f'", lambda t: np.full(np.shape(t), np.inf))
+def test_contact_all_non_finite_samples_have_no_worst_point(register_opaque):
+    register_opaque("f'", lambda t: np.full(np.shape(t), np.inf))
     al = _dx(C3, "z") + _dx(C3, "y") * opaque_fn("f", "x")
-    v = contact_test(al, grid_n=4, registry=reg)
+    v = contact_test(al, grid_n=4)
     assert v.undecided
     (r,) = v.charts
     assert (r.non_finite, r.n_pos, r.n_neg, r.n_zero) == (16, 0, 0, 0)

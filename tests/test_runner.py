@@ -271,18 +271,14 @@ def test_default_seed_in_report():
     assert suite_dict(suite)["seed"] == DEFAULT_SEED == 0xC0FFEE
 
 
-def test_non_finite_contact_samples_are_undecided(monkeypatch):
+def test_non_finite_contact_samples_are_undecided(register_opaque):
     import numpy as np
 
-    from nsx.symexpr import DEFAULT_REGISTRY
-
-    # The density is nanl'(x), whose numeric is NaN wherever x < 0.  The
-    # name is used nowhere else, since compiled default-registry
-    # expressions are cached per process.
+    # The density is nanl'(x), whose numeric is NaN wherever x < 0.
     def nan_left(t):
         return np.where(np.asarray(t, dtype=float) < 0, np.nan, 1.0)
 
-    monkeypatch.setitem(DEFAULT_REGISTRY._numeric, "nanl'", nan_left)
+    register_opaque("nanl'", nan_left)
     text = (
         "chart C(x, y, z)\n"
         "opaque nanl\n"
@@ -297,6 +293,23 @@ def test_non_finite_contact_samples_are_undecided(monkeypatch):
     assert chart["non_finite"] + chart["positive"] == 64
     assert chart["min_abs"] == 1.0 and chart["worst_point"]["x"] >= 0
     assert rec.detail == f"(non-finite samples; +{chart['positive']} -0 0:0)"
+
+
+def test_non_finite_locus_samples_are_undecided(register_opaque):
+    import numpy as np
+
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    text = (
+        "chart C(x, y)\n"
+        "opaque nanf\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "locus L on C = coords(x = 0)\n"
+        "check vanishing_locus x*nanf(y)*d(y) on L region R\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and not rec.ok
+    assert rec.evidence["non_finite"] == rec.evidence["off_count"] == 16
+    assert rec.detail == "(3/3 on-locus, 0/16 off-locus, 16 non-finite)"
 
 
 def test_finite_contact_evidence_has_no_non_finite_key():

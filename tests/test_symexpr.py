@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from nsx.errors import DomainError, EvaluationError
 from nsx.symexpr import (
-    DEFAULT_REGISTRY,
     ONE,
     PI,
     ZERO,
     Equal,
     NotEqual,
-    OpaqueRegistry,
     Undecided,
     compile_numpy,
     cos_of,
@@ -263,14 +261,14 @@ def test_evaluate_zero_factor_keeps_exactness():
     # the x factor kills the term before the opaque contributes a float,
     # so the result stays an exact Fraction
     e = x * opaque_fn("chi", "t")
-    v = evaluate(e, {"x": Fraction(0), "t": Fraction(1, 2)}, DEFAULT_REGISTRY)
+    v = evaluate(e, {"x": Fraction(0), "t": Fraction(1, 2)})
     assert isinstance(v, Fraction) and v == 0
 
 
 def test_evaluate_unknown_opaque_rejected_up_front():
     e = x * opaque_fn("mystery", "t")
     with pytest.raises(EvaluationError):
-        evaluate(e, {"x": Fraction(0), "t": Fraction(2)}, DEFAULT_REGISTRY)
+        evaluate(e, {"x": Fraction(0), "t": Fraction(2)})
 
 
 def test_evaluate_missing_coordinate():
@@ -279,12 +277,12 @@ def test_evaluate_missing_coordinate():
 
 
 def test_evaluate_registry_default_bump():
-    v = evaluate(opaque_fn("chi", "t"), {"t": Fraction(0)}, DEFAULT_REGISTRY)
+    v = evaluate(opaque_fn("chi", "t"), {"t": Fraction(0)})
     assert math.isclose(v, 1.0)
-    v = evaluate(opaque_fn("chi", "t"), {"t": 2}, DEFAULT_REGISTRY)
+    v = evaluate(opaque_fn("chi", "t"), {"t": 2})
     assert v == 0.0
     with pytest.raises(EvaluationError):
-        evaluate(opaque_fn("nope", "t"), {"t": 1}, DEFAULT_REGISTRY)
+        evaluate(opaque_fn("nope", "t"), {"t": 1})
 
 
 def test_evaluate_exact_trig_folding():
@@ -326,11 +324,27 @@ def test_compile_numpy_registry():
     import numpy as np
 
     e = opaque_fn("chi", "t") * x
-    fn = compile_numpy(e, DEFAULT_REGISTRY)
+    fn = compile_numpy(e)
     ts = np.array([0.0, 0.5, 2.0])
     xs = np.ones(3)
     out = fn({"t": ts, "x": xs})
     assert out[2] == 0.0 and out[0] == pytest.approx(1.0)
+    with pytest.raises(EvaluationError):
+        compile_numpy(opaque_fn("nope", "t") * x)
+
+
+def test_registering_a_name_again_takes_effect_everywhere(register_opaque):
+    import numpy as np
+
+    e = opaque_fn("q", "x")
+    env = {"x": np.zeros(2)}
+    register_opaque("q", lambda t: np.full(np.shape(t), 1.0))
+    fn = compile_numpy(e)
+    assert fn(env).tolist() == [1.0, 1.0]
+    register_opaque("q", lambda t: np.full(np.shape(t), 2.0))
+    assert compile_numpy(e)(env).tolist() == [2.0, 2.0]
+    assert fn(env).tolist() == [2.0, 2.0]
+    assert evaluate(e, {"x": Fraction(0)}) == 2.0
 
 
 # -- semantic equality ------------------------------------------------
@@ -356,14 +370,11 @@ def test_semantically_equal_undecided_on_unknown_opaque():
     assert isinstance(v, Undecided)
 
 
-def test_semantically_equal_sampled_match_is_undecided():
+def test_semantically_equal_sampled_match_is_undecided(register_opaque):
     # exp(x)*exp(-x) merges exactly; an opaque pair can only ever sample
-    reg = OpaqueRegistry()
-    reg.register("h", lambda t: t * 0 + 1.0)
-    reg.register("k", lambda t: t * 0 + 1.0)
-    v = semantically_equal(
-        opaque_fn("h", "x"), opaque_fn("k", "x"), registry=reg
-    )
+    register_opaque("h", lambda t: t * 0 + 1.0)
+    register_opaque("k", lambda t: t * 0 + 1.0)
+    v = semantically_equal(opaque_fn("h", "x"), opaque_fn("k", "x"))
     assert isinstance(v, Undecided)
     assert v.samples > 0
 
