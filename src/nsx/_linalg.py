@@ -170,10 +170,14 @@ def float_rank(matrix, threshold=1e-8, band_floor=1e-10):
     below band_floor*scale count as zero, and anything in between sets
     the undecided flag.  scale is the largest singular value, so the
     thresholds are relative; an exactly zero matrix is rank 0 decided.
+    A matrix with a NaN or infinite entry has no SVD and is rank 0
+    undecided.
     """
     a = np.asarray(matrix, dtype=float)
     if a.size == 0:
         return 0, False
+    if not np.all(np.isfinite(a)):
+        return 0, True
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or float(sv[0]) == 0.0:
         return 0, False

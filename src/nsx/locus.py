@@ -15,6 +15,7 @@ on either side fails the check rather than silently passing it.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -580,7 +581,8 @@ def verify_positive(
 ):
     """Single-coefficient form is strictly positive (or negative) on the
     whole region: exact sign at lattice points, float sign beyond tol at
-    random points.
+    random points.  A NaN or infinite value is counted under non_finite
+    and leaves the report undecided.
     """
     report = LocusReport(kind="positive", passed=True)
     exprs = [form.comps[k] for k in sorted(form.comps)]
@@ -595,6 +597,10 @@ def verify_positive(
         v = evaluate(expr, env)
         if isinstance(v, Fraction):
             ok = v < 0 if negative else v > 0
+        elif not math.isfinite(v):
+            report.non_finite += 1
+            report.undecided = True
+            continue
         else:
             ok = v < -tol if negative else v > tol
         if not ok:

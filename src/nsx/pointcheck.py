@@ -304,7 +304,10 @@ def contact_test(
     Pass needs one strict sign across every sample of every chart;
     all-negative passes flagged orientation_reversed.  A parametrization
     whose Jacobian drops rank at any sample fails the whole check; any
-    other chart with a NaN or infinite sample leaves it undecided.
+    other chart with a NaN or infinite sample leaves it undecided.  The
+    Jacobian rank test runs once per distinct matrix (an entry that does
+    not use a coordinate repeats along that coordinate's axis) and
+    counts each matrix with its multiplicity in the sweep.
     """
     rng = random.Random(seed)
     reports = []
@@ -401,22 +404,33 @@ def _env_at(env, idx, shape):
 
 
 def _count_jacobian_drops(parm, env, shape):
+    """Samples of the sweep shape where the Jacobian drops rank.
+
+    The entries are evaluated only over the axes spanned by the
+    coordinates they use, so the SVD runs once per distinct matrix, and
+    each drop counts once for every sample that repeats that matrix
+    along the other axes.
+    """
     src_dim = parm.source.dim
-    entries = []
-    for row in parm.jacobian():
-        entries.append(
-            [
-                np.broadcast_to(np.asarray(compile_numpy(e)(env), dtype=float), shape)
-                for e in row
-            ]
-        )
+    jac = parm.jacobian()
+    used = set().union(*(e.free_coords() for row in jac for e in row))
+    sub_env = {c: v for c, v in env.items() if c in used}
+    sub_shape = np.broadcast_shapes(*(np.shape(v) for v in sub_env.values()))
     stacked = np.stack(
-        [np.stack(row, axis=-1) for row in entries], axis=-2
-    )  # (*shape, target_dim, src_dim)
+        [
+            np.stack(
+                [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
+                axis=-1,
+            )
+            for row in jac
+        ],
+        axis=-2,
+    )  # (*sub_shape, target_dim, src_dim)
     sv = np.linalg.svd(stacked, compute_uv=False)
     smax = np.maximum(sv[..., 0], 1e-300)
     smin = sv[..., src_dim - 1]
-    return int(np.sum(smin <= RANK_THRESHOLD * smax))
+    multiplicity = math.prod(shape) // math.prod(sub_shape)
+    return multiplicity * int(np.sum(smin <= RANK_THRESHOLD * smax))
 
 
 # -- stabilizing constant ------------------------------------------------

@@ -479,11 +479,20 @@ class _Ctx:
         return DEFAULT_MARGIN if value is None else value
 
 
-def _locus_report_result(report):
+def _locus_result(report, evidence, detail):
+    """Verdict, evidence and detail of a locus report; a nonzero
+    non-finite count is added to the evidence and the detail."""
+    if report.non_finite:
+        evidence["non_finite"] = report.non_finite
+        detail += f", {report.non_finite} non-finite"
     if report.undecided:
         verdict = "undecided"
     else:
         verdict = "pass" if report.passed else "fail"
+    return verdict, evidence, f"({detail})"
+
+
+def _locus_report_result(report):
     evidence = {
         "on_count": report.on_count,
         "off_count": report.off_count,
@@ -496,10 +505,7 @@ def _locus_report_result(report):
         f"{report.on_count - report.on_failures}/{report.on_count} on-locus, "
         f"{report.off_count - report.off_failures - report.non_finite}/{report.off_count} off-locus"
     )
-    if report.non_finite:
-        evidence["non_finite"] = report.non_finite
-        detail += f", {report.non_finite} non-finite"
-    return verdict, evidence, f"({detail})"
+    return _locus_result(report, evidence, detail)
 
 
 def _compare_forms(left, right, ctx, evidence):
@@ -845,8 +851,7 @@ def _run_positive(ctx, p):
         "failures": report.on_failures,
         "counterexamples": report.counterexamples,
     }
-    verdict = "pass" if report.passed else "fail"
-    return verdict, evidence, f"({report.on_count} samples)"
+    return _locus_result(report, evidence, f"{report.on_count} samples")
 
 
 _RUNNERS = {

@@ -472,6 +472,25 @@ def test_verify_positive_exact_zero_at_lattice_point():
     assert any(c["value"] == "0" for c in rep.counterexamples)
 
 
+def test_verify_positive_non_finite_samples_are_undecided(register_opaque):
+    # nanf is NaN everywhere: no sample is a sign violation, every one is
+    # counted under non_finite, and the report is undecided.
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    rep = verify_positive(function_form(C2, opaque_fn("nanf", "x")), _region())
+    assert rep.undecided and rep.on_failures == 0 and not rep.counterexamples
+    assert rep.on_count == rep.non_finite == 9 + 16
+
+
+def test_verify_positive_keeps_finite_violations_beside_non_finite(register_opaque):
+    # nanl(x) is NaN for x < 0 and 1 elsewhere: the finite samples still
+    # violate the negative sign, and the NaN ones leave the report undecided.
+    register_opaque("nanl", _nan_left)
+    rep = verify_positive(function_form(C2, opaque_fn("nanl", "x")), _region(), negative=True)
+    assert rep.undecided and 0 < rep.non_finite < rep.on_count
+    assert rep.on_failures == rep.on_count - rep.non_finite
+    assert all(c["value"] == 1.0 for c in rep.counterexamples)
+
+
 def test_verify_positive_needs_single_coefficient():
     rep = verify_positive(_dy_times_x() + coord_differential(C2, "x"), _region())
     assert not rep.passed

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from nsx import _linalg
 from nsx.charts import Chart, ChartMap, coord_differential, zero_form
 from nsx.errors import DomainError
 from nsx.pointcheck import (
+    RANK_THRESHOLD,
     contact_test,
     form_matrix_at,
     gradient_rank_at,
@@ -16,8 +18,10 @@ from nsx.pointcheck import (
     rank_at,
     stabilizing_constant_search,
     _constant_sign,
+    _count_jacobian_drops,
+    _unit_draws,
 )
-from nsx.symexpr import ONE, PI, ZERO, exp_of, opaque_fn, rat, sin_of, sym
+from nsx.symexpr import ONE, PI, ZERO, compile_numpy, cos_of, exp_of, opaque_fn, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -100,6 +104,14 @@ def test_rank_at_below_band_floor_decided():
     env = {"t": 1e-12, "x1": 0.0, "x2": 0.0, "x3": 0.0}
     v = rank_at(om, env)
     assert (v.rank, v.undecided) == (2, False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rank_at_non_finite_entry_is_undecided(register_opaque, bad):
+    register_opaque("badf", lambda t: np.full(np.shape(t), bad))
+    om = OM_STD + _w(0, 1) * opaque_fn("badf", "t")
+    v = rank_at(om, _origin(C4))
+    assert (v.undecided, v.exact) == (True, False)
 
 
 def _exact_kernel_at(form, env):
@@ -293,6 +305,82 @@ def test_contact_degenerate_parametrization():
     assert not v.passed
     assert v.reason == "degenerate parametrization samples"
     assert v.charts[0].jacobian_drops == 128
+
+
+SP5 = Chart("sp5", ("z1", "z2", "z3", "th", "ph"))
+P6 = Chart("p6", ("z1", "z2", "z3", "x1", "x2", "x3"))
+TH, PH = sym("th"), sym("ph")
+SPH_N = ChartMap(
+    "sphN",
+    SP5,
+    P6,
+    (sym("z1"), sym("z2"), sym("z3"), cos_of(TH), sin_of(TH) * cos_of(PH), sin_of(TH) * sin_of(PH)),
+)
+
+
+def _sweep_env(chart, grid_n, aux_count, seed=0):
+    """The contact sweep's sample grid over a parametrization's source."""
+    rng = random.Random(seed)
+    env = {
+        "th": ((np.arange(grid_n) + 0.5) * math.pi / grid_n).reshape(1, -1, 1),
+        "ph": ((np.arange(grid_n) + 0.5) * 2 * math.pi / grid_n).reshape(1, 1, -1),
+    }
+    for c in chart.coords[:-2]:
+        env[c] = _unit_draws(rng, aux_count).reshape(-1, 1, 1)
+    return env, (aux_count, grid_n, grid_n)
+
+
+def _full_batch_drops(parm, env, shape):
+    # The rank-drop count with one SVD per sample, as before the SVDs
+    # were deduplicated: the reference for _count_jacobian_drops.
+    src_dim = parm.source.dim
+    entries = []
+    for row in parm.jacobian():
+        entries.append(
+            [
+                np.broadcast_to(np.asarray(compile_numpy(e)(env), dtype=float), shape)
+                for e in row
+            ]
+        )
+    stacked = np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    smax = np.maximum(sv[..., 0], 1e-300)
+    smin = sv[..., src_dim - 1]
+    return int(np.sum(smin <= RANK_THRESHOLD * smax))
+
+
+@pytest.mark.parametrize(
+    "parm, grid_n, aux_count, drops",
+    [
+        # The Jacobian uses the auxiliary a: its determinant a*cos(th)
+        # vanishes on the th = pi/2 row of an odd grid, for every a and ph.
+        (ChartMap("asin", SP3, C3, (sym("a"), sym("a") * sin_of(TH), PH)), 7, 3, 3 * 7),
+        # cos(8 th) vanishes at every offset angle of an 8-point grid.
+        (ChartMap("pinch", SP3, C3, (sym("a"), sin_of(rat(8) * TH) * Fraction(1, 8), PH)), 8, 2, 128),
+        (SPH_N, 8, 2, 0),
+    ],
+    ids=["aux", "pinch", "sphN"],
+)
+def test_jacobian_drops_match_the_full_batch(parm, grid_n, aux_count, drops):
+    env, shape = _sweep_env(parm.source, grid_n, aux_count)
+    assert _full_batch_drops(parm, env, shape) == drops
+    assert _count_jacobian_drops(parm, env, shape) == drops
+
+
+def test_jacobian_svd_runs_once_per_distinct_matrix(monkeypatch):
+    # sphN's Jacobian depends on th and ph only, so the aux axis adds no
+    # SVD: one per grid point, not one per sample.
+    batches = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        batches.append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    env, shape = _sweep_env(SP5, 8, 3)
+    assert _count_jacobian_drops(SPH_N, env, shape) == 0
+    assert batches == [(1, 8, 8)]
 
 
 def test_contact_non_finite_samples_are_undecided(register_opaque):

@@ -312,6 +312,47 @@ def test_non_finite_locus_samples_are_undecided(register_opaque):
     assert rec.detail == "(3/3 on-locus, 0/16 off-locus, 16 non-finite)"
 
 
+def test_non_finite_positive_samples_are_undecided(register_opaque):
+    import numpy as np
+
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    text = (
+        "chart C(x, y)\n"
+        "opaque nanf\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "check positive nanf(x) region R\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and not rec.ok
+    assert rec.evidence["non_finite"] == rec.evidence["samples"] == 25
+    assert rec.evidence["failures"] == 0
+    assert rec.detail == "(25 samples, 25 non-finite)"
+
+
+def test_finite_positive_evidence_has_no_non_finite_key():
+    text = "chart C(x, y)\nregion R on C = [-1, 1]^2 lattice 3 random 16\ncheck positive x^2 + 1 region R\n"
+    (rec,) = _run(text).checks
+    assert rec.verdict == "pass" and rec.detail == "(25 samples)"
+    assert "non_finite" not in rec.evidence
+
+
+def test_rank_at_a_non_finite_matrix_is_undecided(register_opaque):
+    # The float SVD cannot take a NaN entry; the rank is undecided rather
+    # than an engine error.
+    import numpy as np
+
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    text = (
+        "chart C(x, y)\n"
+        "opaque nanf\n"
+        "form om on C = nanf(x) * d(x) /\\ d(y)\n"
+        "check rank_at om, 2 at (x=1/2, y=0)\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided"
+    assert rec.evidence["undecided"] == 1 and rec.detail == "(1 of 1 points undecided)"
+
+
 def test_finite_contact_evidence_has_no_non_finite_key():
     text = "chart C(x, y, z)\nform al on C = d(z) + (x^3 + x) * d(y)\ncheck contact al grid 8\n"
     (rec,) = _run(text).checks
