@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_random_scenarios_round_trip():
         text = print_scenario(s)
         reparsed = parse_scenario(text)
         assert print_scenario(reparsed) == text, f"seed {seed}"
+
+
+# The printed form of the 12 suite texts, written by the printer before the
+# statement grammar moved into STATEMENT_SPECS.
+GOLDEN_PRINT = Path(__file__).parent / "golden" / "suite_print.nsx"
+
+
+def test_builtin_scenarios_print_as_golden():
+    printed = "".join(print_scenario(parse_scenario(text)) for _, _, text in SUITE)
+    assert printed == GOLDEN_PRINT.read_text()
 
 
 def test_builtin_scenarios_round_trip():
@@ -242,6 +253,14 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\ncheck stabilize eta, om region R k_max 0\n", 2, 40, "k_max must be at least 1"),
         ("chart C(x, y)\ncheck property dd_zero samples 0\n", 2, 32, "samples must be at least 1"),
         ("chart C(x, y)\ncheck contact al grid 0\n", 2, 23, "grid must be at least 1"),
+        ("chart C(x, y)\nmap f : C C\n", 2, 11, "expected '->'"),
+        ("chart C(x, y)\nmetric g on C = diagonal(1, 1)\n", 2, 17, "expected keyword 'diag'"),
+        ("chart C(x, y)\nregion R on C = [0, 1]^2 lattice 3\n", 2, 35, "expected keyword 'random'"),
+        ("chart C(x, y)\nlocus L on C = line(x=0)\n", 2, 16, "expected a locus flavour"),
+        ("chart C(x, y)\nlocus L on C = image(m)\n", 2, 23, "expected ','"),
+        ("chart C(x, y)\nform map on C = d(x)\n", 2, 6, "reserved word"),
+        # A comment takes no columns, so the end of this line sits at the `#`.
+        ("chart C(x, y)\nform om on C = # nothing yet\n", 2, 16, "expression atom"),
     ],
 )
 def test_parse_errors_are_positioned(text, line, col, snippet):
