@@ -20,14 +20,17 @@ NAME(expr) covers exp/sin/cos, declared opaque functions, and interior
 products spelled i_<field>(expr).  Rationals are ordinary division:
 5/2 parses as INT / INT and elaborates exactly.
 
-The grammar of each check kind is one entry of CHECK_SPECS, which drives
-both the parser and the printer.
+The grammar of each statement is one entry of STATEMENT_SPECS, and that of
+each check kind one entry of CHECK_SPECS; the parser and the printer both
+walk these two tables.  Tokens come from one regular expression, _TOKEN.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .props import PROPERTY_NAMES
@@ -38,6 +41,7 @@ __all__ = [
     "print_scenario",
     "random_scenario",
     "Scenario",
+    "STATEMENT_SPECS",
     "CHECK_SPECS",
     "CHECK_KINDS",
 ]
@@ -50,12 +54,26 @@ RESERVED = frozenset(
     """.split()
 )
 
+MAX_NESTING = 50
+"""How deep an expression may nest: at most this many operators and calls
+on any path down its tree, and at most this many open parentheses.  Parsing,
+printing and elaborating recurse once per level, so a deeper expression ends
+in a ParseError instead."""
+
 _WEDGE_OPS = ("/\\", "∧", "wedge", "*", "/")
-_SYMBOLS = ("/\\", "->", "(", ")", "[", "]", ",", "=", ":", "^", "+", "-", "*", "/", "∧")
+
+# One alternative per token class, tried in order at each position.  Numbers
+# are ASCII digits; a FLOAT needs digits on both sides of its point, and its
+# exponent counts only when digits follow it.  A NAME is matched as a run of
+# word characters and must start with a letter or `_`.
+_TOKEN = re.compile(
+    r'(?P<SPACE>[ \t\r]+)|(?P<COMMENT>#[^\n]*)|(?P<NEWLINE>\n)|(?P<STRING>"[^"\n]*")'
+    r"|(?P<FLOAT>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+    r"|(?P<OP>/\\|->|[-()\[\],=:^+*/∧])"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # NAME INT FLOAT STRING OP NEWLINE EOF
     value: object
     line: int
@@ -63,86 +81,43 @@ class Token:
 
 
 def tokenize(text):
+    """The tokens of `text`, ending in NEWLINE (unless empty) and EOF.  A
+    newline inside brackets or after another NEWLINE yields none; a comment
+    takes no columns, so the NEWLINE after it sits at the `#`."""
     toks = []
-    i, line, col = 0, 1, 1
-    depth = 0
-    n = len(text)
-
-    def push(type_, value, l, c):
-        toks.append(Token(type_, value, l, c))
-
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            if depth == 0 and toks and toks[-1].type != "NEWLINE":
-                push("NEWLINE", None, line, col)
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
+    line, col, depth, pos = 1, 1, 0, 0
+    match = _TOKEN.match
+    while pos < len(text):
+        m = match(text, pos)
+        kind = m and m.lastgroup
+        if kind is None or kind == "NAME" and not (text[pos].isalpha() or text[pos] == "_"):
+            if text[pos] == '"':
                 raise ParseError("unterminated string", line, col)
-            push("STRING", text[i + 1 : j], line, col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                push("FLOAT", float(text[i:j]), line, col)
-            else:
-                push("INT", int(text[i:j]), line, col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            push("NAME", text[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                if sym in "([":
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        end = m.end()
+        if kind == "NEWLINE":
+            if depth == 0 and toks and toks[-1].type != "NEWLINE":
+                toks.append(Token("NEWLINE", None, line, col))
+            line, col = line + 1, 1
+        elif kind != "COMMENT":
+            if kind != "SPACE":
+                value = text[pos:end]
+                if kind == "INT":
+                    value = int(value)
+                elif kind == "FLOAT":
+                    value = float(value)
+                elif kind == "STRING":
+                    value = value[1:-1]
+                elif value in ("(", "["):
                     depth += 1
-                elif sym in ")]":
+                elif value in (")", "]"):
                     depth = max(0, depth - 1)
-                push("OP", sym, line, col)
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+                toks.append(Token(kind, value, line, col))
+            col += end - pos
+        pos = end
     if toks and toks[-1].type != "NEWLINE":
-        push("NEWLINE", None, line, col)
-    push("EOF", None, line, col)
+        toks.append(Token("NEWLINE", None, line, col))
+    toks.append(Token("EOF", None, line, col))
     return toks
 
 
@@ -313,9 +288,12 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.parens = 0
 
     def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # The last token is EOF and `next` never passes it; a look ahead
+        # (ahead=1) is taken only from a token known not to be EOF.
+        return self.toks[self.pos + ahead]
 
     def next(self):
         t = self.toks[self.pos]
@@ -360,16 +338,12 @@ class _Parser:
         return t.type == "OP" and t.value == op
 
     def eat_keyword(self, word):
-        if self.at_keyword(word):
-            self.next()
-            return True
-        return False
+        """The next token if it is keyword `word`, taken; else False."""
+        return self.at_keyword(word) and self.next()
 
     def eat_op(self, op):
-        if self.at_op(op):
-            self.next()
-            return True
-        return False
+        """The next token if it is operator `op`, taken; else False."""
+        return self.at_op(op) and self.next()
 
     def fresh_name(self, what):
         t = self.peek()
@@ -379,71 +353,83 @@ class _Parser:
         return name
 
     # -- expressions --------------------------------------------------
+    #
+    # Each method takes the tree level its node starts at and returns the
+    # node with the deepest level below it.
+
+    def deeper(self, level, tok):
+        """`level + 1` (a tree level or a count of open parentheses), or a
+        ParseError at `tok` past MAX_NESTING."""
+        if level >= MAX_NESTING:
+            self.error("expression nested too deeply", tok)
+        return level + 1
 
     def parse_expr(self):
-        left = self.parse_term()
-        while self.peek().type == "OP" and self.peek().value in ("+", "-"):
-            op = self.next().value
-            right = self.parse_term()
-            left = Bin(op, left, right)
-        return left
+        return self.parse_sum(0)[0]
 
-    def parse_term(self):
-        if self.eat_op("-"):
-            return Neg(self.parse_term())
-        left = self.parse_pow()
+    def parse_sum(self, level):
+        left, bottom = self.parse_term(level)
+        while self.peek().type == "OP" and self.peek().value in ("+", "-"):
+            t = self.next()
+            right, below = self.parse_term(level)
+            left, bottom = Bin(t.value, left, right), self.deeper(max(bottom, below), t)
+        return left, bottom
+
+    def parse_term(self, level):
+        t = self.eat_op("-")
+        if t:
+            arg, bottom = self.parse_term(self.deeper(level, t))
+            return Neg(arg), bottom
+        left, bottom = self.parse_pow(level)
         while (self.peek().type == "OP" and self.peek().value in _WEDGE_OPS) or self.at_keyword("wedge"):
             t = self.next()
-            right = self.parse_pow()
-            left = Bin(t.value, left, right)
-        return left
+            right, below = self.parse_pow(level)
+            left, bottom = Bin(t.value, left, right), self.deeper(max(bottom, below), t)
+        return left, bottom
 
-    def parse_pow(self):
-        base = self.parse_atom()
-        if self.eat_op("^"):
+    def parse_pow(self, level):
+        base, bottom = self.parse_atom(level)
+        t = self.eat_op("^")
+        if t:
             sign = -1 if self.eat_op("-") else 1
             k = self.expect_int("an integer exponent")
-            return Bin("^", base, Num(sign * k))
-        return base
+            return Bin("^", base, Num(sign * k)), self.deeper(bottom, t)
+        return base, bottom
 
-    def parse_atom(self):
+    def parse_atom(self, level):
         t = self.peek()
         if t.type == "INT":
             self.next()
-            return Num(t.value)
-        if t.type == "OP" and t.value == "(":
-            self.next()
-            inner = self.parse_expr()
+            return Num(t.value), level
+        if self.eat_op("("):
+            self.parens = self.deeper(self.parens, t)
+            inner = self.parse_sum(level)
             self.expect_op(")")
+            self.parens -= 1
             return inner
         if t.type != "NAME":
             self.error("expected an expression atom")
         name = self.next().value
         if name == "pi":
-            return Pi()
-        if name == "d":
-            self.expect_op("(")
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return D(inner)
+            return Pi(), level
         if name == "e":
             self.expect_op("(")
             coord = self.expect_name("a coordinate name")
             self.expect_op(")")
-            return Basis(coord)
+            return Basis(coord), level
         if name in ("pullback", "star"):
             self.expect_op("(")
             ref = self.expect_name("a map name" if name == "pullback" else "a metric name")
             self.expect_op(",")
-            inner = self.parse_expr()
+            inner, bottom = self.parse_sum(self.deeper(level, t))
             self.expect_op(")")
-            return Pullback(ref, inner) if name == "pullback" else Star(ref, inner)
-        if self.at_op("("):
-            self.next()
-            inner = self.parse_expr()
+            return (Pullback(ref, inner) if name == "pullback" else Star(ref, inner)), bottom
+        if name == "d" or self.at_op("("):
+            self.expect_op("(")
+            inner, bottom = self.parse_sum(self.deeper(level, t))
             self.expect_op(")")
-            return Call(name, inner)
-        return Ref(name)
+            return (D(inner) if name == "d" else Call(name, inner)), bottom
+        return Ref(name), level
 
     def parse_rational(self, what="a rational number"):
         """`[-] INT [/ INT]` as a Fraction; every rational literal comes here."""
@@ -456,14 +442,6 @@ class _Parser:
         if den.value == 0:
             self.error("zero denominator", den)
         return Fraction(sign * num, den.value)
-
-    def parse_bound(self):
-        t = self.peek(1 if self.at_op("-") else 0)
-        if t.type != "FLOAT":
-            return self.parse_rational("an interval bound")
-        sign = -1 if self.eat_op("-") else 1
-        self.next()
-        return sign * t.value
 
     def parse_list(self, item, *args):
         """`item {, item}` as a tuple."""
@@ -506,134 +484,15 @@ class _Parser:
         t = self.peek()
         if t.type != "NAME":
             self.error("expected a statement keyword")
-        kw = t.value
-        handlers = {
-            "chart": self.parse_chart,
-            "param": self.parse_param,
-            "opaque": self.parse_opaque,
-            "const": self.parse_const,
-            "form": self.parse_form,
-            "vfield": self.parse_vfield,
-            "map": self.parse_map,
-            "metric": self.parse_metric,
-            "region": self.parse_region,
-            "locus": self.parse_locus,
-            "check": self.parse_check,
-        }
-        if kw not in handlers:
-            self.error(f"unknown statement keyword {kw!r}")
-        return handlers[kw]()
-
-    def parse_chart(self):
-        line = self.next().line
-        name = self.fresh_name("a chart name")
-        return ChartStmt(name, self.parse_group(self.fresh_name, "a coordinate name"), line)
-
-    def parse_param(self):
-        line = self.next().line
-        return ParamStmt(self.parse_list(self.fresh_name, "a parameter name"), line)
-
-    def parse_opaque(self):
-        line = self.next().line
-        return OpaqueStmt(self.parse_list(self.fresh_name, "an opaque function name"), line)
-
-    def parse_const(self):
-        line = self.next().line
-        name = self.fresh_name("a constant name")
-        self.expect_op("=")
-        return ConstStmt(name, self.parse_expr(), line)
-
-    def parse_form(self):
-        line = self.next().line
-        name = self.fresh_name("a form name")
-        self.expect_keyword("on")
-        chart = self.expect_name("a chart name")
-        self.expect_op("=")
-        return FormStmt(name, chart, self.parse_expr(), line)
-
-    def parse_vfield(self):
-        line = self.next().line
-        name = self.fresh_name("a field name")
-        self.expect_keyword("on")
-        chart = self.expect_name("a chart name")
-        self.expect_op("=")
-        return VFieldStmt(name, chart, self.parse_expr(), line)
-
-    def parse_map(self):
-        line = self.next().line
-        name = self.fresh_name("a map name")
-        self.expect_op(":")
-        source = self.expect_name("a source chart")
-        self.expect_op("->")
-        target = self.expect_name("a target chart")
-        self.expect_op("=")
-        return MapStmt(name, source, target, self.parse_group(self.parse_expr), line)
-
-    def parse_metric(self):
-        line = self.next().line
-        name = self.fresh_name("a metric name")
-        self.expect_keyword("on")
-        chart = self.expect_name("a chart name")
-        self.expect_op("=")
-        if self.eat_keyword("euclidean"):
-            return MetricStmt(name, chart, (), line)
-        self.expect_keyword("diag")
-        return MetricStmt(name, chart, self.parse_group(self.parse_rational), line)
-
-    def parse_region(self):
-        line = self.next().line
-        name = self.fresh_name("a region name")
-        self.expect_keyword("on")
-        chart = self.expect_name("a chart name")
-        self.expect_op("=")
-        intervals = [self.parse_interval()]
-        if self.eat_op("^"):
-            count = self.expect_int("a repetition count")
-            intervals = intervals * count
-        else:
-            while self.at_keyword("x"):
-                self.next()
-                intervals.append(self.parse_interval())
-        self.expect_keyword("lattice")
-        if self.at_op("("):
-            lattice = self.parse_group(self.expect_int, "a lattice resolution")
-        else:
-            lattice = [self.expect_int("a lattice resolution")] * len(intervals)
-        self.expect_keyword("random")
-        count = self.expect_int("a random sample count")
-        return RegionStmt(name, chart, tuple(intervals), tuple(lattice), count, line)
-
-    def parse_interval(self):
-        self.expect_op("[")
-        lo = self.parse_bound()
-        self.expect_op(",")
-        hi = self.parse_bound()
-        self.expect_op("]")
-        return (lo, hi)
-
-    def parse_locus(self):
-        line = self.next().line
-        name = self.fresh_name("a locus name")
-        self.expect_keyword("on")
-        chart = self.expect_name("a chart name")
-        self.expect_op("=")
-        t = self.peek()
-        if self.eat_keyword("empty"):
-            return LocusStmt(name, chart, "empty", None, line)
-        if self.eat_keyword("coords"):
-            return LocusStmt(name, chart, "coords", self.parse_assignments(), line)
-        if self.eat_keyword("points"):
-            return LocusStmt(name, chart, "points", self.parse_group(self.parse_group, self.parse_rational), line)
-        if self.eat_keyword("image"):
-            self.expect_op("(")
-            map_name = self.expect_name("a map name or id")
-            self.expect_op(",")
-            region = self.expect_name("a region name")
-            self.expect_op(")")
-            return LocusStmt(name, chart, "image", (map_name, region), line)
-        if self.eat_keyword("union"):
-            return LocusStmt(name, chart, "union", self.parse_group(self.expect_name, "a locus name"), line)
-        self.error("expected a locus flavour (coords, points, image, union, empty)", t)
+        if t.value == "check":
+            return self.parse_check()
+        if t.value not in STATEMENT_SPECS:
+            self.error(f"unknown statement keyword {t.value!r}")
+        self.next()
+        cls, spec = STATEMENT_SPECS[t.value]
+        fields = {}
+        spec.read(self, fields)
+        return cls(**fields, line=t.line)
 
     # -- checks ---------------------------------------------------------
 
@@ -648,19 +507,11 @@ class _Parser:
         spec.read(self, payload)
         where = self.parse_list(self.parse_pair, "a parameter name") if self.eat_keyword("where") else ()
         note = ""
-        if self.at_keyword("note"):
-            self.next()
-            t = self.peek()
-            if t.type != "STRING":
+        if self.eat_keyword("note"):
+            if self.peek().type != "STRING":
                 self.error("expected a quoted note")
             note = self.next().value
-        expect = "pass"
-        if self.eat_keyword("expect"):
-            t = self.peek()
-            word = self.expect_name("pass, fail, or report")
-            if word not in ("pass", "fail", "report"):
-                self.error("expected pass, fail, or report", t)
-            expect = word
+        expect = _EXPECT.read_value(self) if self.eat_keyword("expect") else "pass"
         return CheckStmt(kind, payload, where, note, expect, line)
 
 
@@ -718,35 +569,30 @@ def _print_expr(node, prec=0):
     return f"({s})" if p < prec else s
 
 
-def _print_bound(b):
-    if isinstance(b, Fraction):
-        return str(b)
-    return repr(b)
-
-
 def _print_assignments(pairs):
     return "(" + ", ".join(f"{n}={v}" for n, v in pairs) + ")"
 
 
 # ---------------------------------------------------------------------------
-# Check grammar
+# Grammar
 #
-# CHECK_SPECS is the grammar of record for check lines: one _Spec per kind,
-# in the order CHECK_KINDS lists them.  A spec holds the kind's required
-# items in order (a literal `,` or keyword, or a typed slot that fills
-# payload fields), then its keyword options.  Options may come in any order;
-# a repeated option keeps its last value, and an absent one leaves its
-# default in the payload.  The printer writes an option only when it differs
-# from that default.  Runners are looked up by the same kind names in
-# `runner._RUNNERS`.
+# STATEMENT_SPECS and CHECK_SPECS are the grammar of record: one _Spec per
+# statement keyword and per check kind, which both the parser and the
+# printer walk.  A spec holds the required items in order (a literal
+# operator or keyword, or a typed slot that fills fields), then its keyword
+# options.  Options may come in any order; a repeated option keeps its last
+# value, and an absent one leaves its default in the payload.  The printer
+# writes an option only when it differs from that default.  Runners are
+# looked up by the check kind names in `runner._RUNNERS`.
 
 
 class _Lit:
-    """A fixed token of a check line: `,` or a keyword."""
+    """A fixed token: an operator such as `,`, `=` or `->`, or a keyword."""
 
     def __init__(self, text):
         self.text = text
-        self._expect = _Parser.expect_op if text == "," else _Parser.expect_keyword
+        self.tight = text == ","
+        self._expect = _Parser.expect_keyword if text.isidentifier() else _Parser.expect_op
 
     def read(self, parser, out):
         self._expect(parser, self.text)
@@ -757,13 +603,15 @@ class _Lit:
 
 class _Field:
     """A typed slot that fills one payload field; `default` is its value
-    when the slot is an option and the line leaves it out."""
+    when the slot is an option and the line leaves it out.  A tight slot
+    prints against the item before it."""
 
-    def __init__(self, name, read, write=str, default=None):
+    def __init__(self, name, read, write=str, default=None, tight=False):
         self.name = name
         self.read_value = read
         self.write_value = write
         self.defaults = {name: default}
+        self.tight = tight
 
     def read(self, parser, out):
         out[self.name] = self.read_value(parser)
@@ -797,6 +645,11 @@ def _name(name, what):
     return _Field(name, lambda p: p.expect_name(what))
 
 
+def _fresh(name, what):
+    """A name being declared, which may not be a reserved word."""
+    return _Field(name, lambda p: p.fresh_name(what))
+
+
 def _choice(name, what, choices, complaint):
     def read(p):
         t = p.peek()
@@ -808,13 +661,14 @@ def _choice(name, what, choices, complaint):
     return _Field(name, read)
 
 
-def _group(item, default=None):
+def _group(item, default=None, tight=False):
     """`(a, b, ...)`: one or more of `item`'s values, as a tuple."""
     return _Field(
         item.name,
         lambda p: p.parse_group(item.read_value, p),
-        lambda values: "(" + ", ".join(map(str, values)) + ")",
+        lambda values: "(" + ", ".join(map(item.write_value, values)) + ")",
         default,
+        tight,
     )
 
 
@@ -844,7 +698,7 @@ class _Spec:
         parts = []
         for item in self.items:
             text = item.write(payload)
-            if text == ",":
+            if getattr(item, "tight", False):
                 parts[-1] += text
             else:
                 parts.append(text)
@@ -852,6 +706,126 @@ class _Spec:
             if any(payload.get(k, d) != d for k, d in slot.defaults.items()):
                 parts.append(f"{keyword} {slot.write(payload)}")
         return " ".join(parts)
+
+
+# -- statements ---------------------------------------------------------------
+
+
+def _read_metric(p):
+    if p.eat_keyword("euclidean"):
+        return ()
+    p.expect_keyword("diag")
+    return p.parse_group(p.parse_rational)
+
+
+_METRIC = _Field("diag", _read_metric, lambda diag: "diag(" + ", ".join(map(str, diag)) + ")" if diag else "euclidean")
+
+
+class _Box:
+    """A region's box and lattice: `[a, b]^n` or `[a, b] x [c, d] ...`, then
+    `lattice n` or `lattice (n, ...)`.  Equal entries print as the short form."""
+
+    def read(self, parser, out):
+        intervals = [self._interval(parser)]
+        if parser.eat_op("^"):
+            intervals *= parser.expect_int("a repetition count")
+        else:
+            while parser.eat_keyword("x"):
+                intervals.append(self._interval(parser))
+        parser.expect_keyword("lattice")
+        if parser.at_op("("):
+            lattice = parser.parse_group(parser.expect_int, "a lattice resolution")
+        else:
+            lattice = [parser.expect_int("a lattice resolution")] * len(intervals)
+        out["intervals"], out["lattice"] = tuple(intervals), tuple(lattice)
+
+    def _interval(self, parser):
+        parser.expect_op("[")
+        lo = self._bound(parser)
+        parser.expect_op(",")
+        hi = self._bound(parser)
+        parser.expect_op("]")
+        return (lo, hi)
+
+    def _bound(self, parser):
+        t = parser.peek(1 if parser.at_op("-") else 0)
+        if t.type != "FLOAT":
+            return parser.parse_rational("an interval bound")
+        sign = -1 if parser.eat_op("-") else 1
+        parser.next()
+        return sign * t.value
+
+    def write(self, payload):
+        ivs, lat = payload["intervals"], payload["lattice"]
+        if len(ivs) > 1 and all(iv == ivs[0] for iv in ivs):
+            box = f"[{ivs[0][0]}, {ivs[0][1]}]^{len(ivs)}"
+        else:
+            box = " x ".join(f"[{lo}, {hi}]" for lo, hi in ivs)
+        lat_txt = str(lat[0]) if all(v == lat[0] for v in lat) else "(" + ", ".join(map(str, lat)) + ")"
+        return f"{box} lattice {lat_txt}"
+
+
+def _read_image(p):
+    p.expect_op("(")
+    source = p.expect_name("a map name or id")
+    p.expect_op(",")
+    region = p.expect_name("a region name")
+    p.expect_op(")")
+    return (source, region)
+
+
+class _Flavour:
+    """What a locus is: its flavour keyword, then that flavour's payload."""
+
+    _payloads = {
+        "coords": _Field("payload", _Parser.parse_assignments, _print_assignments),
+        "points": _group(_group(_Field("payload", _Parser.parse_rational))),
+        "image": _Field("payload", _read_image, lambda pair: "({}, {})".format(*pair)),
+        "union": _group(_name("payload", "a locus name")),
+        "empty": _Field("payload", lambda p: None, lambda none: ""),
+    }
+
+    def read(self, parser, out):
+        t = parser.peek()
+        slot = self._payloads.get(t.value) if t.type == "NAME" else None
+        if slot is None:
+            parser.error(f"expected a locus flavour ({', '.join(self._payloads)})")
+        parser.next()
+        out["flavour"] = t.value
+        slot.read(parser, out)
+
+    def write(self, payload):
+        flavour = payload["flavour"]
+        if flavour not in self._payloads:
+            raise TypeError(f"unknown locus flavour {flavour!r}")
+        return flavour + self._payloads[flavour].write(payload)
+
+
+_ON_CHART = ("on", _name("chart", "a chart name"), "=")
+
+# keyword -> (statement class, grammar); `check` lines follow CHECK_SPECS.
+STATEMENT_SPECS = {
+    "chart": (ChartStmt, _Spec(_fresh("name", "a chart name"), _group(_fresh("coords", "a coordinate name"), tight=True))),
+    "param": (ParamStmt, _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "a parameter name"), ", ".join))),
+    "opaque": (OpaqueStmt, _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "an opaque function name"), ", ".join))),
+    "const": (ConstStmt, _Spec(_fresh("name", "a constant name"), "=", _expr("expr"))),
+    "form": (FormStmt, _Spec(_fresh("name", "a form name"), *_ON_CHART, _expr("expr"))),
+    "vfield": (VFieldStmt, _Spec(_fresh("name", "a field name"), *_ON_CHART, _expr("expr"))),
+    "map": (MapStmt, _Spec(
+        _fresh("name", "a map name"), ":", _name("source", "a source chart"), "->", _name("target", "a target chart"),
+        "=", _group(_expr("comps")),
+    )),
+    "metric": (MetricStmt, _Spec(_fresh("name", "a metric name"), *_ON_CHART, _METRIC)),
+    "region": (RegionStmt, _Spec(
+        _fresh("name", "a region name"), *_ON_CHART, _Box(), "random", _int("random_count", "a random sample count")
+    )),
+    "locus": (LocusStmt, _Spec(_fresh("name", "a locus name"), *_ON_CHART, _Flavour())),
+}
+
+_KEYWORDS = {cls: keyword for keyword, (cls, _) in STATEMENT_SPECS.items()}
+
+
+# -- checks -------------------------------------------------------------------
 
 
 class _OffMode:
@@ -903,6 +877,7 @@ class _Place:
 
 
 _RANK = _int("rank", "a rank")
+_EXPECT = _choice("expect", "pass, fail, or report", ("pass", "fail", "report"), "expected pass, fail, or report")
 
 CHECK_SPECS = {
     "closed": _Spec(_expr("form")),
@@ -955,58 +930,12 @@ def _print_check(stmt):
 
 
 def print_statement(stmt):
-    if isinstance(stmt, ChartStmt):
-        return f"chart {stmt.name}(" + ", ".join(stmt.coords) + ")"
-    if isinstance(stmt, ParamStmt):
-        return "param " + ", ".join(stmt.names)
-    if isinstance(stmt, OpaqueStmt):
-        return "opaque " + ", ".join(stmt.names)
-    if isinstance(stmt, ConstStmt):
-        return f"const {stmt.name} = {_print_expr(stmt.expr)}"
-    if isinstance(stmt, FormStmt):
-        return f"form {stmt.name} on {stmt.chart} = {_print_expr(stmt.expr)}"
-    if isinstance(stmt, VFieldStmt):
-        return f"vfield {stmt.name} on {stmt.chart} = {_print_expr(stmt.expr)}"
-    if isinstance(stmt, MapStmt):
-        comps = ", ".join(_print_expr(c) for c in stmt.comps)
-        return f"map {stmt.name} : {stmt.source} -> {stmt.target} = ({comps})"
-    if isinstance(stmt, MetricStmt):
-        if not stmt.diag:
-            return f"metric {stmt.name} on {stmt.chart} = euclidean"
-        return (
-            f"metric {stmt.name} on {stmt.chart} = diag("
-            + ", ".join(str(v) for v in stmt.diag)
-            + ")"
-        )
-    if isinstance(stmt, RegionStmt):
-        ivs = stmt.intervals
-        if len(ivs) > 1 and all(iv == ivs[0] for iv in ivs):
-            ivs_txt = f"[{_print_bound(ivs[0][0])}, {_print_bound(ivs[0][1])}]^{len(ivs)}"
-        else:
-            ivs_txt = " x ".join(f"[{_print_bound(lo)}, {_print_bound(hi)}]" for lo, hi in ivs)
-        lat = stmt.lattice
-        lat_txt = str(lat[0]) if all(v == lat[0] for v in lat) else "(" + ", ".join(map(str, lat)) + ")"
-        return (
-            f"region {stmt.name} on {stmt.chart} = {ivs_txt}"
-            f" lattice {lat_txt} random {stmt.random_count}"
-        )
-    if isinstance(stmt, LocusStmt):
-        head = f"locus {stmt.name} on {stmt.chart} = "
-        if stmt.flavour == "empty":
-            return head + "empty"
-        if stmt.flavour == "coords":
-            return head + "coords" + _print_assignments(stmt.payload)
-        if stmt.flavour == "points":
-            pts = ", ".join("(" + ", ".join(str(v) for v in pt) + ")" for pt in stmt.payload)
-            return head + f"points({pts})"
-        if stmt.flavour == "image":
-            return head + f"image({stmt.payload[0]}, {stmt.payload[1]})"
-        if stmt.flavour == "union":
-            return head + "union(" + ", ".join(stmt.payload) + ")"
-        raise TypeError(f"unknown locus flavour {stmt.flavour!r}")
     if isinstance(stmt, CheckStmt):
         return _print_check(stmt)
-    raise TypeError(f"unknown statement {stmt!r}")
+    keyword = _KEYWORDS.get(type(stmt))
+    if keyword is None:
+        raise TypeError(f"unknown statement {stmt!r}")
+    return f"{keyword} {STATEMENT_SPECS[keyword][1].write(vars(stmt))}"
 
 
 def print_scenario(scenario):

@@ -29,3 +29,21 @@ def test_zero_budget_in_a_file_exits_2(tmp_path, line, capsys):
     path.write_text(f"chart C(x, y, z)\nform al on C = d(z)\n{line}\n")
     assert cli.main(["check", str(path)]) == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "print"])
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("²*d(x)", "line 2, col 16: unexpected character '²'"),
+        ("(" * 250 + "x" + ")" * 250, "line 2, col 66: expression nested too deeply"),
+        ("-" * 1000 + "x", "line 2, col 66: expression nested too deeply"),
+        (" + ".join(["x"] * 1500), "line 2, col 218: expression nested too deeply"),
+    ],
+    ids=["superscript digit", "250 parentheses", "1000 minus signs", "1500-term sum"],
+)
+def test_unreadable_expression_exits_2(tmp_path, command, expr, message, capsys):
+    path = tmp_path / "bad.nsx"
+    path.write_text(f"chart C(x, y)\nform om on C = {expr}\n")
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from nsx import runner
-from nsx.dsl import CHECK_KINDS, parse_scenario, print_scenario, random_scenario, tokenize
+from nsx.dsl import CHECK_KINDS, MAX_NESTING, parse_scenario, print_scenario, random_scenario, tokenize
 from nsx.errors import ParseError
 from nsx.scenarios import SUITE
 
@@ -259,6 +259,7 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\nlocus L on C = line(x=0)\n", 2, 16, "expected a locus flavour"),
         ("chart C(x, y)\nlocus L on C = image(m)\n", 2, 23, "expected ','"),
         ("chart C(x, y)\nform map on C = d(x)\n", 2, 6, "reserved word"),
+        ("chart C(x, y)\nform om on C = ²*d(x)\n", 2, 16, "unexpected character"),
         # A comment takes no columns, so the end of this line sits at the `#`.
         ("chart C(x, y)\nform om on C = # nothing yet\n", 2, 16, "expression atom"),
     ],
@@ -269,6 +270,25 @@ def test_parse_errors_are_positioned(text, line, col, snippet):
     assert (e.value.line, e.value.col) == (line, col)
     assert snippet in e.value.message
     assert f"line {line}, col {col}" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "x" + ")" * n,
+        lambda n: "-" * n + "x",
+        lambda n: " + ".join(["x"] * (n + 1)),
+        lambda n: "exp((" * n + "x" + "))" * n,
+    ],
+    ids=["parentheses", "minus signs", "sum", "calls in parentheses"],
+)
+def test_expressions_nest_at_most_max_nesting_deep(nest):
+    text = f"chart C(x)\nconst k = {nest(MAX_NESTING)}\n"
+    printed = print_scenario(parse_scenario(text))
+    assert print_scenario(parse_scenario(printed)) == printed
+    with pytest.raises(ParseError) as e:
+        parse_scenario(f"chart C(x)\nconst k = {nest(MAX_NESTING + 1)}\n")
+    assert e.value.message == "expression nested too deeply"
 
 
 def test_mutated_sources_never_crash():
