@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import _linalg
 from .errors import DomainError, UnsupportedMetricError
-from .symexpr import _as_expr, rat, sym
+from .symexpr import _as_expr, rat
 
 MAX_DIM = 8
 
@@ -51,9 +51,6 @@ class Chart:
             return self.coords.index(coord)
         except ValueError:
             raise DomainError(f"{coord} is not a coordinate of chart {self.name}") from None
-
-    def coord_exprs(self):
-        return {c: sym(c) for c in self.coords}
 
 
 def _merge_indices(left, right):

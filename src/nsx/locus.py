@@ -128,9 +128,6 @@ class Region:
                 return False
         return True
 
-    def with_random_count(self, count):
-        return Region(self.chart, self.intervals, self.lattice, count)
-
 
 def lattice_envs(region):
     return _lattice_product({}, region, region.chart.coords)
@@ -575,13 +572,11 @@ def verify_positive(
     form,
     region,
     *,
-    negative=False,
     tol=1e-9,
     seed=0,
 ):
-    """Single-coefficient form is strictly positive (or negative) on the
-    whole region: exact sign at lattice points, float sign beyond tol at
-    random points.  A NaN or infinite value is counted under non_finite
+    """Single-coefficient form is strictly positive on the whole region:
+    exact sign at lattice points, float sign beyond tol at random points.  A NaN or infinite value is counted under non_finite
     and leaves the report undecided.
     """
     report = LocusReport(kind="positive", passed=True)
@@ -592,19 +587,18 @@ def verify_positive(
     expr = exprs[0]
     envs = region_envs(region, derive_seed(seed, "positive"))
     report.on_count = len(envs)
-    mode = "negative" if negative else "positive"
     for env in envs:
         v = evaluate(expr, env)
         if isinstance(v, Fraction):
-            ok = v < 0 if negative else v > 0
+            ok = v > 0
         elif not math.isfinite(v):
             report.non_finite += 1
             report.undecided = True
             continue
         else:
-            ok = v < -tol if negative else v > tol
+            ok = v > tol
         if not ok:
-            report.add_counterexample(env, f"{mode} sign violated", v, side="on")
+            report.add_counterexample(env, "positive sign violated", v, side="on")
     return report
 
 
