@@ -1,7 +1,10 @@
-"""Every name a module of nsx imports at top level is used in that module.
+"""Every name a module of nsx imports at top level is used in that module,
+and every private name (`_x`) a module binds at top level is used somewhere
+in the package.
 
 The package re-exports its API from `__init__.py`, so that file is left
-out; `from __future__` imports are compiler directives, not names.
+out of the import scan; `from __future__` imports are compiler directives,
+not names.
 """
 
 import ast
@@ -33,3 +36,46 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_names(tree):
+    """The `_x` names bound by the module's top-level defs and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _referenced(tree):
+    """Every name the module reads, as a name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def _unreferenced_private_names(sources):
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = set().union(*map(_referenced, trees.values()))
+    return sorted(f"{name}:{n}" for name, tree in trees.items() for n in _private_names(tree) - refs)
+
+
+def test_the_scan_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_used, _spare = 1, 2\n_unused = 3\ndef _helper():\n    return _used\n",
+        "b.py": "from a import _helper\nimport a\nprint(a._spare)\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a.py:_unused"]
+
+
+def test_every_private_top_level_name_is_referenced():
+    assert _unreferenced_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
