@@ -39,7 +39,7 @@ def sweep_coefficient(chart_map_name):
     """
     text = {sid: t for sid, _anchor, t in SUITE}["S8"]
     scope = elaborate_scope(parse_scenario(text), RunConfig())
-    beta = scope.maps[chart_map_name].pullback(scope.forms["alpha"])
+    beta = scope.named("map", chart_map_name).pullback(scope.named("form", "alpha"))
     top = beta.wedge(beta.d().wedge_power(2))
     (coeff,) = top.comps.values()
     return coeff

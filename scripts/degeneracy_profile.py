@@ -39,7 +39,7 @@ def main():
 
     text = {sid: t for sid, _anchor, t in SUITE}["S3"]
     scope = elaborate_scope(parse_scenario(text), RunConfig())
-    om = scope.forms["om"]
+    om = scope.named("form", "om")
     direction = [Fraction(d) for d in args.ray.split(",")]
 
     offsets = [Fraction(1, 2) ** k for k in range(0, 13, 2)] + [Fraction(0)]

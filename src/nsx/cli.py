@@ -114,10 +114,6 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
-def _basis_label(chart, idx, wedge="/\\"):
-    return wedge.join(f"d({chart.coords[i]})" for i in idx)
-
-
 def _join_signed(parts):
     if not parts:
         return "0"
@@ -127,14 +123,21 @@ def _join_signed(parts):
     return text
 
 
-def _eval_form(name, form, env, out):
+def _eval_line(kind, name, value, env):
+    """A const's value, or the nonzero terms of a form or a field, at env."""
+    if kind == "const":
+        return f"{name} = {_fmt(evaluate(value, env))}"
+    coords = value.chart.coords
+    if kind == "form":
+        terms = [(value.comps[idx], "/\\".join(f"d({coords[i]})" for i in idx)) for idx in sorted(value.comps)]
+    else:
+        terms = [(value.comps[i], f"e({coords[i]})") for i in sorted(value.comps)]
     parts = []
-    for idx in sorted(form.comps):
-        v = evaluate(form.comps[idx], env)
-        if v == 0:
-            continue
-        parts.append(_fmt(v) if not idx else f"{_fmt(v)} {_basis_label(form.chart, idx)}")
-    out.append(f"{name} = {_join_signed(parts)}")
+    for expr, label in terms:
+        v = evaluate(expr, env)
+        if v != 0:
+            parts.append(f"{_fmt(v)} {label}" if label else _fmt(v))
+    return f"{name} = {_join_signed(parts)}"
 
 
 def _cmd_eval(args):
@@ -152,26 +155,12 @@ def _cmd_eval(args):
     except NsxError as e:
         return _fail(e)
     out = []
-    for name, expr in scope.consts.items():
-        try:
-            out.append(f"{name} = {_fmt(evaluate(expr, env))}")
-        except EvaluationError as e:
-            out.append(f"{name}: skipped ({e})")
-    for name, form in scope.forms.items():
-        try:
-            _eval_form(name, form, env, out)
-        except EvaluationError as e:
-            out.append(f"{name}: skipped ({e})")
-    for name, field in scope.vfields.items():
-        try:
-            parts = []
-            for i in sorted(field.comps):
-                v = evaluate(field.comps[i], env)
-                if v != 0:
-                    parts.append(f"{_fmt(v)} e({field.chart.coords[i]})")
-            out.append(f"{name} = {_join_signed(parts)}")
-        except EvaluationError as e:
-            out.append(f"{name}: skipped ({e})")
+    for kind in ("const", "form", "field"):
+        for name, value in scope.of_kind(kind):
+            try:
+                out.append(_eval_line(kind, name, value, env))
+            except (EvaluationError, ArithmeticError) as e:
+                out.append(f"{name}: skipped ({e})")
     if not out:
         return _fail("the file declares nothing to evaluate")
     sys.stdout.write("\n".join(out) + "\n")

@@ -725,10 +725,12 @@ class _Box:
     """A region's box and lattice: `[a, b]^n` or `[a, b] x [c, d] ...`, then
     `lattice n` or `lattice (n, ...)`.  Equal entries print as the short form."""
 
+    _repeat = _count("repetition count", "a repetition count")
+
     def read(self, parser, out):
         intervals = [self._interval(parser)]
         if parser.eat_op("^"):
-            intervals *= parser.expect_int("a repetition count")
+            intervals *= self._repeat.read_value(parser)
         else:
             while parser.eat_keyword("x"):
                 intervals.append(self._interval(parser))

@@ -54,6 +54,7 @@ from .symexpr import (
     NotEqual,
     cos_of,
     exp_of,
+    opaque_fn,
     rat,
     semantically_equal,
     sin_of,
@@ -129,47 +130,31 @@ class SuiteReport:
 
 
 class Scope:
+    """Every name a scenario declares, each exactly once.
+
+    `names` maps a name to (kind, value) in declaration order.  A kind is
+    one of chart, param, opaque, const, form, field, map, metric, region,
+    locus; a param's value is its own symbol and an opaque's is None.
+    """
+
     def __init__(self, config):
         self.config = config
-        self.charts = {}
-        self.chart_order = []
-        self.params = set()
-        self.opaques = set()
-        self.consts = {}
-        self.forms = {}
-        self.vfields = {}
-        self.maps = {}
-        self.metrics = {}
-        self.regions = {}
-        self.loci = {}
+        self.names = {}
 
     def declare(self, kind, name, value):
-        for space in (
-            self.charts,
-            self.consts,
-            self.forms,
-            self.vfields,
-            self.maps,
-            self.metrics,
-            self.regions,
-            self.loci,
-        ):
-            if name in space:
-                raise ElaborationError(f"{name!r} is already defined")
-        if name in self.params or name in self.opaques:
+        if name in self.names:
             raise ElaborationError(f"{name!r} is already defined")
-        getattr(self, kind)[name] = value
+        self.names[name] = (kind, value)
 
-    def chart(self, name):
-        if name not in self.charts:
-            raise ElaborationError(f"unknown chart {name!r}")
-        return self.charts[name]
+    def named(self, kind, name):
+        entry = self.names.get(name)
+        if entry is None or entry[0] != kind:
+            raise ElaborationError(f"unknown {kind} {name!r}")
+        return entry[1]
 
-    def named(self, space, name, what):
-        table = getattr(self, space)
-        if name not in table:
-            raise ElaborationError(f"unknown {what} {name!r}")
-        return table[name]
+    def of_kind(self, kind):
+        """(name, value) of every name of one kind, in declaration order."""
+        return [(n, v) for n, (k, v) in self.names.items() if k == kind]
 
 
 def _scalar_of(value, what="a scalar"):
@@ -192,24 +177,15 @@ def _value(scope, chart, node):
         name = node.name
         if name in chart.coords:
             return function_form(chart, sym(name))
-        if name in scope.consts:
-            return function_form(chart, scope.consts[name])
-        if name in scope.params:
-            return function_form(chart, sym(name))
-        if name in scope.forms:
-            form = scope.forms[name]
-            if form.chart != chart:
+        kind, value = scope.names.get(name, (None, None))
+        if kind in ("param", "const"):
+            return function_form(chart, value)
+        if kind in ("form", "field"):
+            if value.chart != chart:
                 raise ElaborationError(
-                    f"form {name!r} lives on chart {form.chart.name}, not {chart.name}"
+                    f"{kind} {name!r} lives on chart {value.chart.name}, not {chart.name}"
                 )
-            return form
-        if name in scope.vfields:
-            vf = scope.vfields[name]
-            if vf.chart != chart:
-                raise ElaborationError(
-                    f"field {name!r} lives on chart {vf.chart.name}, not {chart.name}"
-                )
-            return vf
+            return value
         raise ElaborationError(f"unknown name {name!r}")
     if isinstance(node, dsl.Call):
         name = node.name
@@ -217,18 +193,17 @@ def _value(scope, chart, node):
             arg = _scalar_of(_value(scope, chart, node.arg), f"the argument of {name}")
             fn = {"exp": exp_of, "sin": sin_of, "cos": cos_of}[name]
             return function_form(chart, fn(arg))
-        if name in scope.opaques:
+        kind, _ = scope.names.get(name, (None, None))
+        if kind == "opaque":
             arg = _scalar_of(_value(scope, chart, node.arg), f"the argument of {name}")
             for c in chart.coords:
                 if arg == sym(c):
-                    from .symexpr import opaque_fn
-
                     return function_form(chart, opaque_fn(name, c))
             raise ElaborationError(
                 f"opaque {name!r} takes a bare coordinate argument"
             )
-        if name.startswith("i_") and name[2:] in scope.vfields:
-            vf = scope.vfields[name[2:]]
+        kind, vf = scope.names.get(name[2:], (None, None))
+        if name.startswith("i_") and kind == "field":
             arg = _value(scope, chart, node.arg)
             if not isinstance(arg, DForm):
                 raise ElaborationError("interior product needs a form")
@@ -244,7 +219,7 @@ def _value(scope, chart, node):
             raise ElaborationError(f"unknown coordinate {node.coord!r}")
         return VectorField.build(chart, [(node.coord, rat(1))])
     if isinstance(node, dsl.Pullback):
-        cmap = scope.named("maps", node.map_name, "map")
+        cmap = scope.named("map", node.map_name)
         if cmap.source != chart:
             raise ElaborationError(
                 f"pullback through {node.map_name!r} lands on {cmap.source.name}, not {chart.name}"
@@ -254,7 +229,7 @@ def _value(scope, chart, node):
             raise ElaborationError("pullback applies to forms")
         return cmap.pullback(inner)
     if isinstance(node, dsl.Star):
-        metric = scope.named("metrics", node.metric_name, "metric")
+        metric = scope.named("metric", node.metric_name)
         if metric.chart != chart:
             raise ElaborationError(
                 f"metric {node.metric_name!r} lives on {metric.chart.name}, not {chart.name}"
@@ -310,9 +285,9 @@ def _bin_value(scope, chart, node):
 def _infer_value(scope, node):
     """Elaborate against each declared chart until one accepts."""
     first_error = None
-    for name in scope.chart_order:
+    for _, chart in scope.of_kind("chart"):
         try:
-            return _value(scope, scope.charts[name], node)
+            return _value(scope, chart, node)
         except NsxError as e:
             if first_error is None:
                 first_error = e
@@ -333,71 +308,63 @@ def _subs_value(value, mapping):
     return VectorField(value.chart, {i: e.subs(mapping) for i, e in value.comps.items()})
 
 
-def _where_mapping(where):
-    return {name: rat(v) for name, v in where}
-
-
 def elaborate_scope(scenario, config):
     scope = Scope(config)
     for stmt in scenario.statements:
-        if isinstance(stmt, dsl.ChartStmt):
-            chart = Chart(stmt.name, stmt.coords)
-            scope.declare("charts", stmt.name, chart)
-            scope.chart_order.append(stmt.name)
-        elif isinstance(stmt, dsl.ParamStmt):
-            scope.params |= set(stmt.names)
-        elif isinstance(stmt, dsl.OpaqueStmt):
-            scope.opaques |= set(stmt.names)
-        elif isinstance(stmt, dsl.ConstStmt):
-            expr = _scalar_of(_infer_value(scope, stmt.expr), "a constant")
-            scope.declare("consts", stmt.name, expr)
-        elif isinstance(stmt, dsl.FormStmt):
-            chart = scope.chart(stmt.chart)
-            value = _value(scope, chart, stmt.expr)
-            if isinstance(value, VectorField):
-                raise ElaborationError(f"{stmt.name!r} elaborates to a field, not a form")
-            scope.declare("forms", stmt.name, value)
-        elif isinstance(stmt, dsl.VFieldStmt):
-            chart = scope.chart(stmt.chart)
-            value = _value(scope, chart, stmt.expr)
-            if not isinstance(value, VectorField):
-                raise ElaborationError(f"{stmt.name!r} elaborates to a form, not a field")
-            scope.declare("vfields", stmt.name, value)
-        elif isinstance(stmt, dsl.MapStmt):
-            source = scope.chart(stmt.source)
-            target = scope.chart(stmt.target)
-            comps = tuple(
-                _scalar_of(_value(scope, source, c), "a map component")
-                for c in stmt.comps
-            )
-            scope.declare("maps", stmt.name, ChartMap(stmt.name, source, target, comps))
-        elif isinstance(stmt, dsl.MetricStmt):
-            chart = scope.chart(stmt.chart)
-            metric = (
-                Metric.euclidean(chart)
-                if not stmt.diag
-                else Metric.diagonal(chart, stmt.diag)
-            )
-            scope.declare("metrics", stmt.name, metric)
-        elif isinstance(stmt, dsl.RegionStmt):
-            chart = scope.chart(stmt.chart)
-            count = config.region_count(stmt.random_count)
-            scope.declare(
-                "regions",
-                stmt.name,
-                Region(chart, stmt.intervals, stmt.lattice, count),
-            )
-        elif isinstance(stmt, dsl.LocusStmt):
-            scope.declare("loci", stmt.name, _elaborate_locus(scope, stmt))
-        elif isinstance(stmt, dsl.CheckStmt):
-            pass
-        else:
-            raise ElaborationError(f"unsupported statement {type(stmt).__name__}")
+        try:
+            _elaborate_statement(scope, stmt)
+        except NsxError as e:
+            raise ElaborationError(f"line {stmt.line}: {e}") from None
     return scope
 
 
+def _elaborate_statement(scope, stmt):
+    if isinstance(stmt, dsl.ChartStmt):
+        scope.declare("chart", stmt.name, Chart(stmt.name, stmt.coords))
+    elif isinstance(stmt, dsl.ParamStmt):
+        for name in stmt.names:
+            scope.declare("param", name, sym(name))
+    elif isinstance(stmt, dsl.OpaqueStmt):
+        for name in stmt.names:
+            scope.declare("opaque", name, None)
+    elif isinstance(stmt, dsl.ConstStmt):
+        expr = _scalar_of(_infer_value(scope, stmt.expr), "a constant")
+        scope.declare("const", stmt.name, expr)
+    elif isinstance(stmt, (dsl.FormStmt, dsl.VFieldStmt)):
+        kind = "form" if isinstance(stmt, dsl.FormStmt) else "field"
+        value = _value(scope, scope.named("chart", stmt.chart), stmt.expr)
+        got = "field" if isinstance(value, VectorField) else "form"
+        if got != kind:
+            raise ElaborationError(f"{stmt.name!r} elaborates to a {got}, not a {kind}")
+        scope.declare(kind, stmt.name, value)
+    elif isinstance(stmt, dsl.MapStmt):
+        source = scope.named("chart", stmt.source)
+        target = scope.named("chart", stmt.target)
+        comps = tuple(
+            _scalar_of(_value(scope, source, c), "a map component")
+            for c in stmt.comps
+        )
+        scope.declare("map", stmt.name, ChartMap(stmt.name, source, target, comps))
+    elif isinstance(stmt, dsl.MetricStmt):
+        chart = scope.named("chart", stmt.chart)
+        metric = (
+            Metric.euclidean(chart)
+            if not stmt.diag
+            else Metric.diagonal(chart, stmt.diag)
+        )
+        scope.declare("metric", stmt.name, metric)
+    elif isinstance(stmt, dsl.RegionStmt):
+        chart = scope.named("chart", stmt.chart)
+        count = scope.config.region_count(stmt.random_count)
+        scope.declare("region", stmt.name, Region(chart, stmt.intervals, stmt.lattice, count))
+    elif isinstance(stmt, dsl.LocusStmt):
+        scope.declare("locus", stmt.name, _elaborate_locus(scope, stmt))
+    elif not isinstance(stmt, dsl.CheckStmt):
+        raise ElaborationError(f"unsupported statement {type(stmt).__name__}")
+
+
 def _elaborate_locus(scope, stmt):
-    chart = scope.chart(stmt.chart)
+    chart = scope.named("chart", stmt.chart)
     if stmt.flavour == "empty":
         return EmptyLocus(chart)
     if stmt.flavour == "coords":
@@ -413,14 +380,14 @@ def _elaborate_locus(scope, stmt):
         return PointsLocus(chart, tuple(pts))
     if stmt.flavour == "image":
         map_name, region_name = stmt.payload
-        region = scope.named("regions", region_name, "region")
-        cmap = None if map_name == "id" else scope.named("maps", map_name, "map")
+        region = scope.named("region", region_name)
+        cmap = None if map_name == "id" else scope.named("map", map_name)
         locus = ImageLocus(cmap, region)
         if locus.chart != chart:
             raise ElaborationError("image locus lands on a different chart")
         return locus
     if stmt.flavour == "union":
-        parts = tuple(scope.named("loci", n, "locus") for n in stmt.payload)
+        parts = tuple(scope.named("locus", n) for n in stmt.payload)
         return UnionLocus(parts)
     raise ElaborationError(f"unknown locus flavour {stmt.flavour!r}")
 
@@ -438,7 +405,9 @@ class _Ctx:
         self.config = config
         self.seed = derive_seed(config.seed, sid, index)
         self.tol = config.tol
-        self.where = _where_mapping(stmt.where)
+        for name, _ in stmt.where:
+            scope.named("param", name)  # `where` binds declared params only
+        self.where = {name: rat(v) for name, v in stmt.where}
 
     def form(self, node, degree=None, what="a form"):
         value = _subs_value(_infer_value(self.scope, node), self.where)
@@ -454,7 +423,7 @@ class _Ctx:
         return self.form(node, degree=0, what=what).coefficient(())
 
     def vfield(self, name):
-        return _subs_value(self.scope.named("vfields", name, "field"), self.where)
+        return _subs_value(self.scope.named("field", name), self.where)
 
     def point_env(self, pairs, chart):
         env = dict(pairs)
@@ -467,13 +436,13 @@ class _Ctx:
         return env
 
     def locus(self, name):
-        return self.scope.named("loci", name, "locus")
+        return self.scope.named("locus", name)
 
     def region(self, name):
-        return self.scope.named("regions", name, "region")
+        return self.scope.named("region", name)
 
     def via(self, name):
-        return None if name is None else self.scope.named("maps", name, "map")
+        return None if name is None else self.scope.named("map", name)
 
     def margin(self, value):
         return DEFAULT_MARGIN if value is None else value
@@ -559,7 +528,7 @@ def _run_equal(ctx, p):
 
 
 def _run_pullback_eq(ctx, p):
-    cmap = ctx.scope.named("maps", p["map"], "map")
+    cmap = ctx.scope.named("map", p["map"])
     upstairs = _subs_value(_value(ctx.scope, cmap.target, p["form"]), ctx.where)
     if not isinstance(upstairs, DForm):
         raise ElaborationError("pullback_eq needs a form on the target chart")
@@ -660,7 +629,7 @@ def _run_nearsympl_at(ctx, p):
 
 def _run_contact(ctx, p):
     form = ctx.form(p["form"], degree=1, what="a 1-form")
-    maps = [ctx.scope.named("maps", m, "map") for m in p["maps"]]
+    maps = [ctx.scope.named("map", m) for m in p["maps"]]
     parametrizations = maps if maps else [None]
     grid = ctx.config.grid_n(p["grid"])
     aux = 8 if p["aux"] is None else p["aux"]
@@ -733,7 +702,7 @@ def _run_vanishing_locus(ctx, p):
 
 
 def _run_rank_drop_locus(ctx, p):
-    cmap = ctx.scope.named("maps", p["map"], "map")
+    cmap = ctx.scope.named("map", p["map"])
     report = verify_rank_drop_locus(
         cmap,
         ctx.locus(p["locus"]),
@@ -780,10 +749,7 @@ def _run_bracket_table(ctx, p):
     dim = p["dim"]
     ys = Chart(f"bt{dim}", tuple(f"y{i}" for i in range(1, dim + 1)))
     scratch = Scope(ctx.config)
-    scratch.charts["__bt"] = ys
-    scratch.chart_order.append("__bt")
-    scratch.params = ctx.scope.params
-    scratch.consts = ctx.scope.consts
+    scratch.names = {n: e for n, e in ctx.scope.names.items() if e[0] in ("param", "const")}
     h = _scalar_of(_value(scratch, ys, p["h"]), "the graph function").subs(ctx.where)
     result = graph_straightening(h, dim)
     offending = [
@@ -874,8 +840,8 @@ _RUNNERS = {
 
 
 def run_check(scope, stmt, sid, index, config):
-    ctx = _Ctx(scope, stmt, sid, index, config)
     try:
+        ctx = _Ctx(scope, stmt, sid, index, config)
         verdict, evidence, detail = _RUNNERS[stmt.kind](ctx, stmt.payload)
     except NsxError as e:
         verdict, evidence, detail = "error", {"error": str(e)}, "(error)"

@@ -14,15 +14,12 @@ failure is the recorded finding, not a defect to paper over.
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-import nsx
 from nsx.dsl import parse_scenario, print_scenario, random_scenario
 from nsx.errors import ParseError
 from nsx.pointcheck import near_symplectic_at
@@ -93,7 +90,7 @@ def test_c1_suite_statuses_and_s3(by_id):
         failures.append("S3 degeneracy test did not pass at 10 points")
 
     scope = elaborate_scope(parse_scenario(_texts()["S3"]), RunConfig())
-    om, om2 = scope.forms["om"], scope.forms["om2"]
+    om, om2 = scope.named("form", "om"), scope.named("form", "om2")
     slots = set(itertools.combinations(range(6), 4))
     assert len(slots) == 15
     if om2.degree != 4 or not set(om2.comps) <= slots:
@@ -286,31 +283,16 @@ def test_c7_uniform_contact_sign(by_id):
 # -- C8 -----------------------------------------------------------------
 
 
-def _cli_env():
-    """Environment in which `python -m nsx` runs the nsx these tests imported.
-
-    The package's parent directory goes first on PYTHONPATH as an
-    absolute path, so a relative entry such as `src` (which stops
-    resolving once the working directory changes) cannot leave the
-    subprocess without nsx or with a different copy of it.
-    """
-    env = dict(os.environ)
-    root = str(Path(nsx.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
-    return env
-
-
-def test_c8_byte_identical_reports(tmp_path):
+def test_c8_byte_identical_reports(tmp_path, cli_env):
     outs = []
     codes = []
-    env = _cli_env()
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "nsx", "paper-suite", "--json", str(path)],
             capture_output=True,
             cwd=str(tmp_path),
-            env=env,
+            env=cli_env,
         )
         stderr_tail = proc.stderr.decode(errors="replace").splitlines()[-20:]
         assert path.exists(), (

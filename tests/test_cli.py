@@ -47,3 +47,25 @@ def test_unreadable_expression_exits_2(tmp_path, command, expr, message, capsys)
     path.write_text(f"chart C(x, y)\nform om on C = {expr}\n")
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "print"])
+def test_zero_repetition_count_exits_2(tmp_path, command, capsys):
+    path = tmp_path / "box.nsx"
+    path.write_text("chart C(x, y)\nregion R on C = [0, 1]^0 lattice 3 random 0\n")
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2, col 24: repetition count must be at least 1\n"
+
+
+def test_eval_skips_an_overflowing_object(tmp_path, capsys):
+    path = tmp_path / "big.nsx"
+    path.write_text("chart C(x)\nconst k = exp(exp(exp(x)))\nconst h = x + 1\n")
+    assert cli.main(["eval", str(path), "--at", "x=9"]) == 0
+    assert capsys.readouterr().out == "k: skipped (math range error)\nh = 10\n"
+
+
+def test_eval_names_the_line_of_an_elaboration_error(tmp_path, capsys):
+    path = tmp_path / "twice.nsx"
+    path.write_text("chart C(x, y)\nform w on C = d(x) /\\ d(y)\nparam w\n")
+    assert cli.main(["eval", str(path), "--at", "x=1,y=1"]) == 2
+    assert capsys.readouterr().err == "error: line 3: 'w' is already defined\n"

@@ -197,7 +197,7 @@ def test_wedge_spellings_agree():
         text = base.format(op)
         assert print_scenario(parse_scenario(text)) == text
         scope = elaborate_scope(parse_scenario(text), RunConfig())
-        elaborated.append(scope.forms["om"])
+        elaborated.append(scope.named("form", "om"))
     assert elaborated[0] == elaborated[1]
 
 

@@ -59,27 +59,58 @@ def test_elaborate_scope_declarations():
         "locus L on C = coords(x=0)\n"
     )
     scope = elaborate_scope(parse_scenario(text), RunConfig())
-    assert set(scope.charts) == {"C"}
-    assert scope.params == {"Kp"}
-    assert str(scope.consts["c0"]) == "-1/4 + x^2"
-    om = scope.forms["om"]
+    assert [(n, k) for n, (k, _) in scope.names.items()] == [
+        ("C", "chart"),
+        ("Kp", "param"),
+        ("c0", "const"),
+        ("om", "form"),
+        ("sq", "map"),
+        ("R", "region"),
+        ("L", "locus"),
+    ]
+    assert str(scope.named("const", "c0")) == "-1/4 + x^2"
+    om = scope.named("form", "om")
     assert isinstance(om, DForm) and om.degree == 2
-    assert scope.maps["sq"].target is scope.charts["C"]
-    region = scope.regions["R"]
+    assert scope.named("map", "sq").target is scope.named("chart", "C")
+    region = scope.named("region", "R")
     assert isinstance(region, Region) and region.random_count == 64
-    assert isinstance(scope.loci["L"], CoordLocus)
+    assert isinstance(scope.named("locus", "L"), CoordLocus)
 
 
 def test_elaborate_region_count_respects_config():
     text = "chart C(x, y)\nregion R on C = [-1, 1]^2 lattice 3 random 64\n"
     scope = elaborate_scope(parse_scenario(text), RunConfig(samples=2))
-    assert scope.regions["R"].random_count == 8
+    assert scope.named("region", "R").random_count == 8
 
 
 def test_elaborate_rejects_duplicates():
     text = "chart C(x, y)\nform om on C = d(x)\nform om on C = d(y)\n"
     with pytest.raises(ElaborationError):
         elaborate_scope(parse_scenario(text), RunConfig())
+
+
+# One declaration of the name `w` per kind, each valid after `chart C(x, y)`.
+_DECLARE_W = {
+    "chart": "chart w(u, v)",
+    "param": "param w",
+    "opaque": "opaque w",
+    "const": "const w = x + 1",
+    "form": "form w on C = d(x) /\\ d(y)",
+    "field": "vfield w on C = e(x)",
+    "map": "map w : C -> C = (y, x)",
+    "metric": "metric w on C = euclidean",
+    "region": "region w on C = [-1, 1]^2 lattice 3 random 8",
+    "locus": "locus w on C = coords(x=0)",
+}
+
+
+@pytest.mark.parametrize("second", _DECLARE_W)
+@pytest.mark.parametrize("first", _DECLARE_W)
+def test_every_name_is_declared_once(first, second):
+    text = f"chart C(x, y)\n{_DECLARE_W[first]}\n{_DECLARE_W[second]}\n"
+    with pytest.raises(ElaborationError) as e:
+        elaborate_scope(parse_scenario(text), RunConfig())
+    assert str(e.value) == "line 3: 'w' is already defined"
 
 
 def test_elaborate_rejects_unknown_chart():
@@ -110,7 +141,7 @@ def test_elaboration_error_becomes_synthetic_record():
     assert rec.kind == "elaboration"
     assert rec.verdict == "error"
     assert not rec.ok
-    assert "already defined" in rec.evidence["error"]
+    assert rec.evidence == {"error": "line 3: 'om' is already defined"}
 
 
 # -- check execution --------------------------------------------------------
@@ -199,6 +230,25 @@ def test_where_binding_substitutes_params():
     )
     rep = _run(text)
     assert [c.verdict for c in rep.checks] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [("x=1, Kp=3", "unknown param 'x'"), ("Kq=3", "unknown param 'Kq'")],
+    ids=["coordinate", "misspelt param"],
+)
+def test_where_binds_declared_params_only(where, error):
+    # Binding x=1 would make Kp*x*d(x)/\d(y) "equal" to 3*d(x)/\d(y), and
+    # an unknown name would be ignored: both are check errors instead.
+    text = (
+        "chart C(x, y)\n"
+        "param Kp\n"
+        "form a on C = Kp*x*d(x) /\\ d(y)\n"
+        "form b on C = 3*d(x) /\\ d(y)\n"
+        f"check equal a, b where {where}\n"
+    )
+    (rec,) = _run(text).checks
+    assert (rec.verdict, rec.evidence) == ("error", {"error": error})
 
 
 def test_scenario_without_checks_passes():
