@@ -492,6 +492,9 @@ class Metric:
             _, eps = _merge_indices(jc, jj)
             for idx, coeff in form.comps.items():
                 minor = [[self.inverse[r][c] for c in idx] for r in jc]
+                # An all-zero row makes the determinant exactly 0.
+                if not all(any(row) for row in minor):
+                    continue
                 scal = _linalg.exact_det(minor) * self.sqrt_det * eps
                 if scal == 0:
                     continue

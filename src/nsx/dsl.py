@@ -726,6 +726,7 @@ class _Box:
     `lattice n` or `lattice (n, ...)`.  Equal entries print as the short form."""
 
     _repeat = _count("repetition count", "a repetition count")
+    _resolution = _count("lattice resolution", "a lattice resolution")
 
     def read(self, parser, out):
         intervals = [self._interval(parser)]
@@ -736,9 +737,9 @@ class _Box:
                 intervals.append(self._interval(parser))
         parser.expect_keyword("lattice")
         if parser.at_op("("):
-            lattice = parser.parse_group(parser.expect_int, "a lattice resolution")
+            lattice = parser.parse_group(self._resolution.read_value, parser)
         else:
-            lattice = [parser.expect_int("a lattice resolution")] * len(intervals)
+            lattice = [self._resolution.read_value(parser)] * len(intervals)
         out["intervals"], out["lattice"] = tuple(intervals), tuple(lattice)
 
     def _interval(self, parser):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DomainError
-from .symexpr import compile_numpy, rat
+from .symexpr import _EXP, _PI, compile_numpy, rat
 
 RANK_THRESHOLD = 1e-8
 RANK_BAND_FLOOR = 1e-10
@@ -267,11 +267,11 @@ def _constant_sign(expr):
         return 0
     if len(expr.terms) != 1:
         return None
-    mono, coeff = expr.terms[0]
+    mono, numerator = expr.terms[0]
     for atom, _e in mono:
-        if atom[0] not in ("pi", "exp"):
+        if atom[0] not in (_PI, _EXP):
             return None
-    return 1 if coeff > 0 else -1
+    return 1 if numerator > 0 else -1
 
 
 def _top_form(alpha):

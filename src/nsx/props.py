@@ -10,11 +10,10 @@ count is always zero.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from .charts import Chart, ChartMap, DForm, Metric
-from .symexpr import _from_dict, _normalize_monomial, rat
+from .symexpr import _SYM, _canonical, _normalize_monomial, rat
 
 __all__ = ["run_property_battery", "PROPERTY_NAMES"]
 
@@ -34,16 +33,16 @@ def _chart(dim):
 def _rand_poly(rng, coords, max_terms=3, max_deg=2):
     """A random polynomial: up to max_terms terms, each a coefficient
     +-{1, 2, 3}/{1, 2} times up to max_deg coordinate factors, summed in
-    one term dict and canonicalized once."""
+    one dict of numerators over 2 and canonicalized once."""
     acc = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
-        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 3))
+        numerator = rng.choice((-3, -2, -1, 1, 2, 3)) * (2 // rng.randrange(1, 3))
         factors = [
-            (("sym", rng.choice(coords)), 1) for _ in range(rng.randrange(0, max_deg + 1))
+            ((_SYM, rng.choice(coords)), 1) for _ in range(rng.randrange(0, max_deg + 1))
         ]
         mono = _normalize_monomial(factors)
-        acc[mono] = acc.get(mono, 0) + coeff
-    return _from_dict(acc)
+        acc[mono] = acc.get(mono, 0) + numerator
+    return _canonical(acc, 2)
 
 
 def _rand_form(rng, chart, degree, max_terms=2):

@@ -486,11 +486,16 @@ def _compare_forms(left, right, ctx, evidence):
         return "fail", f"(degree {left.degree} vs {right.degree})"
     keys = sorted(set(left.comps) | set(right.comps))
     evidence["coefficients"] = len(keys)
-    undecided = 0
+    undecided = non_finite = 0
     for key in keys:
         a = left.coefficient(key)
         b = right.coefficient(key)
         outcome = semantically_equal(a, b, seed=ctx.seed, tol=ctx.tol)
+        if isinstance(outcome, Equal):
+            continue
+        non_finite += outcome.non_finite
+        if non_finite:
+            evidence["non_finite"] = non_finite
         if isinstance(outcome, NotEqual):
             evidence["status"] = "not equal"
             evidence["differs_at"] = list(key)
@@ -498,8 +503,7 @@ def _compare_forms(left, right, ctx, evidence):
                 evidence["witness"] = dict(outcome.witness)
                 evidence["values"] = list(outcome.values)
             return "fail", f"(differs at {list(key)})"
-        if not isinstance(outcome, Equal):
-            undecided += 1
+        undecided += 1
     if undecided:
         evidence["status"] = "undecided"
         evidence["undecided_coefficients"] = undecided

@@ -1,12 +1,13 @@
 """Exact scalar expressions over coordinate charts.
 
-An Expr is a finite sum of monomials with Fraction coefficients.  A
-monomial is a product of atoms raised to nonzero integer powers.  Atoms
-are coordinates, the constant pi, exp/sin/cos applied to an Expr
-argument, and opaque one-variable functions applied to a coordinate.
-Expressions are kept in a canonical sorted form at all times, so
-structural equality of two Expr values is a sound but incomplete test
-for mathematical equality.
+An Expr is a finite sum of monomials with rational coefficients, stored
+as integer numerators over one common denominator: the primitive part
+and content of a polynomial over Q.  A monomial is a product of atoms
+raised to nonzero integer powers.  Atoms are coordinates, the constant
+pi, exp/sin/cos applied to an Expr argument, and opaque one-variable
+functions applied to a coordinate.  Expressions are kept in a canonical
+sorted form at all times, so structural equality of two Expr values is
+a sound but incomplete test for mathematical equality.
 
 Exactly two rewrite rules run on every construction, with no way to
 switch them off:
@@ -68,64 +69,73 @@ __all__ = [
     "DEFAULT_REGISTRY",
 ]
 
+# Atom kind tags, in canonical order: an atom is (_SYM, name), (_PI,),
+# (_EXP, u), (_SIN, u), (_COS, u) or (_OPQ, fname, coord), so atoms and
+# monomials (tuples of (atom, exponent)) sort canonically as plain tuples.
+_SYM, _PI, _EXP, _SIN, _COS, _OPQ = range(6)
+_KIND_NAMES = ("sym", "pi", "exp", "sin", "cos", "opq")
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# Atom kind tags, in canonical sort order.
-_KIND_RANK = {"sym": 0, "pi": 1, "exp": 2, "sin": 3, "cos": 4, "opq": 5}
+# Bound of the memoized monomial products; the built-in suite makes ~2.5k.
+_MONO_PRODUCT_CACHE = 4096
 
 
-def _atom_key(atom):
-    kind = atom[0]
-    rank = _KIND_RANK[kind]
-    if kind == "sym":
-        return (rank, atom[1])
-    if kind == "pi":
-        return (rank,)
-    if kind == "opq":
-        return (rank, atom[1], atom[2])
-    # exp / sin / cos carry an Expr argument
-    return (rank, atom[1].key)
+def _coerced(op):
+    """A binary operator of Expr that also takes an int or a Fraction."""
 
+    def method(self, other):
+        other = _as_expr(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
 
-def _mono_key(mono):
-    return tuple((_atom_key(a), e) for a, e in mono)
+    return method
 
 
 class Expr:
-    """Canonical sum of monomials with Fraction coefficients.
+    """Canonical sum of monomials: integer numerators over one denominator.
+
+    `terms` is a tuple of (monomial, int numerator) pairs in strictly
+    increasing monomial order and `den` a positive int sharing no factor
+    with every numerator at once, so the coefficient of a term is
+    numerator / den and each value has exactly one representation.
 
     Do not call the constructor directly; use the module constructors
     (sym, rat, PI, exp_of, sin_of, cos_of, opaque_fn) and arithmetic.
     """
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("terms", "den", "_key", "_hash")
 
-    def __init__(self, terms):
-        # terms: tuple of (monomial, Fraction), already normalized.
+    def __init__(self, terms, den=1):
         self.terms = terms
+        self.den = den
         self._key = None
         self._hash = None
 
     @property
     def key(self):
+        """Order inside an atom: (monomial, reduced (num, den)) per term."""
         if self._key is None:
+            den = self.den
             self._key = tuple(
-                (_mono_key(m), (c.numerator, c.denominator)) for m, c in self.terms
+                (m, (n // (g := math.gcd(n, den)), den // g)) for m, n in self.terms
             )
         return self._key
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key)
+            self._hash = hash((self.terms, self.den))
         return self._hash
 
     def __eq__(self, other):
         if isinstance(other, Expr):
-            return self.key == other.key
+            return self is other or (self.den == other.den and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
-            return self.key == rat(other).key
+            return self == rat(other)
         return NotImplemented
+
+    def __lt__(self, other):
+        return self.key < other.key
 
     # -- predicates ---------------------------------------------------
 
@@ -141,7 +151,7 @@ class Expr:
         if not self.terms:
             return _F0
         if self.is_rational:
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1], self.den)
         raise DomainError(f"expression is not a rational constant: {self}")
 
     def single_monomial(self):
@@ -150,7 +160,8 @@ class Expr:
             raise DomainError(
                 f"expected a single-term expression, got {len(self.terms)} terms"
             )
-        return self.terms[0]
+        mono, n = self.terms[0]
+        return mono, Fraction(n, self.den)
 
     def free_coords(self):
         """All coordinate names the expression depends on."""
@@ -158,11 +169,11 @@ class Expr:
         for mono, _ in self.terms:
             for atom, _e in mono:
                 kind = atom[0]
-                if kind == "sym":
+                if kind == _SYM:
                     out.add(atom[1])
-                elif kind == "opq":
+                elif kind == _OPQ:
                     out.add(atom[2])
-                elif kind in ("exp", "sin", "cos"):
+                elif kind != _PI:
                     out |= atom[1].free_coords()
         return out
 
@@ -171,76 +182,43 @@ class Expr:
         for mono, _ in self.terms:
             for atom, _e in mono:
                 kind = atom[0]
-                if kind == "opq":
+                if kind == _OPQ:
                     out.add(atom[1])
-                elif kind in ("exp", "sin", "cos"):
+                elif kind in (_EXP, _SIN, _COS):
                     out |= atom[1].opaque_names()
         return out
 
     def is_polynomial(self):
         """True when only coordinates and pi occur (no exp/sin/cos/opq)."""
-        for mono, _ in self.terms:
-            for atom, _e in mono:
-                if atom[0] not in ("sym", "pi"):
-                    return False
-        return True
+        return all(atom[0] <= _PI for mono, _ in self.terms for atom, _e in mono)
 
     # -- arithmetic ---------------------------------------------------
 
+    @_coerced
     def __add__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = {}
-        for m, c in self.terms:
-            acc[m] = acc.get(m, _F0) + c
-        for m, c in other.terms:
-            acc[m] = acc.get(m, _F0) + c
-        return _from_dict(acc)
+        return _sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(tuple((m, -c) for m, c in self.terms))
+        return Expr(tuple((m, -n) for m, n in self.terms), self.den)
 
-    def __sub__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _coerced(lambda self, other: self + (-other))
+    __rsub__ = _coerced(lambda self, other: other + (-self))
 
-    def __rsub__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
+    @_coerced
     def __mul__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _normalize_monomial(list(m1) + list(m2))
-                c = c1 * c2
-                if c:
-                    acc[m] = acc.get(m, _F0) + c
-        return _from_dict(acc)
+        for m1, n1 in self.terms:
+            for m2, n2 in other.terms:
+                m = m2 if not m1 else m1 if not m2 else _mono_product(m1, m2)
+                acc[m] = acc.get(m, 0) + n1 * n2
+        return _canonical(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other**-1
-
-    def __rtruediv__(self, other):
-        other = _as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self**-1
+    __truediv__ = _coerced(lambda self, other: self * other**-1)
+    __rtruediv__ = _coerced(lambda self, other: other * self**-1)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -251,10 +229,9 @@ class Expr:
             # Only single-monomial expressions are invertible here;
             # sums would need a quotient field we deliberately avoid.
             mono, c = self.single_monomial()
-            if c == 0:
-                raise DomainError("division by zero expression")
             inv_mono = _normalize_monomial([(a, -e) for a, e in mono])
-            base = _from_dict({inv_mono: 1 / c})
+            inv = 1 / c
+            base = _monomial_expr(inv_mono, inv.numerator, inv.denominator)
             return base ** (-n)
         result = ONE
         power = self
@@ -270,20 +247,18 @@ class Expr:
 
     def diff(self, name):
         """Partial derivative with respect to the coordinate `name`."""
-        acc = {}
-        for mono, c in self.terms:
+        pieces = []
+        for mono, n in self.terms:
             for i, (atom, e) in enumerate(mono):
                 da = _atom_derivative(atom, name)
                 if da.is_zero:
                     continue
-                rest = _normalize_monomial(
-                    [(a, x) for j, (a, x) in enumerate(mono) if j != i]
-                    + ([(atom, e - 1)] if e != 1 else [])
-                )
-                piece = _from_dict({rest: c * e}) * da
-                for m2, c2 in piece.terms:
-                    acc[m2] = acc.get(m2, _F0) + c2
-        return _from_dict(acc)
+                # Dropping or lowering one exponent keeps a monomial canonical.
+                lowered = ((atom, e - 1),) if e != 1 else ()
+                piece = _monomial_expr(mono[:i] + lowered + mono[i + 1 :], n * e, self.den)
+                # A coordinate's derivative is 1.
+                pieces.append(piece if atom[0] == _SYM else piece * da)
+        return _sum(pieces)
 
     def subs(self, mapping):
         """Substitute coordinates by expressions.
@@ -295,8 +270,8 @@ class Expr:
         """
         mapping = {k: _as_expr(v) for k, v in mapping.items()}
         total = ZERO
-        for mono, c in self.terms:
-            piece = _from_dict({(): c})
+        for mono, n in self.terms:
+            piece = _monomial_expr((), n, self.den)
             for atom, e in mono:
                 piece = piece * _subs_atom(atom, mapping) ** e
             total = total + piece
@@ -311,13 +286,12 @@ class Expr:
         if not self.terms:
             return "0"
         parts = []
-        for i, (mono, c) in enumerate(self.terms):
-            sign = "-" if c < 0 else "+"
-            body = _term_str(mono, abs(c))
+        for i, (mono, n) in enumerate(self.terms):
+            body = _term_str(mono, Fraction(abs(n), self.den))
             if i == 0:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if n > 0 else "-" + body)
             else:
-                parts.append(f" {sign} {body}")
+                parts.append(f" {'-' if n < 0 else '+'} {body}")
         return "".join(parts)
 
     def __repr__(self):
@@ -330,14 +304,14 @@ def _term_str(mono, c):
         factors.append(str(c))
     for atom, e in mono:
         kind = atom[0]
-        if kind == "sym":
+        if kind == _SYM:
             s = atom[1]
-        elif kind == "pi":
+        elif kind == _PI:
             s = "pi"
-        elif kind == "opq":
+        elif kind == _OPQ:
             s = f"{atom[1]}({atom[2]})"
         else:
-            s = f"{kind}({atom[1]})"
+            s = f"{_KIND_NAMES[kind]}({atom[1]})"
         if e != 1:
             s = f"{s}^{e}"
         factors.append(s)
@@ -368,36 +342,25 @@ def _normalize_monomial(pairs):
     for atom, e in combined.items():
         if e == 0:
             continue
-        if atom[0] == "exp":
+        if atom[0] == _EXP:
             u = atom[1] * e if e != 1 else atom[1]
             exp_arg = u if exp_arg is None else exp_arg + u
         else:
             out.append((atom, e))
     if exp_arg is not None and not exp_arg.is_zero:
-        out.append((("exp", exp_arg), 1))
-    out.sort(key=lambda pair: _atom_key(pair[0]))
+        out.append(((_EXP, exp_arg), 1))
+    out.sort()
     return tuple(out)
+
+
+@lru_cache(maxsize=_MONO_PRODUCT_CACHE)
+def _mono_product(m1, m2):
+    return _normalize_monomial(m1 + m2)
 
 
 def _mono_adjust_trig(mono, u, sin_delta, cos_delta):
     """Shift the exponents of sin(u) and cos(u) inside a monomial."""
-    pairs = []
-    seen_sin = seen_cos = False
-    for atom, e in mono:
-        if atom == ("sin", u):
-            e += sin_delta
-            seen_sin = True
-        elif atom == ("cos", u):
-            e += cos_delta
-            seen_cos = True
-        if e != 0:
-            pairs.append((atom, e))
-    if not seen_sin and sin_delta:
-        pairs.append((("sin", u), sin_delta))
-    if not seen_cos and cos_delta:
-        pairs.append((("cos", u), cos_delta))
-    pairs.sort(key=lambda pair: _atom_key(pair[0]))
-    return tuple(pairs)
+    return _normalize_monomial(mono + (((_SIN, u), sin_delta), ((_COS, u), cos_delta)))
 
 
 def _pythagorean_fixpoint(acc):
@@ -405,12 +368,12 @@ def _pythagorean_fixpoint(acc):
     changed = True
     while changed:
         changed = False
-        for mono in sorted(acc, key=_mono_key):
+        for mono in sorted(acc):
             c = acc.get(mono)
             if not c:
                 continue
             for atom, e in mono:
-                if atom[0] != "sin" or e < 2:
+                if atom[0] != _SIN or e < 2:
                     continue
                 u = atom[1]
                 partner = _mono_adjust_trig(mono, u, -2, +2)
@@ -419,72 +382,88 @@ def _pythagorean_fixpoint(acc):
                 reduced = _mono_adjust_trig(mono, u, -2, 0)
                 del acc[mono]
                 del acc[partner]
-                acc[reduced] = acc.get(reduced, _F0) + c
+                acc[reduced] = acc.get(reduced, 0) + c
                 if not acc[reduced]:
                     del acc[reduced]
                 changed = True
                 break
             if changed:
                 break
-    return acc
 
 
-def _from_dict(acc):
-    acc = {m: c for m, c in acc.items() if c}
-    if any(any(a[0] == "sin" and e >= 2 for a, e in m) for m in acc):
-        acc = _pythagorean_fixpoint(acc)
-    terms = tuple(sorted(acc.items(), key=lambda item: _mono_key(item[0])))
-    return Expr(terms)
+def _canonical(acc, den):
+    """The Expr of sum(n * mono for mono, n in acc) / den, for int
+    numerators and den > 0: sin^2/cos^2 partners collapsed, zero terms
+    dropped, the common factor cancelled and the terms sorted.  One term
+    has no Pythagorean partner."""
+    if len(acc) > 1 and any(a[0] == _SIN and e >= 2 for m in acc for a, e in m):
+        _pythagorean_fixpoint(acc)
+    g = math.gcd(den, *acc.values())
+    return Expr(tuple(sorted((m, n // g) for m, n in acc.items() if n)), den // g)
+
+
+def _sum(exprs):
+    """The sum of Exprs, canonicalized once: the Pythagorean collapse sees
+    all their terms together."""
+    den = math.lcm(*(e.den for e in exprs))
+    acc = {}
+    for e in exprs:
+        scale = den // e.den
+        for m, n in e.terms:
+            acc[m] = acc.get(m, 0) + n * scale
+    return _canonical(acc, den)
+
+
+def _monomial_expr(mono, n, den):
+    """n/den * mono for a canonical monomial, an int n != 0 and den > 0."""
+    g = math.gcd(n, den)
+    return Expr(((mono, n // g),), den // g)
 
 
 # -- constructors -----------------------------------------------------
+
+
+def _atom_expr(atom):
+    return Expr(((((atom, 1),), 1),))
 
 
 def sym(name):
     """The coordinate `name` as an expression."""
     if not isinstance(name, str) or not name:
         raise DomainError(f"coordinate name must be a nonempty string, got {name!r}")
-    return _from_dict({((("sym", name), 1),): _F1})
+    return _atom_expr((_SYM, name))
 
 
 def rat(p, q=1):
     c = Fraction(p, q) if q != 1 else Fraction(p)
-    if c == 0:
-        return ZERO
-    return _from_dict({(): c})
+    return Expr((((), c.numerator),), c.denominator) if c else ZERO
 
 
 def exp_of(u):
     u = _as_expr(u)
-    if u.is_zero:
-        return ONE
-    return _from_dict({((("exp", u), 1),): _F1})
+    return _atom_expr((_EXP, u)) if u.terms else ONE
 
 
 def sin_of(u):
     u = _as_expr(u)
-    if u.is_zero:
-        return ZERO
-    return _from_dict({((("sin", u), 1),): _F1})
+    return _atom_expr((_SIN, u)) if u.terms else ZERO
 
 
 def cos_of(u):
     u = _as_expr(u)
-    if u.is_zero:
-        return ONE
-    return _from_dict({((("cos", u), 1),): _F1})
+    return _atom_expr((_COS, u)) if u.terms else ONE
 
 
 def opaque_fn(fname, coord):
     """Apply the opaque function `fname` to the coordinate `coord`."""
     if not isinstance(coord, str):
         raise DomainError("opaque functions apply to a coordinate name")
-    return _from_dict({((("opq", fname, coord), 1),): _F1})
+    return _atom_expr((_OPQ, fname, coord))
 
 
 ZERO = Expr(())
-ONE = Expr((((), _F1),))
-PI = Expr(((((("pi",), 1),), _F1),))
+ONE = Expr((((), 1),))
+PI = _atom_expr((_PI,))
 
 
 # -- derivatives and substitution --------------------------------------
@@ -492,33 +471,31 @@ PI = Expr(((((("pi",), 1),), _F1),))
 
 def _atom_derivative(atom, name):
     kind = atom[0]
-    if kind == "sym":
+    if kind == _SYM:
         return ONE if atom[1] == name else ZERO
-    if kind == "pi":
+    if kind == _PI:
         return ZERO
-    if kind == "opq":
+    if kind == _OPQ:
         if atom[2] != name:
             return ZERO
         return opaque_fn(atom[1] + "'", atom[2])
     du = atom[1].diff(name)
     if du.is_zero:
         return ZERO
-    if kind == "exp":
+    if kind == _EXP:
         return exp_of(atom[1]) * du
-    if kind == "sin":
+    if kind == _SIN:
         return cos_of(atom[1]) * du
-    if kind == "cos":
-        return -sin_of(atom[1]) * du
-    raise AssertionError(f"unknown atom kind {kind}")
+    return -sin_of(atom[1]) * du
 
 
 def _subs_atom(atom, mapping):
     kind = atom[0]
-    if kind == "sym":
+    if kind == _SYM:
         return mapping.get(atom[1], sym(atom[1]))
-    if kind == "pi":
+    if kind == _PI:
         return PI
-    if kind == "opq":
+    if kind == _OPQ:
         fname, coord = atom[1], atom[2]
         if coord not in mapping:
             return opaque_fn(fname, coord)
@@ -531,21 +508,21 @@ def _subs_atom(atom, mapping):
             )
         return opaque_fn(fname, new_name)
     arg = atom[1].subs(mapping)
-    if kind == "exp":
+    if kind == _EXP:
         return exp_of(arg)
-    if kind == "sin":
+    if kind == _SIN:
         return sin_of(arg)
     return cos_of(arg)
 
 
 def _bare_coord(e):
-    if len(e.terms) != 1:
+    if len(e.terms) != 1 or e.den != 1:
         return None
-    mono, c = e.terms[0]
-    if c != 1 or len(mono) != 1:
+    mono, n = e.terms[0]
+    if n != 1 or len(mono) != 1:
         return None
     atom, exp = mono[0]
-    if atom[0] == "sym" and exp == 1:
+    if atom[0] == _SYM and exp == 1:
         return atom[1]
     return None
 
@@ -625,21 +602,28 @@ def evaluate(expr, env):
     registered before their term is inspected at all; a term that
     would short-circuit still raises on an unregistered opaque, so a
     missing registration cannot hide behind a zero.
+
+    Exact terms are summed on the numerators and divided by the common
+    denominator once; a term that meets a float turns into one at that
+    factor, as float(exact part / den).
     """
     for name in sorted(expr.opaque_names()):
         _opaque_numeric(name)
+    den = expr.den
     exact_sum = _F0
     float_sum = 0.0
     has_float = False
-    for mono, c in expr.terms:
-        value = _eval_term(mono, c, env)
+    for mono, n in expr.terms:
+        value = _eval_term(mono, n, den, env)
         if value is None:
             continue
-        if isinstance(value, Fraction):
-            exact_sum += value
-        else:
+        if isinstance(value, float):
             float_sum += value
             has_float = True
+        else:
+            exact_sum += value
+    if den != 1:
+        exact_sum /= den
     if has_float:
         return float(exact_sum) + float_sum
     return exact_sum
@@ -657,13 +641,15 @@ def _env_value(env, name):
     raise EvaluationError(f"bad value for coordinate {name}: {v!r}")
 
 
-def _eval_term(mono, c, env):
+def _eval_term(mono, n, den, env):
+    """den times the exact value of n/den * mono, a float once a factor
+    is a float, or None for an exact zero term."""
     # Exact pass first: rational coordinate factors and exact-foldable
-    # transcendental arguments.  Returns None for an exact zero term.
-    exact = c
+    # transcendental arguments.
+    result = n
     deferred = []
     for atom, e in mono:
-        if atom[0] == "sym":
+        if atom[0] == _SYM:
             v = _env_value(env, atom[1])
             if isinstance(v, Fraction):
                 if v == 0:
@@ -672,53 +658,42 @@ def _eval_term(mono, c, env):
                             f"coordinate {atom[1]} is 0 but appears to power {e}"
                         )
                     return None
-                exact *= v**e
-            else:
-                deferred.append((atom, e))
-        else:
-            deferred.append((atom, e))
-    if not deferred:
-        return exact
+                result = v**e * result
+                continue
+        deferred.append((atom, e))
     # Second pass may still fold: exp(0)=1, sin(0)=0, cos(0)=1 at the
     # evaluated argument keep exactness through transcendental atoms.
-    result = exact
     for atom, e in deferred:
         v = _eval_atom(atom, env)
-        if isinstance(v, Fraction):
-            if v == 0:
-                if e < 0:
-                    raise EvaluationError(f"zero atom {atom[0]} raised to power {e}")
-                return None
+        if v == 0 and e < 0:
+            raise EvaluationError(f"zero atom {_KIND_NAMES[atom[0]]} raised to power {e}")
+        if isinstance(v, float):
+            if not isinstance(result, float):
+                # int / int and float(Fraction) both round the quotient once.
+                result = float(result / den)
             result = result * v**e
-            continue
-        if v == 0.0:
-            if e < 0:
-                raise EvaluationError(f"zero atom {atom[0]} raised to power {e}")
-            result = result * 0.0
-            continue
-        result = _to_float(result) * v**e
+        elif v == 0:
+            return None
+        else:
+            result = v**e * result
     return result
-
-
-def _to_float(x):
-    return float(x) if isinstance(x, Fraction) else x
 
 
 def _eval_atom(atom, env):
     kind = atom[0]
-    if kind == "sym":
+    if kind == _SYM:
         return _env_value(env, atom[1])
-    if kind == "pi":
+    if kind == _PI:
         return math.pi
-    if kind == "opq":
+    if kind == _OPQ:
         v = _env_value(env, atom[2])
         return float(_opaque_numeric(atom[1])(float(v)))
     arg = evaluate(atom[1], env)
     if isinstance(arg, Fraction):
         if arg == 0:
-            return {"exp": _F1, "sin": _F0, "cos": _F1}[kind]
+            return _F0 if kind == _SIN else _F1
         arg = float(arg)
-    return {"exp": math.exp, "sin": math.sin, "cos": math.cos}[kind](arg)
+    return {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}[kind](arg)
 
 
 # -- vectorized evaluation ---------------------------------------------
@@ -746,9 +721,9 @@ def _compile(expr):
 
 def _build_numpy(expr):
     terms = []
-    for mono, c in expr.terms:
+    for mono, n in expr.terms:
         factors = [_build_atom_numpy(atom, e) for atom, e in mono]
-        terms.append((float(c), factors))
+        terms.append((float(Fraction(n, expr.den)), factors))
 
     def fn(env):
         total = 0.0
@@ -767,17 +742,17 @@ def _build_numpy(expr):
 
 def _build_atom_numpy(atom, e):
     kind = atom[0]
-    if kind == "sym":
+    if kind == _SYM:
         name = atom[1]
         base = lambda env: np.asarray(env[name], dtype=float)
-    elif kind == "pi":
+    elif kind == _PI:
         base = lambda env: math.pi
-    elif kind == "opq":
+    elif kind == _OPQ:
         fname, name = atom[1], atom[2]
         base = lambda env: _opaque_numeric(fname)(np.asarray(env[name], dtype=float))
     else:
         inner = _build_numpy(atom[1])
-        outer = {"exp": np.exp, "sin": np.sin, "cos": np.cos}[kind]
+        outer = {_EXP: np.exp, _SIN: np.sin, _COS: np.cos}[kind]
         base = lambda env: outer(inner(env))
     if e == 1:
         return base
@@ -796,12 +771,14 @@ class Equal:
 class NotEqual:
     witness: tuple | None = None
     values: tuple | None = None
+    non_finite: int = 0
     kind: str = "not_equal"
 
 
 @dataclass(frozen=True)
 class Undecided:
     samples: int = 0
+    non_finite: int = 0
     kind: str = "undecided"
 
 
@@ -824,6 +801,10 @@ def semantically_equal(e1, e2, *, seed=0, tol=1e-9):
                 complete invariant) or a sampled point separates them
                 beyond tol relative to scale.  Carries a witness.
     Undecided   everything else.  Never treated as a pass by callers.
+
+    A sampled point whose float value overflows or is NaN or infinite
+    decides nothing; outside the polynomial fragment it is counted under
+    non_finite, not under samples.
     """
     e1 = _as_expr(e1)
     e2 = _as_expr(e2)
@@ -839,22 +820,34 @@ def semantically_equal(e1, e2, *, seed=0, tol=1e-9):
         best = -1.0
         for _ in range(8):
             env = {c: _dyadic(rng) for c in coords}
-            a = float(evaluate(e1, env))
-            b = float(evaluate(e2, env))
-            if abs(a - b) > best:
-                best = abs(a - b)
-                witness = (tuple(sorted(env.items())), (a, b))
+            values = _float_values(e1, e2, env)
+            if values and abs(values[0] - values[1]) > best:
+                best = abs(values[0] - values[1])
+                witness = (tuple(sorted(env.items())), values)
         if witness and best > 0:
-            return NotEqual(witness=witness[0], values=witness[1])
+            return NotEqual(*witness)
         return NotEqual()
     for name in sorted(e1.opaque_names() | e2.opaque_names()):
         if not DEFAULT_REGISTRY.known(name):
             return Undecided(samples=0)
+    non_finite = 0
     for _ in range(_SEMANTIC_SAMPLES):
         env = {c: _dyadic(rng) for c in coords}
-        a = float(evaluate(e1, env))
-        b = float(evaluate(e2, env))
+        values = _float_values(e1, e2, env)
+        if values is None:
+            non_finite += 1
+            continue
+        a, b = values
         scale = max(1.0, abs(a), abs(b))
         if abs(a - b) > tol * scale:
-            return NotEqual(witness=tuple(sorted(env.items())), values=(a, b))
-    return Undecided(samples=_SEMANTIC_SAMPLES)
+            return NotEqual(tuple(sorted(env.items())), (a, b), non_finite)
+    return Undecided(samples=_SEMANTIC_SAMPLES - non_finite, non_finite=non_finite)
+
+
+def _float_values(e1, e2, env):
+    """(e1, e2) as floats at env, or None when one overflows or is not finite."""
+    try:
+        a, b = float(evaluate(e1, env)), float(evaluate(e2, env))
+    except OverflowError:
+        return None
+    return (a, b) if math.isfinite(a) and math.isfinite(b) else None

@@ -1,5 +1,7 @@
 """The command-line front end: argument checks and exit codes."""
 
+import json
+
 import pytest
 
 from nsx import cli
@@ -55,6 +57,35 @@ def test_zero_repetition_count_exits_2(tmp_path, command, capsys):
     path.write_text("chart C(x, y)\nregion R on C = [0, 1]^0 lattice 3 random 0\n")
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err == "error: line 2, col 24: repetition count must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["check", "print"])
+@pytest.mark.parametrize("lattice, col", [("0", 34), ("(2, 0)", 38)])
+def test_zero_lattice_resolution_exits_2(tmp_path, command, lattice, col, capsys):
+    path = tmp_path / "box.nsx"
+    path.write_text(f"chart C(x, y)\nregion R on C = [0, 1]^2 lattice {lattice} random 8\n")
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2, col {col}: lattice resolution must be at least 1\n"
+
+
+# exp(exp(exp(x))) overflows a float for x above about 1.9, so some of the
+# sampled points of `equal` have no float value on some seeds.
+OVERFLOWING_EQUAL = """chart C(x)
+const a = exp(exp(exp(x)))*sin(x)^2
+const b = exp(exp(exp(x))) - exp(exp(exp(x)))*cos(x)^2
+check equal a, b
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_equal_skips_overflowing_samples(tmp_path, seed):
+    path = tmp_path / "overflow.nsx"
+    path.write_text(OVERFLOWING_EQUAL)
+    report = tmp_path / "report.json"
+    # An undecided check is not the declared pass, so the run exits 1.
+    assert cli.main(["check", str(path), "--seed", str(seed), "--json", str(report)]) == 1
+    (check,) = json.loads(report.read_text())["scenarios"][0]["checks"]
+    assert check["verdict"] == "undecided"
 
 
 def test_eval_skips_an_overflowing_object(tmp_path, capsys):

@@ -1,17 +1,23 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsx.errors import DomainError, EvaluationError
+from nsx.dsl import parse_scenario, random_scenario
+from nsx.errors import DomainError, ElaborationError, EvaluationError
+from nsx.runner import RunConfig, elaborate_scope
+from nsx.scenarios import SUITE
 from nsx.symexpr import (
     ONE,
     PI,
     ZERO,
     Equal,
+    Expr,
     NotEqual,
     Undecided,
     compile_numpy,
@@ -48,6 +54,84 @@ def polynomials(draw, names=("x", "y", "z"), max_terms=4):
 
 def _poly_env(rng):
     return {n: Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for n in "xyz"}
+
+
+# -- the representation against an independent oracle -------------------
+
+SP = {n: sympy.Symbol(n) for n in "xyz"}
+
+
+@st.composite
+def expr_pairs(draw, depth=3, transcendental=False):
+    """(Expr, sympy expression) built by the same random sequence of
+    + - * **, diff and subs; with transcendental, exp/sin/cos and pi
+    leaves occur too."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.sampled_from(["coord", "rational", "atom"][: 3 if transcendental else 2]))
+        if leaf == "coord":
+            n = draw(st.sampled_from("xyz"))
+            return sym(n), SP[n]
+        if leaf == "rational":
+            q = draw(rationals)
+            return rat(q), sympy.Rational(q.numerator, q.denominator)
+        kind = draw(st.sampled_from(["pi", "exp", "sin", "cos"]))
+        if kind == "pi":
+            return PI, sympy.pi
+        a, sa = draw(expr_pairs(depth=1))
+        f, sf = {"exp": (exp_of, sympy.exp), "sin": (sin_of, sympy.sin), "cos": (cos_of, sympy.cos)}[kind]
+        return f(a), sf(sa)
+    sub = expr_pairs(depth=depth - 1, transcendental=transcendental)
+    a, sa = draw(sub)
+    op = draw(st.sampled_from(["+", "-", "*", "**", "diff", "subs"]))
+    if op == "**":
+        k = draw(st.integers(0, 2))
+        return a**k, sa**k
+    if op in ("diff", "subs"):
+        n = draw(st.sampled_from("xyz"))
+        if op == "diff":
+            return a.diff(n), sympy.diff(sa, SP[n])
+        b, sb = draw(sub)
+        return a.subs({n: b}), sa.subs(SP[n], sb)
+    b, sb = draw(sub)
+    if op == "+":
+        return a + b, sa + sb
+    if op == "-":
+        return a - b, sa - sb
+    return a * b, sa * sb
+
+
+def _assert_canonical(e):
+    """den > 0, no factor common to den and every numerator, nonzero
+    numerators, strictly increasing monomials; also inside atoms."""
+    assert isinstance(e.den, int) and e.den > 0
+    assert all(isinstance(n, int) and n != 0 for _, n in e.terms)
+    assert math.gcd(e.den, *(n for _, n in e.terms)) == 1
+    monos = [m for m, _ in e.terms]
+    assert all(a < b for a, b in zip(monos, monos[1:]))
+    for mono in monos:
+        for atom, power in mono:
+            assert power != 0
+            if isinstance(atom[-1], Expr):
+                _assert_canonical(atom[-1])
+
+
+dyadics = st.builds(lambda k: Fraction(k, 16), st.integers(-48, 48))
+
+
+@given(expr_pairs(), st.tuples(dyadics, dyadics, dyadics))
+@settings(max_examples=100, deadline=None)
+def test_polynomials_are_canonical_and_evaluate_as_sympy(pair, point):
+    e, se = pair
+    _assert_canonical(e)
+    env = dict(zip("xyz", point))
+    want = se.subs({SP[n]: sympy.Rational(v.numerator, v.denominator) for n, v in env.items()})
+    assert evaluate(e, env) == Fraction(int(want.p), int(want.q))
+
+
+@given(expr_pairs(transcendental=True))
+@settings(max_examples=100, deadline=None)
+def test_transcendental_expressions_are_canonical(pair):
+    _assert_canonical(pair[0])
 
 
 # -- canonical arithmetic ---------------------------------------------
@@ -379,8 +463,47 @@ def test_semantically_equal_sampled_match_is_undecided(register_opaque):
     assert v.samples > 0
 
 
+def test_semantically_equal_skips_non_finite_samples():
+    # exp(exp(exp(x))) overflows a float for x above about 1.9.
+    big = exp_of(exp_of(exp_of(x)))
+    v = semantically_equal(big * sin_of(x) ** 2, big - big * cos_of(x) ** 2, seed=2)
+    assert v == Undecided(samples=30, non_finite=2)
+    # Polynomials differ exactly; a witness overflowing a float is skipped.
+    v = semantically_equal(x**1200, x**1201)
+    assert isinstance(v, NotEqual) and all(abs(value) < math.inf for value in v.values)
+
+
 def test_semantically_equal_seed_stability():
     a, b = x * y, x + y
     v1 = semantically_equal(a, b, seed=4)
     v2 = semantically_equal(a, b, seed=4)
     assert v1.witness == v2.witness
+
+
+# -- golden text of every declared expression ---------------------------
+
+# str() of every const, form and field that the 12 suite texts and the
+# elaborating ones among 400 seeded random scenarios declare.  The file was
+# written by the engine while Expr still held Fraction coefficients; it pins
+# canonical term order and coefficient printing, exp atoms included.
+GOLDEN_EXPR_TEXT = Path(__file__).parent / "golden" / "expr_text.txt"
+
+
+def _declared_expr_text():
+    texts = [(sid, parse_scenario(text)) for sid, _, text in SUITE]
+    rng = random.Random(0xC0FFEE)
+    texts += [(f"random {i}", random_scenario(rng)) for i in range(400)]
+    lines = []
+    for source, scenario in texts:
+        try:
+            scope = elaborate_scope(scenario, RunConfig())
+        except ElaborationError:
+            continue
+        for kind in ("const", "form", "field"):
+            for name, value in scope.of_kind(kind):
+                lines.append(f"{source} {kind} {name} = {value}\n")
+    return "".join(lines)
+
+
+def test_declared_expressions_print_as_golden():
+    assert _declared_expr_text() == GOLDEN_EXPR_TEXT.read_text()
