@@ -10,6 +10,19 @@ from the locus itself and off-locus samples from the ambient region by
 rejection against a distance margin, then test pointwise claims on the
 two populations.  Sample counts are part of the verdict: too few points
 on either side fails the check rather than silently passing it.
+
+A random draw on a rational interval is one of its 2**12 + 1 dyadic
+points, (base + step*k) / den for a seeded k, where `Region.dyadic_axes`
+holds (base, step, den) per axis.  Lattice points and most draws are
+{coord: Fraction} dicts.  Off-locus draws against a rational coordinate
+locus are held as integer numerators over those fixed denominators
+(`_DyadicPoints`): the margin test is one integer comparison, the float
+columns are one integer array divided by the denominators, and a dict is
+built only for a point that is read one at a time.
+
+A float value inside the tolerance band decides nothing by itself: it
+is a counterexample only when an exact value confirms it, and otherwise
+the report counts it under `band` and is undecided.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +67,7 @@ MIN_ON_SAMPLES = 1
 MIN_OFF_SAMPLES = 8
 DEFAULT_MARGIN = Fraction(1, 8)
 _DYADIC_BITS = 12
+_FLOAT_EXACT = 1 << 53  # every int of smaller magnitude is exact as a float64
 _REJECTION_CAP_FACTOR = 50
 _MAX_RECORDED_COUNTEREXAMPLES = 5
 
@@ -71,17 +86,25 @@ def _is_rational_number(v):
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def _dyadic_between(rng, lo, hi):
+def _dyadic_axis(lo, hi):
+    """The dyadic draws of [lo, hi] as (base, step, den): draw k, for k in
+    0..2**bits, is (base + step*k) / den.  None when an end is a float."""
+    if not (_is_rational_number(lo) and _is_rational_number(hi)):
+        return None
+    # lo + (hi - lo) * k / 2**bits over the common denominator
+    # lo.d * hi.d * 2**bits, so only the result is a Fraction.
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    return ln * hd << _DYADIC_BITS, hn * ld - ln * hd, ld * hd << _DYADIC_BITS
+
+
+def _dyadic_between(rng, lo, hi, axis):
+    """One seeded draw from [lo, hi], whose `_dyadic_axis` is `axis`."""
     k = rng.randrange(0, (1 << _DYADIC_BITS) + 1)
-    if _is_rational_number(lo) and _is_rational_number(hi):
-        # lo + (hi - lo) * k / 2**bits over the common denominator
-        # lo.d * hi.d * 2**bits, so only the result is a Fraction.
-        ln, ld = lo.numerator, lo.denominator
-        hn, hd = hi.numerator, hi.denominator
-        return Fraction(
-            (ln * hd << _DYADIC_BITS) + (hn * ld - ln * hd) * k, ld * hd << _DYADIC_BITS
-        )
-    return float(lo) + (float(hi) - float(lo)) * (k / float(1 << _DYADIC_BITS))
+    if axis is None:
+        return float(lo) + (float(hi) - float(lo)) * (k / float(1 << _DYADIC_BITS))
+    base, step, den = axis
+    return Fraction(base + step * k, den)
 
 
 def _axis_lattice(lo, hi, res):
@@ -121,6 +144,11 @@ class Region:
         if self.random_count < 0:
             raise DomainError("random sample count must be nonnegative")
 
+    @cached_property
+    def dyadic_axes(self):
+        """The `_dyadic_axis` of each interval, in coordinate order."""
+        return tuple(_dyadic_axis(lo, hi) for lo, hi in self.intervals)
+
     def contains(self, env):
         for c, (lo, hi) in zip(self.chart.coords, self.intervals):
             v = env[c]
@@ -146,8 +174,8 @@ def _lattice_product(pinned, region, coords):
 
 def random_env(region, rng):
     return {
-        c: _dyadic_between(rng, lo, hi)
-        for c, (lo, hi) in zip(region.chart.coords, region.intervals)
+        c: _dyadic_between(rng, lo, hi, axis)
+        for c, (lo, hi), axis in zip(region.chart.coords, region.intervals, region.dyadic_axes)
     }
 
 
@@ -337,26 +365,118 @@ def _coord_dist_sq_mixed(values, env):
     return total
 
 
+class _DyadicPoints:
+    """Dyadic draws of a rational region, each one tuple of integer
+    numerators over the region's fixed per-axis denominators.
+
+    An item is the {coord: Fraction} env that `random_env` draws, built
+    when it is read.  Every numerator and denominator is below 2**53.
+    """
+
+    def __init__(self, coords, dens, rows):
+        self.coords, self.dens, self.rows = coords, dens, rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return {c: Fraction(n, d) for c, n, d in zip(self.coords, self.rows[i], self.dens)}
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _DyadicPoints) else other)
+
+    def float_columns(self, coords):
+        """{coord: float64 array} bit-identical to float() of each Fraction.
+
+        Both integers of a quotient are exact as floats, so the one IEEE
+        division is correctly rounded, as `float(Fraction)` is.
+        """
+        nums = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.coords))
+        vals = nums.T.astype(np.float64, order="C") / np.array(self.dens, dtype=np.float64)[:, None]
+        cols = dict(zip(self.coords, vals))
+        return {c: cols[c] for c in coords}
+
+
+def _integer_margin_test(sampler, margin):
+    """`distance_sq(env) >= margin**2` as integer data, or None.
+
+    Returns (pins, threshold), one (axis, q, p*den, weight) per pinned
+    value p/q, such that a draw with numerators n accepts exactly when
+    sum(weight * (n[axis]*q - p*den)**2) >= threshold.  That needs a
+    rational coordinate locus on the region's chart, a rational margin
+    and a rational region whose numerators and denominators stay below
+    2**53; otherwise None.
+    """
+    locus, region = sampler.locus, sampler.region
+    axes = region.dyadic_axes
+    if not (
+        isinstance(locus, CoordLocus)
+        and locus.chart == region.chart
+        and _is_rational_number(margin)
+        and all(_is_rational_number(v) for _, v in locus.values)
+        and None not in axes
+    ):
+        return None
+    for base, step, den in axes:
+        if max(abs(base), abs(base + (step << _DYADIC_BITS)), den) >= _FLOAT_EXACT:
+            return None
+    # (n/den - p/q)**2 == (n*q - p*den)**2 / (den*q)**2; scale every term
+    # and margin**2 to the common denominator lcm((den*q)**2) * margin.d**2.
+    coords = region.chart.coords
+    pins = []
+    for c, v in locus.values:
+        i = coords.index(c)
+        den = axes[i][2]
+        pins.append((i, v.denominator, v.numerator * den, (den * v.denominator) ** 2))
+    common = math.lcm(*(sq for *_, sq in pins))
+    md_sq = margin.denominator**2
+    pins = [(i, q, pd, common // sq * md_sq) for i, q, pd, sq in pins]
+    return pins, margin.numerator**2 * common
+
+
 def off_locus_envs(sampler, margin, count, seed):
     """Accepted-count rejection sampling of the ambient region.
 
     Returns (envs, exhausted): at most `count` region samples at squared
     distance >= margin**2 from the locus; exhausted is True when the
     draw budget ran out first.
+
+    Each draw makes `random_env`'s RNG calls in the same order.  Where
+    `_integer_margin_test` applies, a draw stays integer numerators, the
+    margin test is one integer comparison, and envs is a `_DyadicPoints`;
+    for every other locus, region or margin, envs is a list of
+    `random_env` dicts tested with `LocusSampler.distance_sq`.
     """
     region = sampler.region
     rng = random.Random(derive_seed(seed, "off-locus"))
-    margin_sq = margin * margin
-    out = []
     budget = max(64, _REJECTION_CAP_FACTOR * count)
     draws = 0
-    while len(out) < count and draws < budget:
+    test = _integer_margin_test(sampler, margin)
+    if test is None:
+        margin_sq = margin * margin
+        out = []
+        while len(out) < count and draws < budget:
+            draws += 1
+            env = random_env(region, rng)
+            d = sampler.distance_sq(env)
+            if d is None or d >= margin_sq:
+                out.append(env)
+        return out, len(out) < count
+    pins, threshold = test
+    lines = [(base, step) for base, step, _ in region.dyadic_axes]
+    randrange, top = rng.randrange, (1 << _DYADIC_BITS) + 1
+    rows = []
+    while len(rows) < count and draws < budget:
         draws += 1
-        env = random_env(region, rng)
-        d = sampler.distance_sq(env)
-        if d is None or d >= margin_sq:
-            out.append(env)
-    return out, len(out) < count
+        row = tuple([base + step * randrange(0, top) for base, step in lines])
+        total = 0
+        for i, q, pd, weight in pins:
+            a = row[i] * q - pd
+            total += weight * a * a
+        if total >= threshold:
+            rows.append(row)
+    dens = tuple(den for *_, den in region.dyadic_axes)
+    return _DyadicPoints(region.chart.coords, dens, rows), len(rows) < count
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +492,7 @@ class LocusReport:
     on_failures: int = 0
     off_failures: int = 0
     non_finite: int = 0
+    band: int = 0
     counterexamples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     undecided: bool = False
@@ -380,6 +501,12 @@ class LocusReport:
         self.passed = False
         if note:
             self.notes.append(note)
+
+    def band_hit(self):
+        """Count a float sample inside the tolerance band that no exact
+        value decides; it leaves the report undecided."""
+        self.band += 1
+        self.undecided = True
 
     def add_counterexample(self, env, reason, value=None, side=None):
         self.passed = False
@@ -420,7 +547,10 @@ def _pull_subject(subject, via):
 
 def _float_values(exprs, envs, coords):
     """Float values of the expressions over the envs, one row per expression."""
-    envf = {c: np.array([float(e[c]) for e in envs]) for c in coords}
+    if isinstance(envs, _DyadicPoints):
+        envf = envs.float_columns(coords)
+    else:
+        envf = {c: np.array([float(e[c]) for e in envs]) for c in coords}
     return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
@@ -449,27 +579,38 @@ def _check_on_vanishing(report, exprs, envs, tol):
                 report.add_counterexample(env, "nonzero on locus", v, side="on")
 
 
-def _exact_recheck(expr, env):
-    """Exact value when both the expression and the point allow it."""
-    if not expr.is_polynomial():
+def _exact_recheck(exprs, env):
+    """Exact values of the expressions at env, or None unless every one is
+    polynomial and the point is rational."""
+    if not all(e.is_polynomial() for e in exprs):
         return None
     if not all(_is_rational_number(v) for v in env.values()):
         return None
-    return evaluate(expr, env)
+    return [evaluate(e, env) for e in exprs]
+
+
+_EXACT_HOLDS = {
+    "nonzero": lambda xs: any(x != 0 for x in xs),
+    "positive": lambda xs: xs[0] > 0,
+    "negative": lambda xs: xs[0] < 0,
+}
 
 
 def _check_off_requirement(report, exprs, envs, mode, tol, coords):
     """Sign or nonvanishing requirement over the off-locus population.
 
-    Floats drive the sweep; any sample that lands inside the tolerance
-    band is re-checked exactly when the expression is polynomial and the
-    point rational, so a float underflow cannot manufacture a failure.
+    Floats drive the sweep.  A violating sample is re-checked exactly when
+    the expressions are polynomial and the point rational, so a float
+    underflow cannot manufacture a failure.  Without an exact value, a
+    float beyond the tolerance band on the wrong side is a violation, and
+    one inside the band (every value within tol of zero) is a band hit.
     """
     if not envs:
         return
     vals = _float_values(exprs, envs, coords)
+    size = np.max(np.abs(vals), axis=0)
     if mode == "nonzero":
-        violated = np.max(np.abs(vals), axis=0) <= tol
+        violated = size <= tol
     elif mode == "positive":
         violated = vals[0] <= tol
     elif mode == "negative":
@@ -479,14 +620,16 @@ def _check_off_requirement(report, exprs, envs, mode, tol, coords):
     finite = _finite_samples(report, vals)
     for i in map(int, np.nonzero(violated & finite)[0]):
         env = envs[i]
-        exact = _exact_recheck(exprs[0], env) if len(exprs) == 1 else None
+        exact = _exact_recheck(exprs, env)
         if exact is None:
-            col = vals[:, i]
-            value = float(col.flat[np.argmax(np.abs(col))])
-        elif {"nonzero": exact != 0, "positive": exact > 0, "negative": exact < 0}[mode]:
+            if size[i] <= tol:
+                report.band_hit()
+                continue
+            value = float(vals[0, i])  # one expression: sign modes only
+        elif _EXACT_HOLDS[mode](exact):
             continue  # the float was inside the band; the exact value holds
         else:
-            value = exact
+            value = exact[0]
         report.add_counterexample(env, f"off-locus {mode} violated", value, side="off")
 
 
@@ -575,9 +718,11 @@ def verify_positive(
     tol=1e-9,
     seed=0,
 ):
-    """Single-coefficient form is strictly positive on the whole region:
-    exact sign at lattice points, float sign beyond tol at random points.  A NaN or infinite value is counted under non_finite
-    and leaves the report undecided.
+    """Single-coefficient form is strictly positive on the whole region.
+
+    The sign is exact wherever the value is; a float must be beyond tol.
+    A float within tol of zero is counted under band, and a NaN or
+    infinite value under non_finite; either leaves the report undecided.
     """
     report = LocusReport(kind="positive", passed=True)
     exprs = [form.comps[k] for k in sorted(form.comps)]
@@ -594,6 +739,9 @@ def verify_positive(
         elif not math.isfinite(v):
             report.non_finite += 1
             report.undecided = True
+            continue
+        elif abs(v) <= tol:
+            report.band_hit()
             continue
         else:
             ok = v > tol
@@ -647,7 +795,9 @@ def verify_fixed_points(
     seed=0,
 ):
     """The field vanishes on the locus and is bounded away from zero off
-    it: squared norm > tol**2 at every off-locus sample.  A NaN or
+    it: squared norm > tol**2 at every off-locus sample.  A smaller norm
+    is a counterexample only where the exact components are all zero;
+    without exact components it is a band hit.  A band hit or a NaN or
     infinite off-locus sample leaves the check undecided.
 
     With `via`, the field lives on via.target while locus, region, and
@@ -671,13 +821,13 @@ def verify_fixed_points(
         vals = _float_values(comps, envs, chart.coords)
         norm_sq = np.sum(vals * vals, axis=0)
         finite = _finite_samples(report, vals)
-        for i in np.nonzero((norm_sq <= tol * tol) & finite)[0]:
-            report.add_counterexample(
-                envs[int(i)],
-                "field approximately zero off locus",
-                float(norm_sq[int(i)]),
-                side="off",
-            )
+        for i in map(int, np.nonzero((norm_sq <= tol * tol) & finite)[0]):
+            env = envs[i]
+            exact = _exact_recheck(comps, env)
+            if exact is None:
+                report.band_hit()
+            elif not any(exact):
+                report.add_counterexample(env, "field zero off locus", 0, side="off")
     _enforce_floors(report, locus, "nonzero")
     return report
 

@@ -450,10 +450,13 @@ class _Ctx:
 
 def _locus_result(report, evidence, detail):
     """Verdict, evidence and detail of a locus report; a nonzero
-    non-finite count is added to the evidence and the detail."""
+    non-finite or band count is added to the evidence and the detail."""
     if report.non_finite:
         evidence["non_finite"] = report.non_finite
         detail += f", {report.non_finite} non-finite"
+    if report.band:
+        evidence["band"] = report.band
+        detail += f", {report.band} in band"
     if report.undecided:
         verdict = "undecided"
     else:
@@ -472,7 +475,7 @@ def _locus_report_result(report):
     }
     detail = (
         f"{report.on_count - report.on_failures}/{report.on_count} on-locus, "
-        f"{report.off_count - report.off_failures - report.non_finite}/{report.off_count} off-locus"
+        f"{report.off_count - report.off_failures - report.non_finite - report.band}/{report.off_count} off-locus"
     )
     return _locus_result(report, evidence, detail)
 

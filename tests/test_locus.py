@@ -27,7 +27,7 @@ from nsx.locus import (
     verify_rank_drop_locus,
     verify_vanishing_locus,
 )
-from nsx.symexpr import opaque_fn, rat, sym
+from nsx.symexpr import exp_of, opaque_fn, rat, sym
 
 C2 = Chart("c2", ("x", "y"))
 P2 = Chart("p2", ("u", "v"))
@@ -103,9 +103,13 @@ def _old_dyadic_between(rng, lo, hi):
     return float(lo) + (float(hi) - float(lo)) * (k / float(4096))
 
 
+def _dyadic_between(rng, lo, hi):
+    return locus_mod._dyadic_between(rng, lo, hi, locus_mod._dyadic_axis(lo, hi))
+
+
 def _same_draw(lo, hi, seed):
     rng, ref = random.Random(seed), random.Random(seed)
-    got, want = locus_mod._dyadic_between(rng, lo, hi), _old_dyadic_between(ref, lo, hi)
+    got, want = _dyadic_between(rng, lo, hi), _old_dyadic_between(ref, lo, hi)
     assert rng.getstate() == ref.getstate()  # one randrange per draw
     return got, want
 
@@ -140,7 +144,7 @@ class _FixedDraw:
 @pytest.mark.parametrize("lo, hi", [(F(-3, 7), F(5, 11)), (-2, 3), (F(9, 4), -1), (F(1, 3), F(1, 3))])
 def test_dyadic_between_every_k_matches_fraction_reference(lo, hi):
     for k in range(4097):
-        got = locus_mod._dyadic_between(_FixedDraw(k), lo, hi)
+        got = _dyadic_between(_FixedDraw(k), lo, hi)
         assert got == _old_dyadic_between(_FixedDraw(k), lo, hi)
 
 
@@ -320,6 +324,135 @@ def test_off_locus_envs_exhaust():
     assert exhausted and envs == []
 
 
+# -- off-locus draws as integer numerators ---------------------------------
+
+
+def _reference_off_locus_envs(sampler, margin, count, seed):
+    """The rejection loop on random_env dicts and distance_sq, as every
+    locus took it before rational coordinate loci got the integer path."""
+    rng = random.Random(derive_seed(seed, "off-locus"))
+    margin_sq = margin * margin
+    out = []
+    budget = max(64, 50 * count)
+    draws = 0
+    while len(out) < count and draws < budget:
+        draws += 1
+        env = random_env(sampler.region, rng)
+        d = sampler.distance_sq(env)
+        if d is None or d >= margin_sq:
+            out.append(env)
+    return out, len(out) < count
+
+
+def _within_float_bound(intervals):
+    """Every numerator and denominator of every dyadic draw is below 2**53."""
+    for lo, hi in intervals:
+        lo, hi = F(lo), F(hi)
+        ends = (lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator)
+        if max(abs(v) for v in ends) << 12 >= 2**53:
+            return False
+    return True
+
+
+def _assert_same_off_locus_envs(locus, region, margin, count, seed):
+    """The draws equal the reference's: the same Fraction dicts, the same
+    exhausted flag, and bit-identical float columns."""
+    sampler = LocusSampler(locus, region, seed=0)
+    got, exhausted = off_locus_envs(sampler, margin, count, seed)
+    want, want_exhausted = _reference_off_locus_envs(sampler, margin, count, seed)
+    assert exhausted == want_exhausted
+    assert len(got) == len(want) and list(got) == want
+    coords = region.chart.coords
+    exprs = [sym(c) for c in coords]
+    got_vals = locus_mod._float_values(exprs, got, coords)
+    want_vals = locus_mod._float_values(exprs, want, coords)
+    assert got_vals.dtype == want_vals.dtype == np.float64
+    assert np.array_equal(got_vals, want_vals) and got_vals.tobytes() == want_vals.tobytes()
+    return got
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=1000)
+_BIG_RATIONALS = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9)
+
+
+@st.composite
+def _coord_locus_cases(draw):
+    dim = draw(st.integers(1, 3))
+    chart = Chart("h", tuple(f"x{i}" for i in range(dim)))
+    ends = st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS)
+    intervals = tuple(tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2)))) for _ in range(dim))
+    if draw(st.booleans()):  # an interval with lo == hi
+        i = draw(st.integers(0, dim - 1))
+        intervals = intervals[:i] + ((intervals[i][0],) * 2,) + intervals[i + 1:]
+    pinned = draw(st.lists(st.sampled_from(chart.coords), min_size=1, max_size=dim, unique=True))
+    values = st.one_of(_SMALL_RATIONALS, st.integers(-2, 2))
+    locus = CoordLocus(chart, tuple((c, draw(values)) for c in pinned))
+    region = Region(chart, intervals, (1,) * dim, 0)
+    margin = draw(st.one_of(st.fractions(0, 2, max_denominator=64), st.integers(0, 2)))
+    return locus, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coord_locus_cases())
+def test_integer_off_locus_draws_match_the_reference(case):
+    locus, region, margin, count, seed = case
+    got = _assert_same_off_locus_envs(locus, region, margin, count, seed)
+    integer = isinstance(got, locus_mod._DyadicPoints)
+    assert integer == _within_float_bound(region.intervals)
+
+
+@pytest.mark.parametrize(
+    "lo, integer",
+    [
+        (-F(1, 2**41 - 1), True),  # denominator (2**41 - 1) * 2**12, just below 2**53
+        (-F(1, 2**41 + 1), False),  # denominator just above 2**53
+        (-(2**41 - 1), True),  # numerator of lo just below 2**53
+        (-(2**41), False),  # numerator of lo at 2**53
+    ],
+)
+def test_off_locus_float_bound_picks_the_path(lo, integer):
+    region = _region(intervals=((lo, 0), (F(-1), F(1))))
+    locus = CoordLocus(C2, (("y", F(0)),))
+    got = _assert_same_off_locus_envs(locus, region, F(1, 8), 40, seed=11)
+    assert isinstance(got, locus_mod._DyadicPoints) == integer and len(got) == 40
+
+
+def test_off_locus_margin_is_inclusive():
+    # Every draw has x = 1/2, at squared distance exactly margin**2 from x = 0.
+    region = _region(intervals=((F(1, 2), F(1, 2)), (F(-1), F(1))))
+    got = _assert_same_off_locus_envs(CoordLocus(C2, (("x", F(0)),)), region, F(1, 2), 12, seed=2)
+    assert len(got) == 12 and {e["x"] for e in got} == {F(1, 2)}
+
+
+def test_off_locus_exhausted_budget_matches_the_reference():
+    region = _region(intervals=((F(0), F(0)), (F(0), F(1))))
+    got = _assert_same_off_locus_envs(CoordLocus(C2, (("x", F(0)),)), region, F(1, 8), 4, seed=0)
+    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 0
+
+
+@pytest.mark.parametrize(
+    "locus, intervals",
+    [
+        (PointsLocus(C2, ((("x", F(0)), ("y", F(0))),)), ((F(-1), F(1)), (F(-1), F(1)))),
+        (CoordLocus(C2, (("x", F(0)),)), ((-1.0, 1.0), (F(-1), F(1)))),
+        (UnionLocus((CoordLocus(C2, (("x", F(0)),)), CoordLocus(C2, (("y", F(0)),)))), ((F(-1), F(1)),) * 2),
+    ],
+)
+def test_other_loci_and_float_regions_keep_the_dict_path(locus, intervals):
+    got = _assert_same_off_locus_envs(locus, _region(intervals=intervals), F(1, 8), 16, seed=4)
+    assert isinstance(got, list) and len(got) == 16
+
+
+def test_dyadic_points_read_like_a_list():
+    s = LocusSampler(CoordLocus(C2, (("x", F(0)),)), _region(), seed=0)
+    envs, _ = off_locus_envs(s, F(1, 8), 6, seed=1)
+    assert isinstance(envs, locus_mod._DyadicPoints)
+    as_list = list(envs)
+    assert envs[0] == as_list[0] and envs[-1] == as_list[-1]
+    assert envs == as_list and envs == off_locus_envs(s, F(1, 8), 6, seed=1)[0]
+    assert all(isinstance(v, Fraction) for e in envs for v in e.values())
+
+
 # -- vanishing locus -------------------------------------------------------
 
 
@@ -486,6 +619,16 @@ def test_verify_positive_keeps_finite_violations_beside_non_finite(register_opaq
     assert all(c["value"] == -1.0 for c in rep.counterexamples)
 
 
+def test_verify_positive_band_hits_are_undecided():
+    # e^(-100 x^2) is positive but below tol at |x| = 1; a clearly
+    # negative float elsewhere would still be a counterexample.
+    rep = verify_positive(function_form(C2, exp_of(-sym("x") ** 2 * 100)), _region())
+    assert rep.undecided and not rep.counterexamples and rep.on_failures == 0
+    assert rep.band > 0
+    neg = verify_positive(function_form(C2, exp_of(-sym("x") ** 2 * 100) - rat(1)), _region())
+    assert not neg.passed and neg.on_failures > 0
+
+
 def test_verify_positive_needs_single_coefficient():
     rep = verify_positive(_dy_times_x() + coord_differential(C2, "x"), _region())
     assert not rep.passed
@@ -529,6 +672,26 @@ def test_fixed_points_non_finite_off_samples_are_undecided(register_opaque):
     rep = verify_fixed_points(field, origin, _region())
     assert rep.undecided and rep.on_failures == 0 and rep.off_failures == 0
     assert 0 < rep.non_finite < rep.off_count == 16
+
+
+def test_fixed_points_exact_zero_off_locus_stays_a_counterexample():
+    # Every draw has x = 0, where the polynomial field x*e(x) is exactly zero.
+    field = VectorField.build(C2, [("x", sym("x"))])
+    origin = PointsLocus(C2, ((("x", F(0)), ("y", F(0))),))
+    region = _region(intervals=((F(0), F(0)), (F(-1), F(1))))
+    rep = verify_fixed_points(field, origin, region)
+    assert not rep.passed and not rep.undecided and rep.band == 0
+    assert rep.off_failures == rep.off_count == 16
+    assert rep.counterexamples[0]["reason"] == "field zero off locus"
+    assert rep.counterexamples[0]["value"] == "0"
+
+
+def test_fixed_points_band_hit_without_exact_value_is_undecided():
+    field = VectorField.build(C2, [("x", sym("x") * exp_of(-sym("x") ** 2 * 2000))])
+    origin = PointsLocus(C2, ((("x", F(0)), ("y", F(0))),))
+    rep = verify_fixed_points(field, origin, _region())
+    assert rep.undecided and rep.off_failures == 0 and not rep.counterexamples
+    assert 0 < rep.band <= rep.off_count == 16
 
 
 def test_fixed_points_zero_field_degenerate():

@@ -386,6 +386,65 @@ def test_finite_positive_evidence_has_no_non_finite_key():
     assert "non_finite" not in rec.evidence
 
 
+def test_positive_band_hits_are_undecided():
+    # exp(-40*x^2 - 40*y^2) is positive everywhere, but at the region's
+    # edge its float value is below tol (1.8e-35 at (-1, -1)); with no exact
+    # value such a sample is a band hit, not a counterexample.
+    text = (
+        "chart C(x, y)\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "check positive exp(-40*x^2 - 40*y^2) region R\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and not rec.ok
+    band = rec.evidence["band"]
+    assert 0 < band < 25 and rec.evidence["failures"] == 0 and rec.evidence["counterexamples"] == []
+    assert rec.detail == f"(25 samples, {band} in band)"
+
+
+def test_fixed_points_band_hits_are_undecided():
+    # The field is nonzero off the origin, but its float norm is below tol
+    # at the off-locus samples with |x| near 1.
+    text = (
+        "chart C(x, y)\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "vfield X on C = exp(-40*x^2)*(x*e(x) + y*e(y))\n"
+        "locus L on C = coords(x = 0, y = 0)\n"
+        "check fixed_points X on L region R\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and not rec.ok
+    band = rec.evidence["band"]
+    assert 0 < band < 16 and rec.evidence["off_failures"] == 0
+    assert rec.detail == f"(1/1 on-locus, {16 - band}/16 off-locus, {band} in band)"
+
+
+def test_off_locus_band_hits_without_an_exact_value_are_undecided():
+    # exp(-1000*x^2) underflows to 0.0 far from x = 0: not polynomial, so
+    # no exact re-check, and the nonzero requirement is left undecided.
+    text = (
+        "chart C(x, y)\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "locus L on C = coords(x = 0)\n"
+        "check vanishing_locus x*exp(-1000*x^2)*d(y) on L region R\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and rec.evidence["off_failures"] == 0
+    assert 0 < rec.evidence["band"] <= 16
+
+
+def test_locus_evidence_without_band_hits_has_no_band_key():
+    text = PLANE.replace("d(x) /\\ d(y)", "x * d(y)") + (
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "locus L on C = coords(x = 0)\n"
+        "check vanishing_locus area on L region R\n"
+        "check positive x^2 + 1 region R\n"
+    )
+    recs = _run(text).checks
+    assert [r.verdict for r in recs] == ["pass", "pass"]
+    assert all("band" not in r.evidence and "band" not in r.detail for r in recs)
+
+
 def test_rank_at_a_non_finite_matrix_is_undecided(register_opaque):
     # The float SVD cannot take a NaN entry; the rank is undecided rather
     # than an engine error.
