@@ -1,37 +1,94 @@
 """Small exact and floating linear algebra kit.
 
-Exact routines take matrices as sequences of rows of Fractions and
-never approximate.  The floating rank uses an SVD with a relative
-threshold plus an explicit undecided band, so borderline spectra are
-reported as such instead of being silently rounded to a rank.
+Exact routines take matrices as sequences of rows of rationals (Fractions
+or ints) and never approximate.  Inside, each row is scaled to integers by
+the lcm of its denominators, and one fraction-free elimination serves rank,
+RREF, kernel, determinant and inverse: a row operation p*a - f*b is followed
+by division by the row's content, so no Fraction is built until an output
+needs one.  The floating rank uses an SVD with a relative threshold plus an
+explicit undecided band, so borderline spectra are reported as such instead
+of being silently rounded to a rank.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 _F0 = Fraction(0)
 
 
-def exact_rref(rows, ncols):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, as lists of ints, and
+    the product of those lcms."""
+    out = []
+    scale = 1
+    for row in rows:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+    return out, scale
+
+
+def _eliminate(rows, ncols, reduced):
+    """Fraction-free Gaussian elimination over the first ncols columns.
+
+    Returns (int_rows, pivots, num, den).  The first len(pivots) rows are
+    the pivot rows, in order.  A row p*a - f*b is divided by the gcd of its
+    entries, so the integers stay small.  With reduced, each pivot column
+    is zero outside its pivot row, so pivot row i divided by its pivot is
+    row i of the RREF.  Without it, only the rows below a pivot are cleared
+    (echelon form), and a square matrix of full rank has determinant
+    num / den times the product of the diagonal.
+    """
+    m, den = _integer_rows(rows)
+    n = len(m)
+    num = 1
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            num = -num
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, n):
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            # The new row is (a*row - b*prow) / g, so det scales by a / g.
+            den *= a
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                num *= g
+            m[i] = row
         pivots.append(c)
         r += 1
-    return m[:r], pivots
+    return m, pivots, num, den
+
+
+def exact_rref(rows, ncols):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    m, pivots, _, _ = _eliminate(rows, ncols, True)
+    rref = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        rref.append([Fraction(x, p) for x in row])
+    return rref, pivots
 
 
 def exact_rank(rows, ncols=None):
@@ -40,7 +97,7 @@ def exact_rank(rows, ncols=None):
         return 0
     if ncols is None:
         ncols = len(rows[0])
-    return len(exact_rref(rows, ncols)[1])
+    return len(_eliminate(rows, ncols, False)[1])
 
 
 def exact_kernel(rows, ncols):
@@ -49,48 +106,36 @@ def exact_kernel(rows, ncols):
     Free variables are set to 1 one at a time, so the basis is
     deterministic given the row order.
     """
-    rref, pivots = exact_rref(rows, ncols)
+    m, pivots, _, _ = _eliminate(rows, ncols, True)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [_F0] * ncols
         v[f] = Fraction(1)
-        for row, p in zip(rref, pivots):
-            v[p] = -row[f]
+        for row, p in zip(m, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis
 
 
 def exact_det(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return _F0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    n = len(rows)
+    m, pivots, num, den = _eliminate(rows, n, False)
+    if len(pivots) < n:
+        return _F0
+    for i in range(n):
+        num *= m[i][i]
+    return Fraction(num, den)
 
 
 def exact_inverse(rows):
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    rref, pivots = exact_rref(aug, 2 * n)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots, _, _ = _eliminate(aug, 2 * n, True)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rref]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m[:n])]
 
 
 def column_span_equal(a_rows, b_rows):
@@ -99,6 +144,10 @@ def column_span_equal(a_rows, b_rows):
     Checked exactly through ranks: span(A) == span(B) iff
     rank(A) == rank(B) == rank([A | B]).
     """
+    if len(a_rows) != len(b_rows):
+        raise ValueError(
+            f"column spans compared need equal row counts, got {len(a_rows)} and {len(b_rows)}"
+        )
     ra = exact_rank(a_rows)
     rb = exact_rank(b_rows)
     if ra != rb:

@@ -68,7 +68,7 @@ def _merge_indices(left, right):
 class DForm:
     """A differential form of fixed degree on a chart."""
 
-    __slots__ = ("chart", "degree", "comps")
+    __slots__ = ("chart", "degree", "comps", "_partials", "_powers")
 
     def __init__(self, chart, degree, comps):
         # comps must already be canonical: strictly increasing tuples,
@@ -76,6 +76,9 @@ class DForm:
         self.chart = chart
         self.degree = degree
         self.comps = comps
+        # Derived forms, built on first use; a form is never mutated.
+        self._partials = None
+        self._powers = None
 
     @classmethod
     def build(cls, chart, degree, items):
@@ -191,14 +194,37 @@ class DForm:
         return DForm(self.chart, deg, {k: v for k, v in acc.items() if not v.is_zero})
 
     def wedge_power(self, k):
+        """The k-fold wedge of the form with itself, built once per form
+        and k."""
         if k < 0:
             raise DomainError("wedge powers are nonnegative")
-        out = function_form(self.chart, rat(1))
-        for _ in range(k):
-            out = out.wedge(self)
+        if self._powers is None:
+            self._powers = {}
+        out = self._powers.get(k)
+        if out is None:
+            out = function_form(self.chart, rat(1))
+            for _ in range(k):
+                out = out.wedge(self)
+            self._powers[k] = out
         return out
 
     # -- calculus ------------------------------------------------------
+
+    def partials(self):
+        """The form's coefficients differentiated along each coordinate:
+        one form of the same degree per coordinate, in chart order.
+        Differentiated once per form, since every point check shares them."""
+        if self._partials is None:
+            parts = []
+            for coord in self.chart.coords:
+                comps = {}
+                for idx, coeff in self.comps.items():
+                    dc = coeff.diff(coord)
+                    if not dc.is_zero:
+                        comps[idx] = dc
+                parts.append(DForm(self.chart, self.degree, comps))
+            self._partials = tuple(parts)
+        return self._partials
 
     def d(self):
         """Exterior derivative."""

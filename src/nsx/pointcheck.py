@@ -78,15 +78,14 @@ def map_rank_at(cmap, env):
 def gradient_matrix_at(form, env):
     """First partials of every coefficient: rows by coordinate, columns
     by increasing index tuple over the full C(n, k) tuple space."""
-    chart = form.chart
-    cols = list(combinations(range(chart.dim), form.degree))
+    cols = list(combinations(range(form.chart.dim), form.degree))
     zero = Fraction(0)
     rows = []
-    for coord in chart.coords:
+    for partial in form.partials():
         row = []
         for idx in cols:
-            c = form.comps.get(idx)
-            row.append(zero if c is None else c.diff(coord).eval(env))
+            c = partial.comps.get(idx)
+            row.append(zero if c is None else c.eval(env))
         rows.append(row)
     return _exact_or_float(rows)
 
@@ -155,14 +154,10 @@ def near_symplectic_at(form, env):
         )
     kernel = _linalg.exact_kernel(m, dim)
     partials = []
-    for coord in chart.coords:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for (i, j), coeff in form.comps.items():
-            v = coeff.diff(coord).eval(env)
-            if not isinstance(v, Fraction):
-                return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
-            rows[i][j] = v
-            rows[j][i] = -v
+    for partial in form.partials():
+        rows, exact = form_matrix_at(partial, env)
+        if not exact:
+            return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
         partials.append(rows)
 
     def pairing(w, mv, u):
@@ -185,7 +180,8 @@ def near_symplectic_at(form, env):
                     total += wc[v] * pairing(kernel[a], partials[v], kernel[b])
             row.append(total)
         d_rows.append(row)
-    image_dim = _linalg.exact_rank(d_rows)
+    image_basis, image_pivots = _linalg.exact_rref(d_rows, 6)
+    image_dim = len(image_pivots)
     verdict = DegeneracyVerdict(
         True,
         "",
@@ -201,7 +197,6 @@ def near_symplectic_at(form, env):
         verdict.passed = False
         verdict.reason = "image rank != 3"
         return verdict
-    image_basis, _ = _linalg.exact_rref(d_rows, 6)
     gram = [
         [_wedge_square_gram(bi, bj) for bj in image_basis] for bi in image_basis
     ]

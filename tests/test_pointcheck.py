@@ -221,6 +221,51 @@ def test_near_symplectic_null_image_passes():
     assert v.q_signature == (0, 0, 3)
 
 
+
+def _s3_declarations():
+    from nsx.scenarios import SUITE
+
+    text = next(text for sid, _, text in SUITE if sid == "S3")
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("check "))
+
+
+def test_nearsympl_at_differentiates_once_per_check(monkeypatch):
+    # The partials of the form and of its wedge square are built once per
+    # form, so the number of points does not change the number of diffs.
+    from nsx.runner import RunConfig, run_scenario_text
+    from nsx.symexpr import Expr
+
+    calls = []
+    diff = Expr.diff
+    monkeypatch.setattr(Expr, "diff", lambda self, c: calls.append(c) or diff(self, c))
+    counts = []
+    for points in (3, 10):
+        calls.clear()
+        text = _s3_declarations() + f"check nearsympl_at om on L region R points {points}\n"
+        (rec,) = run_scenario_text(text, "T", "unit scenario", RunConfig()).checks
+        assert rec.verdict == "pass" and rec.evidence["points"] == points
+        assert rec.evidence["grad_kernel_consistent"] is True
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
+def test_partials_and_powers_are_built_once_per_form(monkeypatch):
+    from nsx.symexpr import Expr
+
+    om = SD[0] * sym("x1") + SD[1] * sym("x2") + SD[2] * sym("x3")
+    calls = []
+    diff = Expr.diff
+    monkeypatch.setattr(Expr, "diff", lambda self, c: calls.append(c) or diff(self, c))
+    first = om.partials()
+    n = len(calls)
+    assert n > 0
+    assert om.partials() is first and len(calls) == n
+    for coord, partial in zip(C4.coords, first):
+        assert partial.comps == {k: v.diff(coord) for k, v in om.comps.items() if not v.diff(coord).is_zero}
+    assert om.wedge_power(2) is om.wedge_power(2)
+    assert om.wedge_power(2) == om.wedge(om)
+
 # -- contact sweeps -------------------------------------------------------
 
 
