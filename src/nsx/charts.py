@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import _linalg
 from .errors import DomainError, UnsupportedMetricError
-from .symexpr import _as_expr, rat
+from .symexpr import _as_expr, _sum, rat
 
 MAX_DIM = 8
 
@@ -65,8 +65,24 @@ def _merge_indices(left, right):
     return merged, (-1 if inversions % 2 else 1)
 
 
+def _sum_by_key(items):
+    """Sum the Expr contributions of (key, Expr) pairs per key, each key
+    once, and drop the zero sums.  A sum sees all of its contributions
+    together, so it depends only on their multiset, not on their order."""
+    groups = {}
+    for key, coeff in items:
+        groups.setdefault(key, []).append(coeff)
+    sums = {key: _sum(cs) for key, cs in groups.items()}
+    return {key: v for key, v in sums.items() if not v.is_zero}
+
+
 class DForm:
-    """A differential form of fixed degree on a chart."""
+    """A differential form of fixed degree on a chart.
+
+    Every operation that builds a form sums each coefficient once over all
+    of its contributions, so the result does not depend on the order in
+    which they are visited.  Separate Expr `+` calls stay order-dependent.
+    """
 
     __slots__ = ("chart", "degree", "comps", "_partials", "_powers")
 
@@ -87,7 +103,7 @@ class DForm:
             raise DomainError(
                 f"degree {degree} is outside 0..{chart.dim} on chart {chart.name}"
             )
-        acc = {}
+        terms = []
         for idx, coeff in items:
             coeff = _as_expr(coeff)
             if coeff is NotImplemented:
@@ -97,14 +113,9 @@ class DForm:
                 raise DomainError(f"index tuple {idx} does not match degree {degree}")
             if any(not (0 <= i < chart.dim) for i in idx):
                 raise DomainError(f"index tuple {idx} leaves chart {chart.name}")
-            if len(set(idx)) != len(idx):
-                continue
-            sign = _sort_sign(idx)
-            key = tuple(sorted(idx))
-            cur = acc.get(key)
-            add = coeff if sign > 0 else -coeff
-            acc[key] = add if cur is None else cur + add
-        return cls(chart, degree, {k: v for k, v in acc.items() if not v.is_zero})
+            if len(set(idx)) == len(idx):
+                terms.append((tuple(sorted(idx)), coeff if _sort_sign(idx) > 0 else -coeff))
+        return cls(chart, degree, _sum_by_key(terms))
 
     @property
     def is_zero(self):
@@ -131,11 +142,8 @@ class DForm:
         if not isinstance(other, DForm):
             return NotImplemented
         self._check_mate(other)
-        acc = dict(self.comps)
-        for k, v in other.comps.items():
-            cur = acc.get(k)
-            acc[k] = v if cur is None else cur + v
-        return DForm(self.chart, self.degree, {k: v for k, v in acc.items() if not v.is_zero})
+        items = [*self.comps.items(), *other.comps.items()]
+        return DForm(self.chart, self.degree, _sum_by_key(items))
 
     def __sub__(self, other):
         if not isinstance(other, DForm):
@@ -182,16 +190,13 @@ class DForm:
         deg = self.degree + other.degree
         if deg > self.chart.dim:
             return DForm(self.chart, min(deg, self.chart.dim), {})
-        acc = {}
+        terms = []
         for i1, c1 in self.comps.items():
             for i2, c2 in other.comps.items():
                 merged, sign = _merge_indices(i1, i2)
-                if merged is None:
-                    continue
-                term = c1 * c2 if sign > 0 else -(c1 * c2)
-                cur = acc.get(merged)
-                acc[merged] = term if cur is None else cur + term
-        return DForm(self.chart, deg, {k: v for k, v in acc.items() if not v.is_zero})
+                if merged is not None:
+                    terms.append((merged, c1 * c2 if sign > 0 else -(c1 * c2)))
+        return DForm(self.chart, deg, _sum_by_key(terms))
 
     def wedge_power(self, k):
         """The k-fold wedge of the form with itself, built once per form
@@ -228,22 +233,19 @@ class DForm:
 
     def d(self):
         """Exterior derivative."""
-        acc = {}
+        terms = []
         for idx, coeff in self.comps.items():
             for v in range(self.chart.dim):
                 if v in idx:
                     continue
                 dc = coeff.diff(self.chart.coords[v])
-                if dc.is_zero:
-                    continue
-                merged, sign = _merge_indices((v,), idx)
-                term = dc if sign > 0 else -dc
-                cur = acc.get(merged)
-                acc[merged] = term if cur is None else cur + term
+                if not dc.is_zero:
+                    merged, sign = _merge_indices((v,), idx)
+                    terms.append((merged, dc if sign > 0 else -dc))
         # d of a top form is identically zero; clamp the degree the same
         # way wedge does so the result stays a legal form.
         deg = min(self.degree + 1, self.chart.dim)
-        return DForm(self.chart, deg, {k: v for k, v in acc.items() if not v.is_zero})
+        return DForm(self.chart, deg, _sum_by_key(terms))
 
     def interior(self, field):
         """Interior product with a vector field (contraction in slot one)."""
@@ -251,19 +253,14 @@ class DForm:
             raise DomainError("vector field and form live on different charts")
         if self.degree == 0:
             return DForm(self.chart, 0, {})
-        acc = {}
+        terms = []
         for idx, coeff in self.comps.items():
             for pos, i in enumerate(idx):
                 comp = field.comps.get(i)
-                if comp is None:
-                    continue
-                rest = idx[:pos] + idx[pos + 1 :]
-                term = comp * coeff
-                if pos % 2:
-                    term = -term
-                cur = acc.get(rest)
-                acc[rest] = term if cur is None else cur + term
-        return DForm(self.chart, self.degree - 1, {k: v for k, v in acc.items() if not v.is_zero})
+                if comp is not None:
+                    term = comp * coeff
+                    terms.append((idx[:pos] + idx[pos + 1 :], -term if pos % 2 else term))
+        return DForm(self.chart, self.degree - 1, _sum_by_key(terms))
 
     def top_coefficient(self):
         if self.degree != self.chart.dim:
@@ -319,20 +316,15 @@ class VectorField:
 
     @classmethod
     def build(cls, chart, items):
-        acc = {}
-        for coord, coeff in items:
-            coeff = _as_expr(coeff)
-            i = chart.index(coord) if isinstance(coord, str) else coord
-            acc[i] = acc.get(i, rat(0)) + coeff
-        return cls(chart, acc)
+        return cls(chart, _sum_by_key(
+            (chart.index(coord) if isinstance(coord, str) else coord, _as_expr(coeff))
+            for coord, coeff in items
+        ))
 
     def __add__(self, other):
         if not isinstance(other, VectorField) or other.chart != self.chart:
             return NotImplemented
-        acc = dict(self.comps)
-        for i, c in other.comps.items():
-            acc[i] = acc.get(i, rat(0)) + c
-        return VectorField(self.chart, acc)
+        return VectorField(self.chart, _sum_by_key([*self.comps.items(), *other.comps.items()]))
 
     def __neg__(self):
         return VectorField(self.chart, {i: -c for i, c in self.comps.items()})
@@ -357,10 +349,7 @@ class VectorField:
 
     def apply_to(self, expr):
         """Directional derivative of a scalar."""
-        out = rat(0)
-        for i, c in self.comps.items():
-            out = out + c * expr.diff(self.chart.coords[i])
-        return out
+        return _sum([c * expr.diff(self.chart.coords[i]) for i, c in self.comps.items()])
 
     def __str__(self):
         if not self.comps:
@@ -420,19 +409,19 @@ class ChartMap:
                 f" got one on {form.chart.name}"
             )
         subs = self.substitution()
-        # An overweight pullback is identically zero; clamp the degree the
-        # same way wedge does so the accumulator matches the pieces.
-        out = zero_form(self.source, min(form.degree, self.source.dim))
         differentials = [
             DForm(self.source, 1, {(j,): d for j, d in enumerate(row) if not d.is_zero})
             for row in self.jacobian()
         ]
+        terms = []
         for idx, coeff in form.comps.items():
             piece = function_form(self.source, coeff.subs(subs))
             for i in idx:
                 piece = piece.wedge(differentials[i])
-            out = out + piece
-        return out
+            terms += piece.comps.items()
+        # An overweight pullback is identically zero; clamp the degree the
+        # same way wedge does so the result stays a legal form.
+        return DForm(self.source, min(form.degree, self.source.dim), _sum_by_key(terms))
 
     def then(self, other):
         """Composition: self followed by other."""
@@ -512,7 +501,7 @@ class Metric:
             raise DomainError("form and metric live on different charts")
         n = self.chart.dim
         k = form.degree
-        acc = {}
+        terms = []
         for jj in combinations(range(n), n - k):
             jc = tuple(i for i in range(n) if i not in jj)
             _, eps = _merge_indices(jc, jj)
@@ -522,12 +511,9 @@ class Metric:
                 if not all(any(row) for row in minor):
                     continue
                 scal = _linalg.exact_det(minor) * self.sqrt_det * eps
-                if scal == 0:
-                    continue
-                term = coeff * rat(scal)
-                cur = acc.get(jj)
-                acc[jj] = term if cur is None else cur + term
-        return DForm(self.chart, n - k, {k2: v for k2, v in acc.items() if not v.is_zero})
+                if scal != 0:
+                    terms.append((jj, coeff * rat(scal)))
+        return DForm(self.chart, n - k, _sum_by_key(terms))
 
     def volume_form(self):
         from .symexpr import ONE

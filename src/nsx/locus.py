@@ -139,7 +139,7 @@ class Region:
         if len(self.lattice) != n:
             raise DomainError(f"region needs {n} lattice resolutions")
         for lo, hi in self.intervals:
-            if float(lo) > float(hi):
+            if lo > hi:
                 raise DomainError(f"empty interval [{lo}, {hi}]")
         if self.random_count < 0:
             raise DomainError("random sample count must be nonnegative")

@@ -21,6 +21,12 @@ switch them off:
     applied to a fixpoint by a deterministic scan.  Each step lowers
     the total trigonometric degree, so the scan terminates.
 
+The collapse runs once per canonicalization, so separate `+` calls
+depend on their order: with s = sin(x)^2 and c = cos(x)^2, (s + c) + s
+is 1 + s but (s + s) + c is 2*s + c.  A sum taken in one step sees all
+its terms and depends only on their multiset; Expr.subs, diff and every
+form and field operation in charts sum each coefficient that way, once.
+
 Nothing else is simplified.  In particular sin(t)^2 and 1 - cos(t)^2
 normalize to distinct forms; deciding their equality is the job of
 semantically_equal, which falls back to seeded numeric sampling and
@@ -269,13 +275,13 @@ class Expr:
         raises DomainError since the result would leave the fragment.
         """
         mapping = {k: _as_expr(v) for k, v in mapping.items()}
-        total = ZERO
+        pieces = []
         for mono, n in self.terms:
             piece = _monomial_expr((), n, self.den)
             for atom, e in mono:
                 piece = piece * _subs_atom(atom, mapping) ** e
-            total = total + piece
-        return total
+            pieces.append(piece)
+        return _sum(pieces)
 
     def eval(self, env):
         return evaluate(self, env)
@@ -403,8 +409,11 @@ def _canonical(acc, den):
 
 
 def _sum(exprs):
-    """The sum of Exprs, canonicalized once: the Pythagorean collapse sees
-    all their terms together."""
+    """The sum of a sequence of Exprs, canonicalized once: the Pythagorean
+    collapse sees all their terms together, so the sum does not depend on
+    the order of the sequence.  A single Expr is already canonical."""
+    if len(exprs) == 1:
+        return exprs[0]
     den = math.lcm(*(e.den for e in exprs))
     acc = {}
     for e in exprs:

@@ -79,18 +79,13 @@ def hamiltonian_vector_field(h, s):
     extra = h.free_coords() - set(s.chart.coords)
     if extra:
         raise DomainError(f"h depends on {sorted(extra)} outside the chart")
-    n = s.chart.dim
     grad = [h.diff(c) for c in s.chart.coords]
-    comps = {}
-    for i in range(n):
-        total = Expr(())
-        for j in range(n):
-            m = s._x_matrix[i][j]
-            if m:
-                total = total + rat(m) * grad[j]
-        if not total.is_zero:
-            comps[i] = total
-    return VectorField(s.chart, comps)
+    return VectorField.build(s.chart, [
+        (i, rat(m) * grad[j])
+        for i, row in enumerate(s._x_matrix)
+        for j, m in enumerate(row)
+        if m
+    ])
 
 
 def poisson_bracket(f, g, s):

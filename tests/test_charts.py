@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsx.charts import (
     Chart,
@@ -17,7 +19,7 @@ from nsx.charts import (
     zero_form,
 )
 from nsx.errors import DomainError, UnsupportedMetricError
-from nsx.symexpr import ONE, ZERO, evaluate, rat, sym
+from nsx.symexpr import ONE, ZERO, cos_of, evaluate, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -486,3 +488,64 @@ def test_star_rejects_foreign_form():
     g = Metric.euclidean(C3)
     with pytest.raises(DomainError):
         g.star(zero_form(C4, 1))
+
+
+# -- accumulation order --------------------------------------------------
+#
+# A form or field operation sums each coefficient once over all of its
+# contributions, so its result depends only on their multiset.  Separate
+# `+` calls do not: with s = sin(x)^2 and c = cos(x)^2, (s + c) + s is
+# 1 + s while (s + s) + c is 2*s + c.  The draws favour such partners.
+
+_S = sin_of(sym("x")) ** 2
+_C = cos_of(sym("x")) ** 2
+_coeffs = st.builds(
+    lambda a, q: a * q,
+    st.one_of(st.sampled_from([_S, _C]), st.sampled_from([sym("x"), sym("y"), sym("z"), ONE])),
+    st.sampled_from([rat(1), rat(-1), rat(1, 2)]),
+)
+# Every 1-form on C3 pulls back to a multiple of dx; 2- and 3-forms to zero.
+_DIAGONAL = ChartMap("diag", C3, C3, (sym("x"), sym("x"), sym("x")))
+_SHEAR = ChartMap("shear", C3, C3, (sym("x") + sym("y"), sym("y") + sym("z"), sym("x") + sym("z")))
+# Every entry of the inverse is nonzero, so each output collects from all inputs.
+_DENSE = Metric(C3, [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+
+
+def _comps(degree):
+    keys = st.sampled_from(list(itertools.combinations(range(C3.dim), degree)))
+    return st.lists(st.tuples(keys, _coeffs), min_size=1, max_size=4, unique_by=lambda kv: kv[0])
+
+
+def test_s_c_s_sums_to_one_coefficient_in_every_order():
+    orders = list(itertools.permutations([((0,), _S), ((1,), _C), ((2,), _S)]))
+    ones = VectorField.build(C3, [(i, 1) for i in range(3)])
+    assert len({DForm.build(C3, 1, [((0,), c) for _, c in o]) for o in orders}) == 1
+    assert len({VectorField.build(C3, [(0, c) for _, c in o]).comps[0] for o in orders}) == 1
+    assert len({_DIAGONAL.pullback(DForm(C3, 1, dict(o))) for o in orders}) == 1
+    assert len({DForm(C3, 1, dict(o)).interior(ones) for o in orders}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), degree=st.integers(0, 3))
+def test_build_ignores_the_order_of_its_items(data, degree):
+    index = st.lists(st.integers(0, 2), min_size=degree, max_size=degree)
+    items = data.draw(st.lists(st.tuples(index, _coeffs), max_size=6))
+    assert DForm.build(C3, degree, items) == DForm.build(C3, degree, data.draw(st.permutations(items)))
+    items = data.draw(st.lists(st.tuples(st.integers(0, 2), _coeffs), max_size=6))
+    assert VectorField.build(C3, items) == VectorField.build(C3, data.draw(st.permutations(items)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), degree=st.integers(1, 3), other_degree=st.integers(0, 2))
+def test_form_operations_ignore_the_order_of_comps(data, degree, other_degree):
+    items = data.draw(_comps(degree))
+    a = DForm(C3, degree, dict(items))
+    b = DForm(C3, degree, dict(data.draw(st.permutations(items))))
+    other = DForm(C3, other_degree, dict(data.draw(_comps(other_degree))))
+    field = VectorField(C3, {idx[0]: c for idx, c in data.draw(_comps(1))})
+    assert a.wedge(other) == b.wedge(other) and other.wedge(a) == other.wedge(b)
+    assert a.d() == b.d()
+    assert a.interior(field) == b.interior(field)
+    assert _DIAGONAL.pullback(a) == _DIAGONAL.pullback(b)
+    assert _SHEAR.pullback(a) == _SHEAR.pullback(b)
+    assert _DENSE.star(a) == _DENSE.star(b)

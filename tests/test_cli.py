@@ -100,3 +100,35 @@ def test_eval_names_the_line_of_an_elaboration_error(tmp_path, capsys):
     path.write_text("chart C(x, y)\nform w on C = d(x) /\\ d(y)\nparam w\n")
     assert cli.main(["eval", str(path), "--at", "x=1,y=1"]) == 2
     assert capsys.readouterr().err == "error: line 3: 'w' is already defined\n"
+
+
+# The upper bound 10^400, written out, is too large for a float.
+HUGE_REGION = f"""chart C(x, y)
+form om on C = x*d(x)
+locus L on C = coords(x=0)
+region R on C = [0, {10**400}]^2 lattice 2 random 8
+check positive 1 + x^2 region R
+check vanishing_locus om on L region R
+"""
+
+
+def test_a_bound_too_large_for_a_float_ends_in_verdicts(tmp_path, capsys):
+    path = tmp_path / "huge.nsx"
+    path.write_text(HUGE_REGION)
+    report = tmp_path / "report.json"
+    assert cli.main(["check", str(path), "--json", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    positive, vanishing = json.loads(report.read_text())["scenarios"][0]["checks"]
+    assert (positive["verdict"], positive["detail"]) == ("pass", "(12 samples)")
+    assert vanishing["verdict"] == "error"
+
+
+@pytest.mark.parametrize("interval", ["[2, 1]", "[0.5, 1/3]"])
+def test_an_empty_interval_is_an_elaboration_error(tmp_path, interval):
+    path = tmp_path / "empty.nsx"
+    path.write_text(f"chart C(x, y)\nregion R on C = {interval}^2 lattice 2 random 8\ncheck positive 1 + x^2 region R\n")
+    report = tmp_path / "report.json"
+    assert cli.main(["check", str(path), "--json", str(report)]) == 1
+    (check,) = json.loads(report.read_text())["scenarios"][0]["checks"]
+    assert check["kind"] == "elaboration"
+    assert check["evidence"] == {"error": f"line 2: empty interval {interval}"}

@@ -1,6 +1,6 @@
 """Every name a module of nsx imports at top level is used in that module,
-and every private name (`_x`) a module binds at top level is used somewhere
-in the package.
+every private name (`_x`) a module binds at top level is used somewhere
+in the package, and no module but symexpr calls the Expr constructor.
 
 The package re-exports its API from `__init__.py`, so that file is left
 out of the import scan; `from __future__` imports are compiler directives,
@@ -79,3 +79,25 @@ def test_the_scan_sees_an_unreferenced_private_name():
 
 def test_every_private_top_level_name_is_referenced():
     assert _unreferenced_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def _expr_constructor_calls(source):
+    """The lines that call `Expr(...)`, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Expr" or getattr(node.func, "attr", None) == "Expr")
+    ]
+
+
+def test_the_scan_sees_an_expr_constructor_call():
+    source = "from nsx.symexpr import Expr\nimport nsx.symexpr as se\nx: Expr = Expr(())\ny = se.Expr(())\n"
+    assert _expr_constructor_calls(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "symexpr.py"], ids=lambda p: p.name)
+def test_only_symexpr_calls_the_expr_constructor(path):
+    # Expr values must be canonical; only symexpr's constructors and
+    # arithmetic build them.
+    assert _expr_constructor_calls(path.read_text()) == []
