@@ -39,7 +39,10 @@ def _config(args):
 def _emit(report, json_path):
     sys.stdout.write(report_text(report))
     if json_path:
-        Path(json_path).write_text(report_json(report))
+        try:
+            Path(json_path).write_text(report_json(report))
+        except OSError as e:
+            return _fail(e)
     return 0 if report.passed else 1
 
 
@@ -215,7 +218,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # a defect of nsx, not of the input
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

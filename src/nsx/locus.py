@@ -14,11 +14,12 @@ on either side fails the check rather than silently passing it.
 A random draw on a rational interval is one of its 2**12 + 1 dyadic
 points, (base + step*k) / den for a seeded k, where `Region.dyadic_axes`
 holds (base, step, den) per axis.  Lattice points and most draws are
-{coord: Fraction} dicts.  Off-locus draws against a rational coordinate
-locus are held as integer numerators over those fixed denominators
-(`_DyadicPoints`): the margin test is one integer comparison, the float
-columns are one integer array divided by the denominators, and a dict is
-built only for a point that is read one at a time.
+{coord: Fraction} dicts.  Off-locus draws against rational targets (the
+tuples of (coord, value) pins that `LocusSampler.targets` measures the
+distance to a locus by) are held as integer numerators over those fixed
+denominators (`_DyadicPoints`): the margin test is one integer comparison
+per target, the float columns are one integer array divided by the
+denominators, and a dict is built only for a point read one at a time.
 
 A float value inside the tolerance band decides nothing by itself: it
 is a counterexample only when an exact value confirms it, and otherwise
@@ -215,9 +216,6 @@ class PointsLocus:
     chart: object
     points: tuple  # tuple of env-tuples ((coord, value), ...)
 
-    def env_list(self):
-        return [dict(p) for p in self.points]
-
 
 @dataclass(frozen=True)
 class ImageLocus:
@@ -262,7 +260,7 @@ def _locus_on_envs(locus, region, seed):
     if isinstance(locus, EmptyLocus):
         return []
     if isinstance(locus, PointsLocus):
-        return locus.env_list()
+        return [dict(p) for p in locus.points]
     if isinstance(locus, CoordLocus):
         pinned = locus.pinned
         if region is None or locus.chart != region.chart:
@@ -287,79 +285,52 @@ def _locus_on_envs(locus, region, seed):
 
 
 class LocusSampler:
-    """On-locus samples and a distance oracle for one locus in one region."""
+    """On-locus samples and a distance oracle for one locus in one region.
+
+    For distance, a locus is a list of targets, each a tuple of
+    (coord, value) pins: a coordinate locus is one target, each cloud
+    point of a points or image locus is one target pinning every chart
+    coordinate, a union holds its parts' targets, and an empty locus has
+    none.  The distance to the locus is the distance to the nearest target.
+    """
 
     def __init__(self, locus, region, seed):
         self.locus = locus
         self.region = region
         self.seed = seed
         self.on_envs = _locus_on_envs(locus, region, seed)
-        # Point clouds back the distance oracle for loci without a
-        # coordinate description, keyed by the id of their locus.  A
-        # top-level cloud is drawn now; a union part's cloud is drawn on
-        # its first distance query, with the sampler's own seed.
-        self._clouds = {}
-        if isinstance(locus, (PointsLocus, ImageLocus)):
-            self._clouds[id(locus)] = _locus_on_envs(locus, region, derive_seed(seed, "cloud"))
 
-    def _cloud(self, locus):
-        cloud = self._clouds.get(id(locus))
-        if cloud is None:
-            cloud = self._clouds[id(locus)] = _locus_on_envs(locus, self.region, self.seed)
-        return cloud
+    @cached_property
+    def targets(self):
+        """The locus's targets, drawn on first use.  A top-level cloud is
+        drawn with a seed derived from the sampler's, a union part's cloud
+        with the sampler's own seed."""
+        return _locus_targets(self.locus, self.region, self.seed, derive_seed(self.seed, "cloud"))
 
     def distance_sq(self, env):
-        """Squared distance from env to the locus, None for an empty locus.
-
-        Exact Fractions whenever every participating value is rational.
-        """
-        return self._dist_sq(self.locus, env)
-
-    def _dist_sq(self, locus, env):
-        if isinstance(locus, EmptyLocus):
-            return None
-        if isinstance(locus, CoordLocus):
-            return _coord_dist_sq(locus.values, env)
-        if isinstance(locus, (PointsLocus, ImageLocus)):
-            best = None
-            coords = locus.chart.coords
-            for p in self._cloud(locus):
-                t = Fraction(0)
-                for c in coords:
-                    d = env[c] - p[c]
-                    t = t + d * d
-                if best is None or t < best:
-                    best = t
-            return best
-        if isinstance(locus, UnionLocus):
-            ds = [self._dist_sq(p, env) for p in locus.parts]
-            ds = [d for d in ds if d is not None]
-            return min(ds) if ds else None
-        raise DomainError(f"unknown locus flavour {type(locus).__name__}")
+        """Squared distance from env to the nearest target, None without
+        targets; a Fraction whenever every value involved is rational."""
+        return min((_coord_dist_sq(t, env) for t in self.targets), default=None)
 
 
-def _coord_dist_sq(values, env):
-    """Sum of (env[c] - v)**2 over the pinned (c, v) pairs.
-
-    Rational values are summed as one integer numerator over one integer
-    denominator; any other value takes the Fraction-then-float sum, so a
-    float result keeps its bits.
-    """
-    num, den = 0, 1
-    for c, v in values:
-        e = env[c]
-        if not (_is_rational_number(e) and _is_rational_number(v)):
-            return _coord_dist_sq_mixed(values, env)
-        ed, vd = e.denominator, v.denominator
-        a = e.numerator * vd - v.numerator * ed  # (e - v) == a / (ed * vd)
-        b = (ed * vd) ** 2
-        num, den = num * b + a * a * den, den * b
-    return Fraction(num, den)
+def _locus_targets(locus, region, seed, cloud_seed):
+    if isinstance(locus, EmptyLocus):
+        return []
+    if isinstance(locus, CoordLocus):
+        return [locus.values]
+    if isinstance(locus, (PointsLocus, ImageLocus)):
+        coords = locus.chart.coords
+        return [tuple((c, p[c]) for c in coords) for p in _locus_on_envs(locus, region, cloud_seed)]
+    if isinstance(locus, UnionLocus):
+        return [t for part in locus.parts for t in _locus_targets(part, region, seed, seed)]
+    raise DomainError(f"unknown locus flavour {type(locus).__name__}")
 
 
-def _coord_dist_sq_mixed(values, env):
+def _coord_dist_sq(pins, env):
+    """Sum of (env[c] - v)**2 over the (c, v) pins, in pin order from
+    Fraction(0), so a float result keeps its bits."""
     total = Fraction(0)
-    for c, v in values:
+    for c, v in pins:
         d = env[c] - v
         total = total + d * d
     return total
@@ -400,38 +371,39 @@ class _DyadicPoints:
 def _integer_margin_test(sampler, margin):
     """`distance_sq(env) >= margin**2` as integer data, or None.
 
-    Returns (pins, threshold), one (axis, q, p*den, weight) per pinned
-    value p/q, such that a draw with numerators n accepts exactly when
-    sum(weight * (n[axis]*q - p*den)**2) >= threshold.  That needs a
-    rational coordinate locus on the region's chart, a rational margin
-    and a rational region whose numerators and denominators stay below
-    2**53; otherwise None.
+    Returns one (pins, threshold) per target, with one (axis, q, p*den,
+    weight) in pins per pinned value p/q, such that a draw with numerators
+    n passes the target exactly when sum(weight * (n[axis]*q - p*den)**2)
+    >= threshold; it is accepted when it passes every target.  That needs
+    the locus on the region's chart, a rational margin, rational target
+    values and a rational region whose numerators and denominators stay
+    below 2**53; otherwise None.
     """
     locus, region = sampler.locus, sampler.region
     axes = region.dyadic_axes
-    if not (
-        isinstance(locus, CoordLocus)
-        and locus.chart == region.chart
-        and _is_rational_number(margin)
-        and all(_is_rational_number(v) for _, v in locus.values)
-        and None not in axes
-    ):
+    if not (locus.chart == region.chart and _is_rational_number(margin) and None not in axes):
         return None
     for base, step, den in axes:
         if max(abs(base), abs(base + (step << _DYADIC_BITS)), den) >= _FLOAT_EXACT:
             return None
+    targets = sampler.targets
+    if not all(_is_rational_number(v) for target in targets for _, v in target):
+        return None
     # (n/den - p/q)**2 == (n*q - p*den)**2 / (den*q)**2; scale every term
     # and margin**2 to the common denominator lcm((den*q)**2) * margin.d**2.
-    coords = region.chart.coords
-    pins = []
-    for c, v in locus.values:
-        i = coords.index(c)
-        den = axes[i][2]
-        pins.append((i, v.denominator, v.numerator * den, (den * v.denominator) ** 2))
-    common = math.lcm(*(sq for *_, sq in pins))
+    index = {c: i for i, c in enumerate(region.chart.coords)}
     md_sq = margin.denominator**2
-    pins = [(i, q, pd, common // sq * md_sq) for i, q, pd, sq in pins]
-    return pins, margin.numerator**2 * common
+    tests = []
+    for target in targets:
+        pins = []
+        for c, v in target:
+            i = index[c]
+            den = axes[i][2]
+            pins.append((i, v.denominator, v.numerator * den, (den * v.denominator) ** 2))
+        common = math.lcm(*(sq for *_, sq in pins))
+        pins = [(i, q, pd, common // sq * md_sq) for i, q, pd, sq in pins]
+        tests.append((pins, margin.numerator**2 * common))
+    return tests
 
 
 def off_locus_envs(sampler, margin, count, seed):
@@ -443,9 +415,9 @@ def off_locus_envs(sampler, margin, count, seed):
 
     Each draw makes `random_env`'s RNG calls in the same order.  Where
     `_integer_margin_test` applies, a draw stays integer numerators, the
-    margin test is one integer comparison, and envs is a `_DyadicPoints`;
-    for every other locus, region or margin, envs is a list of
-    `random_env` dicts tested with `LocusSampler.distance_sq`.
+    margin test is one integer comparison per target, and envs is a
+    `_DyadicPoints`; for a float region, margin or target value, envs is a
+    list of `random_env` dicts tested with `LocusSampler.distance_sq`.
     """
     region = sampler.region
     rng = random.Random(derive_seed(seed, "off-locus"))
@@ -462,18 +434,20 @@ def off_locus_envs(sampler, margin, count, seed):
             if d is None or d >= margin_sq:
                 out.append(env)
         return out, len(out) < count
-    pins, threshold = test
     lines = [(base, step) for base, step, _ in region.dyadic_axes]
     randrange, top = rng.randrange, (1 << _DYADIC_BITS) + 1
     rows = []
     while len(rows) < count and draws < budget:
         draws += 1
         row = tuple([base + step * randrange(0, top) for base, step in lines])
-        total = 0
-        for i, q, pd, weight in pins:
-            a = row[i] * q - pd
-            total += weight * a * a
-        if total >= threshold:
+        for pins, threshold in test:
+            total = 0
+            for i, q, pd, weight in pins:
+                a = row[i] * q - pd
+                total += weight * a * a
+            if total < threshold:
+                break
+        else:
             rows.append(row)
     dens = tuple(den for *_, den in region.dyadic_axes)
     return _DyadicPoints(region.chart.coords, dens, rows), len(rows) < count
@@ -523,11 +497,7 @@ class LocusReport:
 
 
 def _printable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return v
-    return str(v)
+    return v if isinstance(v, float) else str(v)
 
 
 def _pull_subject(subject, via):
@@ -545,12 +515,20 @@ def _pull_subject(subject, via):
     return subject.subs(subst)
 
 
+def _float(v):
+    """float(v), or an infinity of v's sign where v is beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _float_values(exprs, envs, coords):
     """Float values of the expressions over the envs, one row per expression."""
     if isinstance(envs, _DyadicPoints):
         envf = envs.float_columns(coords)
     else:
-        envf = {c: np.array([float(e[c]) for e in envs]) for c in coords}
+        envf = {c: np.array([_float(e[c]) for e in envs]) for c in coords}
     return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
@@ -574,6 +552,10 @@ def _check_on_vanishing(report, exprs, envs, tol):
             if isinstance(v, Fraction):
                 ok = v == 0
             else:
+                # Within tol counts as vanishing, not as a band hit: on-locus
+                # points at float latitudes (S11's fourth check) never have
+                # exact values, so the band rule would leave such checks
+                # undecided until rational enclosures can decide them.
                 ok = abs(v) <= tol
             if not ok:
                 report.add_counterexample(env, "nonzero on locus", v, side="on")

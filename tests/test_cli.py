@@ -120,7 +120,12 @@ def test_a_bound_too_large_for_a_float_ends_in_verdicts(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     positive, vanishing = json.loads(report.read_text())["scenarios"][0]["checks"]
     assert (positive["verdict"], positive["detail"]) == ("pass", "(12 samples)")
-    assert vanishing["verdict"] == "error"
+    # A coordinate beyond the float range is an infinite float sample,
+    # which decides nothing.
+    assert (vanishing["verdict"], vanishing["detail"]) == (
+        "undecided",
+        "(2/2 on-locus, 0/8 off-locus, 8 non-finite)",
+    )
 
 
 @pytest.mark.parametrize("interval", ["[2, 1]", "[0.5, 1/3]"])
@@ -132,3 +137,25 @@ def test_an_empty_interval_is_an_elaboration_error(tmp_path, interval):
     (check,) = json.loads(report.read_text())["scenarios"][0]["checks"]
     assert check["kind"] == "elaboration"
     assert check["evidence"] == {"error": f"line 2: empty interval {interval}"}
+
+
+@pytest.mark.parametrize("command", [["check", "ok.nsx"], ["paper-suite", "--only", "S1"]])
+def test_an_unwritable_json_path_exits_2(tmp_path, monkeypatch, command, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.nsx").write_text("chart C(x, y)\nconst k = x + 1\n")
+    target = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert cli.main(command + ["--json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_an_escaping_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(**kwargs):
+        raise RuntimeError("planted\nfault")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert cli.main(["paper-suite", "--only", "S1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError('planted\\nfault')\n"

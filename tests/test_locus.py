@@ -27,7 +27,7 @@ from nsx.locus import (
     verify_rank_drop_locus,
     verify_vanishing_locus,
 )
-from nsx.symexpr import exp_of, opaque_fn, rat, sym
+from nsx.symexpr import exp_of, opaque_fn, rat, sin_of, sym
 
 C2 = Chart("c2", ("x", "y"))
 P2 = Chart("p2", ("u", "v"))
@@ -373,10 +373,46 @@ def _assert_same_off_locus_envs(locus, region, margin, count, seed):
 
 _SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=1000)
 _BIG_RATIONALS = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9)
+_PIN_VALUES = st.one_of(_SMALL_RATIONALS, st.integers(-2, 2))
+_SOURCE = Chart("s", ("u", "w"))
+
+
+def _source_region(draw, chart):
+    """A small rational region inside [1/4, 2]^n, away from sin's zero."""
+    ends = st.fractions(min_value=F(1, 4), max_value=2, max_denominator=16)
+    intervals = tuple(tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2)))) for _ in chart.coords)
+    lattice = tuple(draw(st.integers(1, 2)) for _ in chart.coords)
+    return Region(chart, intervals, lattice, draw(st.integers(0, 2)))
+
+
+def _polynomial(draw, coords):
+    monomial = st.tuples(_SMALL_RATIONALS, st.sampled_from(coords), st.integers(0, 2))
+    terms = draw(st.lists(monomial, min_size=1, max_size=3))
+    return sum((rat(c) * sym(u) ** k for c, u, k in terms), rat(0))
 
 
 @st.composite
-def _coord_locus_cases(draw):
+def _part(draw, chart):
+    """A non-union locus on the chart, and whether its targets are rational."""
+    kind = draw(st.sampled_from(("coords", "points", "image", "identity", "sine", "empty")))
+    if kind == "coords":
+        pinned = draw(st.lists(st.sampled_from(chart.coords), min_size=1, max_size=chart.dim, unique=True))
+        return CoordLocus(chart, tuple((c, draw(_PIN_VALUES)) for c in pinned)), True
+    if kind == "points":
+        orders = draw(st.lists(st.permutations(chart.coords), min_size=1, max_size=3))
+        return PointsLocus(chart, tuple(tuple((c, draw(_PIN_VALUES)) for c in cs) for cs in orders)), True
+    if kind == "identity":
+        return ImageLocus(None, _source_region(draw, chart)), True
+    if kind == "empty":
+        return EmptyLocus(chart), True
+    comps = [_polynomial(draw, _SOURCE.coords) for _ in chart.coords]
+    if kind == "sine":
+        comps[0] = comps[0] + sin_of(sym("u"))
+    return ImageLocus(ChartMap("m", _SOURCE, chart, tuple(comps)), _source_region(draw, _SOURCE)), kind == "image"
+
+
+@st.composite
+def _locus_cases(draw):
     dim = draw(st.integers(1, 3))
     chart = Chart("h", tuple(f"x{i}" for i in range(dim)))
     ends = st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS)
@@ -384,21 +420,23 @@ def _coord_locus_cases(draw):
     if draw(st.booleans()):  # an interval with lo == hi
         i = draw(st.integers(0, dim - 1))
         intervals = intervals[:i] + ((intervals[i][0],) * 2,) + intervals[i + 1:]
-    pinned = draw(st.lists(st.sampled_from(chart.coords), min_size=1, max_size=dim, unique=True))
-    values = st.one_of(_SMALL_RATIONALS, st.integers(-2, 2))
-    locus = CoordLocus(chart, tuple((c, draw(values)) for c in pinned))
+    if draw(st.booleans()):
+        locus, rational = draw(_part(chart))
+    else:
+        parts = draw(st.lists(_part(chart), min_size=1, max_size=3))
+        locus, rational = UnionLocus(tuple(p for p, _ in parts)), all(r for _, r in parts)
     region = Region(chart, intervals, (1,) * dim, 0)
     margin = draw(st.one_of(st.fractions(0, 2, max_denominator=64), st.integers(0, 2)))
-    return locus, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
+    return locus, rational, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_coord_locus_cases())
+@given(_locus_cases())
 def test_integer_off_locus_draws_match_the_reference(case):
-    locus, region, margin, count, seed = case
+    locus, rational, region, margin, count, seed = case
     got = _assert_same_off_locus_envs(locus, region, margin, count, seed)
     integer = isinstance(got, locus_mod._DyadicPoints)
-    assert integer == _within_float_bound(region.intervals)
+    assert integer == (rational and _within_float_bound(region.intervals))
 
 
 @pytest.mark.parametrize(
@@ -430,15 +468,35 @@ def test_off_locus_exhausted_budget_matches_the_reference():
     assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 0
 
 
+_POINTS = PointsLocus(C2, ((("y", F(1, 3)), ("x", F(0))), (("x", F(-1, 2)), ("y", 1))))
+_SQUARE = Region(P2, ((F(1, 4), F(1)), (F(0), F(1))), (2, 2), 3)
+_RATIONAL_IMAGE = ImageLocus(ChartMap("sq", P2, C2, (sym("u") ** 2, sym("v") - sym("u"))), _SQUARE)
+_SINE_IMAGE = ImageLocus(ChartMap("sine", P2, C2, (sin_of(sym("u")), sym("v"))), _SQUARE)
+_RATIONAL_UNION = UnionLocus((CoordLocus(C2, (("x", F(0)),)), _POINTS, _RATIONAL_IMAGE, EmptyLocus(C2)))
+_RATIONAL_BOX = ((F(-1), F(1)), (F(-1), F(1)))
+
+
+@pytest.mark.parametrize(
+    "locus",
+    [_POINTS, _RATIONAL_IMAGE, EmptyLocus(C2), _RATIONAL_UNION],
+    ids=["points", "image", "empty", "union"],
+)
+def test_rational_targets_take_the_integer_path(locus):
+    got = _assert_same_off_locus_envs(locus, _region(intervals=_RATIONAL_BOX), F(1, 8), 16, seed=4)
+    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 16
+
+
 @pytest.mark.parametrize(
     "locus, intervals",
     [
-        (PointsLocus(C2, ((("x", F(0)), ("y", F(0))),)), ((F(-1), F(1)), (F(-1), F(1)))),
         (CoordLocus(C2, (("x", F(0)),)), ((-1.0, 1.0), (F(-1), F(1)))),
-        (UnionLocus((CoordLocus(C2, (("x", F(0)),)), CoordLocus(C2, (("y", F(0)),)))), ((F(-1), F(1)),) * 2),
+        (_POINTS, ((F(-1), F(1)), (-1.0, 1.0))),
+        (_SINE_IMAGE, _RATIONAL_BOX),
+        (UnionLocus((_POINTS, _SINE_IMAGE)), _RATIONAL_BOX),
     ],
+    ids=["float-region", "points-in-float-region", "sine-image", "union-with-sine-image"],
 )
-def test_other_loci_and_float_regions_keep_the_dict_path(locus, intervals):
+def test_float_regions_and_targets_keep_the_dict_path(locus, intervals):
     got = _assert_same_off_locus_envs(locus, _region(intervals=intervals), F(1, 8), 16, seed=4)
     assert isinstance(got, list) and len(got) == 16
 
