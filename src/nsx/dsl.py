@@ -854,7 +854,17 @@ class _OffMode:
 _LOCUS = _name("locus", "a locus name")
 _REGION = ("region", _name("region", "a region name"))
 _ON_LOCUS = ("on", _LOCUS, *_REGION)
-_VIA_MARGIN = {"via": _name("via", "a map name"), "margin": _Field("margin", lambda p: p.parse_rational("a margin"))}
+
+
+def _read_margin(p):
+    t = p.peek()
+    margin = p.parse_rational("a margin")
+    if margin < 0:
+        p.error("margin must be nonnegative", t)
+    return margin
+
+
+_VIA_MARGIN = {"via": _name("via", "a map name"), "margin": _Field("margin", _read_margin)}
 
 
 class _Place:

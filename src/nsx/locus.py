@@ -14,12 +14,14 @@ on either side fails the check rather than silently passing it.
 A random draw on a rational interval is one of its 2**12 + 1 dyadic
 points, (base + step*k) / den for a seeded k, where `Region.dyadic_axes`
 holds (base, step, den) per axis.  Lattice points and most draws are
-{coord: Fraction} dicts.  Off-locus draws against rational targets (the
+{coord: Fraction} dicts.  Off-locus draws against finite targets (the
 tuples of (coord, value) pins that `LocusSampler.targets` measures the
-distance to a locus by) are held as integer numerators over those fixed
-denominators (`_DyadicPoints`): the margin test is one integer comparison
-per target, the float columns are one integer array divided by the
-denominators, and a dict is built only for a point read one at a time.
+distance to a locus by) are read in batches and held as integer
+numerators over those fixed denominators (`_DyadicPoints`): the margin
+test is array work over a batch, exact in integers for rational targets
+and bit for bit the float sum for targets holding a float; the float
+columns are one integer array divided by the denominators, and a dict is
+built only for a point read one at a time.
 
 A float value inside the tolerance band decides nothing by itself: it
 is a counterexample only when an exact value confirms it, and otherwise
@@ -337,8 +339,8 @@ def _coord_dist_sq(pins, env):
 
 
 class _DyadicPoints:
-    """Dyadic draws of a rational region, each one tuple of integer
-    numerators over the region's fixed per-axis denominators.
+    """Dyadic draws of a rational region: an (n_draws x n_axes) int64 array
+    of numerators over the region's fixed per-axis denominators.
 
     An item is the {coord: Fraction} env that `random_env` draws, built
     when it is read.  Every numerator and denominator is below 2**53.
@@ -351,59 +353,183 @@ class _DyadicPoints:
         return len(self.rows)
 
     def __getitem__(self, i):
-        return {c: Fraction(n, d) for c, n, d in zip(self.coords, self.rows[i], self.dens)}
+        return {c: Fraction(n, d) for c, n, d in zip(self.coords, self.rows[i].tolist(), self.dens)}
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, _DyadicPoints) else other)
 
     def float_columns(self, coords):
-        """{coord: float64 array} bit-identical to float() of each Fraction.
-
-        Both integers of a quotient are exact as floats, so the one IEEE
-        division is correctly rounded, as `float(Fraction)` is.
-        """
-        nums = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.coords))
-        vals = nums.T.astype(np.float64, order="C") / np.array(self.dens, dtype=np.float64)[:, None]
-        cols = dict(zip(self.coords, vals))
+        """{coord: float64 array} bit-identical to float() of each Fraction."""
+        cols = dict(zip(self.coords, _float_quotients(self.rows, self.dens).T))
         return {c: cols[c] for c in coords}
 
 
-def _integer_margin_test(sampler, margin):
-    """`distance_sq(env) >= margin**2` as integer data, or None.
+def _float_quotients(nums, dens):
+    """float(Fraction(n, den)) of every numerator, one den per column.
 
-    Returns one (pins, threshold) per target, with one (axis, q, p*den,
-    weight) in pins per pinned value p/q, such that a draw with numerators
-    n passes the target exactly when sum(weight * (n[axis]*q - p*den)**2)
-    >= threshold; it is accepted when it passes every target.  That needs
-    the locus on the region's chart, a rational margin, rational target
-    values and a rational region whose numerators and denominators stay
-    below 2**53; otherwise None.
+    Both integers of a quotient are exact as floats, so the one IEEE
+    division is correctly rounded, as `float(Fraction)` is.
+    """
+    return nums.astype(np.float64) / np.array(dens, dtype=np.float64)
+
+
+class _DyadicStream:
+    """The results of successive `rng.randrange(0, 2**12 + 1)` calls, read
+    in batches.
+
+    randrange(0, 4097) takes getrandbits(13), the top 13 bits of one 32-bit
+    Mersenne-Twister word, until it is at most 4096, and getrandbits(32*w)
+    returns w successive words, the first in the lowest bits.  So one call
+    yields the results of many randrange calls, in order.  It also moves the
+    generator past the words a batch leaves unread, which only a generator
+    that nothing else reads can afford.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.pending = np.empty(0, dtype=np.int64)
+
+    def take(self, n):
+        while len(self.pending) < n:
+            # Half the words are rejected; read a few more than twice the need.
+            words = 2 * (n - len(self.pending)) + 64
+            raw = self.rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            k = np.frombuffer(raw, dtype="<u4") >> (32 - _DYADIC_BITS - 1)
+            self.pending = np.concatenate((self.pending, k[k <= 1 << _DYADIC_BITS].astype(np.int64)))
+        out, self.pending = self.pending[:n], self.pending[n:]
+        return out
+
+
+def _square_bound(terms, extremes):
+    """A bound on every constant and on sum(w * (n[:, i]*q - pd)**2) over
+    the (i, q, pd, w) terms, where `extremes[i]` bounds |n[:, i]|."""
+    return sum(w * ((extremes[i] + 1) * q + abs(pd)) ** 2 for i, q, pd, w in terms)
+
+
+def _square_sum(terms, wide):
+    """A function of a numerator array giving sum(w * (n[:, i]*q - pd)**2)
+    over the (i, q, pd, w) terms per row: in int64, or on Python ints
+    when `wide`."""
+
+    def total(nums):
+        cols = nums.astype(object) if wide else nums
+        out = 0
+        for i, q, pd, w in terms:
+            a = cols[:, i] * q - pd
+            out = out + w * a * a
+        return out
+
+    return total
+
+
+def _common_terms(pins, dens):
+    """The squared distances to rational pins (axis, p/q) over one
+    denominator: (n/den - p/q)**2 == (n*q - p*den)**2 / (den*q)**2, so
+    their sum is sum(w * (n[axis]*q - p*den)**2) / common over the
+    returned (axis, q, p*den, w) terms, with common = lcm((den*q)**2)."""
+    sqs = [(dens[i] * v.denominator) ** 2 for i, v in pins]
+    common = math.lcm(*sqs)
+    return [(i, v.denominator, v.numerator * dens[i], common // sq) for (i, v), sq in zip(pins, sqs)], common
+
+
+def _rational_target_test(pins, dens, extremes, margin):
+    """`_coord_dist_sq(target, env) >= margin**2` for a target of rational
+    values, as one integer comparison per row over the common denominator
+    lcm((den*q)**2) * margin.denominator**2."""
+    terms, common = _common_terms(pins, dens)
+    md_sq = margin.denominator**2
+    terms = [(i, q, pd, w * md_sq) for i, q, pd, w in terms]
+    threshold = margin.numerator**2 * common
+    total = _square_sum(terms, max(_square_bound(terms, extremes), threshold) >= 1 << 63)
+    return lambda nums, floats: total(nums) >= threshold
+
+
+def _float_target_test(pins, dens, extremes, margin):
+    """`_coord_dist_sq(target, env) >= margin**2` for a target holding a
+    finite float, bit for bit, over a rational region and margin.
+
+    `_coord_dist_sq` sums from Fraction(0): the rational pins before the
+    first float pin sum exactly, and their sum becomes a float once.  Then
+    a float pin adds (x - v)**2 in floats, and a rational pin adds the
+    float of its exact square.  A float d compares exactly with the
+    rational margin**2, which rounds to m: d > m means d > margin**2,
+    d < m means d < margin**2, and the tie d == m is decided once.
+    Returns None for a rational value of 2**53 or more, whose square
+    could overflow a float, or a margin**2 beyond the float range.
+    """
+    if any(_is_rational_number(v) and abs(v) >= _FLOAT_EXACT for _, v in pins):
+        return None
+    margin_sq = margin * margin
+    try:
+        m = float(margin_sq)
+    except OverflowError:
+        return None
+    tie_passes = Fraction(m) >= margin_sq
+
+    def exact(rational_pins):
+        # float(Fraction(t, common)) is t / common, correctly rounded; in
+        # float64 only when both integers are exact as floats.
+        terms, common = _common_terms(rational_pins, dens)
+        wide = max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT
+        total = _square_sum(terms, wide)
+        if wide:
+            return lambda nums, floats: (total(nums) / common).astype(np.float64)
+        return lambda nums, floats: total(nums).astype(np.float64) / common
+
+    def inexact(i, v):
+        return lambda nums, floats: (floats[:, i] - v) ** 2
+
+    first = next(k for k, (_, v) in enumerate(pins) if isinstance(v, float))
+    parts = [exact(pins[:first])] if first else []
+    parts += [inexact(i, v) if isinstance(v, float) else exact([(i, v)]) for i, v in pins[first:]]
+
+    def passes(nums, floats):
+        d = 0.0
+        with np.errstate(over="ignore"):
+            for part in parts:
+                d = d + part(nums, floats)
+        return d >= m if tie_passes else d > m
+
+    return passes
+
+
+def _margin_test(sampler, margin):
+    """`distance_sq(env) >= margin**2` as array work, or None.
+
+    Returns one function per target of a draw's (n_draws x n_axes)
+    numerator array and its float columns, giving a bool per draw; a draw
+    is accepted when it passes every target.  A target of rational values
+    is decided in integers; one holding a finite float reproduces the bits
+    of `_coord_dist_sq`.  That needs the locus on the region's chart, a
+    rational margin and a rational region whose numerators and
+    denominators stay below 2**53; otherwise, or for a target value that is
+    neither rational nor a finite float, None.
     """
     locus, region = sampler.locus, sampler.region
     axes = region.dyadic_axes
     if not (locus.chart == region.chart and _is_rational_number(margin) and None not in axes):
         return None
-    for base, step, den in axes:
-        if max(abs(base), abs(base + (step << _DYADIC_BITS)), den) >= _FLOAT_EXACT:
-            return None
-    targets = sampler.targets
-    if not all(_is_rational_number(v) for target in targets for _, v in target):
+    extremes = [max(abs(base), abs(base + (step << _DYADIC_BITS))) for base, step, _ in axes]
+    dens = [den for *_, den in axes]
+    if max(*extremes, *dens) >= _FLOAT_EXACT:
         return None
-    # (n/den - p/q)**2 == (n*q - p*den)**2 / (den*q)**2; scale every term
-    # and margin**2 to the common denominator lcm((den*q)**2) * margin.d**2.
     index = {c: i for i, c in enumerate(region.chart.coords)}
-    md_sq = margin.denominator**2
     tests = []
-    for target in targets:
-        pins = []
-        for c, v in target:
-            i = index[c]
-            den = axes[i][2]
-            pins.append((i, v.denominator, v.numerator * den, (den * v.denominator) ** 2))
-        common = math.lcm(*(sq for *_, sq in pins))
-        pins = [(i, q, pd, common // sq * md_sq) for i, q, pd, sq in pins]
-        tests.append((pins, margin.numerator**2 * common))
+    for target in sampler.targets:
+        pins = [(index[c], v) for c, v in target]
+        if all(_is_rational_number(v) for _, v in pins):
+            tests.append(_rational_target_test(pins, dens, extremes, margin))
+            continue
+        if not all(_is_rational_number(v) or (isinstance(v, float) and math.isfinite(v)) for _, v in pins):
+            return None
+        test = _float_target_test(pins, dens, extremes, margin)
+        if test is None:
+            return None
+        tests.append(test)
     return tests
+
+
+_BATCH_DRAWS = 512  # draws per margin test; a cap on the arrays' size
 
 
 def off_locus_envs(sampler, margin, count, seed):
@@ -413,18 +539,20 @@ def off_locus_envs(sampler, margin, count, seed):
     distance >= margin**2 from the locus; exhausted is True when the
     draw budget ran out first.
 
-    Each draw makes `random_env`'s RNG calls in the same order.  Where
-    `_integer_margin_test` applies, a draw stays integer numerators, the
-    margin test is one integer comparison per target, and envs is a
-    `_DyadicPoints`; for a float region, margin or target value, envs is a
-    list of `random_env` dicts tested with `LocusSampler.distance_sq`.
+    Every path draws the same points as `random_env` would, in order, and
+    accepts the same ones.  Where `_margin_test` applies, draws are read
+    in batches (`_DyadicStream`) as integer numerator arrays, each batch
+    is margin-tested as a whole, and envs is a `_DyadicPoints`.  For a
+    float region or margin, a locus on another chart or a non-finite
+    target value, envs is a list of `random_env` dicts tested one at a
+    time with `LocusSampler.distance_sq`.
     """
     region = sampler.region
     rng = random.Random(derive_seed(seed, "off-locus"))
     budget = max(64, _REJECTION_CAP_FACTOR * count)
     draws = 0
-    test = _integer_margin_test(sampler, margin)
-    if test is None:
+    tests = _margin_test(sampler, margin)
+    if tests is None:
         margin_sq = margin * margin
         out = []
         while len(out) < count and draws < budget:
@@ -434,23 +562,26 @@ def off_locus_envs(sampler, margin, count, seed):
             if d is None or d >= margin_sq:
                 out.append(env)
         return out, len(out) < count
-    lines = [(base, step) for base, step, _ in region.dyadic_axes]
-    randrange, top = rng.randrange, (1 << _DYADIC_BITS) + 1
-    rows = []
-    while len(rows) < count and draws < budget:
-        draws += 1
-        row = tuple([base + step * randrange(0, top) for base, step in lines])
-        for pins, threshold in test:
-            total = 0
-            for i, q, pd, weight in pins:
-                a = row[i] * q - pd
-                total += weight * a * a
-            if total < threshold:
-                break
-        else:
-            rows.append(row)
-    dens = tuple(den for *_, den in region.dyadic_axes)
-    return _DyadicPoints(region.chart.coords, dens, rows), len(rows) < count
+    axes = region.dyadic_axes
+    base = np.array([b for b, _, _ in axes], dtype=np.int64)
+    step = np.array([s for _, s, _ in axes], dtype=np.int64)
+    dens = tuple(den for *_, den in axes)
+    stream = _DyadicStream(rng)
+    batches, kept = [], 0
+    while kept < count and draws < budget:
+        # Enough draws for the rest at the acceptance rate seen so far.
+        size = min(_BATCH_DRAWS, budget - draws, (count - kept) * (draws + 1) // (kept + 1) + 1)
+        nums = base + step * stream.take(size * len(axes)).reshape(size, len(axes))
+        floats = _float_quotients(nums, dens)
+        ok = np.ones(size, dtype=bool)
+        for passes in tests:
+            ok &= passes(nums, floats)
+        accepted = nums[np.flatnonzero(ok)[: count - kept]]
+        batches.append(accepted)
+        kept += len(accepted)
+        draws += size
+    rows = np.concatenate(batches) if batches else np.empty((0, len(axes)), dtype=np.int64)
+    return _DyadicPoints(region.chart.coords, dens, rows), kept < count
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_zero_repetition_count_exits_2(tmp_path, command, capsys):
     assert capsys.readouterr().err == "error: line 2, col 24: repetition count must be at least 1\n"
 
 
+def test_negative_margin_exits_2(tmp_path, capsys):
+    path = tmp_path / "margin.nsx"
+    path.write_text(
+        "chart C(x, y)\nform om on C = x*d(y)\nregion R on C = [-1, 1]^2 lattice 3 random 8\n"
+        "locus L on C = coords(x = 0)\ncheck vanishing_locus om on L region R off nonzero margin -1/8\n"
+    )
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 5, col 59: margin must be nonnegative\n"
+
+
 @pytest.mark.parametrize("command", ["check", "print"])
 @pytest.mark.parametrize("lattice, col", [("0", 34), ("(2, 0)", 38)])
 def test_zero_lattice_resolution_exits_2(tmp_path, command, lattice, col, capsys):

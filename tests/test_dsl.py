@@ -253,6 +253,7 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\ncheck stabilize eta, om region R k_max 0\n", 2, 40, "k_max must be at least 1"),
         ("chart C(x, y)\ncheck property dd_zero samples 0\n", 2, 32, "samples must be at least 1"),
         ("chart C(x, y)\ncheck contact al grid 0\n", 2, 23, "grid must be at least 1"),
+        ("chart C(x, y)\ncheck fixed_points X on L region R margin -1/8\n", 2, 43, "margin must be nonnegative"),
         ("chart C(x, y)\nmap f : C C\n", 2, 11, "expected '->'"),
         ("chart C(x, y)\nmetric g on C = diagonal(1, 1)\n", 2, 17, "expected keyword 'diag'"),
         ("chart C(x, y)\nregion R on C = [0, 1]^2 lattice 3\n", 2, 35, "expected keyword 'random'"),

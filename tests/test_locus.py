@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -393,22 +394,22 @@ def _polynomial(draw, coords):
 
 @st.composite
 def _part(draw, chart):
-    """A non-union locus on the chart, and whether its targets are rational."""
+    """A non-union locus on the chart; a sine image has float targets."""
     kind = draw(st.sampled_from(("coords", "points", "image", "identity", "sine", "empty")))
     if kind == "coords":
         pinned = draw(st.lists(st.sampled_from(chart.coords), min_size=1, max_size=chart.dim, unique=True))
-        return CoordLocus(chart, tuple((c, draw(_PIN_VALUES)) for c in pinned)), True
+        return CoordLocus(chart, tuple((c, draw(_PIN_VALUES)) for c in pinned))
     if kind == "points":
         orders = draw(st.lists(st.permutations(chart.coords), min_size=1, max_size=3))
-        return PointsLocus(chart, tuple(tuple((c, draw(_PIN_VALUES)) for c in cs) for cs in orders)), True
+        return PointsLocus(chart, tuple(tuple((c, draw(_PIN_VALUES)) for c in cs) for cs in orders))
     if kind == "identity":
-        return ImageLocus(None, _source_region(draw, chart)), True
+        return ImageLocus(None, _source_region(draw, chart))
     if kind == "empty":
-        return EmptyLocus(chart), True
+        return EmptyLocus(chart)
     comps = [_polynomial(draw, _SOURCE.coords) for _ in chart.coords]
     if kind == "sine":
         comps[0] = comps[0] + sin_of(sym("u"))
-    return ImageLocus(ChartMap("m", _SOURCE, chart, tuple(comps)), _source_region(draw, _SOURCE)), kind == "image"
+    return ImageLocus(ChartMap("m", _SOURCE, chart, tuple(comps)), _source_region(draw, _SOURCE))
 
 
 @st.composite
@@ -421,22 +422,22 @@ def _locus_cases(draw):
         i = draw(st.integers(0, dim - 1))
         intervals = intervals[:i] + ((intervals[i][0],) * 2,) + intervals[i + 1:]
     if draw(st.booleans()):
-        locus, rational = draw(_part(chart))
+        locus = draw(_part(chart))
     else:
-        parts = draw(st.lists(_part(chart), min_size=1, max_size=3))
-        locus, rational = UnionLocus(tuple(p for p, _ in parts)), all(r for _, r in parts)
+        locus = UnionLocus(tuple(draw(st.lists(_part(chart), min_size=1, max_size=3))))
     region = Region(chart, intervals, (1,) * dim, 0)
     margin = draw(st.one_of(st.fractions(0, 2, max_denominator=64), st.integers(0, 2)))
-    return locus, rational, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
+    return locus, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_locus_cases())
 def test_integer_off_locus_draws_match_the_reference(case):
-    locus, rational, region, margin, count, seed = case
+    locus, region, margin, count, seed = case
     got = _assert_same_off_locus_envs(locus, region, margin, count, seed)
+    # Every drawn target is finite, rational or float, so the region decides.
     integer = isinstance(got, locus_mod._DyadicPoints)
-    assert integer == (rational and _within_float_bound(region.intervals))
+    assert integer == _within_float_bound(region.intervals)
 
 
 @pytest.mark.parametrize(
@@ -491,14 +492,90 @@ def test_rational_targets_take_the_integer_path(locus):
     [
         (CoordLocus(C2, (("x", F(0)),)), ((-1.0, 1.0), (F(-1), F(1)))),
         (_POINTS, ((F(-1), F(1)), (-1.0, 1.0))),
-        (_SINE_IMAGE, _RATIONAL_BOX),
-        (UnionLocus((_POINTS, _SINE_IMAGE)), _RATIONAL_BOX),
+        (UnionLocus((_POINTS, PointsLocus(C2, ((("x", math.inf), ("y", F(0))),)))), _RATIONAL_BOX),
     ],
-    ids=["float-region", "points-in-float-region", "sine-image", "union-with-sine-image"],
+    ids=["float-region", "points-in-float-region", "infinite-target"],
 )
 def test_float_regions_and_targets_keep_the_dict_path(locus, intervals):
     got = _assert_same_off_locus_envs(locus, _region(intervals=intervals), F(1, 8), 16, seed=4)
     assert isinstance(got, list) and len(got) == 16
+
+
+C3 = Chart("c3", ("x", "y", "z"))
+# Two rational pins before the float one: their squares sum exactly and
+# become a float once, which adding their floats would not reproduce.
+_EXACT_PREFIX = PointsLocus(
+    C3,
+    (
+        (("x", F(1, 3)), ("y", F(-2, 7)), ("z", 0.1)),
+        (("z", F(1, 5)), ("x", 0.7), ("y", F(3, 11))),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "locus, region",
+    [
+        (_SINE_IMAGE, _region(intervals=_RATIONAL_BOX)),
+        (UnionLocus((_POINTS, _SINE_IMAGE)), _region(intervals=_RATIONAL_BOX)),
+        (_EXACT_PREFIX, Region(C3, ((F(-1), F(1)),) * 3, (2, 2, 2), 0)),
+    ],
+    ids=["sine-image", "union-with-sine-image", "rational-before-float"],
+)
+def test_finite_float_targets_take_the_array_path(locus, region):
+    got = _assert_same_off_locus_envs(locus, region, F(1, 8), 16, seed=4)
+    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 16
+
+
+@pytest.mark.parametrize(
+    "margin, accepted",
+    # float(1/25) is above 1/25 and float(1/9) below 1/9.
+    [(F(1, 5), 8), (F(1, 3), 0)],
+)
+def test_a_float_distance_tied_with_the_margin_is_decided_exactly(margin, accepted):
+    # Every draw is the origin, at float distance float(margin**2) from the target.
+    region = _region(intervals=((F(0), F(0)), (F(0), F(0))))
+    target = PointsLocus(C2, ((("x", 0.0), ("y", -margin)),))
+    got = _assert_same_off_locus_envs(target, region, margin, 8, seed=0)
+    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == accepted
+
+
+@pytest.mark.parametrize(
+    "locus, margin",
+    [
+        (CoordLocus(C2, (("x", F(1, 3)),)), F(1, 8)),
+        (PointsLocus(C2, ((("x", 0.5), ("y", F(1, 3))), (("y", F(-1, 7)), ("x", F(2, 9))))), F(2**39)),
+    ],
+    ids=["rational", "float"],
+)
+def test_squares_beyond_int64_use_python_ints(locus, margin):
+    # Numerators reach 2**52, so a square over the common denominator
+    # passes 2**63 and the margin test runs on Python ints.
+    region = _region(intervals=((-(2**40), 2**40), (-(2**40), 2**40)))
+    got = _assert_same_off_locus_envs(locus, region, margin, 40, seed=5)
+    assert isinstance(got, locus_mod._DyadicPoints) and 0 < len(got)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("sizes", [(0, 1, 5), (513,), (3, 1000, 1, 64)])
+def test_dyadic_stream_is_the_randrange_sequence(seed, sizes):
+    reader = locus_mod._DyadicStream(random.Random(seed))
+    reference = random.Random(seed)
+    for n in sizes:
+        got = reader.take(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [reference.randrange(0, 4097) for _ in range(n)]
+
+
+def test_dyadic_stream_batch_ending_on_a_rejected_word():
+    # A seed whose first read, of 2*n + 64 words, ends on a word whose top
+    # 13 bits exceed 4096, so the next batch starts after a rejection.
+    n, words = 10, 2 * 10 + 64
+    seed = next(s for s in range(100) if random.Random(s).getrandbits(32 * words) >> 32 * words - 13 > 4096)
+    reader = locus_mod._DyadicStream(random.Random(seed))
+    reference = random.Random(seed)
+    for size in (n, 2 * n + 70, 1):
+        assert reader.take(size).tolist() == [reference.randrange(0, 4097) for _ in range(size)]
 
 
 def test_dyadic_points_read_like_a_list():
