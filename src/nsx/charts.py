@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
 
 from . import _linalg
 from .errors import DomainError, UnsupportedMetricError
-from .symexpr import _as_expr, _sum, rat
+from .symexpr import ONE, ZERO, _as_expr, _sum, rat
 
 MAX_DIM = 8
+
+# Bound of the memoized index merges; the built-in suite makes ~1.2k.
+_MERGE_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,12 @@ class Chart:
             raise DomainError(f"{coord} is not a coordinate of chart {self.name}") from None
 
 
+@lru_cache(maxsize=_MERGE_CACHE)
 def _merge_indices(left, right):
     """Concatenate two increasing index tuples with the sorting sign.
 
-    Returns (merged, sign) or (None, 0) when an index repeats.
+    Returns (merged, sign) or (None, 0) when an index repeats.  The result
+    depends only on the two tuples, so it is memoized.
     """
     if set(left) & set(right):
         return None, 0
@@ -122,8 +126,6 @@ class DForm:
         return not self.comps
 
     def coefficient(self, idx):
-        from .symexpr import ZERO
-
         return self.comps.get(tuple(idx), ZERO)
 
     # -- ring structure ------------------------------------------------
@@ -300,8 +302,6 @@ def function_form(chart, expr):
 
 def coord_differential(chart, coord):
     """The 1-form d<coord>."""
-    from .symexpr import ONE
-
     return DForm(chart, 1, {(chart.index(coord),): ONE})
 
 
@@ -401,6 +401,25 @@ class ChartMap:
             tuple(comp.diff(s) for s in self.source.coords) for comp in self.comps
         )
 
+    @cached_property
+    def _wedges(self):
+        # Index tuple I -> d(phi_i1) /\ ... /\ d(phi_ik) on the source chart,
+        # filled on first use; at most 2**target.dim entries per map.
+        return {(): function_form(self.source, ONE)}
+
+    def _differential_wedge(self, idx):
+        """The pullback of the basis form dy_I: the wedge of the
+        differentials of the components in idx, built once per map and
+        index prefix."""
+        out = self._wedges.get(idx)
+        if out is None:
+            last = DForm(self.source, 1, {
+                (j,): d for j, d in enumerate(self._jacobian[idx[-1]]) if not d.is_zero
+            })
+            out = self._differential_wedge(idx[:-1]).wedge(last)
+            self._wedges[idx] = out
+        return out
+
     def pullback(self, form):
         """Pull a form on the target chart back to the source chart."""
         if form.chart != self.target:
@@ -409,16 +428,13 @@ class ChartMap:
                 f" got one on {form.chart.name}"
             )
         subs = self.substitution()
-        differentials = [
-            DForm(self.source, 1, {(j,): d for j, d in enumerate(row) if not d.is_zero})
-            for row in self.jacobian()
-        ]
         terms = []
         for idx, coeff in form.comps.items():
-            piece = function_form(self.source, coeff.subs(subs))
-            for i in idx:
-                piece = piece.wedge(differentials[i])
-            terms += piece.comps.items()
+            pulled = coeff.subs(subs)
+            if pulled.is_zero:
+                continue
+            for key, w in self._differential_wedge(idx).comps.items():
+                terms.append((key, w * pulled))
         # An overweight pullback is identically zero; clamp the degree the
         # same way wedge does so the result stays a legal form.
         return DForm(self.source, min(form.degree, self.source.dim), _sum_by_key(terms))
@@ -446,7 +462,7 @@ class Metric:
     that are not rational squares are rejected up front.
     """
 
-    __slots__ = ("chart", "rows", "inverse", "sqrt_det")
+    __slots__ = ("chart", "rows", "inverse", "sqrt_det", "_stars")
 
     def __init__(self, chart, rows):
         n = chart.dim
@@ -472,6 +488,7 @@ class Metric:
         self.rows = rows
         self.inverse = [row[:] for row in _linalg.exact_inverse(rows)]
         self.sqrt_det = root
+        self._stars = {}
 
     @classmethod
     def euclidean(cls, chart):
@@ -495,30 +512,61 @@ class Metric:
         For an increasing I and the output candidate J, the coefficient
         is eps(Jc, J) * sqrt(det g) * det(inverse[Jc rows, I columns]),
         which reduces to the complement-with-sign rule when g is the
-        identity.
+        identity.  Only the row sets R = Jc in which every column of
+        inverse[R, I] has its own nonzero row are visited: any other
+        minor has a zero factor in every term of its expansion.  So a
+        diagonal metric has one row set per I and a dense one all
+        C(n, k) of them.
         """
         if form.chart != self.chart:
             raise DomainError("form and metric live on different charts")
-        n = self.chart.dim
-        k = form.degree
         terms = []
-        for jj in combinations(range(n), n - k):
-            jc = tuple(i for i in range(n) if i not in jj)
-            _, eps = _merge_indices(jc, jj)
-            for idx, coeff in form.comps.items():
-                minor = [[self.inverse[r][c] for c in idx] for r in jc]
-                # An all-zero row makes the determinant exactly 0.
-                if not all(any(row) for row in minor):
-                    continue
+        for idx, coeff in form.comps.items():
+            for jj, scal in self._basis_star(idx):
+                terms.append((jj, coeff * scal))
+        # Components in increasing key order, whatever the order of the
+        # input's: later float sums over components follow this order.
+        terms.sort(key=lambda t: t[0])
+        return DForm(self.chart, self.chart.dim - form.degree, _sum_by_key(terms))
+
+    def _basis_star(self, idx):
+        """The nonzero (J, coefficient) pairs of the star of dx_I, built
+        once per metric and index tuple I."""
+        out = self._stars.get(idx)
+        if out is None:
+            n = self.chart.dim
+            out = []
+            for rows in _row_sets(self.inverse, idx):
+                jj = tuple(i for i in range(n) if i not in rows)
+                _, eps = _merge_indices(rows, jj)
+                minor = [[self.inverse[r][c] for c in idx] for r in rows]
                 scal = _linalg.exact_det(minor) * self.sqrt_det * eps
                 if scal != 0:
-                    terms.append((jj, coeff * rat(scal)))
-        return DForm(self.chart, n - k, _sum_by_key(terms))
+                    out.append((jj, rat(scal)))
+            out.sort()
+            self._stars[idx] = out
+        return out
 
     def volume_form(self):
-        from .symexpr import ONE
-
         return DForm(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): ONE * rat(self.sqrt_det)})
+
+
+def _row_sets(matrix, cols):
+    """The increasing row tuples R, one per set, for which the columns
+    `cols` of matrix[R] can each be given their own nonzero row."""
+    found = set()
+
+    def assign(pos, used):
+        if pos == len(cols):
+            found.add(tuple(sorted(used)))
+            return
+        c = cols[pos]
+        for r, row in enumerate(matrix):
+            if row[c] and r not in used:
+                assign(pos + 1, used + (r,))
+
+    assign(0, ())
+    return sorted(found)
 
 
 def _rational_sqrt(q):

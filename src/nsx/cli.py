@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dsl import parse_scenario, print_scenario
-from .errors import EvaluationError, NsxError, ParseError
+from .errors import EvaluationError, InternalError, NsxError, ParseError
 from .runner import (
     RunConfig,
     SuiteReport,
@@ -220,6 +220,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InternalError as e:
+        print(f"internal error in {e.where}: {e.cause!r}", file=sys.stderr)
+        return 3
     except Exception as e:  # a defect of nsx, not of the input
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3

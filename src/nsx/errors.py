@@ -45,3 +45,17 @@ class ElaborationError(NsxError):
     Raised while turning the AST into charts/forms/checks: unknown
     identifiers, dimension mismatches, a map used where a form is needed.
     """
+
+
+class InternalError(Exception):
+    """An unexpected exception, with the place it escaped from.
+
+    Not an NsxError: it marks a defect of nsx, not of the input, and the
+    CLI reports it with exit 3.  `where` names the scenario, and the check
+    when one was running; `cause` is the original exception.
+    """
+
+    def __init__(self, where, cause):
+        super().__init__(f"{where}: {cause!r}")
+        self.where = where
+        self.cause = cause

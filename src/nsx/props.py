@@ -46,13 +46,16 @@ def _rand_poly(rng, coords, max_terms=3, max_deg=2):
 
 
 def _rand_form(rng, chart, degree, max_terms=2):
+    """A random form with up to max_terms components.  The keys come from
+    `combinations`, so they are increasing and distinct and the form needs
+    no sorting or summing; only a zero coefficient is dropped."""
     keys = list(combinations(range(chart.dim), degree))
     rng.shuffle(keys)
     items = [
         (k, _rand_poly(rng, chart.coords))
         for k in keys[: rng.randrange(1, max_terms + 1)]
     ]
-    return DForm.build(chart, degree, items)
+    return DForm(chart, degree, {k: c for k, c in items if not c.is_zero})
 
 
 def _rand_map(rng, source, target):
@@ -95,7 +98,9 @@ def _run_functorial(rng, samples, dims):
         da = rng.choice(dims)
         source, target = _chart(da), _chart(db)
         if source == target:
-            target = _chart(db + 1 if db < max(dims) else db - 1)
+            # Move the target up a dimension, or down from the largest
+            # declared one; no chart has 0 coordinates, so 1 moves up.
+            target = _chart(db + 1 if db < max(dims) or db == 1 else db - 1)
         phi = _rand_map(rng, source, target)
         p = rng.randrange(0, target.dim)
         q = rng.randrange(0, target.dim - p + 1)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import dsl
 from .charts import Chart, ChartMap, DForm, Metric, VectorField, function_form
-from .errors import ElaborationError, NsxError
+from .errors import ElaborationError, InternalError, NsxError
 from .locus import (
     DEFAULT_MARGIN,
     CoordLocus,
@@ -868,26 +868,35 @@ def run_check(scope, stmt, sid, index, config):
 
 
 def run_scenario_text(text, sid, anchor, config=None):
+    """Parse, elaborate and run one scenario.  A ParseError escapes as it
+    is; any other exception that escapes becomes an InternalError naming
+    the scenario, and the check when one was running."""
     config = config or RunConfig()
-    scenario = dsl.parse_scenario(text)
+    where = f"scenario {sid}"
     try:
-        scope = elaborate_scope(scenario, config)
-    except NsxError as e:
-        record = CheckRecord(
-            index=0,
-            kind="elaboration",
-            verdict="error",
-            expect="pass",
-            ok=False,
-            anchor="",
-            detail="(error)",
-            evidence={"error": str(e)},
-        )
-        return ScenarioReport(sid=sid, anchor=anchor, status="fail", checks=[record])
-    checks = [
-        run_check(scope, stmt, sid, i, config)
-        for i, stmt in enumerate(scenario.checks())
-    ]
+        scenario = dsl.parse_scenario(text)
+        try:
+            scope = elaborate_scope(scenario, config)
+        except NsxError as e:
+            record = CheckRecord(
+                index=0,
+                kind="elaboration",
+                verdict="error",
+                expect="pass",
+                ok=False,
+                anchor="",
+                detail="(error)",
+                evidence={"error": str(e)},
+            )
+            return ScenarioReport(sid=sid, anchor=anchor, status="fail", checks=[record])
+        checks = []
+        for i, stmt in enumerate(scenario.checks()):
+            where = f"scenario {sid}, check {i} ({stmt.kind})"
+            checks.append(run_check(scope, stmt, sid, i, config))
+    except NsxError:
+        raise
+    except Exception as e:  # a defect of nsx, not of the input
+        raise InternalError(where, e) from e
     status = "pass" if checks and all(c.ok for c in checks) else "fail"
     if not checks:
         status = "pass"

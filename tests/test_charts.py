@@ -410,6 +410,56 @@ def test_then_composes():
         g.then(f)
 
 
+def _pullback_by_sequential_wedges(m, form):
+    """The pullback with each component's substituted coefficient wedged
+    with the differentials of the map one at a time."""
+    differentials = [
+        DForm(m.source, 1, {(j,): d for j, d in enumerate(row) if not d.is_zero})
+        for row in m.jacobian()
+    ]
+    items = []
+    for idx, coeff in form.comps.items():
+        piece = function_form(m.source, coeff.subs(m.substitution()))
+        for i in idx:
+            piece = piece.wedge(differentials[i])
+        items += piece.comps.items()
+    return DForm.build(m.source, min(form.degree, m.source.dim), items)
+
+
+def _assert_same_pullback(m, form):
+    got = m.pullback(form)
+    want = _pullback_by_sequential_wedges(m, form)
+    assert got == want and list(got.comps) == list(want.comps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source_dim=st.integers(1, 4), target_dim=st.integers(1, 4))
+def test_pullback_equals_sequential_wedges_on_polynomial_maps(seed, source_dim, target_dim):
+    rng = random.Random(seed)
+    source = Chart("src", tuple(f"s{i}" for i in range(source_dim)))
+    target = Chart("tgt", tuple(f"t{i}" for i in range(target_dim)))
+    m = ChartMap("m", source, target, tuple(_rand_poly(rng, source) for _ in target.coords))
+    for degree in range(target_dim + 1):
+        _assert_same_pullback(m, _rand_form(rng, target, degree))
+
+
+def test_pullback_equals_sequential_wedges_on_the_sphere_maps():
+    from nsx.dsl import parse_scenario
+    from nsx.runner import RunConfig, elaborate_scope
+    from nsx.scenarios import SUITE
+
+    (text,) = [text for sid, _, text in SUITE if sid == "S8"]
+    scope = elaborate_scope(parse_scenario(text), RunConfig())
+    rng = random.Random(15)
+    for name in ("sphN", "sphS"):
+        m = scope.named("map", name)
+        forms = [f for _, f in scope.of_kind("form") if f.chart == m.target]
+        assert forms
+        forms += [_rand_form(rng, m.target, degree) for degree in range(m.target.dim + 1)]
+        for form in forms:
+            _assert_same_pullback(m, form)
+
+
 def test_pullback_rejects_wrong_chart():
     m = _polar()
     with pytest.raises(DomainError):
@@ -482,6 +532,64 @@ def test_star_star_sign():
         w = _rand_form(rng, C4, degree)
         sign = (-1) ** (degree * (C4.dim - degree))
         assert g.star(g.star(w)) == (w if sign > 0 else -w)
+
+
+def _perm_sign(seq):
+    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+    return -1 if inversions % 2 else 1
+
+
+def _leibniz_det(m):
+    n = len(m)
+    return sum(
+        (_perm_sign(p) * math.prod((m[i][p[i]] for i in range(n)), start=Fraction(1))
+         for p in itertools.permutations(range(n))),
+        Fraction(0),
+    )
+
+
+def _star_over_all_minors(metric, form):
+    """The Hodge star from all C(n, k) minors of every component."""
+    n = metric.chart.dim
+    items = []
+    for jj in itertools.combinations(range(n), n - form.degree):
+        jc = tuple(i for i in range(n) if i not in jj)
+        for idx, coeff in form.comps.items():
+            det = _leibniz_det([[metric.inverse[r][c] for c in idx] for r in jc])
+            if det:
+                items.append((jj, coeff * rat(det * metric.sqrt_det * _perm_sign(jc + jj))))
+    return DForm.build(metric.chart, n - form.degree, items)
+
+
+def _assert_star_matches_all_minors(metric, rng):
+    for degree in range(metric.chart.dim + 1):
+        for form in (_rand_form(rng, metric.chart, degree), DForm.build(
+            metric.chart, degree, [(idx, ONE) for idx in itertools.combinations(range(metric.chart.dim), degree)]
+        )):
+            got, want = metric.star(form), _star_over_all_minors(metric, form)
+            assert got == want and list(got.comps) == list(want.comps)
+
+
+# Two 2x2 blocks of determinants 1 and 16: not diagonal, and zero off the blocks.
+_BLOCK = Metric(C4, [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 5, 3], [0, 0, 3, 5]])
+
+
+@pytest.mark.parametrize("name", ["dense", "block", "euclidean"])
+def test_star_equals_the_all_minors_reference(name):
+    metric = {"dense": _DENSE, "block": _BLOCK, "euclidean": Metric.euclidean(C4)}[name]
+    _assert_star_matches_all_minors(metric, random.Random(16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    entries=st.lists(st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8), max_size=4),
+)
+def test_star_equals_the_all_minors_reference_on_diagonal_metrics(seed, entries):
+    # The last entry makes the determinant a rational square.
+    entries = [*entries, math.prod(entries, start=Fraction(1))]
+    chart = Chart(f"d{len(entries)}", tuple(f"x{i}" for i in range(len(entries))))
+    _assert_star_matches_all_minors(Metric.diagonal(chart, entries), random.Random(seed))
 
 
 def test_star_rejects_foreign_form():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nsx import cli
+from nsx import cli, runner
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -169,3 +169,31 @@ def test_an_escaping_exception_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError('planted\\nfault')\n"
+
+
+def test_an_internal_error_names_the_scenario(monkeypatch, capsys):
+    def broken(scenario, config):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(runner, "elaborate_scope", broken)
+    assert cli.main(["paper-suite", "--only", "S2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error in scenario S2: RuntimeError('planted')\n"
+
+
+def test_an_internal_error_names_the_check(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "two.nsx"
+    path.write_text("chart C(x, y)\nform w on C = x*d(y)\ncheck closed d(w)\ncheck equal w, w\n")
+    original = runner.run_check
+
+    def broken(scope, stmt, sid, index, config):
+        if index == 1:
+            raise RuntimeError("planted")
+        return original(scope, stmt, sid, index, config)
+
+    monkeypatch.setattr(runner, "run_check", broken)
+    assert cli.main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error in scenario two, check 1 (equal): RuntimeError('planted')\n"

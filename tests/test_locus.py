@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nsx import locus as locus_mod
@@ -372,65 +372,108 @@ def _assert_same_off_locus_envs(locus, region, margin, count, seed):
     return got
 
 
-_SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=1000)
-_BIG_RATIONALS = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9)
+# Every strategy is built once, here: a strategy built inside a composite is
+# a new object on every draw, and hypothesis analyses each one again, which
+# made data generation most of the cost of shrinking a failure.
+def _rationals(lo, hi, max_denominator):
+    """Rationals in [lo, hi] with denominators up to max_denominator: the
+    nearest one to a point of the 1/max_denominator grid, clamped.  Drawn
+    from two independent integers: st.fractions builds new strategies on
+    every draw."""
+    n = max_denominator
+    return st.tuples(st.integers(math.ceil(lo * n), math.floor(hi * n)), st.integers(1, n)).map(
+        lambda t: min(max(F(t[0], n).limit_denominator(t[1]), F(lo)), F(hi))
+    )
+
+
+_SMALL_RATIONALS = _rationals(-8, 8, 1000)
+_BIG_RATIONALS = _rationals(-(10**9), 10**9, 10**9)
 _PIN_VALUES = st.one_of(_SMALL_RATIONALS, st.integers(-2, 2))
 _SOURCE = Chart("s", ("u", "w"))
+_CHARTS = {dim: Chart("h", tuple(f"x{i}" for i in range(dim))) for dim in (1, 2, 3)}
+
+
+def _interval(ends):
+    return st.lists(ends, min_size=2, max_size=2).map(lambda pair: tuple(sorted(pair)))
+
+
+_SOURCE_INTERVALS = _interval(_rationals(F(1, 4), 2, 16))
+_INTERVALS = _interval(st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS))
+_MONOMIALS = st.lists(
+    st.tuples(_SMALL_RATIONALS, st.sampled_from(_SOURCE.coords), st.integers(0, 2)), min_size=1, max_size=3
+)
+_PART_KINDS = st.sampled_from(("coords", "points", "image", "identity", "sine", "empty"))
+_MARGINS = st.one_of(_rationals(0, 2, 64), st.integers(0, 2))
+_LATTICE_SIZES = st.integers(1, 2)
+_RANDOM_COUNTS = st.integers(0, 2)
+_DIMS = st.integers(1, 3)
+_AXES = {dim: st.integers(0, dim - 1) for dim in _CHARTS}
+_COUNTS = st.integers(0, 30)
+_SEEDS = st.integers(0, 2**32)
 
 
 def _source_region(draw, chart):
     """A small rational region inside [1/4, 2]^n, away from sin's zero."""
-    ends = st.fractions(min_value=F(1, 4), max_value=2, max_denominator=16)
-    intervals = tuple(tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2)))) for _ in chart.coords)
-    lattice = tuple(draw(st.integers(1, 2)) for _ in chart.coords)
-    return Region(chart, intervals, lattice, draw(st.integers(0, 2)))
+    intervals = tuple(draw(_SOURCE_INTERVALS) for _ in chart.coords)
+    lattice = tuple(draw(_LATTICE_SIZES) for _ in chart.coords)
+    return Region(chart, intervals, lattice, draw(_RANDOM_COUNTS))
 
 
-def _polynomial(draw, coords):
-    monomial = st.tuples(_SMALL_RATIONALS, st.sampled_from(coords), st.integers(0, 2))
-    terms = draw(st.lists(monomial, min_size=1, max_size=3))
-    return sum((rat(c) * sym(u) ** k for c, u, k in terms), rat(0))
+def _polynomial(draw):
+    """A polynomial over the source chart."""
+    return sum((rat(c) * sym(u) ** k for c, u, k in draw(_MONOMIALS)), rat(0))
 
 
 @st.composite
-def _part(draw, chart):
+def _part(draw, chart, pinned, orders):
     """A non-union locus on the chart; a sine image has float targets."""
-    kind = draw(st.sampled_from(("coords", "points", "image", "identity", "sine", "empty")))
+    kind = draw(_PART_KINDS)
     if kind == "coords":
-        pinned = draw(st.lists(st.sampled_from(chart.coords), min_size=1, max_size=chart.dim, unique=True))
-        return CoordLocus(chart, tuple((c, draw(_PIN_VALUES)) for c in pinned))
+        return CoordLocus(chart, tuple((c, draw(_PIN_VALUES)) for c in draw(pinned)))
     if kind == "points":
-        orders = draw(st.lists(st.permutations(chart.coords), min_size=1, max_size=3))
-        return PointsLocus(chart, tuple(tuple((c, draw(_PIN_VALUES)) for c in cs) for cs in orders))
+        return PointsLocus(chart, tuple(tuple((c, draw(_PIN_VALUES)) for c in cs) for cs in draw(orders)))
     if kind == "identity":
         return ImageLocus(None, _source_region(draw, chart))
     if kind == "empty":
         return EmptyLocus(chart)
-    comps = [_polynomial(draw, _SOURCE.coords) for _ in chart.coords]
+    comps = [_polynomial(draw) for _ in chart.coords]
     if kind == "sine":
         comps[0] = comps[0] + sin_of(sym("u"))
     return ImageLocus(ChartMap("m", _SOURCE, chart, tuple(comps)), _source_region(draw, _SOURCE))
 
 
+_PARTS = {
+    dim: _part(
+        chart,
+        st.lists(st.sampled_from(chart.coords), min_size=1, max_size=dim, unique=True),
+        st.lists(st.permutations(chart.coords), min_size=1, max_size=3),
+    )
+    for dim, chart in _CHARTS.items()
+}
+_UNIONS = {dim: st.lists(part, min_size=1, max_size=3) for dim, part in _PARTS.items()}
+
+
 @st.composite
 def _locus_cases(draw):
-    dim = draw(st.integers(1, 3))
-    chart = Chart("h", tuple(f"x{i}" for i in range(dim)))
-    ends = st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS)
-    intervals = tuple(tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2)))) for _ in range(dim))
+    dim = draw(_DIMS)
+    chart = _CHARTS[dim]
+    intervals = tuple(draw(_INTERVALS) for _ in range(dim))
     if draw(st.booleans()):  # an interval with lo == hi
-        i = draw(st.integers(0, dim - 1))
+        i = draw(_AXES[dim])
         intervals = intervals[:i] + ((intervals[i][0],) * 2,) + intervals[i + 1:]
     if draw(st.booleans()):
-        locus = draw(_part(chart))
+        locus = draw(_PARTS[dim])
     else:
-        locus = UnionLocus(tuple(draw(st.lists(_part(chart), min_size=1, max_size=3))))
+        locus = UnionLocus(tuple(draw(_UNIONS[dim])))
     region = Region(chart, intervals, (1,) * dim, 0)
-    margin = draw(st.one_of(st.fractions(0, 2, max_denominator=64), st.integers(0, 2)))
-    return locus, region, margin, draw(st.integers(0, 30)), draw(st.integers(0, 2**32))
+    margin = draw(_MARGINS)
+    return locus, region, margin, draw(_COUNTS), draw(_SEEDS)
 
 
-@settings(max_examples=200, deadline=None)
+# Without the explain phase: after shrinking, it reruns the failing example
+# with parts varied and has pytest format every failure it sees, at about
+# 0.2 s each for this module; a failure took minutes to report with it.
+@settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(_locus_cases())
 def test_integer_off_locus_draws_match_the_reference(case):
     locus, region, margin, count, seed = case

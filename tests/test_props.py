@@ -42,3 +42,33 @@ def test_batteries_pass_and_report_their_budget():
     for name in ("dd_zero", "graded_comm", "functorial", "antiderivation"):
         passed, evidence = run_property_battery(name, 5, (2, 3), seed=1)
         assert passed and evidence == {"samples": 5, "failures": 0, "dims": [2, 3]}
+
+
+def test_one_dimensional_batteries_stay_on_declared_or_larger_charts():
+    # functorial needs a target chart unlike the source; with only
+    # dimension 1 declared it moves up to 2, never down to 0.
+    for name in ("dd_zero", "graded_comm", "functorial", "antiderivation"):
+        passed, evidence = run_property_battery(name, 3, (1,), seed=1)
+        assert passed and evidence == {"samples": 3, "failures": 0, "dims": [1]}
+    passed, evidence = run_property_battery("double_star", None, (1,), seed=1)
+    assert passed and evidence == {"checked": 2, "failures": 0, "dims": [1]}
+
+
+def test_rand_form_keeps_the_draws_and_the_form_of_build():
+    from itertools import combinations
+
+    from nsx.charts import DForm
+    from nsx.props import _chart, _rand_form
+
+    for seed in range(40):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for dim in (1, 2, 3, 4, 5, 6):
+            chart = _chart(dim)
+            for degree in range(dim + 1):
+                got = _rand_form(rng, chart, degree)
+                keys = list(combinations(range(dim), degree))
+                ref_rng.shuffle(keys)
+                items = [(k, _rand_poly(ref_rng, chart.coords)) for k in keys[: ref_rng.randrange(1, 3)]]
+                want = DForm.build(chart, degree, items)
+                assert got == want and list(got.comps) == list(want.comps)
+        assert rng.getstate() == ref_rng.getstate()

@@ -179,6 +179,31 @@ def test_power_rules():
     assert m * m**-1 == ONE
 
 
+# Sums of up to three terms over atoms that carry sin, cos and exp, with
+# sin(x) and cos(x) together so that powers meet Pythagorean partners.
+_TRIG_ATOMS = [x, y, sin_of(x), cos_of(x), exp_of(y), sin_of(x + y), PI]
+trig_sums = st.lists(
+    st.tuples(rationals, st.lists(st.sampled_from(_TRIG_ATOMS), max_size=3)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: sum((rat(c) * math.prod(atoms, start=ONE) for c, atoms in terms), ZERO))
+
+
+@given(st.one_of(trig_sums, polynomials(max_terms=3)), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_power_equals_the_repeated_product(e, n):
+    product = ONE
+    for _ in range(n):
+        product = product * e
+    assert e**n == product
+    _assert_canonical(e**n)
+
+
+def test_power_one_is_the_base_itself():
+    e = sin_of(x) + exp_of(y)
+    assert e**1 is e
+
+
 def test_division_requires_monomial():
     assert (x**2 / x).single_monomial()
     with pytest.raises(DomainError):
