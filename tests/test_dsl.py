@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsx import runner
 from nsx.dsl import CHECK_KINDS, MAX_NESTING, parse_scenario, print_scenario, random_scenario, tokenize
@@ -49,6 +52,104 @@ def test_tokenize_unterminated_string():
     with pytest.raises(ParseError) as e:
         tokenize('"no closing quote\n')
     assert (e.value.line, e.value.col) == (1, 1)
+
+
+# The scanner as it was written before it matched one token per regex match:
+# one match per token or run of blanks, and a column counted by hand.  The
+# differential tests below hold `tokenize` to it.
+_REFERENCE_TOKEN = re.compile(
+    r'(?P<SPACE>[ \t\r]+)|(?P<COMMENT>#[^\n]*)|(?P<NEWLINE>\n)|(?P<STRING>"[^"\n]*")'
+    r"|(?P<FLOAT>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+    r"|(?P<OP>/\\|->|[-()\[\],=:^+*/∧])"
+)
+
+
+def _reference_tokenize(text):
+    toks = []
+    line, col, depth, pos = 1, 1, 0, 0
+    match = _REFERENCE_TOKEN.match
+    while pos < len(text):
+        m = match(text, pos)
+        kind = m and m.lastgroup
+        if kind is None or kind == "NAME" and not (text[pos].isalpha() or text[pos] == "_"):
+            if text[pos] == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        end = m.end()
+        if kind == "NEWLINE":
+            if depth == 0 and toks and toks[-1][0] != "NEWLINE":
+                toks.append(("NEWLINE", None, line, col))
+            line, col = line + 1, 1
+        elif kind != "COMMENT":
+            if kind != "SPACE":
+                value = text[pos:end]
+                if kind == "INT":
+                    value = int(value)
+                elif kind == "FLOAT":
+                    value = float(value)
+                elif kind == "STRING":
+                    value = value[1:-1]
+                elif value in ("(", "["):
+                    depth += 1
+                elif value in (")", "]"):
+                    depth = max(0, depth - 1)
+                toks.append((kind, value, line, col))
+            col += end - pos
+        pos = end
+    if toks and toks[-1][0] != "NEWLINE":
+        toks.append(("NEWLINE", None, line, col))
+    toks.append(("EOF", None, line, col))
+    return toks
+
+
+def _scan_outcome(scan, text):
+    """The tokens of `text` as plain tuples, or its ParseError's fields."""
+    try:
+        return [tuple(t) for t in scan(text)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+def _assert_scans_as_reference(text):
+    assert _scan_outcome(tokenize, text) == _scan_outcome(_reference_tokenize, text), repr(text)
+
+
+def test_tokenize_matches_reference_on_suite():
+    for _, _, text in SUITE:
+        _assert_scans_as_reference(text)
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_tokenize_matches_reference_on_random_corpus(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        _assert_scans_as_reference(print_scenario(random_scenario(rng)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "\n", "#", "# c", "x # c", "x\t \r", "(\n)\n", "x\n\n  \n", '"a', 'x "', "1.5e", "1.e5", "x²", "٣", "é\u0301", "∧"],
+)
+def test_tokenize_matches_reference_on_edges(text):
+    _assert_scans_as_reference(text)
+
+
+# Blanks of every kind, comments, strings, brackets, numbers and names with
+# characters that \w matches but that are not letters (², ٣) or that are
+# not word characters at all (a combining accent).
+_SCANNER_ALPHABET = 'ab_xe1059. \t\r\n#"∧٣²é\u0301()[],=:^+-*/\\>'
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=_SCANNER_ALPHABET, max_size=40), st.sampled_from(["", " ", "\t", " \r", "\n  "]))
+def test_tokenize_matches_reference_on_any_text(text, tail):
+    _assert_scans_as_reference(text + tail)
+
+
+def test_tokenize_returns_tokens():
+    (tok, newline, eof) = tokenize("x")
+    assert (tok.type, tok.value, tok.line, tok.col) == ("NAME", "x", 1, 1)
+    assert (newline.type, eof.type) == ("NEWLINE", "EOF")
 
 
 # -- round trips -----------------------------------------------------------
@@ -290,6 +391,41 @@ def test_expressions_nest_at_most_max_nesting_deep(nest):
     with pytest.raises(ParseError) as e:
         parse_scenario(f"chart C(x)\nconst k = {nest(MAX_NESTING + 1)}\n")
     assert e.value.message == "expression nested too deeply"
+
+
+# (message, line, col) of seeded one-character mutations of the suite texts,
+# written by the parser before its scanner matched one token per regex match.
+GOLDEN_PARSE_ERRORS = Path(__file__).parent / "golden" / "parse_errors.txt"
+_MUTATION_JUNK = '()[]=,^#"\\/ \t\r\nxq0.-+*:∧²é_'
+
+
+def parse_error_lines():
+    """One line per mutation: where and how the text was mutated, then
+    `parses` or the ParseError's line, column and message."""
+    rng = random.Random(17)
+    out = []
+    for sid, _, base in SUITE:
+        for _ in range(30):
+            i = rng.randrange(len(base))
+            op = rng.randrange(3)
+            if op == 0:
+                text, how = base[:i] + base[i + 1 :], f"delete {base[i]!r}"
+            elif op == 1:
+                text, how = base[:i] + base[i] + base[i:], f"double {base[i]!r}"
+            else:
+                c = rng.choice(_MUTATION_JUNK)
+                text, how = base[:i] + c + base[i:], f"insert {c!r}"
+            try:
+                parse_scenario(text)
+                outcome = "parses"
+            except ParseError as e:
+                outcome = f"{e.line}:{e.col}: {e.message}"
+            out.append(f"{sid} {i} {how}\t{outcome}\n")
+    return "".join(out)
+
+
+def test_parse_errors_match_golden():
+    assert parse_error_lines() == GOLDEN_PARSE_ERRORS.read_text(encoding="utf-8")
 
 
 def test_mutated_sources_never_crash():
