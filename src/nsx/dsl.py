@@ -22,7 +22,10 @@ products spelled i_<field>(expr).  Rationals are ordinary division:
 
 The grammar of each statement is one entry of STATEMENT_SPECS, and that of
 each check kind one entry of CHECK_SPECS; the parser and the printer both
-walk these two tables.  Tokens come from one regular expression, _TOKEN.
+walk these two tables.  The scanner makes one pass of one regular
+expression, _TOKEN, whose every match is one token with the blanks before
+it; the parser reads the tokens as plain (type, value, line, col) tuples,
+and `tokenize` gives the same tokens as Token tuples.
 """
 
 from __future__ import annotations
@@ -62,15 +65,30 @@ in a ParseError instead."""
 
 _WEDGE_OPS = ("/\\", "∧", "wedge", "*", "/")
 
-# One alternative per token class, tried in order at each position.  Numbers
+# One match per token: the blanks before a token, then one alternative per
+# token class.  A newline takes the comment before it, and so does the end of
+# the text, where every scan ends; so a comment takes no columns.  Numbers
 # are ASCII digits; a FLOAT needs digits on both sides of its point, and its
-# exponent counts only when digits follow it.  A NAME is matched as a run of
-# word characters and must start with a letter or `_`.
+# exponent counts only when digits follow it.  A NAME is a run of word
+# characters that does not start with a digit, and the scan still checks
+# that it starts with a letter or `_` (\w also takes characters such as
+# `²`).  The last alternative takes any other character, which is an error.
+# The comments give the number `m.lastindex` reads for each group.
 _TOKEN = re.compile(
-    r'(?P<SPACE>[ \t\r]+)|(?P<COMMENT>#[^\n]*)|(?P<NEWLINE>\n)|(?P<STRING>"[^"\n]*")'
-    r"|(?P<FLOAT>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
-    r"|(?P<OP>/\\|->|[-()\[\],=:^+*/∧])"
+    r"[ \t\r]*(?:"
+    r"([^\W\d]\w*)"  # 1 NAME
+    r"|(/\\|->|[-,=:^+*/∧])"  # 2 OP
+    r"|([(\[])"  # 3 OP that opens a bracket
+    r"|([)\]])"  # 4 OP that closes one
+    r"|(#[^\n]*\n|\n)"  # 5 NEWLINE
+    r"|([0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)"  # 6 FLOAT
+    r"|([0-9]+)"  # 7 INT
+    r'|("[^"\n]*")'  # 8 STRING
+    r"|(#[^\n]*\Z|\Z)"  # 9 end of text
+    r"|(.)"  # 10 anything else
+    r")"
 )
+_NAME, _OP, _OPEN, _CLOSE, _NEWLINE, _FLOAT, _INT, _STRING, _END = range(1, 10)
 
 
 class Token(NamedTuple):
@@ -80,45 +98,57 @@ class Token(NamedTuple):
     col: int
 
 
+def _scan(text):
+    """The tokens of `text` as plain (type, value, line, col) tuples; see
+    `tokenize`.  A token's column is its offset from the start of its line."""
+    toks = []
+    append = toks.append
+    line, line_start, depth, last = 1, 0, 0, None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        value = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == _NAME:
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            append(last := ("NAME", value, line, col))
+        elif kind == _OP:
+            append(last := ("OP", value, line, col))
+        elif kind == _OPEN:
+            depth += 1
+            append(last := ("OP", value, line, col))
+        elif kind == _CLOSE:
+            if depth:
+                depth -= 1
+            append(last := ("OP", value, line, col))
+        elif kind == _NEWLINE:
+            if depth == 0 and last and last[0] != "NEWLINE":
+                append(last := ("NEWLINE", None, line, col))
+            line, line_start = line + 1, m.end()
+        elif kind == _INT:
+            append(last := ("INT", int(value), line, col))
+        elif kind == _FLOAT:
+            append(last := ("FLOAT", float(value), line, col))
+        elif kind == _STRING:
+            append(last := ("STRING", value[1:-1], line, col))
+        elif kind == _END:
+            if last and last[0] != "NEWLINE":
+                append(("NEWLINE", None, line, col))
+            append(("EOF", None, line, col))
+            return toks
+        elif value == '"':
+            raise ParseError("unterminated string", line, col)
+        else:
+            raise ParseError(f"unexpected character {value!r}", line, col)
+    raise AssertionError("the scan ends on the end-of-text alternative")
+
+
 def tokenize(text):
     """The tokens of `text`, ending in NEWLINE (unless empty) and EOF.  A
     newline inside brackets or after another NEWLINE yields none; a comment
-    takes no columns, so the NEWLINE after it sits at the `#`."""
-    toks = []
-    line, col, depth, pos = 1, 1, 0, 0
-    match = _TOKEN.match
-    while pos < len(text):
-        m = match(text, pos)
-        kind = m and m.lastgroup
-        if kind is None or kind == "NAME" and not (text[pos].isalpha() or text[pos] == "_"):
-            if text[pos] == '"':
-                raise ParseError("unterminated string", line, col)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        end = m.end()
-        if kind == "NEWLINE":
-            if depth == 0 and toks and toks[-1].type != "NEWLINE":
-                toks.append(Token("NEWLINE", None, line, col))
-            line, col = line + 1, 1
-        elif kind != "COMMENT":
-            if kind != "SPACE":
-                value = text[pos:end]
-                if kind == "INT":
-                    value = int(value)
-                elif kind == "FLOAT":
-                    value = float(value)
-                elif kind == "STRING":
-                    value = value[1:-1]
-                elif value in ("(", "["):
-                    depth += 1
-                elif value in (")", "]"):
-                    depth = max(0, depth - 1)
-                toks.append(Token(kind, value, line, col))
-            col += end - pos
-        pos = end
-    if toks and toks[-1].type != "NEWLINE":
-        toks.append(Token("NEWLINE", None, line, col))
-    toks.append(Token("EOF", None, line, col))
-    return toks
+    takes no columns, so the NEWLINE after it sits at the `#`.  These are the
+    tuples the parser reads, as Tokens."""
+    return list(map(Token._make, _scan(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,68 +315,83 @@ class Scenario:
 
 
 class _Parser:
+    """Recursive descent over the (type, value, line, col) tuples of _scan.
+    The last tuple is EOF, and no method moves past it.  The methods that
+    run once per token read `self.toks[self.pos]` themselves."""
+
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
         self.parens = 0
 
     def peek(self, ahead=0):
-        # The last token is EOF and `next` never passes it; a look ahead
-        # (ahead=1) is taken only from a token known not to be EOF.
+        # A look ahead (ahead=1) is taken only from a token known not to be EOF.
         return self.toks[self.pos + ahead]
 
     def next(self):
         t = self.toks[self.pos]
-        if t.type != "EOF":
+        if t[0] != "EOF":
             self.pos += 1
         return t
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        tok = tok or self.toks[self.pos]
+        raise ParseError(message, tok[2], tok[3])
 
     def expect_op(self, op):
-        t = self.peek()
-        if t.type != "OP" or t.value != op:
+        t = self.toks[self.pos]
+        if t[1] != op or t[0] != "OP":
             self.error(f"expected {op!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_name(self, what="a name"):
-        t = self.peek()
-        if t.type != "NAME":
+        t = self.toks[self.pos]
+        if t[0] != "NAME":
             self.error(f"expected {what}")
-        return self.next().value
+        self.pos += 1
+        return t[1]
 
     def expect_keyword(self, word):
-        t = self.peek()
-        if t.type != "NAME" or t.value != word:
+        t = self.toks[self.pos]
+        if t[1] != word or t[0] != "NAME":
             self.error(f"expected keyword {word!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_int(self, what="an integer"):
-        t = self.peek()
-        if t.type != "INT":
+        t = self.toks[self.pos]
+        if t[0] != "INT":
             self.error(f"expected {what}")
-        return self.next().value
+        self.pos += 1
+        return t[1]
 
     def at_keyword(self, word):
-        t = self.peek()
-        return t.type == "NAME" and t.value == word
+        t = self.toks[self.pos]
+        return t[1] == word and t[0] == "NAME"
 
     def at_op(self, op):
-        t = self.peek()
-        return t.type == "OP" and t.value == op
+        t = self.toks[self.pos]
+        return t[1] == op and t[0] == "OP"
 
     def eat_keyword(self, word):
         """The next token if it is keyword `word`, taken; else False."""
-        return self.at_keyword(word) and self.next()
+        t = self.toks[self.pos]
+        if t[1] == word and t[0] == "NAME":
+            self.pos += 1
+            return t
+        return False
 
     def eat_op(self, op):
         """The next token if it is operator `op`, taken; else False."""
-        return self.at_op(op) and self.next()
+        t = self.toks[self.pos]
+        if t[1] == op and t[0] == "OP":
+            self.pos += 1
+            return t
+        return False
 
     def fresh_name(self, what):
-        t = self.peek()
+        t = self.toks[self.pos]
         name = self.expect_name(what)
         if name in RESERVED:
             self.error(f"{name!r} is a reserved word", t)
@@ -369,47 +414,61 @@ class _Parser:
 
     def parse_sum(self, level):
         left, bottom = self.parse_term(level)
-        while self.peek().type == "OP" and self.peek().value in ("+", "-"):
-            t = self.next()
+        toks = self.toks
+        t = toks[self.pos]
+        while t[0] == "OP" and t[1] in ("+", "-"):
+            self.pos += 1
             right, below = self.parse_term(level)
-            left, bottom = Bin(t.value, left, right), self.deeper(max(bottom, below), t)
+            left, bottom = Bin(t[1], left, right), self.deeper(max(bottom, below), t)
+            t = toks[self.pos]
         return left, bottom
 
     def parse_term(self, level):
-        t = self.eat_op("-")
-        if t:
+        toks = self.toks
+        t = toks[self.pos]
+        if t[1] == "-" and t[0] == "OP":
+            self.pos += 1
             arg, bottom = self.parse_term(self.deeper(level, t))
             return Neg(arg), bottom
         left, bottom = self.parse_pow(level)
-        while (self.peek().type == "OP" and self.peek().value in _WEDGE_OPS) or self.at_keyword("wedge"):
-            t = self.next()
+        t = toks[self.pos]
+        # _WEDGE_OPS holds the operators and the keyword `wedge`; no NAME is
+        # an operator, and no OP is `wedge`.
+        while t[1] in _WEDGE_OPS and t[0] in ("OP", "NAME"):
+            self.pos += 1
             right, below = self.parse_pow(level)
-            left, bottom = Bin(t.value, left, right), self.deeper(max(bottom, below), t)
+            left, bottom = Bin(t[1], left, right), self.deeper(max(bottom, below), t)
+            t = toks[self.pos]
         return left, bottom
 
     def parse_pow(self, level):
         base, bottom = self.parse_atom(level)
-        t = self.eat_op("^")
-        if t:
+        t = self.toks[self.pos]
+        if t[1] == "^" and t[0] == "OP":
+            self.pos += 1
             sign = -1 if self.eat_op("-") else 1
             k = self.expect_int("an integer exponent")
             return Bin("^", base, Num(sign * k)), self.deeper(bottom, t)
         return base, bottom
 
     def parse_atom(self, level):
-        t = self.peek()
-        if t.type == "INT":
-            self.next()
-            return Num(t.value), level
-        if self.eat_op("("):
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t[0]
+        if kind == "INT":
+            self.pos += 1
+            return Num(t[1]), level
+        if kind == "OP" and t[1] == "(":
+            self.pos += 1
             self.parens = self.deeper(self.parens, t)
             inner = self.parse_sum(level)
             self.expect_op(")")
             self.parens -= 1
             return inner
-        if t.type != "NAME":
+        if kind != "NAME":
             self.error("expected an expression atom")
-        name = self.next().value
+        self.pos += 1
+        name = t[1]
         if name == "pi":
             return Pi(), level
         if name == "e":
@@ -424,7 +483,8 @@ class _Parser:
             inner, bottom = self.parse_sum(self.deeper(level, t))
             self.expect_op(")")
             return (Pullback(ref, inner) if name == "pullback" else Star(ref, inner)), bottom
-        if name == "d" or self.at_op("("):
+        after = toks[self.pos]
+        if name == "d" or after[1] == "(" and after[0] == "OP":
             self.expect_op("(")
             inner, bottom = self.parse_sum(self.deeper(level, t))
             self.expect_op(")")
@@ -435,13 +495,13 @@ class _Parser:
         """`[-] INT [/ INT]` as a Fraction; every rational literal comes here."""
         sign = -1 if self.eat_op("-") else 1
         num = self.expect_int(what)
-        if not (self.at_op("/") and self.peek(1).type == "INT"):
+        if not (self.at_op("/") and self.peek(1)[0] == "INT"):
             return Fraction(sign * num)
         self.next()
         den = self.next()
-        if den.value == 0:
+        if den[1] == 0:
             self.error("zero denominator", den)
-        return Fraction(sign * num, den.value)
+        return Fraction(sign * num, den[1])
 
     def parse_list(self, item, *args):
         """`item {, item}` as a tuple."""
@@ -468,36 +528,36 @@ class _Parser:
     # -- statements ---------------------------------------------------
 
     def parse_scenario(self):
+        toks = self.toks
         stmts = []
         while True:
-            while self.peek().type == "NEWLINE":
-                self.next()
-            if self.peek().type == "EOF":
+            while toks[self.pos][0] == "NEWLINE":
+                self.pos += 1
+            if toks[self.pos][0] == "EOF":
                 break
             stmts.append(self.parse_statement())
-            t = self.peek()
-            if t.type not in ("NEWLINE", "EOF"):
+            if toks[self.pos][0] not in ("NEWLINE", "EOF"):
                 self.error("expected end of statement")
         return Scenario(tuple(stmts))
 
     def parse_statement(self):
-        t = self.peek()
-        if t.type != "NAME":
+        t = self.toks[self.pos]
+        if t[0] != "NAME":
             self.error("expected a statement keyword")
-        if t.value == "check":
+        if t[1] == "check":
             return self.parse_check()
-        if t.value not in STATEMENT_SPECS:
-            self.error(f"unknown statement keyword {t.value!r}")
-        self.next()
-        cls, spec = STATEMENT_SPECS[t.value]
+        if t[1] not in STATEMENT_SPECS:
+            self.error(f"unknown statement keyword {t[1]!r}")
+        self.pos += 1
+        cls, spec = STATEMENT_SPECS[t[1]]
         fields = {}
         spec.read(self, fields)
-        return cls(**fields, line=t.line)
+        return cls(**fields, line=t[2])
 
     # -- checks ---------------------------------------------------------
 
     def parse_check(self):
-        line = self.next().line
+        line = self.next()[2]
         t = self.peek()
         kind = self.expect_name("a check kind")
         spec = CHECK_SPECS.get(kind)
@@ -508,15 +568,15 @@ class _Parser:
         where = self.parse_list(self.parse_pair, "a parameter name") if self.eat_keyword("where") else ()
         note = ""
         if self.eat_keyword("note"):
-            if self.peek().type != "STRING":
+            if self.peek()[0] != "STRING":
                 self.error("expected a quoted note")
-            note = self.next().value
+            note = self.next()[1]
         expect = _EXPECT.read_value(self) if self.eat_keyword("expect") else "pass"
         return CheckStmt(kind, payload, where, note, expect, line)
 
 
 def parse_scenario(text):
-    return _Parser(tokenize(text)).parse_scenario()
+    return _Parser(_scan(text)).parse_scenario()
 
 
 # ---------------------------------------------------------------------------
@@ -681,30 +741,35 @@ class _Spec:
         self.defaults = {}
         for slot in options.values():
             self.defaults.update(slot.defaults)
+        self._tight = tuple(getattr(item, "tight", False) for item in self.items)
+        self._option_defaults = tuple((keyword, slot, tuple(slot.defaults.items())) for keyword, slot in options.items())
 
     def read(self, parser, out):
         for item in self.items:
             item.read(parser, out)
         out.update(self.defaults)
+        toks = parser.toks
         while True:
-            t = parser.peek()
-            slot = self.options.get(t.value) if t.type == "NAME" else None
+            t = toks[parser.pos]
+            slot = self.options.get(t[1]) if t[0] == "NAME" else None
             if slot is None:
                 return
-            parser.next()
+            parser.pos += 1
             slot.read(parser, out)
 
     def write(self, payload):
         parts = []
-        for item in self.items:
+        for item, tight in zip(self.items, self._tight):
             text = item.write(payload)
-            if getattr(item, "tight", False):
+            if tight:
                 parts[-1] += text
             else:
                 parts.append(text)
-        for keyword, slot in self.options.items():
-            if any(payload.get(k, d) != d for k, d in slot.defaults.items()):
-                parts.append(f"{keyword} {slot.write(payload)}")
+        for keyword, slot, defaults in self._option_defaults:
+            for k, d in defaults:
+                if payload.get(k, d) != d:
+                    parts.append(f"{keyword} {slot.write(payload)}")
+                    break
         return " ".join(parts)
 
 
@@ -752,11 +817,11 @@ class _Box:
 
     def _bound(self, parser):
         t = parser.peek(1 if parser.at_op("-") else 0)
-        if t.type != "FLOAT":
+        if t[0] != "FLOAT":
             return parser.parse_rational("an interval bound")
         sign = -1 if parser.eat_op("-") else 1
         parser.next()
-        return sign * t.value
+        return sign * t[1]
 
     def write(self, payload):
         ivs, lat = payload["intervals"], payload["lattice"]
@@ -790,11 +855,11 @@ class _Flavour:
 
     def read(self, parser, out):
         t = parser.peek()
-        slot = self._payloads.get(t.value) if t.type == "NAME" else None
+        slot = self._payloads.get(t[1]) if t[0] == "NAME" else None
         if slot is None:
             parser.error(f"expected a locus flavour ({', '.join(self._payloads)})")
         parser.next()
-        out["flavour"] = t.value
+        out["flavour"] = t[1]
         slot.read(parser, out)
 
     def write(self, payload):
@@ -880,7 +945,7 @@ class _Place:
             return
         if not (parser.at_keyword("on") or parser.at_keyword("off")):
             parser.error("expected at, on, or off")
-        out["mode"] = parser.next().value
+        out["mode"] = parser.next()[1]
         self._sampled.read(parser, out)
 
     def write(self, payload):
