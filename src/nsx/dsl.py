@@ -30,11 +30,13 @@ and `tokenize` gives the same tokens as Token tuples.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .charts import MAX_DIM
 from .errors import ParseError
 from .props import PROPERTY_NAMES
 
@@ -103,44 +105,45 @@ def _scan(text):
     `tokenize`.  A token's column is its offset from the start of its line."""
     toks = []
     append = toks.append
-    line, line_start, depth, last = 1, 0, 0, None
+    line, line_start, depth = 1, 0, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastindex
-        value = m.group(kind)
+        value = m[kind]
         col = m.start(kind) - line_start + 1
         if kind == _NAME:
             if not (value[0].isalpha() or value[0] == "_"):
                 raise ParseError(f"unexpected character {value[0]!r}", line, col)
-            append(last := ("NAME", value, line, col))
+            append(("NAME", value, line, col))
         elif kind == _OP:
-            append(last := ("OP", value, line, col))
+            append(("OP", value, line, col))
         elif kind == _OPEN:
             depth += 1
-            append(last := ("OP", value, line, col))
+            append(("OP", value, line, col))
         elif kind == _CLOSE:
             if depth:
                 depth -= 1
-            append(last := ("OP", value, line, col))
+            append(("OP", value, line, col))
         elif kind == _NEWLINE:
-            if depth == 0 and last and last[0] != "NEWLINE":
-                append(last := ("NEWLINE", None, line, col))
+            if depth == 0 and toks and toks[-1][0] != "NEWLINE":
+                append(("NEWLINE", None, line, col))
             line, line_start = line + 1, m.end()
         elif kind == _INT:
-            append(last := ("INT", int(value), line, col))
+            append(("INT", int(value), line, col))
         elif kind == _FLOAT:
-            append(last := ("FLOAT", float(value), line, col))
+            append(("FLOAT", float(value), line, col))
         elif kind == _STRING:
-            append(last := ("STRING", value[1:-1], line, col))
+            append(("STRING", value[1:-1], line, col))
         elif kind == _END:
-            if last and last[0] != "NEWLINE":
-                append(("NEWLINE", None, line, col))
-            append(("EOF", None, line, col))
-            return toks
+            break
         elif value == '"':
             raise ParseError("unterminated string", line, col)
         else:
             raise ParseError(f"unexpected character {value!r}", line, col)
-    raise AssertionError("the scan ends on the end-of-text alternative")
+    # Every text ends in the end-of-text match, where `col` was taken last.
+    if toks and toks[-1][0] != "NEWLINE":
+        append(("NEWLINE", None, line, col))
+    append(("EOF", None, line, col))
+    return toks
 
 
 def tokenize(text):
@@ -701,6 +704,19 @@ def _count(name, what):
     return _Field(name, read)
 
 
+def _dimension(name, what):
+    """A chart dimension: an integer in 1..MAX_DIM."""
+
+    def read(p):
+        t = p.peek()
+        n = p.expect_int(what)
+        if not 1 <= n <= MAX_DIM:
+            p.error(f"{what} must be in 1..{MAX_DIM}", t)
+        return n
+
+    return _Field(name, read)
+
+
 def _name(name, what):
     return _Field(name, lambda p: p.expect_name(what))
 
@@ -819,16 +835,28 @@ class _Box:
         t = parser.peek(1 if parser.at_op("-") else 0)
         if t[0] != "FLOAT":
             return parser.parse_rational("an interval bound")
+        if t[1] == math.inf:
+            parser.error("interval bound out of the float range", t)
         sign = -1 if parser.eat_op("-") else 1
         parser.next()
         return sign * t[1]
 
+    @staticmethod
+    def _print_bound(bound):
+        """A Fraction as a rational; a float as its repr, with `.0` before an
+        exponent that has no point before it, since a FLOAT needs one."""
+        if not isinstance(bound, float):
+            return str(bound)
+        text = repr(bound)
+        return text.replace("e", ".0e") if "e" in text and "." not in text else text
+
     def write(self, payload):
         ivs, lat = payload["intervals"], payload["lattice"]
+        bound = self._print_bound
         if len(ivs) > 1 and all(iv == ivs[0] for iv in ivs):
-            box = f"[{ivs[0][0]}, {ivs[0][1]}]^{len(ivs)}"
+            box = f"[{bound(ivs[0][0])}, {bound(ivs[0][1])}]^{len(ivs)}"
         else:
-            box = " x ".join(f"[{lo}, {hi}]" for lo, hi in ivs)
+            box = " x ".join(f"[{bound(lo)}, {bound(hi)}]" for lo, hi in ivs)
         lat_txt = str(lat[0]) if all(v == lat[0] for v in lat) else "(" + ", ".join(map(str, lat)) + ")"
         return f"{box} lattice {lat_txt}"
 
@@ -986,7 +1014,7 @@ CHECK_SPECS = {
     "property": _Spec(
         _choice("name", "a property name", PROPERTY_NAMES, "unknown property name"),
         samples=_count("samples", "a sample count"),
-        dims=_group(_int("dims", "a dimension")),
+        dims=_group(_dimension("dims", "a dimension")),
     ),
     "positive": _Spec(_expr("form"), *_REGION),
 }

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsx import runner
-from nsx.dsl import CHECK_KINDS, MAX_NESTING, parse_scenario, print_scenario, random_scenario, tokenize
+from nsx.charts import MAX_DIM
+from nsx.dsl import (
+    CHECK_KINDS,
+    MAX_NESTING,
+    RegionStmt,
+    Scenario,
+    parse_scenario,
+    print_scenario,
+    random_scenario,
+    tokenize,
+)
 from nsx.errors import ParseError
 from nsx.scenarios import SUITE
 
@@ -281,6 +291,40 @@ def test_region_accepts_floats_and_mixed_syntax():
     assert r.random_count == 5
 
 
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE_FLOATS, _FINITE_FLOATS)
+def test_float_region_bounds_round_trip(lo, hi):
+    for intervals in [((lo, hi),) * 2, ((lo, hi), (F(-1), hi))]:
+        s = Scenario((RegionStmt("R", "C", intervals, (2, 2), 0),))
+        assert parse_scenario(print_scenario(s)) == s
+
+
+def test_float_region_bounds_print_as_floats():
+    # 1e-05 and -1e+20 are the reprs; the FLOAT rule needs a point.
+    text = "region R on C = [0.00001, 1] x [-1.0e+20, 2.5] lattice 2 random 0\n"
+    printed = print_scenario(parse_scenario(text))
+    assert printed == "region R on C = [1.0e-05, 1] x [-1.0e+20, 2.5] lattice 2 random 0\n"
+    assert parse_scenario(printed) == parse_scenario(text)
+
+
+@pytest.mark.parametrize("dim", [1, MAX_DIM])
+def test_property_dims_in_chart_range_parse(dim):
+    (chk,) = parse_scenario(f"check property dd_zero dims ({dim})\n").checks()
+    assert chk.payload["dims"] == (dim,)
+
+
+@pytest.mark.parametrize("dim", [0, MAX_DIM + 1])
+def test_property_dims_outside_chart_range_are_parse_errors(dim):
+    text = f"check property dd_zero dims (2, {dim})\n"
+    with pytest.raises(ParseError) as e:
+        parse_scenario(text)
+    assert (e.value.line, e.value.col) == (1, text.index(f" {dim})") + 2)
+    assert e.value.message == f"a dimension must be in 1..{MAX_DIM}"
+
+
 def test_region_power_syntax():
     text = "chart C(x, y)\nregion R on C = [-1, 1]^2 lattice 3 random 0\n"
     r = parse_scenario(text).statements[1]
@@ -362,6 +406,8 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\nlocus L on C = image(m)\n", 2, 23, "expected ','"),
         ("chart C(x, y)\nform map on C = d(x)\n", 2, 6, "reserved word"),
         ("chart C(x, y)\nform om on C = ²*d(x)\n", 2, 16, "unexpected character"),
+        ("chart C(x, y)\nregion R on C = [0, 1.0e400]^2 lattice 3 random 0\n", 2, 21, "out of the float range"),
+        ("chart C(x, y)\nregion R on C = [-1.5e309, 0]^2 lattice 3 random 0\n", 2, 19, "out of the float range"),
         # A comment takes no columns, so the end of this line sits at the `#`.
         ("chart C(x, y)\nform om on C = # nothing yet\n", 2, 16, "expression atom"),
     ],
@@ -395,6 +441,8 @@ def test_expressions_nest_at_most_max_nesting_deep(nest):
 
 # (message, line, col) of seeded one-character mutations of the suite texts,
 # written by the parser before its scanner matched one token per regex match.
+# One line changed since, by intent: S12's `dims (2, 3, 44, 5, 6)` became a
+# ParseError when property dimensions were bounded by MAX_DIM.
 GOLDEN_PARSE_ERRORS = Path(__file__).parent / "golden" / "parse_errors.txt"
 _MUTATION_JUNK = '()[]=,^#"\\/ \t\r\nxq0.-+*:∧²é_'
 
