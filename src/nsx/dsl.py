@@ -691,27 +691,17 @@ def _int(name, what):
     return _Field(name, lambda p: p.expect_int(what))
 
 
-def _count(name, what):
-    """A budget option: an integer of at least 1."""
+def _count(name, what, most=None):
+    """An integer of at least 1, and of at most `most` when given: a budget
+    option, or a chart dimension."""
 
     def read(p):
         t = p.peek()
         n = p.expect_int(what)
         if n < 1:
             p.error(f"{name} must be at least 1", t)
-        return n
-
-    return _Field(name, read)
-
-
-def _dimension(name, what):
-    """A chart dimension: an integer in 1..MAX_DIM."""
-
-    def read(p):
-        t = p.peek()
-        n = p.expect_int(what)
-        if not 1 <= n <= MAX_DIM:
-            p.error(f"{what} must be in 1..{MAX_DIM}", t)
+        if most is not None and n > most:
+            p.error(f"{name} must be at most {most}", t)
         return n
 
     return _Field(name, read)
@@ -1014,7 +1004,7 @@ CHECK_SPECS = {
     "property": _Spec(
         _choice("name", "a property name", PROPERTY_NAMES, "unknown property name"),
         samples=_count("samples", "a sample count"),
-        dims=_group(_dimension("dims", "a dimension")),
+        dims=_group(_count("dims", "a dimension", MAX_DIM)),
     ),
     "positive": _Spec(_expr("form"), *_REGION),
 }
