@@ -156,12 +156,6 @@ def test_tokenize_matches_reference_on_any_text(text, tail):
     _assert_scans_as_reference(text + tail)
 
 
-def test_tokenize_returns_tokens():
-    (tok, newline, eof) = tokenize("x")
-    assert (tok.type, tok.value, tok.line, tok.col) == ("NAME", "x", 1, 1)
-    assert (newline.type, eof.type) == ("NEWLINE", "EOF")
-
-
 # -- round trips -----------------------------------------------------------
 
 
