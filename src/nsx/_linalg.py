@@ -1,13 +1,16 @@
 """Small exact and floating linear algebra kit.
 
-Exact routines take matrices as sequences of rows of rationals (Fractions
-or ints) and never approximate.  Inside, each row is scaled to integers by
-the lcm of its denominators, and one fraction-free elimination serves rank,
-RREF, kernel, determinant and inverse: a row operation p*a - f*b is followed
-by division by the row's content, so no Fraction is built until an output
-needs one.  The floating rank uses an SVD with a relative threshold plus an
-explicit undecided band, so borderline spectra are reported as such instead
-of being silently rounded to a rank.
+Exact routines take matrices as sequences of rows of Fractions or ints and
+never approximate.  Inside, a row holding a Fraction is scaled to integers
+by the lcm of its denominators, a row of ints is taken as it is, and one
+fraction-free elimination serves rank, RREF, row basis, kernel, determinant
+and inverse: a row operation p*a - f*b is followed by division by the row's
+content, so no Fraction is built until an output needs one.  Point matrices
+arrive as rows of ints over one positive scale (pointcheck._point_rows);
+integer_kernel and row_basis answer in ints, so a caller on such rows builds
+no Fraction at all.  The floating rank uses an SVD with a relative threshold
+plus an explicit undecided band, so borderline spectra are reported as such
+instead of being silently rounded to a rank.
 """
 
 from fractions import Fraction
@@ -20,10 +23,14 @@ _F0 = Fraction(0)
 
 def _integer_rows(rows):
     """Each row times the lcm of its denominators, as lists of ints, and
-    the product of those lcms."""
+    the product of those lcms.  A row of ints is kept as it is."""
     out = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for x in row):
+            # Rows are replaced, never edited in place, so no copy is made.
+            out.append(row)
+            continue
         row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         den = lcm(*[x.denominator for x in row])
         if den == 1:
@@ -91,6 +98,13 @@ def exact_rref(rows, ncols):
     return rref, pivots
 
 
+def row_basis(rows, ncols):
+    """A basis of the row space: the pivot rows of an echelon form, as
+    lists of ints."""
+    m, pivots, _, _ = _eliminate(rows, ncols, False)
+    return m[: len(pivots)]
+
+
 def exact_rank(rows, ncols=None):
     rows = list(rows)
     if not rows:
@@ -100,23 +114,37 @@ def exact_rank(rows, ncols=None):
     return len(_eliminate(rows, ncols, False)[1])
 
 
+def _kernel(rows, ncols):
+    """(s, v) per free column f, in order: v an integer null vector with
+    s > 0 at f and 0 at every other free column."""
+    m, pivots, _, _ = _eliminate(rows, ncols, True)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        scale = lcm(*[row[p] for row, p in zip(m, pivots) if row[f]])
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(m, pivots):
+            if row[f]:
+                v[p] = -row[f] * scale // row[p]
+        out.append((scale, v))
+    return out
+
+
+def integer_kernel(rows, ncols):
+    """Basis of the right null space as lists of ints, each a positive
+    multiple of the matching exact_kernel vector."""
+    return [v for _, v in _kernel(rows, ncols)]
+
+
 def exact_kernel(rows, ncols):
     """Basis of the right null space, as lists of Fractions.
 
     Free variables are set to 1 one at a time, so the basis is
     deterministic given the row order.
     """
-    m, pivots, _, _ = _eliminate(rows, ncols, True)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [_F0] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(m, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(v)
-    return basis
+    return [[Fraction(x, s) for x in v] for s, v in _kernel(rows, ncols)]
 
 
 def exact_det(rows):

@@ -70,8 +70,8 @@ _WEDGE_OPS = ("/\\", "∧", "wedge", "*", "/")
 # One match per token: the blanks before a token, then one alternative per
 # token class.  A newline takes the comment before it, and so does the end of
 # the text, where every scan ends; so a comment takes no columns.  Numbers
-# are ASCII digits; a FLOAT needs digits on both sides of its point, and its
-# exponent counts only when digits follow it.  A NAME is a run of word
+# are ASCII digits; a FLOAT has digits on both sides of its point, an exponent
+# or both, and its exponent counts only when digits follow it.  A NAME is a run of word
 # characters that does not start with a digit, and the scan still checks
 # that it starts with a letter or `_` (\w also takes characters such as
 # `²`).  The last alternative takes any other character, which is an error.
@@ -83,7 +83,7 @@ _TOKEN = re.compile(
     r"|([(\[])"  # 3 OP that opens a bracket
     r"|([)\]])"  # 4 OP that closes one
     r"|(#[^\n]*\n|\n)"  # 5 NEWLINE
-    r"|([0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)"  # 6 FLOAT
+    r"|([0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"  # 6 FLOAT
     r"|([0-9]+)"  # 7 INT
     r'|("[^"\n]*")'  # 8 STRING
     r"|(#[^\n]*\Z|\Z)"  # 9 end of text

@@ -8,8 +8,12 @@ the dyadic search for a stabilizing constant.
 
 Rational inputs stay rational: rank, kernel, and signature questions on
 exact matrices are decided by exact elimination with no tolerance at
-all.  Floating inputs go through an SVD with a relative threshold and
-an explicit undecided band.
+all.  An exact point matrix (a 2-form's matrix, a Jacobian, a gradient
+matrix, the partials behind D_K) is built from symexpr's integer-pair
+values as integer rows over one positive scale, which changes no rank,
+kernel, image or sign; no Fraction is built on the way.  A matrix with a
+float entry goes through an SVD with a relative threshold and an
+explicit undecided band.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DomainError
-from .symexpr import _EXP, _PI, compile_numpy, rat
+from .symexpr import _EXP, _PI, _point_value, compile_numpy, rat
 
 RANK_THRESHOLD = 1e-8
 RANK_BAND_FLOOR = 1e-10
@@ -37,57 +41,79 @@ class RankVerdict:
     exact: bool
 
 
-def _exact_or_float(rows):
-    """A matrix of point values and whether it is exact: kept as is when
-    every entry is a Fraction, otherwise with every entry made a float."""
-    if all(isinstance(v, Fraction) for row in rows for v in row):
-        return rows, True
-    return [[float(v) for v in row] for row in rows], False
+# The point value of a zero entry.
+_ZERO = (0, 1)
 
 
-def form_matrix_at(form, env):
-    """Skew matrix of a 2-form at a point, with its exactness flag."""
+def _point_rows(values):
+    """A matrix of point values as integer rows over one positive scale.
+
+    values holds what symexpr._point_value gives: exact pairs (p, q) with
+    q > 0, or floats.  When every value is a pair, returns (rows, s) with
+    rows of ints and s the lcm of the q's, so entry / s is each value.
+    Otherwise returns the values as floats and None, so the matrix goes
+    to the float SVD.  A positive scale keeps every rank, kernel, RREF
+    and sign decided on the rows.
+    """
+    try:
+        s = math.lcm(*[q for row in values for _, q in row])
+    except TypeError:  # a float value is not a pair
+        return [[x[0] / x[1] if type(x) is tuple else float(x) for x in r] for r in values], None
+    if s == 1:
+        return [[p for p, _ in row] for row in values], 1
+    return [[p * (s // q) for p, q in row] for row in values], s
+
+
+def _form_values(form, env):
+    """Point values of the skew matrix of a 2-form."""
     if form.degree != 2:
         raise DomainError("form_matrix_at needs a 2-form")
     n = form.chart.dim
-    zero = Fraction(0)
-    m = [[zero] * n for _ in range(n)]
+    m = [[_ZERO] * n for _ in range(n)]
     for (i, j), coeff in form.comps.items():
-        v = coeff.eval(env)
+        v = _point_value(coeff, env)
         m[i][j] = v
-        m[j][i] = -v
-    return _exact_or_float(m)
+        m[j][i] = (-v[0], v[1]) if type(v) is tuple else -v
+    return m
 
 
-def _matrix_rank(rows, exact):
-    if exact:
+def form_matrix_at(form, env):
+    """Skew matrix of a 2-form at a point, with its exactness flag: a
+    matrix of Fractions when every entry is exact, of floats otherwise."""
+    rows, s = _point_rows(_form_values(form, env))
+    if s is None:
+        return rows, False
+    return [[Fraction(x, s) for x in row] for row in rows], True
+
+
+def _matrix_rank(rows, scale):
+    if scale is not None:
         return RankVerdict(_linalg.exact_rank(rows), False, True)
     rank, und = _linalg.float_rank(rows, RANK_THRESHOLD, RANK_BAND_FLOOR)
     return RankVerdict(rank, und, False)
 
 
 def rank_at(form, env):
-    return _matrix_rank(*form_matrix_at(form, env))
+    return _matrix_rank(*_point_rows(_form_values(form, env)))
 
 
 def map_rank_at(cmap, env):
-    rows = [[e.eval(env) for e in row] for row in cmap.jacobian()]
-    return _matrix_rank(*_exact_or_float(rows))
+    values = [[_point_value(e, env) for e in row] for row in cmap.jacobian()]
+    return _matrix_rank(*_point_rows(values))
 
 
 def gradient_matrix_at(form, env):
     """First partials of every coefficient: rows by coordinate, columns
-    by increasing index tuple over the full C(n, k) tuple space."""
+    by increasing index tuple over the full C(n, k) tuple space, as
+    _point_rows gives them (integer rows and a scale, or floats and None)."""
     cols = list(combinations(range(form.chart.dim), form.degree))
-    zero = Fraction(0)
-    rows = []
+    values = []
     for partial in form.partials():
-        row = []
-        for idx in cols:
-            c = partial.comps.get(idx)
-            row.append(zero if c is None else c.eval(env))
-        rows.append(row)
-    return _exact_or_float(rows)
+        comps = partial.comps
+        values.append(
+            [_ZERO if (c := comps.get(idx)) is None else _point_value(c, env) for idx in cols]
+        )
+    return _point_rows(values)
 
 
 def gradient_rank_at(form, env):
@@ -115,6 +141,10 @@ def _wedge_square_gram(u, v):
 
 @dataclass
 class DegeneracyVerdict:
+    """The degeneracy test's outcome at one point.  kernel and d_matrix are
+    integer: each kernel vector is a positive multiple of exact_kernel's,
+    and D_K's rows and columns carry positive scales."""
+
     passed: bool
     reason: str
     rank: int | None = None
@@ -142,8 +172,8 @@ def near_symplectic_at(form, env):
     dim = chart.dim
     if dim % 2 or dim < 4:
         raise DomainError("degeneracy test needs an even chart dimension >= 4")
-    m, exact = form_matrix_at(form, env)
-    if not exact:
+    m, scale = _point_rows(_form_values(form, env))
+    if scale is None:
         return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
     rank = _linalg.exact_rank(m)
     if rank == dim:
@@ -152,36 +182,37 @@ def near_symplectic_at(form, env):
         return DegeneracyVerdict(
             False, "kernel not 4-dim", rank=rank, kernel_dim=dim - rank
         )
-    kernel = _linalg.exact_kernel(m, dim)
+    kernel = _linalg.integer_kernel(m, dim)
     partials = []
     for partial in form.partials():
-        rows, exact = form_matrix_at(partial, env)
-        if not exact:
+        rows, scale = _point_rows(_form_values(partial, env))
+        if scale is None:
             return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
-        partials.append(rows)
-
-    def pairing(w, mv, u):
-        total = Fraction(0)
-        for i in range(dim):
-            if w[i]:
-                row = mv[i]
-                for j in range(dim):
-                    if u[j]:
-                        total += w[i] * row[j] * u[j]
-        return total
-
-    d_rows = []
-    for wc in kernel:
-        row = []
-        for a, b in _K_PAIRS:
-            total = Fraction(0)
-            for v in range(dim):
-                if wc[v]:
-                    total += wc[v] * pairing(kernel[a], partials[v], kernel[b])
-            row.append(total)
-        d_rows.append(row)
-    image_basis, image_pivots = _linalg.exact_rref(d_rows, 6)
-    image_dim = len(image_pivots)
+        partials.append((rows, scale))
+    # D_K on integers: row c, column (a, b) is the sum over coordinates v of
+    # k_c[v] * (k_a^T P_v k_b), P_v the partial along v, put over one scale
+    # by the weights common / s_v.  Each kernel vector is a positive multiple
+    # s_k of exact_kernel's, so row c is scaled by s_c and column (a, b) by
+    # s_a*s_b.  Row scales keep the image; column scales multiply the
+    # wedge square q by s_0*s_1*s_2*s_3 > 0, so its signature is kept.
+    common = math.lcm(*(s for _, s in partials))
+    used = [any(k[v] for k in kernel) for v in range(dim)]
+    pairings = []
+    for v, (rows, s) in enumerate(partials):
+        if not used[v] or not any(map(any, rows)):
+            pairings.append(None)
+            continue
+        pk = [[sum(x * y for x, y in zip(row, kb) if x) for row in rows] for kb in kernel]
+        weight = common // s
+        pairings.append(
+            [weight * sum(x * y for x, y in zip(kernel[a], pk[b]) if x) for a, b in _K_PAIRS]
+        )
+    d_rows = [
+        [sum(k[v] * g[col] for v, g in enumerate(pairings) if g and k[v]) for col in range(6)]
+        for k in kernel
+    ]
+    image_basis = _linalg.row_basis(d_rows, 6)
+    image_dim = len(image_basis)
     verdict = DegeneracyVerdict(
         True,
         "",
@@ -216,9 +247,9 @@ def _grad_kernel_consistent(form, env):
     half = form.chart.dim // 2
     if half - 1 < 2:
         return True
-    a, a_exact = gradient_matrix_at(form, env)
-    b, b_exact = gradient_matrix_at(form.wedge_power(half - 1), env)
-    if not (a_exact and b_exact):
+    a, a_scale = gradient_matrix_at(form, env)
+    b, b_scale = gradient_matrix_at(form.wedge_power(half - 1), env)
+    if a_scale is None or b_scale is None:
         return None
     return _linalg.column_span_equal(a, b)
 

@@ -82,7 +82,6 @@ _SYM, _PI, _EXP, _SIN, _COS, _OPQ = range(6)
 _KIND_NAMES = ("sym", "pi", "exp", "sin", "cos", "opq")
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # Bound of each monomial memo; the built-in suite makes ~1.8k distinct
 # products and ~100 distinct trigonometric adjustments.
@@ -609,7 +608,7 @@ def _opaque_numeric(name):
 
 
 def evaluate(expr, env):
-    """Evaluate at a point.  env maps coordinate name -> Fraction or float.
+    """Evaluate at a point.  env maps coordinate name -> int, Fraction or float.
 
     Results stay exact Fractions as long as every factor evaluates
     exactly.  A rational factor equal to zero short-circuits its whole
@@ -620,97 +619,169 @@ def evaluate(expr, env):
     would short-circuit still raises on an unregistered opaque, so a
     missing registration cannot hide behind a zero.
 
-    Exact terms are summed on the numerators and divided by the common
-    denominator once; a term that meets a float turns into one at that
-    factor, as float(exact part / den).
+    Each term is computed as an integer pair (numerator, denominator)
+    from its coordinates' numerators and denominators, the exact terms
+    are summed as one pair, and one Fraction is built for the value.  A
+    term that meets a float turns into one at that factor, as
+    float(exact part / den), so its bits do not depend on the pairs.
     """
-    for name in sorted(expr.opaque_names()):
+    value = _point_value(expr, env)
+    if type(value) is not tuple:
+        return value
+    return Fraction(*value) if value[0] else _F0
+
+
+def _point_value(expr, env):
+    """evaluate's value as an exact pair (p, q) with q > 0, or a float.
+
+    The pair need not be in lowest terms; the point matrices of
+    pointcheck put such pairs over one scale without building Fractions.
+    """
+    names, den, terms = _plan(expr)
+    for name in names:
         _opaque_numeric(name)
-    den = expr.den
-    exact_sum = _F0
+    return _plan_value(den, terms, env)
+
+
+@lru_cache(maxsize=4096)
+def _plan(expr):
+    """(sorted opaque names, den, terms) of expr, each term a triple
+    (numerator, coordinate factors (name, e), other factors (atom, e)).
+
+    Monomials sort coordinates before every other atom, so the factors
+    keep their order in the monomial.
+    """
+    terms = tuple(
+        (
+            n,
+            tuple((atom[1], e) for atom, e in mono if atom[0] == _SYM),
+            tuple((atom, e) for atom, e in mono if atom[0] != _SYM),
+        )
+        for mono, n in expr.terms
+    )
+    return tuple(sorted(expr.opaque_names())), expr.den, terms
+
+
+def _plan_value(den, terms, env):
+    """_point_value of a plan's den and terms at env."""
+    total_p, total_q = 0, 1
     float_sum = 0.0
     has_float = False
-    for mono, n in expr.terms:
-        value = _eval_term(mono, n, den, env)
-        if value is None:
-            continue
-        if isinstance(value, float):
-            float_sum += value
-            has_float = True
-        else:
-            exact_sum += value
-    if den != 1:
-        exact_sum /= den
-    if has_float:
-        return float(exact_sum) + float_sum
-    return exact_sum
-
-
-def _env_value(env, name):
-    try:
-        v = env[name]
-    except KeyError:
-        raise EvaluationError(f"no value for coordinate {name}") from None
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (Fraction, float)):
-        return v
-    raise EvaluationError(f"bad value for coordinate {name}: {v!r}")
-
-
-def _eval_term(mono, n, den, env):
-    """den times the exact value of n/den * mono, a float once a factor
-    is a float, or None for an exact zero term."""
-    # Exact pass first: rational coordinate factors and exact-foldable
-    # transcendental arguments.
-    result = n
-    deferred = []
-    for atom, e in mono:
-        if atom[0] == _SYM:
-            v = _env_value(env, atom[1])
-            if isinstance(v, Fraction):
-                if v == 0:
-                    if e < 0:
-                        raise EvaluationError(
-                            f"coordinate {atom[1]} is 0 but appears to power {e}"
-                        )
-                    return None
-                result = v**e * result
+    for n, coords, others in terms:
+        # Exact pass first: the term's rational coordinate factors.
+        p, q = n, 1
+        floats = ()
+        for name, e in coords:
+            v = _env_value(env, name)
+            if type(v) is not tuple:
+                floats += ((v, e),)
                 continue
-        deferred.append((atom, e))
-    # Second pass may still fold: exp(0)=1, sin(0)=0, cos(0)=1 at the
-    # evaluated argument keep exactness through transcendental atoms.
-    for atom, e in deferred:
-        v = _eval_atom(atom, env)
+            a, b = v
+            if not a:
+                if e < 0:
+                    raise EvaluationError(f"coordinate {name} is 0 but appears to power {e}")
+                break
+            if e == 1:
+                p *= a
+                q *= b
+            elif e > 0:
+                p *= a**e
+                q *= b**e
+            else:
+                p *= b**-e
+                q *= a**-e
+        else:
+            if q < 0:
+                p, q = -p, -q
+            if floats or others:
+                value = _deferred_value(p, q * den, floats, others, env)
+                if value is None:
+                    continue
+                if value is not _EXACT:
+                    float_sum += value
+                    has_float = True
+                    continue
+            # The exact sum keeps the lcm of its terms' denominators.
+            if q == total_q:
+                total_p += p
+            else:
+                g = math.gcd(q, total_q)
+                total_p = total_p * (q // g) + p * (total_q // g)
+                total_q = total_q // g * q
+    total_q *= den
+    if has_float:
+        return total_p / total_q + float_sum
+    return total_p, total_q
+
+
+_EXACT = object()
+
+
+def _deferred_value(p, q, floats, others, env):
+    """p/q times a term's float coordinates and its other atoms, in order:
+    a float from the first float factor on, None when a factor is an
+    exact zero, and _EXACT when every factor is exactly 1.
+
+    exp(0) = 1, sin(0) = 0 and cos(0) = 1 at an exact zero argument keep
+    exactness through transcendental atoms.
+    """
+    result = _EXACT
+    for v, e in floats:
+        if v == 0 and e < 0:
+            raise EvaluationError(f"zero atom sym raised to power {e}")
+        if result is _EXACT:
+            # int / int rounds the quotient once, as float(Fraction) does.
+            result = p / q
+        result = result * v**e
+    for atom, e in others:
+        v = _atom_value(atom, env)
         if v == 0 and e < 0:
             raise EvaluationError(f"zero atom {_KIND_NAMES[atom[0]]} raised to power {e}")
         if isinstance(v, float):
-            if not isinstance(result, float):
-                # int / int and float(Fraction) both round the quotient once.
-                result = float(result / den)
+            if result is _EXACT:
+                result = p / q
             result = result * v**e
         elif v == 0:
             return None
-        else:
-            result = v**e * result
     return result
 
 
-def _eval_atom(atom, env):
+_TRANSCENDENTAL = {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}
+
+
+def _atom_value(atom, env):
+    """A float, or the int 0 or 1 for an exactly folded atom."""
     kind = atom[0]
-    if kind == _SYM:
-        return _env_value(env, atom[1])
     if kind == _PI:
         return math.pi
     if kind == _OPQ:
         v = _env_value(env, atom[2])
-        return float(_opaque_numeric(atom[1])(float(v)))
-    arg = evaluate(atom[1], env)
-    if isinstance(arg, Fraction):
-        if arg == 0:
-            return _F0 if kind == _SIN else _F1
-        arg = float(arg)
-    return {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}[kind](arg)
+        return float(_opaque_numeric(atom[1])(v[0] / v[1] if type(v) is tuple else v))
+    _, den, terms = _plan(atom[1])
+    arg = _plan_value(den, terms, env)
+    if type(arg) is tuple:
+        if not arg[0]:
+            return 0 if kind == _SIN else 1
+        arg = arg[0] / arg[1]
+    return _TRANSCENDENTAL[kind](arg)
+
+
+def _env_value(env, name):
+    """A coordinate's value: an exact pair (numerator, denominator) for an
+    int or a Fraction, or the float itself."""
+    try:
+        v = env[name]
+    except KeyError:
+        raise EvaluationError(f"no value for coordinate {name}") from None
+    if type(v) is Fraction:
+        return v.numerator, v.denominator
+    if isinstance(v, int):
+        return v, 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    if isinstance(v, float):
+        return v
+    raise EvaluationError(f"bad value for coordinate {name}: {v!r}")
 
 
 # -- vectorized evaluation ---------------------------------------------

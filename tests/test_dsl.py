@@ -69,7 +69,7 @@ def test_tokenize_unterminated_string():
 # differential tests below hold `tokenize` to it.
 _REFERENCE_TOKEN = re.compile(
     r'(?P<SPACE>[ \t\r]+)|(?P<COMMENT>#[^\n]*)|(?P<NEWLINE>\n)|(?P<STRING>"[^"\n]*")'
-    r"|(?P<FLOAT>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?)|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+    r"|(?P<FLOAT>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
     r"|(?P<OP>/\\|->|[-()\[\],=:^+*/∧])"
 )
 
@@ -138,7 +138,7 @@ def test_tokenize_matches_reference_on_random_corpus(seed):
 
 @pytest.mark.parametrize(
     "text",
-    ["", " ", "\n", "#", "# c", "x # c", "x\t \r", "(\n)\n", "x\n\n  \n", '"a', 'x "', "1.5e", "1.e5", "x²", "٣", "é\u0301", "∧"],
+    ["", " ", "\n", "#", "# c", "x # c", "x\t \r", "(\n)\n", "x\n\n  \n", '"a', 'x "', "1.5e", "1.e5", "1e5", "2E+3", "1e", "1e+", "x²", "٣", "é\u0301", "∧"],
 )
 def test_tokenize_matches_reference_on_edges(text):
     _assert_scans_as_reference(text)
@@ -297,11 +297,30 @@ def test_float_region_bounds_round_trip(lo, hi):
 
 
 def test_float_region_bounds_print_as_floats():
-    # 1e-05 and -1e+20 are the reprs; the FLOAT rule needs a point.
+    # 1e-05 and -1e+20 are the reprs; the printer writes them with a point.
     text = "region R on C = [0.00001, 1] x [-1.0e+20, 2.5] lattice 2 random 0\n"
     printed = print_scenario(parse_scenario(text))
     assert printed == "region R on C = [1.0e-05, 1] x [-1.0e+20, 2.5] lattice 2 random 0\n"
     assert parse_scenario(printed) == parse_scenario(text)
+
+
+@pytest.mark.parametrize("written, value", [("1e-05", 1e-05), ("2E3", 2000.0), ("-7e+0", -7.0)])
+def test_exponent_literals_without_a_point_round_trip(written, value):
+    text = f"region R on C = [{written}, 9] lattice 2 random 0\n"
+    scenario = parse_scenario(text)
+    assert scenario.statements[0].intervals == ((value, F(9)),)
+    printed = print_scenario(scenario)
+    assert parse_scenario(printed) == scenario
+    assert print_scenario(parse_scenario(printed)) == printed
+
+
+@pytest.mark.parametrize("expr, col", [("2*1e3", 13), ("x + 1E-2*x", 15)])
+def test_exponent_literal_in_an_expression_is_a_positioned_error(expr, col):
+    # A FLOAT is a region bound only; inside an expression it is no atom.
+    with pytest.raises(ParseError) as e:
+        parse_scenario(f"chart C(x)\nconst k = {expr}\n")
+    assert (e.value.line, e.value.col) == (2, col)
+    assert e.value.message == "expected an expression atom"
 
 
 @pytest.mark.parametrize("dim", [1, MAX_DIM])

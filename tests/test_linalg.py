@@ -65,6 +65,13 @@ def test_rank_and_rref_match_sympy(m):
     for i, row in enumerate(rref):
         assert all(type(x) is Fraction for x in row)
         assert row == [_fraction(want[i, j]) for j in range(ncols)]
+    # An integer basis of the same row space.
+    basis = _linalg.row_basis(m, ncols)
+    assert len(basis) == rank
+    assert all(type(x) is int for row in basis for x in row)
+    if basis:
+        assert _sympy(basis, ncols).rank() == rank
+        assert _sympy(m + basis, ncols).rank() == rank
 
 
 @given(matrices())
@@ -82,6 +89,12 @@ def test_kernel_is_a_basis_of_the_null_space(m):
     free = [c for c in range(ncols) if c not in pivots]
     for v, f in zip(basis, free):
         assert [v[c] for c in free] == [int(c == f) for c in free]
+    # The integer kernel holds a positive multiple of each vector.
+    integer = _linalg.integer_kernel(m, ncols)
+    assert len(integer) == len(basis)
+    for w, v, f in zip(integer, basis, free):
+        assert all(type(x) is int for x in w)
+        assert w[f] > 0 and w == [w[f] * x for x in v]
 
 
 @given(matrices(nrows=st.integers(0, 6), square=True))

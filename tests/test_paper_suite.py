@@ -250,6 +250,12 @@ GOLDEN_EXACT = Path(__file__).parent / "golden" / "exact_sampling_report.json"
 # stream shows where the default seed happens not to expose it.  The file
 # was written by the engine before off-locus draws were read in batches.
 GOLDEN_EXACT_SEED7 = Path(__file__).parent / "golden" / "exact_sampling_report_seed7.json"
+# Seeds 0 and 1 as well, written by the engine before exact point values
+# were evaluated on integer pairs.
+GOLDEN_EXACT_BY_SEED = {
+    seed: Path(__file__).parent / "golden" / f"exact_sampling_report_seed{seed}.json"
+    for seed in (0, 1)
+}
 
 
 def _exact_report(monkeypatch, seed):
@@ -269,6 +275,11 @@ def test_exact_scenarios_match_golden_report(monkeypatch):
 
 def test_exact_scenarios_match_golden_report_at_seed_7(monkeypatch):
     assert _exact_report(monkeypatch, 7) == GOLDEN_EXACT_SEED7.read_text()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_EXACT_BY_SEED))
+def test_exact_scenarios_match_golden_report_at_seed(monkeypatch, seed):
+    assert _exact_report(monkeypatch, seed) == GOLDEN_EXACT_BY_SEED[seed].read_text()
 
 
 # The symbolic scenarios whose reports hold no float: bracket tables, the
