@@ -11,17 +11,18 @@ rejection against a distance margin, then test pointwise claims on the
 two populations.  Sample counts are part of the verdict: too few points
 on either side fails the check rather than silently passing it.
 
-A random draw on a rational interval is one of its 2**12 + 1 dyadic
-points, (base + step*k) / den for a seeded k, where `Region.dyadic_axes`
-holds (base, step, den) per axis.  Lattice points and most draws are
-{coord: Fraction} dicts.  Off-locus draws against finite targets (the
-tuples of (coord, value) pins that `LocusSampler.targets` measures the
-distance to a locus by) are read in batches and held as integer
-numerators over those fixed denominators (`_DyadicPoints`): the margin
-test is array work over a batch, exact in integers for rational targets
-and bit for bit the float sum for targets holding a float; the float
-columns are one integer array divided by the denominators, and a dict is
-built only for a point read one at a time.
+A random draw of an interval is one of its 2**12 + 1 dyadic points:
+(base + step*k) / den for a seeded k on a rational interval, where
+`Region.dyadic_axes` holds (base, step, den) per axis, and the same
+fraction of the way in floats on a float-bounded one.  Seeded draws read
+their k values in batches from their own generator (`_DyadicStream`) and
+are kept as `_DyadicPoints`; a {coord: value} dict is built only for a
+point read one at a time.  Off-locus draws are taken by rejection against
+the targets, the tuples of (coord, value) pins that
+`LocusSampler.targets` measures the distance to a locus by: the margin
+test is array work over a batch, exact in integers for rational pins on
+rational axes and bit for bit the float sum of `_coord_dist_sq`
+otherwise.
 
 A float value inside the tolerance band decides nothing by itself: it
 is a counterexample only when an exact value confirms it, and otherwise
@@ -89,6 +90,14 @@ def _is_rational_number(v):
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def _float(v):
+    """float(v), or an infinity of v's sign where v is beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _dyadic_axis(lo, hi):
     """The dyadic draws of [lo, hi] as (base, step, den): draw k, for k in
     0..2**bits, is (base + step*k) / den.  None when an end is a float."""
@@ -101,13 +110,17 @@ def _dyadic_axis(lo, hi):
     return ln * hd << _DYADIC_BITS, hn * ld - ln * hd, ld * hd << _DYADIC_BITS
 
 
-def _dyadic_between(rng, lo, hi, axis):
-    """One seeded draw from [lo, hi], whose `_dyadic_axis` is `axis`."""
-    k = rng.randrange(0, (1 << _DYADIC_BITS) + 1)
+def _dyadic_value(lo, hi, axis, k):
+    """Draw k, for k in 0..2**bits, of [lo, hi], whose `_dyadic_axis` is `axis`."""
     if axis is None:
         return float(lo) + (float(hi) - float(lo)) * (k / float(1 << _DYADIC_BITS))
     base, step, den = axis
     return Fraction(base + step * k, den)
+
+
+def _dyadic_between(rng, lo, hi, axis):
+    """One seeded draw from [lo, hi], whose `_dyadic_axis` is `axis`."""
+    return _dyadic_value(lo, hi, axis, rng.randrange(0, (1 << _DYADIC_BITS) + 1))
 
 
 def _axis_lattice(lo, hi, res):
@@ -176,6 +189,7 @@ def _lattice_product(pinned, region, coords):
 
 
 def random_env(region, rng):
+    """One draw, one `randrange` per coordinate: what `_DyadicPoints` reads in batches."""
     return {
         c: _dyadic_between(rng, lo, hi, axis)
         for c, (lo, hi), axis in zip(region.chart.coords, region.intervals, region.dyadic_axes)
@@ -184,8 +198,8 @@ def random_env(region, rng):
 
 def region_envs(region, seed):
     """The region's lattice followed by its `random_count` seeded draws."""
-    rng = random.Random(seed)
-    return lattice_envs(region) + [random_env(region, rng) for _ in range(region.random_count)]
+    draws = _DyadicPoints.read(region, _DyadicStream(random.Random(seed)), region.random_count)
+    return lattice_envs(region) + list(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +279,9 @@ def _locus_on_envs(locus, region, seed):
         return [dict(p) for p in locus.points]
     if isinstance(locus, CoordLocus):
         pinned = locus.pinned
-        if region is None or locus.chart != region.chart:
+        if region is None:
             if len(pinned) != len(locus.chart.coords):
-                raise DomainError(
-                    "a partial coordinate locus needs an ambient region on its chart"
-                )
+                raise DomainError("a partial coordinate locus needs an ambient region")
             return [dict(pinned)]
         free = [c for c in locus.chart.coords if c not in pinned]
         return _lattice_product(pinned, region, free)
@@ -294,9 +306,12 @@ class LocusSampler:
     point of a points or image locus is one target pinning every chart
     coordinate, a union holds its parts' targets, and an empty locus has
     none.  The distance to the locus is the distance to the nearest target.
+    A region, when given, is on the locus's chart.
     """
 
     def __init__(self, locus, region, seed):
+        if region is not None and locus.chart != region.chart:
+            raise DomainError(f"locus on chart {locus.chart.name} but region on chart {region.chart.name}")
         self.locus = locus
         self.region = region
         self.seed = seed
@@ -339,38 +354,74 @@ def _coord_dist_sq(pins, env):
 
 
 class _DyadicPoints:
-    """Dyadic draws of a rational region: an (n_draws x n_axes) int64 array
-    of numerators over the region's fixed per-axis denominators.
+    """Seeded dyadic draws of a region, kept as their k indices: an
+    (n_draws x n_axes) int64 array, each k in 0..2**12.
 
-    An item is the {coord: Fraction} env that `random_env` draws, built
-    when it is read.  Every numerator and denominator is below 2**53.
+    An item is the env that `random_env` draws, built when it is read.  For
+    array work an axis is read as a column: on a rational axis the
+    numerators base + step*k over its fixed denominator, in int64 when they
+    and the denominator are below 2**53 and as Python ints otherwise; on a
+    float-bounded axis the float64 draws themselves.
     """
 
-    def __init__(self, coords, dens, rows):
-        self.coords, self.dens, self.rows = coords, dens, rows
+    def __init__(self, region, ks):
+        self.region, self.ks = region, ks
+
+    @classmethod
+    def read(cls, region, stream, n):
+        """The region's next n draws from a `_DyadicStream`."""
+        dim = len(region.intervals)
+        return cls(region, stream.take(n * dim).reshape(n, dim))
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.ks)
 
     def __getitem__(self, i):
-        return {c: Fraction(n, d) for c, n, d in zip(self.coords, self.rows[i].tolist(), self.dens)}
+        r = self.region
+        return {
+            c: _dyadic_value(lo, hi, axis, k)
+            for c, (lo, hi), axis, k in zip(r.chart.coords, r.intervals, r.dyadic_axes, self.ks[i].tolist())
+        }
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, _DyadicPoints) else other)
 
-    def float_columns(self, coords):
-        """{coord: float64 array} bit-identical to float() of each Fraction."""
-        cols = dict(zip(self.coords, _float_quotients(self.rows, self.dens).T))
-        return {c: cols[c] for c in coords}
+    @cached_property
+    def numerators(self):
+        """The numerator column of each rational axis, None for a float one."""
+        return [axis and _numerator_column(axis, k) for axis, k in zip(self.region.dyadic_axes, self.ks.T)]
+
+    @cached_property
+    def floats(self):
+        """The float64 column of each axis: float() of the items' values, bit for bit."""
+        r = self.region
+        return [
+            _dyadic_value(lo, hi, None, k) if axis is None else _float_quotients(nums, axis[2])
+            for (lo, hi), axis, nums, k in zip(r.intervals, r.dyadic_axes, self.numerators, self.ks.T)
+        ]
 
 
-def _float_quotients(nums, dens):
-    """float(Fraction(n, den)) of every numerator, one den per column.
+def _axis_extreme(axis):
+    """The largest |base + step*k| over the draws of a `_dyadic_axis`."""
+    base, step, _ = axis
+    return max(abs(base), abs(base + (step << _DYADIC_BITS)))
 
-    Both integers of a quotient are exact as floats, so the one IEEE
-    division is correctly rounded, as `float(Fraction)` is.
+
+def _numerator_column(axis, k):
+    base, step, den = axis
+    wide = max(_axis_extreme(axis), den) >= _FLOAT_EXACT
+    return base + step * (k.astype(object) if wide else k)
+
+
+def _float_quotients(nums, den):
+    """float(Fraction(n, den)) of every numerator, an infinity of its sign
+    past the float range.  An int64 array holds numerators below 2**53 over
+    a den below 2**53, so the one IEEE division is correctly rounded, as
+    `float(Fraction)` is; Python ints in an object array are divided singly.
     """
-    return nums.astype(np.float64) / np.array(dens, dtype=np.float64)
+    if nums.dtype == object:
+        return np.array([_float(Fraction(n, den)) for n in nums], dtype=np.float64)
+    return nums.astype(np.float64) / den
 
 
 class _DyadicStream:
@@ -401,21 +452,21 @@ class _DyadicStream:
 
 
 def _square_bound(terms, extremes):
-    """A bound on every constant and on sum(w * (n[:, i]*q - pd)**2) over
-    the (i, q, pd, w) terms, where `extremes[i]` bounds |n[:, i]|."""
+    """A bound on every constant and on sum(w * (n_i*q - pd)**2) over the
+    (i, q, pd, w) terms, where `extremes[i]` bounds |n_i|."""
     return sum(w * ((extremes[i] + 1) * q + abs(pd)) ** 2 for i, q, pd, w in terms)
 
 
 def _square_sum(terms, wide):
-    """A function of a numerator array giving sum(w * (n[:, i]*q - pd)**2)
-    over the (i, q, pd, w) terms per row: in int64, or on Python ints
-    when `wide`."""
+    """A function of a batch of draws giving sum(w * (n_i*q - pd)**2) over
+    the (i, q, pd, w) terms per draw, n_i its numerator on axis i: in the
+    columns' own dtype, or on Python ints when `wide`."""
 
-    def total(nums):
-        cols = nums.astype(object) if wide else nums
+    def total(points):
         out = 0
         for i, q, pd, w in terms:
-            a = cols[:, i] * q - pd
+            col = points.numerators[i]
+            a = (col.astype(object) if wide else col) * q - pd
             out = out + w * a * a
         return out
 
@@ -433,99 +484,79 @@ def _common_terms(pins, dens):
 
 
 def _rational_target_test(pins, dens, extremes, margin):
-    """`_coord_dist_sq(target, env) >= margin**2` for a target of rational
-    values, as one integer comparison per row over the common denominator
-    lcm((den*q)**2) * margin.denominator**2."""
+    """`_coord_dist_sq(target, env) >= margin**2` for rational pins on
+    rational axes, as one integer comparison per draw over the common
+    denominator lcm((den*q)**2) * margin.denominator**2."""
     terms, common = _common_terms(pins, dens)
     md_sq = margin.denominator**2
     terms = [(i, q, pd, w * md_sq) for i, q, pd, w in terms]
     threshold = margin.numerator**2 * common
     total = _square_sum(terms, max(_square_bound(terms, extremes), threshold) >= 1 << 63)
-    return lambda nums, floats: total(nums) >= threshold
+    return lambda points: total(points) >= threshold
 
 
 def _float_target_test(pins, dens, extremes, margin):
-    """`_coord_dist_sq(target, env) >= margin**2` for a target holding a
-    finite float, bit for bit, over a rational region and margin.
+    """`_coord_dist_sq(target, env) >= margin**2`, bit for bit, for a target
+    with a pin that holds a float or lies on a float-bounded axis.
 
-    `_coord_dist_sq` sums from Fraction(0): the rational pins before the
-    first float pin sum exactly, and their sum becomes a float once.  Then
-    a float pin adds (x - v)**2 in floats, and a rational pin adds the
-    float of its exact square.  A float d compares exactly with the
-    rational margin**2, which rounds to m: d > m means d > margin**2,
-    d < m means d < margin**2, and the tie d == m is decided once.
-    Returns None for a rational value of 2**53 or more, whose square
-    could overflow a float, or a margin**2 beyond the float range.
+    `_coord_dist_sq` sums from Fraction(0): the rational pins on rational
+    axes before the first other pin sum exactly, and their sum becomes a
+    float once.  Then every other pin adds (x - v)**2 in floats, and a
+    rational pin on a rational axis adds the float of its exact square.  A
+    value past the float range is an infinity of its sign here, where
+    `_coord_dist_sq` raises OverflowError.  A float d compares exactly with
+    the rational margin**2, which rounds to m: d > m means d > margin**2,
+    d < m means d < margin**2, and the tie d == m is decided once.  When
+    margin**2 is past the float range, m is inf and only d == inf passes.
     """
-    if any(_is_rational_number(v) and abs(v) >= _FLOAT_EXACT for _, v in pins):
-        return None
     margin_sq = margin * margin
-    try:
-        m = float(margin_sq)
-    except OverflowError:
-        return None
-    tie_passes = Fraction(m) >= margin_sq
+    m = _float(margin_sq)
+    tie_passes = m == math.inf or Fraction(m) >= margin_sq
 
     def exact(rational_pins):
-        # float(Fraction(t, common)) is t / common, correctly rounded; in
-        # float64 only when both integers are exact as floats.
         terms, common = _common_terms(rational_pins, dens)
-        wide = max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT
-        total = _square_sum(terms, wide)
-        if wide:
-            return lambda nums, floats: (total(nums) / common).astype(np.float64)
-        return lambda nums, floats: total(nums).astype(np.float64) / common
+        total = _square_sum(terms, max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT)
+        return lambda points: _float_quotients(total(points), common)
 
     def inexact(i, v):
-        return lambda nums, floats: (floats[:, i] - v) ** 2
+        v = _float(v)
+        return lambda points: (points.floats[i] - v) ** 2
 
-    first = next(k for k, (_, v) in enumerate(pins) if isinstance(v, float))
+    is_exact = [_is_rational_number(v) and dens[i] is not None for i, v in pins]
+    first = is_exact.index(False)
     parts = [exact(pins[:first])] if first else []
-    parts += [inexact(i, v) if isinstance(v, float) else exact([(i, v)]) for i, v in pins[first:]]
+    parts += [exact([pin]) if e else inexact(*pin) for pin, e in zip(pins[first:], is_exact[first:])]
 
-    def passes(nums, floats):
+    def passes(points):
         d = 0.0
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for part in parts:
-                d = d + part(nums, floats)
+                d = d + part(points)
         return d >= m if tie_passes else d > m
 
     return passes
 
 
 def _margin_test(sampler, margin):
-    """`distance_sq(env) >= margin**2` as array work, or None.
+    """`distance_sq(env) >= margin**2` over a batch of draws.
 
-    Returns one function per target of a draw's (n_draws x n_axes)
-    numerator array and its float columns, giving a bool per draw; a draw
-    is accepted when it passes every target.  A target of rational values
-    is decided in integers; one holding a finite float reproduces the bits
-    of `_coord_dist_sq`.  That needs the locus on the region's chart, a
-    rational margin and a rational region whose numerators and
-    denominators stay below 2**53; otherwise, or for a target value that is
-    neither rational nor a finite float, None.
+    Returns one function per target of a `_DyadicPoints` batch, giving a
+    bool per draw.  A draw is accepted when it passes every target: that is
+    the nearest target's test, and it rejects a draw at NaN distance from
+    any target.  A target of rational pins on rational axes is decided in
+    integers; any other reproduces the bits of `_coord_dist_sq`.
     """
-    locus, region = sampler.locus, sampler.region
-    axes = region.dyadic_axes
-    if not (locus.chart == region.chart and _is_rational_number(margin) and None not in axes):
-        return None
-    extremes = [max(abs(base), abs(base + (step << _DYADIC_BITS))) for base, step, _ in axes]
-    dens = [den for *_, den in axes]
-    if max(*extremes, *dens) >= _FLOAT_EXACT:
-        return None
-    index = {c: i for i, c in enumerate(region.chart.coords)}
+    axes = sampler.region.dyadic_axes
+    extremes = [None if axis is None else _axis_extreme(axis) for axis in axes]
+    dens = [None if axis is None else axis[2] for axis in axes]
+    index = {c: i for i, c in enumerate(sampler.region.chart.coords)}
     tests = []
     for target in sampler.targets:
         pins = [(index[c], v) for c, v in target]
-        if all(_is_rational_number(v) for _, v in pins):
+        if all(_is_rational_number(v) and dens[i] is not None for i, v in pins):
             tests.append(_rational_target_test(pins, dens, extremes, margin))
-            continue
-        if not all(_is_rational_number(v) or (isinstance(v, float) and math.isfinite(v)) for _, v in pins):
-            return None
-        test = _float_target_test(pins, dens, extremes, margin)
-        if test is None:
-            return None
-        tests.append(test)
+        else:
+            tests.append(_float_target_test(pins, dens, extremes, margin))
     return tests
 
 
@@ -535,53 +566,31 @@ _BATCH_DRAWS = 512  # draws per margin test; a cap on the arrays' size
 def off_locus_envs(sampler, margin, count, seed):
     """Accepted-count rejection sampling of the ambient region.
 
-    Returns (envs, exhausted): at most `count` region samples at squared
-    distance >= margin**2 from the locus; exhausted is True when the
-    draw budget ran out first.
-
-    Every path draws the same points as `random_env` would, in order, and
-    accepts the same ones.  Where `_margin_test` applies, draws are read
-    in batches (`_DyadicStream`) as integer numerator arrays, each batch
-    is margin-tested as a whole, and envs is a `_DyadicPoints`.  For a
-    float region or margin, a locus on another chart or a non-finite
-    target value, envs is a list of `random_env` dicts tested one at a
-    time with `LocusSampler.distance_sq`.
+    Returns (envs, exhausted): a `_DyadicPoints` of at most `count` region
+    draws at squared distance >= margin**2 from every target of the locus;
+    exhausted is True when the draw budget ran out first.  The draws are
+    those `random_env` makes, in order, read in batches from one
+    `_DyadicStream`, and each batch is margin-tested as a whole.
     """
+    if not _is_rational_number(margin):
+        raise DomainError(f"a margin must be rational, got {margin!r}")
     region = sampler.region
-    rng = random.Random(derive_seed(seed, "off-locus"))
-    budget = max(64, _REJECTION_CAP_FACTOR * count)
-    draws = 0
     tests = _margin_test(sampler, margin)
-    if tests is None:
-        margin_sq = margin * margin
-        out = []
-        while len(out) < count and draws < budget:
-            draws += 1
-            env = random_env(region, rng)
-            d = sampler.distance_sq(env)
-            if d is None or d >= margin_sq:
-                out.append(env)
-        return out, len(out) < count
-    axes = region.dyadic_axes
-    base = np.array([b for b, _, _ in axes], dtype=np.int64)
-    step = np.array([s for _, s, _ in axes], dtype=np.int64)
-    dens = tuple(den for *_, den in axes)
-    stream = _DyadicStream(rng)
-    batches, kept = [], 0
+    stream = _DyadicStream(random.Random(derive_seed(seed, "off-locus")))
+    budget = max(64, _REJECTION_CAP_FACTOR * count)
+    draws, kept, accepted = 0, 0, []
     while kept < count and draws < budget:
         # Enough draws for the rest at the acceptance rate seen so far.
         size = min(_BATCH_DRAWS, budget - draws, (count - kept) * (draws + 1) // (kept + 1) + 1)
-        nums = base + step * stream.take(size * len(axes)).reshape(size, len(axes))
-        floats = _float_quotients(nums, dens)
+        batch = _DyadicPoints.read(region, stream, size)
         ok = np.ones(size, dtype=bool)
         for passes in tests:
-            ok &= passes(nums, floats)
-        accepted = nums[np.flatnonzero(ok)[: count - kept]]
-        batches.append(accepted)
-        kept += len(accepted)
+            ok &= passes(batch)
+        accepted.append(batch.ks[np.flatnonzero(ok)[: count - kept]])
+        kept += len(accepted[-1])
         draws += size
-    rows = np.concatenate(batches) if batches else np.empty((0, len(axes)), dtype=np.int64)
-    return _DyadicPoints(region.chart.coords, dens, rows), kept < count
+    ks = np.concatenate(accepted) if accepted else np.empty((0, len(region.intervals)), dtype=np.int64)
+    return _DyadicPoints(region, ks), kept < count
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +655,9 @@ def _pull_subject(subject, via):
     return subject.subs(subst)
 
 
-def _float(v):
-    """float(v), or an infinity of v's sign where v is beyond the float range."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _float_values(exprs, envs, coords):
-    """Float values of the expressions over the envs, one row per expression."""
-    if isinstance(envs, _DyadicPoints):
-        envf = envs.float_columns(coords)
-    else:
-        envf = {c: np.array([_float(e[c]) for e in envs]) for c in coords}
+def _float_values(exprs, envs):
+    """Float values of the expressions over a `_DyadicPoints`, one row per expression."""
+    envf = dict(zip(envs.region.chart.coords, envs.floats))
     return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
@@ -709,7 +707,7 @@ _EXACT_HOLDS = {
 }
 
 
-def _check_off_requirement(report, exprs, envs, mode, tol, coords):
+def _check_off_requirement(report, exprs, envs, mode, tol):
     """Sign or nonvanishing requirement over the off-locus population.
 
     Floats drive the sweep.  A violating sample is re-checked exactly when
@@ -720,7 +718,7 @@ def _check_off_requirement(report, exprs, envs, mode, tol, coords):
     """
     if not envs:
         return
-    vals = _float_values(exprs, envs, coords)
+    vals = _float_values(exprs, envs)
     size = np.max(np.abs(vals), axis=0)
     if mode == "nonzero":
         violated = size <= tol
@@ -795,7 +793,7 @@ def verify_vanishing_locus(
     on_envs = sampler.on_envs
     report.on_count = len(on_envs)
 
-    if region is not None and locus.chart == region.chart:
+    if region is not None:
         outside = [e for e in on_envs if not region.contains(e)]
         for e in outside:
             report.add_counterexample(e, "locus sample outside region", side="on")
@@ -816,7 +814,7 @@ def verify_vanishing_locus(
                 report.add_counterexample(env, f"off-locus {off_mode} violated", 0, side="off")
             report.fail("off-locus form is identically zero")
         else:
-            _check_off_requirement(report, off_exprs, envs, off_mode, tol, region.chart.coords)
+            _check_off_requirement(report, off_exprs, envs, off_mode, tol)
     else:
         report.notes.append("off-locus requirement waived")
 
@@ -917,7 +915,6 @@ def verify_fixed_points(
     margins live on via.source; components are pulled through the map.
     """
     report = LocusReport(kind="fixed_points", passed=True)
-    chart = xfield.chart if via is None else via.source
     comps = [xfield.comps.get(i, None) for i in range(xfield.chart.dim)]
     comps = [c for c in comps if c is not None]
     comps = _pull_subject(comps, via)
@@ -931,7 +928,7 @@ def verify_fixed_points(
 
     envs = _off_envs(report, sampler, margin, seed)
     if envs:
-        vals = _float_values(comps, envs, chart.coords)
+        vals = _float_values(comps, envs)
         norm_sq = np.sum(vals * vals, axis=0)
         finite = _finite_samples(report, vals)
         for i in map(int, np.nonzero((norm_sq <= tol * tol) & finite)[0]):
@@ -991,12 +988,11 @@ def verify_dividing_set(
         return report
 
     scalar = _pull_subject(declared_scalar, via)
-    chart = region.chart
     sampler = LocusSampler(locus, region, seed)
     report.on_count = len(sampler.on_envs)
     _check_on_vanishing(report, [scalar], sampler.on_envs, tol)
 
     envs = _off_envs(report, sampler, margin, seed)
-    _check_off_requirement(report, [scalar], envs, "nonzero", tol, chart.coords)
+    _check_off_requirement(report, [scalar], envs, "nonzero", tol)
     _enforce_floors(report, locus, "nonzero")
     return report

@@ -571,9 +571,10 @@ def bump(t):
     """Standard cutoff: exp(1 - 1/(1 - t^2)) inside |t| < 1, else 0."""
     arr = np.asarray(t, dtype=float)
     inside = np.abs(arr) < 1.0
-    # Mask the denominator before dividing so the outside region never
-    # produces an overflowing exponent.
-    d = np.where(inside, 1.0 - arr * arr, 1.0)
+    # Mask the argument before squaring and the denominator before
+    # dividing, so no value outside overflows.
+    x = np.where(inside, arr, 0.0)
+    d = 1.0 - x * x
     with np.errstate(under="ignore"):
         val = np.exp(1.0 - 1.0 / np.maximum(d, 1e-300))
     out = np.where(inside, val, 0.0)
@@ -584,10 +585,10 @@ def bump_prime(t):
     """Derivative of bump: -2t/(1-t^2)^2 * bump(t) inside, else 0."""
     arr = np.asarray(t, dtype=float)
     inside = np.abs(arr) < 1.0
-    d = np.where(inside, 1.0 - arr * arr, 1.0)
-    d = np.maximum(d, 1e-300)
+    x = np.where(inside, arr, 0.0)
+    d = np.maximum(1.0 - x * x, 1e-300)
     with np.errstate(under="ignore"):
-        val = -2.0 * arr / (d * d) * np.exp(1.0 - 1.0 / d)
+        val = -2.0 * x / (d * d) * np.exp(1.0 - 1.0 / d)
     out = np.where(inside, val, 0.0)
     return float(out) if out.ndim == 0 else out
 

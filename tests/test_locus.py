@@ -22,6 +22,7 @@ from nsx.locus import (
     lattice_envs,
     off_locus_envs,
     random_env,
+    region_envs,
     verify_dividing_set,
     verify_fixed_points,
     verify_positive,
@@ -188,11 +189,20 @@ def test_coord_locus_samples_sweep_free_axes():
 
 def test_partial_coord_locus_needs_matching_region():
     locus = CoordLocus(C2, (("x", F(0)),))
-    with pytest.raises(DomainError):
-        LocusSampler(locus, _region(chart=P2), seed=0)
+    for region in (_region(chart=P2), None):
+        with pytest.raises(DomainError):
+            LocusSampler(locus, region, seed=0)
     full = CoordLocus(C2, (("x", F(0)), ("y", F(2))))
     s = LocusSampler(full, None, seed=0)
     assert s.on_envs == [{"x": F(0), "y": F(2)}]
+
+
+def test_a_locus_and_its_region_must_share_a_chart():
+    same_names = Chart("c2b", C2.coords)
+    for chart in (P2, same_names):
+        for locus in (CoordLocus(C2, (("x", F(0)), ("y", F(0)))), EmptyLocus(C2)):
+            with pytest.raises(DomainError, match=f"^locus on chart c2 but region on chart {chart.name}$"):
+                LocusSampler(locus, _region(chart=chart), seed=0)
 
 
 def test_points_locus_samples():
@@ -316,6 +326,8 @@ def test_off_locus_envs_respect_margin():
     assert all(s.distance_sq(e) >= F(1, 64) for e in envs)
     again, _ = off_locus_envs(s, F(1, 8), 20, seed=3)
     assert again == envs
+    with pytest.raises(DomainError, match="a margin must be rational"):
+        off_locus_envs(s, 0.125, 20, seed=3)
 
 
 def test_off_locus_envs_exhaust():
@@ -329,8 +341,8 @@ def test_off_locus_envs_exhaust():
 
 
 def _reference_off_locus_envs(sampler, margin, count, seed):
-    """The rejection loop on random_env dicts and distance_sq, as every
-    locus took it before rational coordinate loci got the integer path."""
+    """The rejection loop on random_env dicts and distance_sq, one draw at
+    a time."""
     rng = random.Random(derive_seed(seed, "off-locus"))
     margin_sq = margin * margin
     out = []
@@ -345,30 +357,28 @@ def _reference_off_locus_envs(sampler, margin, count, seed):
     return out, len(out) < count
 
 
-def _within_float_bound(intervals):
-    """Every numerator and denominator of every dyadic draw is below 2**53."""
-    for lo, hi in intervals:
-        lo, hi = F(lo), F(hi)
-        ends = (lo.numerator * hi.denominator, hi.numerator * lo.denominator, lo.denominator * hi.denominator)
-        if max(abs(v) for v in ends) << 12 >= 2**53:
-            return False
-    return True
+def _assert_same_values(got, want):
+    """The same envs: equal Fractions, and floats with the same bits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for c in w:
+            assert type(g[c]) is type(w[c])
+            assert g[c].hex() == w[c].hex() if isinstance(w[c], float) else g[c] == w[c]
 
 
 def _assert_same_off_locus_envs(locus, region, margin, count, seed):
-    """The draws equal the reference's: the same Fraction dicts, the same
+    """The draws equal the reference's: the same values, the same
     exhausted flag, and bit-identical float columns."""
     sampler = LocusSampler(locus, region, seed=0)
     got, exhausted = off_locus_envs(sampler, margin, count, seed)
     want, want_exhausted = _reference_off_locus_envs(sampler, margin, count, seed)
+    assert isinstance(got, locus_mod._DyadicPoints)
     assert exhausted == want_exhausted
-    assert len(got) == len(want) and list(got) == want
-    coords = region.chart.coords
-    exprs = [sym(c) for c in coords]
-    got_vals = locus_mod._float_values(exprs, got, coords)
-    want_vals = locus_mod._float_values(exprs, want, coords)
-    assert got_vals.dtype == want_vals.dtype == np.float64
-    assert np.array_equal(got_vals, want_vals) and got_vals.tobytes() == want_vals.tobytes()
+    _assert_same_values(list(got), want)
+    for c, col in zip(region.chart.coords, got.floats):
+        want_col = np.array([float(e[c]) for e in want], dtype=np.float64)
+        assert col.dtype == np.float64 and col.tobytes() == want_col.tobytes()
     return got
 
 
@@ -388,6 +398,8 @@ def _rationals(lo, hi, max_denominator):
 
 _SMALL_RATIONALS = _rationals(-8, 8, 1000)
 _BIG_RATIONALS = _rationals(-(10**9), 10**9, 10**9)
+_FLOAT_ENDS = st.one_of(st.floats(-8, 8), st.floats(-(10**9), 10**9))
+_WIDE_INTEGERS = st.integers(-(2**60), 2**60)  # numerators past 2**53
 _PIN_VALUES = st.one_of(_SMALL_RATIONALS, st.integers(-2, 2))
 _SOURCE = Chart("s", ("u", "w"))
 _CHARTS = {dim: Chart("h", tuple(f"x{i}" for i in range(dim))) for dim in (1, 2, 3)}
@@ -398,7 +410,11 @@ def _interval(ends):
 
 
 _SOURCE_INTERVALS = _interval(_rationals(F(1, 4), 2, 16))
-_INTERVALS = _interval(st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS))
+# Rational, float-bounded and mixed intervals, with numerators and
+# denominators on both sides of 2**53.
+_INTERVALS = _interval(
+    st.one_of(_SMALL_RATIONALS, _SMALL_RATIONALS.map(int), _BIG_RATIONALS, _WIDE_INTEGERS, _FLOAT_ENDS)
+)
 _MONOMIALS = st.lists(
     st.tuples(_SMALL_RATIONALS, st.sampled_from(_SOURCE.coords), st.integers(0, 2)), min_size=1, max_size=3
 )
@@ -476,15 +492,33 @@ def _locus_cases(draw):
 @settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(_locus_cases())
 def test_integer_off_locus_draws_match_the_reference(case):
-    locus, region, margin, count, seed = case
-    got = _assert_same_off_locus_envs(locus, region, margin, count, seed)
-    # Every drawn target is finite, rational or float, so the region decides.
-    integer = isinstance(got, locus_mod._DyadicPoints)
-    assert integer == _within_float_bound(region.intervals)
+    _assert_same_off_locus_envs(*case)
+
+
+@st.composite
+def _region_cases(draw):
+    dim = draw(_DIMS)
+    intervals = tuple(draw(_INTERVALS) for _ in range(dim))
+    lattice = tuple(draw(_LATTICE_SIZES) for _ in range(dim))
+    return Region(_CHARTS[dim], intervals, lattice, draw(_COUNTS)), draw(_SEEDS)
+
+
+@settings(max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(_region_cases())
+def test_region_envs_match_random_env(case):
+    region, seed = case
+    rng = random.Random(seed)
+    want = [random_env(region, rng) for _ in range(region.random_count)]
+    _assert_same_values(region_envs(region, seed), lattice_envs(region) + want)
+    # The float columns of the same draws carry the same bits.
+    stream = locus_mod._DyadicStream(random.Random(seed))
+    cols = locus_mod._DyadicPoints.read(region, stream, region.random_count).floats
+    for c, col in zip(region.chart.coords, cols):
+        assert col.tobytes() == np.array([float(e[c]) for e in want], dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize(
-    "lo, integer",
+    "lo, narrow",
     [
         (-F(1, 2**41 - 1), True),  # denominator (2**41 - 1) * 2**12, just below 2**53
         (-F(1, 2**41 + 1), False),  # denominator just above 2**53
@@ -492,11 +526,13 @@ def test_integer_off_locus_draws_match_the_reference(case):
         (-(2**41), False),  # numerator of lo at 2**53
     ],
 )
-def test_off_locus_float_bound_picks_the_path(lo, integer):
+def test_off_locus_float_bound_picks_the_path(lo, narrow):
+    # The numerators of an axis are int64 below 2**53 and Python ints past it.
     region = _region(intervals=((lo, 0), (F(-1), F(1))))
     locus = CoordLocus(C2, (("y", F(0)),))
     got = _assert_same_off_locus_envs(locus, region, F(1, 8), 40, seed=11)
-    assert isinstance(got, locus_mod._DyadicPoints) == integer and len(got) == 40
+    assert len(got) == 40
+    assert got.numerators[0].dtype == (np.int64 if narrow else object)
 
 
 def test_off_locus_margin_is_inclusive():
@@ -509,7 +545,7 @@ def test_off_locus_margin_is_inclusive():
 def test_off_locus_exhausted_budget_matches_the_reference():
     region = _region(intervals=((F(0), F(0)), (F(0), F(1))))
     got = _assert_same_off_locus_envs(CoordLocus(C2, (("x", F(0)),)), region, F(1, 8), 4, seed=0)
-    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 0
+    assert len(got) == 0
 
 
 _POINTS = PointsLocus(C2, ((("y", F(1, 3)), ("x", F(0))), (("x", F(-1, 2)), ("y", 1))))
@@ -527,7 +563,7 @@ _RATIONAL_BOX = ((F(-1), F(1)), (F(-1), F(1)))
 )
 def test_rational_targets_take_the_integer_path(locus):
     got = _assert_same_off_locus_envs(locus, _region(intervals=_RATIONAL_BOX), F(1, 8), 16, seed=4)
-    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 16
+    assert len(got) == 16
 
 
 @pytest.mark.parametrize(
@@ -539,9 +575,26 @@ def test_rational_targets_take_the_integer_path(locus):
     ],
     ids=["float-region", "points-in-float-region", "infinite-target"],
 )
-def test_float_regions_and_targets_keep_the_dict_path(locus, intervals):
+def test_float_regions_and_targets_match_the_reference(locus, intervals):
+    # A rational pin on a float-bounded axis is a float term, as is an
+    # infinite one, which no draw is near.
     got = _assert_same_off_locus_envs(locus, _region(intervals=intervals), F(1, 8), 16, seed=4)
-    assert isinstance(got, list) and len(got) == 16
+    assert len(got) == 16
+
+
+def test_a_nan_target_rejects_every_draw_in_any_union_order():
+    # Every draw is at NaN distance from the NaN target.
+    nan_target = PointsLocus(C2, ((("x", math.nan), ("y", F(0))),))
+    line = CoordLocus(C2, (("x", F(0)),))
+    samplers = [
+        LocusSampler(UnionLocus(parts), _region(intervals=_RATIONAL_BOX), seed=0)
+        for parts in ((nan_target, line), (line, nan_target))
+    ]
+    assert [off_locus_envs(s, F(1, 8), 8, seed=3) for s in samplers] == [([], True)] * 2
+    # The per-draw reference takes the nearest target with min(), which
+    # keeps a NaN only when it comes first.
+    first, last = (_reference_off_locus_envs(s, F(1, 8), 8, seed=3) for s in samplers)
+    assert first == ([], True) and len(last[0]) == 8
 
 
 C3 = Chart("c3", ("x", "y", "z"))
@@ -567,7 +620,7 @@ _EXACT_PREFIX = PointsLocus(
 )
 def test_finite_float_targets_take_the_array_path(locus, region):
     got = _assert_same_off_locus_envs(locus, region, F(1, 8), 16, seed=4)
-    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == 16
+    assert len(got) == 16
 
 
 @pytest.mark.parametrize(
@@ -580,7 +633,7 @@ def test_a_float_distance_tied_with_the_margin_is_decided_exactly(margin, accept
     region = _region(intervals=((F(0), F(0)), (F(0), F(0))))
     target = PointsLocus(C2, ((("x", 0.0), ("y", -margin)),))
     got = _assert_same_off_locus_envs(target, region, margin, 8, seed=0)
-    assert isinstance(got, locus_mod._DyadicPoints) and len(got) == accepted
+    assert len(got) == accepted
 
 
 @pytest.mark.parametrize(
@@ -596,7 +649,7 @@ def test_squares_beyond_int64_use_python_ints(locus, margin):
     # passes 2**63 and the margin test runs on Python ints.
     region = _region(intervals=((-(2**40), 2**40), (-(2**40), 2**40)))
     got = _assert_same_off_locus_envs(locus, region, margin, 40, seed=5)
-    assert isinstance(got, locus_mod._DyadicPoints) and 0 < len(got)
+    assert 0 < len(got)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])

@@ -186,6 +186,18 @@ def test_check_error_verdict():
     assert reported.checks[0].verdict == "error" and reported.checks[0].ok
 
 
+
+def test_a_locus_on_another_chart_is_a_domain_error():
+    text = (
+        "chart A(x, y)\nchart B(u, v)\n"
+        "region R on A = [-1, 1]^2 lattice 2 random 8\n"
+        "locus L on B = coords(u=0, v=0)\n"
+        "check rank_at d(x) /\\ d(y), 2 off L region R points 8\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "error"
+    assert rec.evidence == {"error": "locus on chart B but region on chart A"}
+
 SAMPLED_PLANE = (
     PLANE
     + "region R on C = [-1, 1]^2 lattice 3 random 16\n"

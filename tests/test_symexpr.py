@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from nsx.symexpr import (
     Expr,
     NotEqual,
     Undecided,
+    bump,
+    bump_prime,
     compile_numpy,
     cos_of,
     evaluate,
@@ -392,6 +396,15 @@ def test_evaluate_registry_default_bump():
     assert v == 0.0
     with pytest.raises(EvaluationError):
         evaluate(opaque_fn("nope", "t"), {"t": 1})
+
+
+@pytest.mark.parametrize("fn", [bump, bump_prime])
+def test_bump_is_zero_far_outside_without_warnings(fn):
+    far = [1e200, -1e200, math.inf, -math.inf, math.nan, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [fn(t) for t in far] == [0.0] * len(far)
+        assert fn(np.array(far + [0.0])).tolist() == [0.0] * len(far) + [fn(0.0)]
 
 
 def test_evaluate_exact_trig_folding():
