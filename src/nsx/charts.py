@@ -407,6 +407,12 @@ class ChartMap:
         # filled on first use; at most 2**target.dim entries per map.
         return {(): function_form(self.source, ONE)}
 
+    @cached_property
+    def _jacobian_drops(self):
+        # Rank-drop counts of the Jacobian over sampled sub-grids, filled
+        # by pointcheck._count_jacobian_drops and keyed by the exact grid.
+        return {}
+
     def _differential_wedge(self, idx):
         """The pullback of the basis form dy_I: the wedge of the
         differentials of the components in idx, built once per map and

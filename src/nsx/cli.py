@@ -7,6 +7,7 @@ flags-only so a run is reproducible from its command line.
 """
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -180,11 +181,21 @@ def _at_least_one(text):
     return value
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}")
+    return value
+
+
 def _add_config_flags(sub, samples=True):
     sub.add_argument("--seed", type=int, default=None, help="base seed for derived sampling")
     if samples:
         sub.add_argument("--samples", type=_at_least_one, default=None, help="scale down sampling budgets")
-        sub.add_argument("--tol", type=float, default=None, help="numeric comparison tolerance")
+        sub.add_argument("--tol", type=_tolerance, default=None, help="numeric comparison tolerance")
 
 
 def build_parser():

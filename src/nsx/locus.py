@@ -747,6 +747,8 @@ def _check_off_requirement(report, exprs, envs, mode, tol):
 def _off_envs(report, sampler, margin, seed):
     """Margin-separated off-locus samples of the sampler's region, counted
     on the report, which fails when the draw budget runs out first."""
+    if sampler.region is None:
+        raise DomainError("off-locus samples need a region")
     count = max(MIN_OFF_SAMPLES, sampler.region.random_count)
     envs, exhausted = off_locus_envs(sampler, margin, count, seed)
     report.off_count = len(envs)

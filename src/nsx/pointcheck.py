@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DomainError
-from .symexpr import _EXP, _PI, _point_value, compile_numpy, rat
+from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat
 
 RANK_THRESHOLD = 1e-8
 RANK_BAND_FLOOR = 1e-10
@@ -332,8 +332,9 @@ def contact_test(
     whose Jacobian drops rank at any sample fails the whole check; any
     other chart with a NaN or infinite sample leaves it undecided.  The
     Jacobian rank test runs once per distinct matrix (an entry that does
-    not use a coordinate repeats along that coordinate's axis) and
-    counts each matrix with its multiplicity in the sweep.
+    not use a coordinate repeats along that coordinate's axis) and once
+    per parametrization and sampled sub-grid: its count is kept on the
+    map and scaled by each sweep's multiplicity.
     """
     rng = random.Random(seed)
     reports = []
@@ -435,28 +436,42 @@ def _count_jacobian_drops(parm, env, shape):
     The entries are evaluated only over the axes spanned by the
     coordinates they use, so the SVD runs once per distinct matrix, and
     each drop counts once for every sample that repeats that matrix
-    along the other axes.
+    along the other axes.  The count over that sub-grid is kept on the
+    map, keyed by the used coordinates' exact arrays and the numerics of
+    the Jacobian's opaque functions, so a later sweep over the same
+    sub-grid runs no SVD and only scales the count by its own
+    multiplicity.
     """
     src_dim = parm.source.dim
     jac = parm.jacobian()
     used = set().union(*(e.free_coords() for row in jac for e in row))
     sub_env = {c: v for c, v in env.items() if c in used}
     sub_shape = np.broadcast_shapes(*(np.shape(v) for v in sub_env.values()))
-    stacked = np.stack(
-        [
-            np.stack(
-                [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
-                axis=-1,
-            )
-            for row in jac
-        ],
-        axis=-2,
-    )  # (*sub_shape, target_dim, src_dim)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    smax = np.maximum(sv[..., 0], 1e-300)
-    smin = sv[..., src_dim - 1]
     multiplicity = math.prod(shape) // math.prod(sub_shape)
-    return multiplicity * int(np.sum(smin <= RANK_THRESHOLD * smax))
+    arrays = [(c, np.asarray(sub_env[c])) for c in sorted(sub_env)]
+    opaque = set().union(*(e.opaque_names() for row in jac for e in row))
+    key = (
+        tuple((c, a.dtype.str, a.shape, a.tobytes()) for c, a in arrays),
+        tuple((name, DEFAULT_REGISTRY.numeric(name)) for name in sorted(opaque)),
+    )
+    drops = parm._jacobian_drops.get(key)
+    if drops is None:
+        stacked = np.stack(
+            [
+                np.stack(
+                    [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
+                    axis=-1,
+                )
+                for row in jac
+            ],
+            axis=-2,
+        )  # (*sub_shape, target_dim, src_dim)
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        smax = np.maximum(sv[..., 0], 1e-300)
+        smin = sv[..., src_dim - 1]
+        drops = int(np.sum(smin <= RANK_THRESHOLD * smax))
+        parm._jacobian_drops[key] = drops
+    return multiplicity * drops
 
 
 # -- stabilizing constant ------------------------------------------------

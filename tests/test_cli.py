@@ -23,6 +23,22 @@ def test_samples_must_be_an_int(capsys):
     assert "--samples: invalid int value: 'two'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1"])
+@pytest.mark.parametrize("command", [["paper-suite"], ["check", "unused.nsx"]])
+def test_tol_must_be_finite_and_not_negative(command, value, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(command + ["--tol", value])
+    assert e.value.code == 2
+    assert f"--tol: must be a finite number at least 0, got {value}" in capsys.readouterr().err
+
+
+def test_tol_must_be_a_number(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["paper-suite", "--tol", "small"])
+    assert e.value.code == 2
+    assert "--tol: invalid float value: 'small'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "line", ["check property dd_zero samples 0", "check contact al grid 0"]
 )

@@ -197,6 +197,26 @@ def test_partial_coord_locus_needs_matching_region():
     assert s.on_envs == [{"x": F(0), "y": F(2)}]
 
 
+def test_off_locus_samples_need_a_region():
+    # A fully pinned coordinate locus samples on itself with no region,
+    # but every check that also samples off the locus needs one.
+    origin = CoordLocus(C2, (("x", F(0)), ("y", F(0))))
+    fold = ChartMap("fold", C2, C2, (sym("x"), sym("y") ** 2))
+    radial = VectorField.build(C2, [("x", sym("x")), ("y", sym("y"))])
+    ey = VectorField.build(C2, [("y", rat(1))])
+    checks = [
+        lambda: verify_vanishing_locus(_dy_times_x(), origin, None),
+        lambda: verify_rank_drop_locus(fold, origin, None, regular_rank=2, singular_rank=1),
+        lambda: verify_fixed_points(radial, origin, None),
+        lambda: verify_dividing_set(_dy_times_x(), ey, sym("x"), origin, None),
+    ]
+    for check in checks:
+        with pytest.raises(DomainError, match="^off-locus samples need a region$"):
+            check()
+    waived = verify_vanishing_locus(_dy_times_x(), origin, None, off_mode="none")
+    assert (waived.on_count, waived.off_count) == (1, 0)
+
+
 def test_a_locus_and_its_region_must_share_a_chart():
     same_names = Chart("c2b", C2.coords)
     for chart in (P2, same_names):

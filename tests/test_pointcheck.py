@@ -412,9 +412,9 @@ def test_jacobian_drops_match_the_full_batch(parm, grid_n, aux_count, drops):
     assert _count_jacobian_drops(parm, env, shape) == drops
 
 
-def test_jacobian_svd_runs_once_per_distinct_matrix(monkeypatch):
-    # sphN's Jacobian depends on th and ph only, so the aux axis adds no
-    # SVD: one per grid point, not one per sample.
+@pytest.fixture
+def svd_batches(monkeypatch):
+    """The batch shapes of every np.linalg.svd call made during the test."""
     batches = []
     svd = np.linalg.svd
 
@@ -423,9 +423,90 @@ def test_jacobian_svd_runs_once_per_distinct_matrix(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    return batches
+
+
+def test_jacobian_svd_runs_once_per_distinct_matrix(svd_batches):
+    # sphN's Jacobian depends on th and ph only, so the aux axis adds no
+    # SVD: one per grid point, not one per sample.  A fresh map, since
+    # SPH_N keeps the counts of the sweeps other tests ran on it.
+    sph_n = ChartMap("sphN", SP5, P6, SPH_N.comps)
     env, shape = _sweep_env(SP5, 8, 3)
-    assert _count_jacobian_drops(SPH_N, env, shape) == 0
-    assert batches == [(1, 8, 8)]
+    assert _count_jacobian_drops(sph_n, env, shape) == 0
+    assert svd_batches == [(1, 8, 8)]
+    # The same grid again is read from the map, with no SVD.
+    assert _count_jacobian_drops(sph_n, env, shape) == 0
+    assert svd_batches == [(1, 8, 8)]
+
+
+def test_kept_jacobian_drops_scale_with_each_sweeps_multiplicity(svd_batches):
+    # pinch's Jacobian reads th only: the aux draws of a second sweep do
+    # not change its count, only how many samples repeat each matrix.
+    pinch = ChartMap("pinch", SP3, C3, (sym("a"), sin_of(rat(8) * TH) * Fraction(1, 8), PH))
+    for aux_count in (2, 3):
+        env, shape = _sweep_env(SP3, 8, aux_count)
+        assert _count_jacobian_drops(pinch, env, shape) == _full_batch_drops(pinch, env, shape)
+    # One SVD for the memo's 8 matrices; the other two are the reference's.
+    assert svd_batches == [(1, 8, 1), (2, 8, 8), (3, 8, 8)]
+    assert _count_jacobian_drops(pinch, env, shape) == 192
+
+
+def test_another_grid_runs_a_new_svd(svd_batches):
+    pinch = ChartMap("pinch", SP3, C3, (sym("a"), sin_of(rat(8) * TH) * Fraction(1, 8), PH))
+    for grid_n in (8, 7, 8):
+        env, shape = _sweep_env(SP3, grid_n, 2)
+        _count_jacobian_drops(pinch, env, shape)
+    assert svd_batches == [(1, 8, 1), (1, 7, 1)]
+
+
+def test_other_aux_draws_run_a_new_svd_when_the_jacobian_reads_them(svd_batches):
+    # asin's Jacobian reads the auxiliary a, so its draws are in the key.
+    asin = ChartMap("asin", SP3, C3, (sym("a"), sym("a") * sin_of(TH), PH))
+    for seed in (0, 1, 0):
+        env, shape = _sweep_env(SP3, 7, 3, seed=seed)
+        assert _count_jacobian_drops(asin, env, shape) == 3 * 7
+    assert svd_batches == [(3, 7, 1), (3, 7, 1)]
+
+
+def test_a_new_numeric_for_an_opaque_entry_runs_a_new_svd(register_opaque, svd_batches):
+    # The Jacobian entry f'(th) is looked up in the registry on every
+    # evaluation, so the numeric it names is part of the key.
+    fmap = ChartMap("fmap", SP3, C3, (sym("a"), opaque_fn("f", "th"), PH))
+    env, shape = _sweep_env(SP3, 8, 2)
+    register_opaque("f'", lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    assert _count_jacobian_drops(fmap, env, shape) == 0
+    register_opaque("f'", lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    assert _count_jacobian_drops(fmap, env, shape) == 128
+    assert svd_batches == [(1, 8, 1), (1, 8, 1)]
+
+
+def test_s8_contact_sweeps_rank_test_each_map_once(svd_batches):
+    # Checks 11-13 sweep alpha_K for three K through the same two sphere
+    # charts: one SVD per map over the whole scope, and a second run of
+    # the three reads the kept counts with the same evidence.
+    from nsx.dsl import parse_scenario
+    from nsx.runner import RunConfig, elaborate_scope, run_check
+    from nsx.scenarios import SUITE
+
+    config = RunConfig()
+    (text,) = [t for sid, _anchor, t in SUITE if sid == "S8"]
+    scenario = parse_scenario(text)
+    scope = elaborate_scope(scenario, config)
+    checks = scenario.checks()
+    assert [checks[i].kind for i in (11, 12, 13)] == ["contact"] * 3
+
+    def run():
+        return [run_check(scope, checks[i], "S8", i, config).evidence for i in (11, 12, 13)]
+
+    first = run()
+    assert svd_batches == [(1, 64, 64), (1, 64, 64)]
+    assert run() == first
+    assert len(svd_batches) == 2
+    assert all(
+        chart["jacobian_drops"] == 0 and chart["samples"] == 8 * 64 * 64
+        for evidence in first
+        for chart in evidence["charts"]
+    )
 
 
 def test_contact_non_finite_samples_are_undecided(register_opaque):
