@@ -27,7 +27,8 @@ def _integer_rows(rows):
     out = []
     scale = 1
     for row in rows:
-        if all(type(x) is int for x in row):
+        # One C-level pass per row: point rows arrive as ints.
+        if {*map(type, row)} == {int}:
             # Rows are replaced, never edited in place, so no copy is made.
             out.append(row)
             continue

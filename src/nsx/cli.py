@@ -7,13 +7,13 @@ flags-only so a run is reproducible from its command line.
 """
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .dsl import parse_scenario, print_scenario
-from .errors import EvaluationError, InternalError, NsxError, ParseError
+from .errors import DomainError, EvaluationError, InternalError, NsxError, ParseError
+from .pointcheck import check_tolerance
 from .runner import (
     RunConfig,
     SuiteReport,
@@ -186,9 +186,10 @@ def _tolerance(text):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}")
-    return value
+    try:
+        return check_tolerance(value)
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}") from None
 
 
 def _add_config_flags(sub, samples=True):

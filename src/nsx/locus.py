@@ -16,9 +16,12 @@ A random draw of an interval is one of its 2**12 + 1 dyadic points:
 `Region.dyadic_axes` holds (base, step, den) per axis, and the same
 fraction of the way in floats on a float-bounded one.  Seeded draws read
 their k values in batches from their own generator (`_DyadicStream`) and
-are kept as `_DyadicPoints`; a {coord: value} dict is built only for a
-point read one at a time.  Off-locus draws are taken by rejection against
-the targets, the tuples of (coord, value) pins that
+are kept as `_DyadicPoints`.  Every sample population is a point set
+(`points.PointSet`): the draws, a region's lattice, a coordinate locus's
+lattice with its pins, and a list of points.  A point reads as a
+read-only view of its set, and exact values, point matrices and region
+tests are computed once per set, by column.  Off-locus draws are taken
+by rejection against the targets, the tuples of (coord, value) pins that
 `LocusSampler.targets` measures the distance to a locus by: the margin
 test is array work over a batch, exact in integers for rational pins on
 rational axes and bit for bit the float sum of `_coord_dist_sq`
@@ -42,6 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .pointcheck import map_rank_at
+from .points import Column, PointSet, PointView, exact_values, is_rational, points_of
 from .symexpr import (
     Equal,
     NotEqual,
@@ -86,10 +90,6 @@ def derive_seed(*parts):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _is_rational_number(v):
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
 def _float(v):
     """float(v), or an infinity of v's sign where v is beyond the float range."""
     try:
@@ -101,7 +101,7 @@ def _float(v):
 def _dyadic_axis(lo, hi):
     """The dyadic draws of [lo, hi] as (base, step, den): draw k, for k in
     0..2**bits, is (base + step*k) / den.  None when an end is a float."""
-    if not (_is_rational_number(lo) and _is_rational_number(hi)):
+    if not (is_rational(lo) and is_rational(hi)):
         return None
     # lo + (hi - lo) * k / 2**bits over the common denominator
     # lo.d * hi.d * 2**bits, so only the result is a Fraction.
@@ -124,19 +124,21 @@ def _dyadic_between(rng, lo, hi, axis):
 
 
 def _axis_lattice(lo, hi, res):
+    """The res lattice points of [lo, hi] as a `Column`: lo + (hi - lo)*i/(res - 1),
+    or the midpoint when res is 1, as integers over one denominator when
+    both ends are rational and as floats otherwise."""
     if res < 1:
         raise DomainError("lattice resolution must be at least 1")
-    exact = _is_rational_number(lo) and _is_rational_number(hi)
-    if res == 1:
-        mid = (Fraction(lo) + Fraction(hi)) / 2 if exact else (float(lo) + float(hi)) / 2
-        return [mid]
-    pts = []
-    for i in range(res):
-        if exact:
-            pts.append(Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(i, res - 1))
-        else:
-            pts.append(float(lo) + (float(hi) - float(lo)) * (i / (res - 1)))
-    return pts
+    if not (is_rational(lo) and is_rational(hi)):
+        if res == 1:
+            return Column([(float(lo) + float(hi)) / 2])
+        return Column([float(lo) + (float(hi) - float(lo)) * (i / (res - 1)) for i in range(res)])
+    # The midpoint is the lattice point 1 of 2 steps.
+    steps, idx = (2, [1]) if res == 1 else (res - 1, range(res))
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    base, step = ln * hd * steps, hn * ld - ln * hd
+    return Column([base + step * i for i in idx], ld * hd * steps)
 
 
 @dataclass(frozen=True)
@@ -166,11 +168,31 @@ class Region:
         return tuple(_dyadic_axis(lo, hi) for lo, hi in self.intervals)
 
     def contains(self, env):
+        if type(env) is PointView:
+            points = env.points
+            return points.cached(self, "inside", lambda: self._inside(points))[env.index]
         for c, (lo, hi) in zip(self.chart.coords, self.intervals):
             v = env[c]
             if v < lo or v > hi:
                 return False
         return True
+
+    def _inside(self, points):
+        """contains() at every point of a set, read by column: an exact
+        column against rational ends in integers, n*lo.d >= lo.n*den."""
+        inside = [True] * len(points)
+        for c, (lo, hi) in zip(self.chart.coords, self.intervals):
+            col = points.columns[points.slots[c]]
+            exact = col.exact()
+            if exact is not None and is_rational(lo) and is_rational(hi):
+                nums, den = exact
+                lo_n, lo_d = lo.numerator * den, lo.denominator
+                hi_n, hi_d = hi.numerator * den, hi.denominator
+                ok = [lo_d * x >= lo_n and hi_d * x <= hi_n for x in nums]
+            else:
+                ok = [not (v < lo or v > hi) for v in map(col.value, range(len(points)))]
+            inside = [a and b for a, b in zip(inside, ok)]
+        return inside
 
 
 def lattice_envs(region):
@@ -178,14 +200,19 @@ def lattice_envs(region):
 
 
 def _lattice_product(pinned, region, coords):
-    """`pinned` extended by every combination of the region's lattice
-    points on `coords`, the first coordinate varying slowest."""
+    """The point set of `pinned` extended by every combination of the
+    region's lattice points on `coords`, the first coordinate varying
+    slowest; its keys are the pins, then `coords`."""
     idx = {c: i for i, c in enumerate(region.chart.coords)}
     axes = [_axis_lattice(*region.intervals[idx[c]], region.lattice[idx[c]]) for c in coords]
-    envs = [dict(pinned)]
-    for coord, pts in zip(coords, axes):
-        envs = [dict(e, **{coord: p}) for e in envs for p in pts]
-    return envs
+    n = math.prod(len(axis.items) for axis in axes)
+    columns = [Column([v]).tiled(n, 1) for v in pinned.values()]
+    run = n  # how many points in a row share a value of the axis
+    for axis in axes:
+        size = len(axis.items)
+        run //= size
+        columns.append(axis.tiled(run, n // (run * size)))
+    return PointSet((*pinned, *coords), columns, n)
 
 
 def random_env(region, rng):
@@ -199,7 +226,7 @@ def random_env(region, rng):
 def region_envs(region, seed):
     """The region's lattice followed by its `random_count` seeded draws."""
     draws = _DyadicPoints.read(region, _DyadicStream(random.Random(seed)), region.random_count)
-    return lattice_envs(region) + list(draws)
+    return lattice_envs(region) + draws
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +303,13 @@ def _locus_on_envs(locus, region, seed):
     if isinstance(locus, EmptyLocus):
         return []
     if isinstance(locus, PointsLocus):
-        return [dict(p) for p in locus.points]
+        return points_of(dict(p) for p in locus.points)
     if isinstance(locus, CoordLocus):
         pinned = locus.pinned
         if region is None:
             if len(pinned) != len(locus.chart.coords):
                 raise DomainError("a partial coordinate locus needs an ambient region")
-            return [dict(pinned)]
+            return points_of([pinned])
         free = [c for c in locus.chart.coords if c not in pinned]
         return _lattice_product(pinned, region, free)
     if isinstance(locus, ImageLocus):
@@ -353,12 +380,12 @@ def _coord_dist_sq(pins, env):
     return total
 
 
-class _DyadicPoints:
+class _DyadicPoints(PointSet):
     """Seeded dyadic draws of a region, kept as their k indices: an
     (n_draws x n_axes) int64 array, each k in 0..2**12.
 
-    An item is the env that `random_env` draws, built when it is read.  For
-    array work an axis is read as a column: on a rational axis the
+    As a point set, point i holds the values that `random_env` draws.  For
+    array work an axis is read as a numpy column: on a rational axis the
     numerators base + step*k over its fixed denominator, in int64 when they
     and the denominator are below 2**53 and as Python ints otherwise; on a
     float-bounded axis the float64 draws themselves.
@@ -366,6 +393,9 @@ class _DyadicPoints:
 
     def __init__(self, region, ks):
         self.region, self.ks = region, ks
+        self.coords = region.chart.coords
+        self.n = len(ks)
+        self.cache = {}
 
     @classmethod
     def read(cls, region, stream, n):
@@ -373,18 +403,18 @@ class _DyadicPoints:
         dim = len(region.intervals)
         return cls(region, stream.take(n * dim).reshape(n, dim))
 
-    def __len__(self):
-        return len(self.ks)
+    def _part(self, part):
+        return _DyadicPoints(self.region, self.ks[part])
 
-    def __getitem__(self, i):
+    @cached_property
+    def columns(self):
+        """The point set's columns: each rational axis's numerators over its
+        denominator, each float-bounded axis's draws."""
         r = self.region
-        return {
-            c: _dyadic_value(lo, hi, axis, k)
-            for c, (lo, hi), axis, k in zip(r.chart.coords, r.intervals, r.dyadic_axes, self.ks[i].tolist())
-        }
-
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, _DyadicPoints) else other)
+        return [
+            Column(_dyadic_value(lo, hi, None, k).tolist()) if axis is None else Column(nums.tolist(), axis[2])
+            for (lo, hi), axis, nums, k in zip(r.intervals, r.dyadic_axes, self.numerators, self.ks.T)
+        ]
 
     @cached_property
     def numerators(self):
@@ -522,7 +552,7 @@ def _float_target_test(pins, dens, extremes, margin):
         v = _float(v)
         return lambda points: (points.floats[i] - v) ** 2
 
-    is_exact = [_is_rational_number(v) and dens[i] is not None for i, v in pins]
+    is_exact = [is_rational(v) and dens[i] is not None for i, v in pins]
     first = is_exact.index(False)
     parts = [exact(pins[:first])] if first else []
     parts += [exact([pin]) if e else inexact(*pin) for pin, e in zip(pins[first:], is_exact[first:])]
@@ -553,7 +583,7 @@ def _margin_test(sampler, margin):
     tests = []
     for target in sampler.targets:
         pins = [(index[c], v) for c, v in target]
-        if all(_is_rational_number(v) and dens[i] is not None for i, v in pins):
+        if all(is_rational(v) and dens[i] is not None for i, v in pins):
             tests.append(_rational_target_test(pins, dens, extremes, margin))
         else:
             tests.append(_float_target_test(pins, dens, extremes, margin))
@@ -572,7 +602,7 @@ def off_locus_envs(sampler, margin, count, seed):
     those `random_env` makes, in order, read in batches from one
     `_DyadicStream`, and each batch is margin-tested as a whole.
     """
-    if not _is_rational_number(margin):
+    if not is_rational(margin):
         raise DomainError(f"a margin must be rational, got {margin!r}")
     region = sampler.region
     tests = _margin_test(sampler, margin)
@@ -675,8 +705,12 @@ def _finite_samples(report, vals):
 
 
 def _check_on_vanishing(report, exprs, envs, tol):
-    for env in envs:
-        for e in exprs:
+    for env, exacts in zip(envs, exact_values(exprs, envs)):
+        for e, exact in zip(exprs, exacts):
+            if exact is not None:
+                if exact[0]:
+                    report.add_counterexample(env, "nonzero on locus", Fraction(*exact), side="on")
+                continue
             v = evaluate(e, env)
             if isinstance(v, Fraction):
                 ok = v == 0
@@ -695,7 +729,7 @@ def _exact_recheck(exprs, env):
     polynomial and the point is rational."""
     if not all(e.is_polynomial() for e in exprs):
         return None
-    if not all(_is_rational_number(v) for v in env.values()):
+    if not all(is_rational(v) for v in env.values()):
         return None
     return [evaluate(e, env) for e in exprs]
 

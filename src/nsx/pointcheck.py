@@ -9,11 +9,13 @@ the dyadic search for a stabilizing constant.
 Rational inputs stay rational: rank, kernel, and signature questions on
 exact matrices are decided by exact elimination with no tolerance at
 all.  An exact point matrix (a 2-form's matrix, a Jacobian, a gradient
-matrix, the partials behind D_K) is built from symexpr's integer-pair
-values as integer rows over one positive scale, which changes no rank,
-kernel, image or sign; no Fraction is built on the way.  A matrix with a
-float entry goes through an SVD with a relative threshold and an
-explicit undecided band.
+matrix, the partials behind D_K) is built as integer rows over one
+positive scale, which changes no rank, kernel, image or sign; no Fraction
+is built on the way.  At a point of a point set (`points.PointView`) the
+rows come from integer columns built once per matrix and set; elsewhere,
+or where an entry has no column value, from symexpr's integer-pair values
+at that point.  A matrix with a float entry goes through an SVD with a
+relative threshold and an explicit undecided band.
 """
 
 from __future__ import annotations
@@ -23,15 +25,25 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
 from . import _linalg
 from .errors import DomainError
+from .points import PointView
 from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat
 
 RANK_THRESHOLD = 1e-8
 RANK_BAND_FLOOR = 1e-10
+
+
+def check_tolerance(tol):
+    """tol, when it is a finite number at least 0; otherwise a DomainError
+    naming it.  A NaN tol would make every comparison with it false."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"a tolerance must be a finite number at least 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,9 @@ def _point_rows(values):
     rows of ints and s the lcm of the q's, so entry / s is each value.
     Otherwise returns the values as floats and None, so the matrix goes
     to the float SVD.  A positive scale keeps every rank, kernel, RREF
-    and sign decided on the rows.
+    and sign decided on the rows.  This is the path at a plain env, and at
+    a point of a set whose matrix has an entry without a column value
+    (see `_set_rows`).
     """
     try:
         s = math.lcm(*[q for row in values for _, q in row])
@@ -64,10 +78,60 @@ def _point_rows(values):
     return [[p * (s // q) for p, q in row] for row in values], s
 
 
+def _set_rows(env, owner, tag, entries):
+    """(rows, s) at a point of a point set, as `_point_rows` would decide
+    them, or None off a point set or when an entry has no column value.
+
+    entries() gives the matrix as rows of (Expr, sign) pairs, None for a
+    zero entry.  Its integer columns are put over one positive scale s, the
+    lcm of the columns' denominators, once per (owner, tag) and set; each
+    point's rows are read from those columns.
+    """
+    if type(env) is not PointView:
+        return None
+    points = env.points
+    cols = points.cached(owner, tag, lambda: _column_rows(points, entries()))
+    if cols is None:
+        return None
+    cols, s = cols
+    i = env.index
+    return [[col[i] for col in row] for row in cols], s
+
+
+def _column_rows(points, entries):
+    """The matrix of `_set_rows` as integer columns over one scale, or None."""
+    values = {}
+    for row in entries:
+        for entry in row:
+            if entry is not None and id(entry[0]) not in values:
+                value = points.column(entry[0])
+                if value is None:
+                    return None
+                values[id(entry[0])] = value
+    s = math.lcm(*[den for _, den in values.values()])
+    zeros = [0] * len(points)
+
+    def scaled(entry):
+        if entry is None:
+            return zeros
+        nums, den = values[id(entry[0])]
+        m = s // den * entry[1]
+        return nums if m == 1 else [x * m for x in nums]
+
+    return [[scaled(entry) for entry in row] for row in entries], s
+
+
+def _form_entries(form):
+    n = form.chart.dim
+    m = [[None] * n for _ in range(n)]
+    for (i, j), coeff in form.comps.items():
+        m[i][j] = (coeff, 1)
+        m[j][i] = (coeff, -1)
+    return m
+
+
 def _form_values(form, env):
     """Point values of the skew matrix of a 2-form."""
-    if form.degree != 2:
-        raise DomainError("form_matrix_at needs a 2-form")
     n = form.chart.dim
     m = [[_ZERO] * n for _ in range(n)]
     for (i, j), coeff in form.comps.items():
@@ -77,10 +141,18 @@ def _form_values(form, env):
     return m
 
 
+def _form_rows(form, env):
+    """The skew matrix of a 2-form at env as `_point_rows` gives it."""
+    if form.degree != 2:
+        raise DomainError("form_matrix_at needs a 2-form")
+    rows = _set_rows(env, form, "form", lambda: _form_entries(form))
+    return rows if rows is not None else _point_rows(_form_values(form, env))
+
+
 def form_matrix_at(form, env):
     """Skew matrix of a 2-form at a point, with its exactness flag: a
     matrix of Fractions when every entry is exact, of floats otherwise."""
-    rows, s = _point_rows(_form_values(form, env))
+    rows, s = _form_rows(form, env)
     if s is None:
         return rows, False
     return [[Fraction(x, s) for x in row] for row in rows], True
@@ -94,26 +166,34 @@ def _matrix_rank(rows, scale):
 
 
 def rank_at(form, env):
-    return _matrix_rank(*_point_rows(_form_values(form, env)))
+    return _matrix_rank(*_form_rows(form, env))
 
 
 def map_rank_at(cmap, env):
-    values = [[_point_value(e, env) for e in row] for row in cmap.jacobian()]
-    return _matrix_rank(*_point_rows(values))
+    jac = cmap.jacobian()
+    rows = _set_rows(env, cmap, "jacobian", lambda: [[(e, 1) for e in row] for row in jac])
+    if rows is None:
+        rows = _point_rows([[_point_value(e, env) for e in row] for row in jac])
+    return _matrix_rank(*rows)
+
+
+def _gradient_entries(form):
+    cols = list(combinations(range(form.chart.dim), form.degree))
+    return [
+        [None if (c := partial.comps.get(idx)) is None else (c, 1) for idx in cols]
+        for partial in form.partials()
+    ]
 
 
 def gradient_matrix_at(form, env):
     """First partials of every coefficient: rows by coordinate, columns
     by increasing index tuple over the full C(n, k) tuple space, as
     _point_rows gives them (integer rows and a scale, or floats and None)."""
-    cols = list(combinations(range(form.chart.dim), form.degree))
-    values = []
-    for partial in form.partials():
-        comps = partial.comps
-        values.append(
-            [_ZERO if (c := comps.get(idx)) is None else _point_value(c, env) for idx in cols]
-        )
-    return _point_rows(values)
+    rows = _set_rows(env, form, "gradient", lambda: _gradient_entries(form))
+    if rows is not None:
+        return rows
+    entries = _gradient_entries(form)
+    return _point_rows([[_ZERO if e is None else _point_value(e[0], env) for e in row] for row in entries])
 
 
 def gradient_rank_at(form, env):
@@ -172,7 +252,7 @@ def near_symplectic_at(form, env):
     dim = chart.dim
     if dim % 2 or dim < 4:
         raise DomainError("degeneracy test needs an even chart dimension >= 4")
-    m, scale = _point_rows(_form_values(form, env))
+    m, scale = _form_rows(form, env)
     if scale is None:
         return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
     rank = _linalg.exact_rank(m)
@@ -185,7 +265,7 @@ def near_symplectic_at(form, env):
     kernel = _linalg.integer_kernel(m, dim)
     partials = []
     for partial in form.partials():
-        rows, scale = _point_rows(_form_values(partial, env))
+        rows, scale = _form_rows(partial, env)
         if scale is None:
             return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
         partials.append((rows, scale))
@@ -202,11 +282,9 @@ def near_symplectic_at(form, env):
         if not used[v] or not any(map(any, rows)):
             pairings.append(None)
             continue
-        pk = [[sum(x * y for x, y in zip(row, kb) if x) for row in rows] for kb in kernel]
+        pk = [[sum(map(mul, row, kb)) for row in rows] for kb in kernel]
         weight = common // s
-        pairings.append(
-            [weight * sum(x * y for x, y in zip(kernel[a], pk[b]) if x) for a, b in _K_PAIRS]
-        )
+        pairings.append([weight * sum(map(mul, kernel[a], pk[b])) for a, b in _K_PAIRS])
     d_rows = [
         [sum(k[v] * g[col] for v, g in enumerate(pairings) if g and k[v]) for col in range(6)]
         for k in kernel
@@ -334,8 +412,10 @@ def contact_test(
     Jacobian rank test runs once per distinct matrix (an entry that does
     not use a coordinate repeats along that coordinate's axis) and once
     per parametrization and sampled sub-grid: its count is kept on the
-    map and scaled by each sweep's multiplicity.
+    map and scaled by each sweep's multiplicity.  tol must be a finite
+    number at least 0 (`check_tolerance`).
     """
+    check_tolerance(tol)
     rng = random.Random(seed)
     reports = []
     for k, parm in enumerate(parametrizations):

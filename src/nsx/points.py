@@ -1,0 +1,217 @@
+"""Point sets: sample points held by column.
+
+A point set holds n points over a tuple of coordinates as one column per
+coordinate.  A column is exact, integer numerators over one positive
+denominator, or holds the values themselves (floats, or whatever a point
+was given).  Point i reads as a `PointView`, a read-only Mapping of its set
+that equals the {coord: value} dict it stands for, with its keys in the
+set's coordinate order.
+
+Work that is the same at every point of a set (an expression's exact
+values, a point matrix's integer rows, a region test) is done once per
+set, by column, and kept in the set's cache.  The cache lives and dies
+with the set, and each entry holds the object it was computed for (a form,
+a map, an expression, a region), so no entry outlives its object.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+
+from .symexpr import column_value
+
+
+def is_rational(v):
+    """Whether v is an int or a Fraction, and not a bool."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+class Column:
+    """One coordinate at every point of a set.
+
+    With an int den, items are numerators and value i is
+    Fraction(items[i], den); with den None, items are the values.
+    """
+
+    __slots__ = ("items", "den", "_exact", "_values")
+
+    def __init__(self, items, den=None):
+        self.items = items
+        self.den = den
+        self._exact = None
+        self._values = None
+
+    def tiled(self, run, reps):
+        """Item 0 run times, item 1 run times, and so on, all of it reps
+        times; exact() is read off this column's few items."""
+        col = Column([x for x in self.items for _ in range(run)] * reps, self.den)
+        if self.den is None:
+            exact = self.exact()
+            col._exact = False if exact is None else ([x for x in exact[0] for _ in range(run)] * reps, exact[1])
+        return col
+
+    def value(self, i):
+        if self.den is None:
+            return self.items[i]
+        if self._values is None:
+            # Built once, on the first read: a point read one coordinate at a
+            # time (a per-point fallback) reads each value many times, and a
+            # lattice column repeats a few values many times.
+            den = self.den
+            values = {x: Fraction(x, den) for x in set(self.items)}
+            self._values = [values[x] for x in self.items]
+        return self._values[i]
+
+    def exact(self):
+        """(numerators, den) over one positive den, or None when a value is
+        not an int or a Fraction."""
+        if self.den is not None:
+            return self.items, self.den
+        if self._exact is None:
+            vals = self.items
+            if all(map(is_rational, vals)):
+                den = lcm(*[v.denominator for v in vals])
+                self._exact = [v.numerator * (den // v.denominator) for v in vals], den
+            else:
+                self._exact = False
+        return self._exact or None
+
+    def __getitem__(self, part):
+        return Column(self.items[part], self.den)
+
+    def __add__(self, other):
+        a, b = self.exact(), other.exact()
+        if a is None or b is None:
+            values = [*map(self.value, range(len(self.items))), *map(other.value, range(len(other.items)))]
+            return Column(values)
+        den = lcm(a[1], b[1])
+        return Column(_scaled(a[0], den // a[1]) + _scaled(b[0], den // b[1]), den)
+
+
+def _scaled(nums, m):
+    return nums if m == 1 else [x * m for x in nums]
+
+
+class PointSet(Sequence):
+    """n points over `coords`, one `Column` per coordinate, in coords order.
+
+    An int index reads a `PointView`; a slice is the set of those points,
+    so `points[:k]` is a prefix set with its own cache.  A set equals any
+    sequence of Mappings that equal its points.
+    """
+
+    def __init__(self, coords, columns, n):
+        self.coords = tuple(coords)
+        self.columns = columns
+        self.n = n
+        self.cache = {}
+
+    @cached_property
+    def slots(self):
+        return {c: j for j, c in enumerate(self.coords)}
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._part(i)
+        if i < 0:
+            i += self.n
+        if not 0 <= i < self.n:
+            raise IndexError("point index out of range")
+        return PointView(self, i)
+
+    def _part(self, part):
+        return PointSet(self.coords, [col[part] for col in self.columns], len(range(self.n)[part]))
+
+    def __iter__(self):
+        return map(PointView, [self] * self.n, range(self.n))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __add__(self, other):
+        """The points of self, then those of other: a set when other is a
+        set over the same coordinates, a list otherwise."""
+        if isinstance(other, PointSet) and other.coords == self.coords:
+            return PointSet(self.coords, [a + b for a, b in zip(self.columns, other.columns)], self.n + other.n)
+        return list(self) + list(other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(map(dict, self))!r})"
+
+    def cached(self, owner, tag, build):
+        """build(), computed once per set for (tag, owner).  The entry holds
+        owner itself, so the id in its key cannot be reused while it lives."""
+        key = (tag, id(owner))
+        hit = self.cache.get(key)
+        if hit is None:
+            hit = self.cache[key] = (owner, build())
+        return hit[1]
+
+    def exact_column(self, coord):
+        """(numerators, den) of a coordinate, None when it is not exact or
+        not a coordinate of the set."""
+        j = self.slots.get(coord)
+        return None if j is None else self.columns[j].exact()
+
+    def column(self, expr):
+        """`symexpr.column_value` of expr over this set, computed once."""
+        return self.cached(expr, "column", lambda: column_value(expr, self.exact_column, self.n))
+
+
+class PointView(Mapping):
+    """Point `index` of a `PointSet`, read-only."""
+
+    __slots__ = ("points", "index")
+
+    def __init__(self, points, index):
+        self.points = points
+        self.index = index
+
+    def __getitem__(self, coord):
+        points = self.points
+        return points.columns[points.slots[coord]].value(self.index)
+
+    def __iter__(self):
+        return iter(self.points.coords)
+
+    def __len__(self):
+        return len(self.points.coords)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def exact_at(expr, env):
+    """(numerator, den) of expr at env from its point set's column, or None
+    when env is not a `PointView` or the column has no exact value."""
+    if type(env) is not PointView:
+        return None
+    col = env.points.column(expr)
+    return None if col is None else (col[0][env.index], col[1])
+
+
+def exact_values(exprs, envs):
+    """Per point of envs, in order, the `exact_at` of each expression: read
+    off the set's columns once when envs is a point set."""
+    if not isinstance(envs, PointSet):
+        return ([exact_at(e, env) for e in exprs] for env in envs)
+    cols = [envs.column(e) for e in exprs]
+    return ([None if c is None else (c[0][i], c[1]) for c in cols] for i in range(len(envs)))
+
+
+def points_of(envs):
+    """A point set of plain envs sharing one key order, in order.  Values
+    stay the objects given, so each point reads as before."""
+    envs = list(envs)
+    coords = tuple(envs[0]) if envs else ()
+    if any(tuple(e) != coords for e in envs):
+        return envs
+    return PointSet(coords, [Column([e[c] for e in envs]) for c in coords], len(envs))

@@ -41,6 +41,7 @@ from .locus import (
     verify_vanishing_locus,
 )
 from .pointcheck import (
+    check_tolerance,
     contact_test,
     gradient_rank_at,
     near_symplectic_at,
@@ -83,6 +84,9 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     samples: int | None = None
     tol: float = 1e-9
+
+    def __post_init__(self):
+        check_tolerance(self.tol)
 
     def region_count(self, declared):
         if self.samples is None:

@@ -51,6 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
 import numpy as np
 
@@ -637,11 +638,56 @@ def _point_value(expr, env):
 
     The pair need not be in lowest terms; the point matrices of
     pointcheck put such pairs over one scale without building Fractions.
+    At a point of a point set they read `column_value` instead where it
+    has a value, and this is their fallback at that point: for pi,
+    exp/sin/cos, opaque atoms, negative exponents and float coordinates.
     """
     names, den, terms = _plan(expr)
     for name in names:
         _opaque_numeric(name)
     return _plan_value(den, terms, env)
+
+
+def column_value(expr, exact, n):
+    """expr at every one of n points as (numerators, den), den > 0: a list
+    of n ints over one denominator, from the exact coordinate columns that
+    exact(name) gives as (numerators, den), or None.
+
+    None unless every atom of expr is a coordinate with a positive exponent
+    whose column is exact, so a column value never raises: it declines
+    every case where `_point_value` could raise or give a float (pi,
+    exp/sin/cos, opaque atoms, negative exponents, float or missing
+    coordinates).  Where it has a value, that value equals `_point_value`'s
+    at every point, and every entry is an int.
+    """
+    names, den, terms = _plan(expr)
+    if names or any(others or any(e < 0 for _, e in coords) for _, coords, others in terms):
+        return None
+    cols = {}
+    for _, coords, _ in terms:
+        for name, _ in coords:
+            if name not in cols:
+                cols[name] = exact(name)
+                if cols[name] is None:
+                    return None
+    # Term t is n_t * prod(num**e) / q_t with q_t = prod(den**e); over the
+    # lcm of the q_t it is a weight times the product of its columns.
+    qs = [math.prod([cols[name][1] ** e for name, e in coords]) for _, coords, _ in terms]
+    common = math.lcm(*qs)
+    total = [0] * n
+    for (num, coords, _), q in zip(terms, qs):
+        col = None
+        for name, e in coords:
+            nums = cols[name][0]
+            power = nums if e == 1 else [x**e for x in nums]
+            col = power if col is None else list(map(mul, col, power))
+        weight = num * (common // q)
+        if col is None:
+            col = [weight] * n
+        elif weight != 1:
+            col = [x * weight for x in col]
+        total = list(map(add, total, col))
+    return total, common * den
 
 
 @lru_cache(maxsize=4096)

@@ -140,3 +140,13 @@ def test_empty_and_degenerate_shapes():
     assert _linalg.exact_inverse([]) == []
     assert _linalg.exact_rank([[0, 0], [0, 0]]) == 0
     assert _linalg.exact_det([[Fraction(1, 2), 3], [Fraction(1, 6), 1]]) == 0
+
+
+def test_bool_entries_decide_as_their_ints():
+    # A row holding a bool is not a row of ints, and is scaled like any
+    # other; True and 1 give the same answers.
+    with_bool = [[True, 2], [2, 4], [0, True]]
+    with_ints = [[1, 2], [2, 4], [0, 1]]
+    assert _linalg.exact_rank(with_bool) == _linalg.exact_rank(with_ints) == 2
+    assert _linalg.exact_rref(with_bool, 2) == _linalg.exact_rref(with_ints, 2)
+    assert _linalg.exact_kernel([[True, 2]], 2) == _linalg.exact_kernel([[1, 2]], 2) == [[-2, 1]]

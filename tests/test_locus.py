@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nsx import locus as locus_mod
-from nsx.charts import Chart, ChartMap, VectorField, coord_differential, function_form, zero_form
+from nsx.charts import Chart, ChartMap, DForm, VectorField, coord_differential, function_form, zero_form
 from nsx.errors import DomainError
 from nsx.locus import (
     CoordLocus,
@@ -29,7 +29,16 @@ from nsx.locus import (
     verify_rank_drop_locus,
     verify_vanishing_locus,
 )
-from nsx.symexpr import exp_of, opaque_fn, rat, sin_of, sym
+from nsx.pointcheck import (
+    form_matrix_at,
+    gradient_matrix_at,
+    gradient_rank_at,
+    map_rank_at,
+    near_symplectic_at,
+    rank_at,
+)
+from nsx.points import exact_at
+from nsx.symexpr import PI, evaluate, exp_of, opaque_fn, rat, sin_of, sym
 
 C2 = Chart("c2", ("x", "y"))
 P2 = Chart("p2", ("u", "v"))
@@ -835,6 +844,161 @@ def test_vanishing_locus_flags_samples_outside_region():
     rep = verify_vanishing_locus(_dy_times_x(), locus, _region())
     assert not rep.passed
     assert any(c["reason"] == "locus sample outside region" for c in rep.counterexamples)
+
+
+def test_outside_region_counterexamples_keep_their_order():
+    # The pin y = 3/2 lies outside [-1, 1]: every lattice sample of the
+    # locus is outside the region, each one counterexample, in lattice order,
+    # its point printed with the pin first and then the free coordinates.
+    c3 = Chart("c3", ("x", "y", "z"))
+    region = Region(c3, ((F(-1), F(1)),) * 3, (2, 3, 3), 0)
+    locus = CoordLocus(c3, (("y", F(3, 2)),))
+    form = coord_differential(c3, "z") * (sym("y") - F(3, 2))
+    rep = verify_vanishing_locus(form, locus, region, off_mode="none")
+    assert not rep.passed and rep.on_count == 6 and rep.on_failures == 6
+    points = [(x, z) for x in ("-1", "1") for z in ("-1", "0", "1")][:5]
+    assert [list(c["point"].items()) for c in rep.counterexamples] == [
+        [("y", "3/2"), ("x", x), ("z", z)] for x, z in points
+    ]
+    assert {c["reason"] for c in rep.counterexamples} == {"locus sample outside region"}
+    # The samples are views of one point set, equal to plain dicts.
+    on_envs = LocusSampler(locus, region, seed=0).on_envs
+    assert on_envs == [{"y": F(3, 2), "x": F(x), "z": F(z)} for x in (-1, 1) for z in (-1, 0, 1)]
+    for view in on_envs:
+        assert view == dict(view) and dict(view) == view and list(view) == ["y", "x", "z"]
+        assert not region.contains(view) and not region.contains(dict(view))
+
+
+# -- point sets against their plain envs -----------------------------------
+
+_Q4 = Chart("q4", ("t", "x1", "x2", "x3"))
+_Q3 = Chart("q3", ("a", "b", "c"))
+_POWERS = st.tuples(st.sampled_from(_Q4.coords), st.integers(1, 3)).map(lambda ce: sym(ce[0]) ** ce[1])
+# Negative exponents, pi and chi, which the column path declines.
+_OTHER_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(_Q4.coords), st.integers(-2, -1)).map(lambda ce: sym(ce[0]) ** ce[1]),
+    st.just(PI),
+    st.sampled_from(_Q4.coords).map(lambda c: opaque_fn("chi", c)),
+)
+_COEFFICIENTS = st.one_of(_SMALL_RATIONALS, _WIDE_INTEGERS)
+
+
+def _exprs(atoms):
+    """Zero (no terms), constants and sums of up to three terms."""
+    terms = st.tuples(_COEFFICIENTS, st.lists(atoms, max_size=3))
+    terms = terms.map(lambda t: math.prod(t[1], start=rat(t[0])))
+    return st.lists(terms, max_size=3).map(lambda ts: sum(ts, rat(0)))
+
+
+# Polynomials that the column path takes, or expressions with some atoms it
+# declines; one kind per case, so that a matrix often has every entry exact.
+_EXPR_KINDS = st.sampled_from((_exprs(_POWERS), _exprs(_POWERS), _exprs(st.one_of(_POWERS, _OTHER_ATOMS))))
+_FORM_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+_SET_INTERVALS = st.sampled_from(
+    (
+        (F(-1), F(1)),
+        (F(0), F(1, 3)),
+        (F(-3, 7), F(5, 11)),
+        (F(-(2**41)), F(0)),  # numerators at 2**53
+        (F(2**60), F(2**60 + 3)),  # numerators past 2**63
+        (F(-(2**70), 3), F(2**70)),
+        (-1.5, 2.25),  # float-bounded
+    )
+)
+_SET_PINS = st.one_of(st.just(F(0)), _SMALL_RATIONALS, _WIDE_INTEGERS)
+_SET_KINDS = st.sampled_from(("lattice", "draws", "region"))
+_PINNED = st.lists(st.sampled_from(_Q4.coords), unique=True, max_size=4)
+_PREFIXES = st.one_of(st.none(), st.integers(0, 6))
+
+
+@st.composite
+def _point_sets(draw):
+    """A point set on _Q4: a coordinate locus's lattice with its pins, seeded
+    dyadic draws, or a region's lattice and draws; sometimes a prefix."""
+    region = Region(
+        _Q4,
+        tuple(draw(_SET_INTERVALS) for _ in _Q4.coords),
+        tuple(draw(_LATTICE_SIZES) for _ in _Q4.coords),
+        draw(_RANDOM_COUNTS),
+    )
+    kind, seed = draw(_SET_KINDS), draw(_SEEDS)
+    if kind == "lattice":
+        pins = tuple((c, F(0) if c == "x1" else draw(_SET_PINS)) for c in draw(_PINNED))
+        if pins:
+            points = LocusSampler(CoordLocus(_Q4, pins), region, seed).on_envs
+        else:
+            points = locus_mod.lattice_envs(region)
+    elif kind == "draws":
+        stream = locus_mod._DyadicStream(random.Random(seed))
+        points = locus_mod._DyadicPoints.read(region, stream, draw(_COUNTS) % 7)
+    else:
+        points = region_envs(region, seed)
+    cap = draw(_PREFIXES)
+    return region, points if cap is None else points[:cap]
+
+
+@st.composite
+def _set_cases(draw):
+    region, points = draw(_point_sets())
+    # A factor of x1 in every coefficient makes the form vanish where x1 = 0,
+    # so the degeneracy test reaches D_K there.
+    factor = sym("x1") if draw(st.booleans()) else rat(1)
+    exprs = draw(_EXPR_KINDS)
+    form = DForm.build(_Q4, 2, [(pair, draw(exprs) * factor) for pair in _FORM_PAIRS])
+    cmap = ChartMap("m", _Q4, _Q3, tuple(draw(exprs) for _ in _Q3.coords))
+    return region, points, form, cmap, draw(exprs)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _gradient_values(form, env):
+    """gradient_matrix_at's entries as values: Fractions over its scale, or floats."""
+    rows, scale = gradient_matrix_at(form, env)
+    return rows if scale is None else [[F(x, scale) for x in row] for row in rows]
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return [x // g for x in v] if g else v
+
+
+def _degeneracy(form, env):
+    """near_symplectic_at's decisions at env; its integer kernel vectors up to
+    a positive factor, which the scale of the rows may change."""
+    v = _outcome(near_symplectic_at, form, env)
+    if isinstance(v, tuple):
+        return v
+    return (
+        v.passed, v.reason, v.rank, v.kernel_dim, v.image_dim, v.ker_dk_dim,
+        v.q_signature, v.q_sign, v.grad_kernel_consistent, v.exact, [_primitive(k) for k in v.kernel],
+    )
+
+
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(_set_cases())
+def test_point_sets_decide_as_their_plain_envs(case):
+    region, points, form, cmap, expr = case
+    assert list(points) == [dict(view) for view in points]
+    for view in points:
+        env = dict(view)
+        value = _outcome(evaluate, expr, env)
+        assert _outcome(evaluate, expr, view) == value
+        exact = exact_at(expr, view)
+        if exact is not None:
+            assert F(*exact) == value
+        assert region.contains(view) == region.contains(env)
+        assert _outcome(form_matrix_at, form, view) == _outcome(form_matrix_at, form, env)
+        assert _outcome(_gradient_values, form, view) == _outcome(_gradient_values, form, env)
+        assert _outcome(rank_at, form, view) == _outcome(rank_at, form, env)
+        assert _outcome(map_rank_at, cmap, view) == _outcome(map_rank_at, cmap, env)
+        assert _outcome(gradient_rank_at, form, view) == _outcome(gradient_rank_at, form, env)
+        assert _degeneracy(form, view) == _degeneracy(form, env)
 
 
 # -- positivity ------------------------------------------------------------

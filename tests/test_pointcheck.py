@@ -597,3 +597,10 @@ def test_stabilize_rejects_bad_arguments():
     om3 = _dx(C3, "x").wedge(_dx(C3, "y"))
     with pytest.raises(DomainError):
         stabilizing_constant_search(_w(0, 1), om3, [_origin(C4)])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_contact_test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(tol):
+    al = _dx(C3, "z") + coord_differential(C3, "y") * sym("x")
+    with pytest.raises(DomainError, match=f"a tolerance must be a finite number at least 0, got {tol!r}"):
+        contact_test(al, tol=tol)

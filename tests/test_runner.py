@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nsx.dsl import parse_scenario
-from nsx.errors import ElaborationError
+from nsx.errors import DomainError, ElaborationError
 from nsx.runner import (
     DEFAULT_SEED,
     RunConfig,
@@ -479,3 +479,12 @@ def test_finite_contact_evidence_has_no_non_finite_key():
     (rec,) = _run(text).checks
     assert rec.verdict == "pass"
     assert "non_finite" not in rec.evidence["charts"][0]
+
+
+@pytest.mark.parametrize("tol, shown", [(float("nan"), "nan"), (float("inf"), "inf"), (-1, "-1")])
+def test_run_config_rejects_a_tolerance_that_is_not_finite_and_at_least_0(tol, shown):
+    # A NaN tol made every comparison with it false: S8's contact sweeps
+    # reported every sample as zero.
+    with pytest.raises(DomainError, match=f"a tolerance must be a finite number at least 0, got {shown}$"):
+        RunConfig(tol=tol)
+    assert RunConfig(tol=0).tol == 0
