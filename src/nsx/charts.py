@@ -185,7 +185,7 @@ class DForm:
     def wedge(self, other):
         if not isinstance(other, DForm):
             raise DomainError("wedge needs two forms")
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise DomainError(
                 f"forms live on different charts: {self.chart.name} vs {other.chart.name}"
             )
@@ -236,12 +236,13 @@ class DForm:
     def d(self):
         """Exterior derivative."""
         terms = []
+        coords = self.chart.coords
         for idx, coeff in self.comps.items():
-            for v in range(self.chart.dim):
+            for v, coord in enumerate(coords):
                 if v in idx:
                     continue
-                dc = coeff.diff(self.chart.coords[v])
-                if not dc.is_zero:
+                dc = coeff.diff(coord)
+                if dc.terms:
                     merged, sign = _merge_indices((v,), idx)
                     terms.append((merged, dc if sign > 0 else -dc))
         # d of a top form is identically zero; clamp the degree the same

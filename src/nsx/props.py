@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .charts import Chart, ChartMap, DForm, Metric
+from .charts import MAX_DIM, Chart, ChartMap, DForm, Metric
+from .errors import DomainError
 from .symexpr import _SYM, _canonical, _normalize_monomial, rat
 
 __all__ = ["run_property_battery", "PROPERTY_NAMES"]
@@ -20,6 +21,8 @@ __all__ = ["run_property_battery", "PROPERTY_NAMES"]
 PROPERTY_NAMES = ("dd_zero", "graded_comm", "functorial", "antiderivation", "double_star")
 
 _DEFAULT_DIMS = (2, 3, 4, 5, 6)
+
+_NUMERATORS = (-3, -2, -1, 1, 2, 3)
 
 _charts = {}
 
@@ -30,32 +33,79 @@ def _chart(dim):
     return _charts[dim]
 
 
+# The index tuples of each (dimension, degree) pair, in `combinations`
+# order: increasing and distinct, so a form built from them needs no
+# sorting or summing.
+_INDEX_TUPLES = {
+    (dim, degree): tuple(combinations(range(dim), degree))
+    for dim in range(1, MAX_DIM + 1)
+    for degree in range(dim + 1)
+}
+
+# The generators below draw an int in [0, n) as getrandbits(k), with
+# k = n.bit_length(), redrawn while it is >= n.  That is the rule of
+# random.Random._randbelow, so they make the draws, one for one, that
+# randrange, choice and shuffle would make from the same stream, without
+# those functions' call layers.
+
+
 def _rand_poly(rng, coords, max_terms=3, max_deg=2):
     """A random polynomial: up to max_terms terms, each a coefficient
     +-{1, 2, 3}/{1, 2} times up to max_deg coordinate factors, summed in
-    one dict of numerators over 2 and canonicalized once."""
+    one dict of numerators over 2 and canonicalized once.  The draws are
+    those of randrange(1, max_terms + 1), then per term choice of the
+    numerator, randrange(1, 3) for the denominator, randrange(0,
+    max_deg + 1) for the degree and choice(coords) per factor."""
+    bits = rng.getrandbits
+    n_coords, n_degs = len(coords), max_deg + 1
+    k_terms, k_coords, k_degs = max_terms.bit_length(), n_coords.bit_length(), n_degs.bit_length()
+    terms = bits(k_terms)
+    while terms >= max_terms:
+        terms = bits(k_terms)
     acc = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        numerator = rng.choice((-3, -2, -1, 1, 2, 3)) * (2 // rng.randrange(1, 3))
-        factors = [
-            ((_SYM, rng.choice(coords)), 1) for _ in range(rng.randrange(0, max_deg + 1))
-        ]
-        mono = _normalize_monomial(factors)
+    for _ in range(terms + 1):
+        i = bits(3)
+        while i >= 6:
+            i = bits(3)
+        half = bits(2)
+        while half >= 2:
+            half = bits(2)
+        # 2 // randrange(1, 3) is 2 - half.
+        numerator = _NUMERATORS[i] * (2 - half)
+        degree = bits(k_degs)
+        while degree >= n_degs:
+            degree = bits(k_degs)
+        factors = []
+        for _ in range(degree):
+            i = bits(k_coords)
+            while i >= n_coords:
+                i = bits(k_coords)
+            factors.append(((_SYM, coords[i]), 1))
+        # No factor or one is already a sorted monomial.
+        mono = _normalize_monomial(factors) if degree > 1 else tuple(factors)
         acc[mono] = acc.get(mono, 0) + numerator
     return _canonical(acc, 2)
 
 
 def _rand_form(rng, chart, degree, max_terms=2):
-    """A random form with up to max_terms components.  The keys come from
-    `combinations`, so they are increasing and distinct and the form needs
-    no sorting or summing; only a zero coefficient is dropped."""
-    keys = list(combinations(range(chart.dim), degree))
-    rng.shuffle(keys)
-    items = [
-        (k, _rand_poly(rng, chart.coords))
-        for k in keys[: rng.randrange(1, max_terms + 1)]
-    ]
-    return DForm(chart, degree, {k: c for k, c in items if not c.is_zero})
+    """A random form with up to max_terms components: the index tuples
+    shuffled as random.shuffle does, then the first randrange(1,
+    max_terms + 1) of them, each with a random coefficient; only a zero
+    coefficient is dropped."""
+    bits = rng.getrandbits
+    keys = list(_INDEX_TUPLES[chart.dim, degree])
+    for i in range(len(keys) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        keys[i], keys[j] = keys[j], keys[i]
+    k = max_terms.bit_length()
+    count = bits(k)
+    while count >= max_terms:
+        count = bits(k)
+    items = [(key, _rand_poly(rng, chart.coords)) for key in keys[: count + 1]]
+    return DForm(chart, degree, {key: c for key, c in items if c.terms})
 
 
 def _rand_map(rng, source, target):
@@ -148,9 +198,26 @@ def _run_double_star(rng, samples, dims):
     return failures, checked
 
 
+def _check_count(name, n, most=None):
+    """The scenario language's rule for a sample budget or a chart
+    dimension: an int, not a bool, of at least 1 and of at most `most`
+    when given."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be at least 1, got {n}")
+    if most is not None and n > most:
+        raise DomainError(f"{name} must be at most {most}, got {n}")
+
+
 def run_property_battery(name, samples, dims, seed):
-    """Returns (passed, evidence dict)."""
+    """Returns (passed, evidence dict).  `samples` may be None, for 100
+    samples, and `dims` empty or None, for dimensions 2 to 6."""
+    if samples is not None:
+        _check_count("samples", samples)
     dims = tuple(dims) if dims else _DEFAULT_DIMS
+    for dim in dims:
+        _check_count("dims", dim, MAX_DIM)
     rng = random.Random(seed)
     if name == "double_star":
         failures, checked = _run_double_star(rng, samples, dims)

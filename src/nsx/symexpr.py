@@ -213,11 +213,20 @@ class Expr:
     __sub__ = _coerced(lambda self, other: self + (-other))
     __rsub__ = _coerced(lambda self, other: other + (-self))
 
-    @_coerced
     def __mul__(self, other):
+        if not isinstance(other, Expr):
+            other = _as_expr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and len(t2) == 1:
+            # One product term has no Pythagorean partner and no zero.
+            (m1, n1), (m2, n2) = t1[0], t2[0]
+            m = m2 if not m1 else m1 if not m2 else _mono_product(m1, m2)
+            return _monomial_expr(m, n1 * n2, self.den * other.den)
         acc = {}
-        for m1, n1 in self.terms:
-            for m2, n2 in other.terms:
+        for m1, n1 in t1:
+            for m2, n2 in t2:
                 m = m2 if not m1 else m1 if not m2 else _mono_product(m1, m2)
                 acc[m] = acc.get(m, 0) + n1 * n2
         return _canonical(acc, self.den * other.den)
@@ -259,18 +268,36 @@ class Expr:
 
     def diff(self, name):
         """Partial derivative with respect to the coordinate `name`."""
-        pieces = []
+        # A coordinate's derivative is 1, so its pieces are plain
+        # monomials and go into one dict; every other atom's piece is a
+        # product with that atom's derivative.
+        acc = {}
+        others = []
+        den = self.den
         for mono, n in self.terms:
             for i, (atom, e) in enumerate(mono):
-                da = _atom_derivative(atom, name)
-                if da.is_zero:
-                    continue
+                if atom[0] == _SYM:
+                    if atom[1] != name:
+                        continue
+                    da = None
+                else:
+                    da = _atom_derivative(atom, name)
+                    if not da.terms:
+                        continue
                 # Dropping or lowering one exponent keeps a monomial canonical.
-                lowered = ((atom, e - 1),) if e != 1 else ()
-                piece = _monomial_expr(mono[:i] + lowered + mono[i + 1 :], n * e, self.den)
-                # A coordinate's derivative is 1.
-                pieces.append(piece if atom[0] == _SYM else piece * da)
-        return _sum(pieces)
+                lowered = mono[:i] + (((atom, e - 1),) if e != 1 else ()) + mono[i + 1 :]
+                if da is None:
+                    # Each term lowers to its own monomial: one numerator
+                    # per key, and none of them 0.
+                    acc[lowered] = n * e
+                else:
+                    others.append(_monomial_expr(lowered, n * e, den) * da)
+        if not others:
+            if len(acc) > 1:
+                return _canonical(acc, den)
+            return _monomial_expr(*acc.popitem(), den) if acc else ZERO
+        # One sum over every piece, so the collapse sees all of them.
+        return _sum([_monomial_expr(m, c, den) for m, c in acc.items()] + others)
 
     def subs(self, mapping):
         """Substitute coordinates by expressions.
@@ -409,7 +436,11 @@ def _canonical(acc, den):
     numerators and den > 0: sin^2/cos^2 partners collapsed, zero terms
     dropped, the common factor cancelled and the terms sorted.  One term
     has no Pythagorean partner."""
-    if len(acc) > 1 and any(a[0] == _SIN and e >= 2 for m in acc for a, e in m):
+    # A monomial is sorted by atom kind, so one holding sin ends in an atom
+    # of kind _SIN or later.
+    if len(acc) > 1 and any(
+        m and m[-1][0][0] >= _SIN and any(a[0] == _SIN and e >= 2 for a, e in m) for m in acc
+    ):
         _pythagorean_fixpoint(acc)
     g = math.gcd(den, *acc.values())
     return Expr(tuple(sorted((m, n // g) for m, n in acc.items() if n)), den // g)

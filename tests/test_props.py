@@ -1,9 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsx.charts import MAX_DIM
+from nsx.errors import DomainError
 from nsx.props import _rand_poly, run_property_battery
 from nsx.symexpr import Expr, rat, sym
 
@@ -72,3 +77,80 @@ def test_rand_form_keeps_the_draws_and_the_form_of_build():
                 want = DForm.build(chart, degree, items)
                 assert got == want and list(got.comps) == list(want.comps)
         assert rng.getstate() == ref_rng.getstate()
+
+
+# -- the whole draw stream of S12's random batteries ---------------------
+#
+# S12's report holds only sample and failure counts, so its bytes cannot
+# show a changed random stream.  This digest pins the text of every form
+# and map the four random batteries build at the default seed, in draw
+# order.  The file was written by the engine while the batteries still
+# drew through randrange, choice and shuffle.
+
+GOLDEN_DRAWS = Path(__file__).parent / "golden" / "prop_draws.txt"
+
+
+def _battery_draws_digest(monkeypatch):
+    import nsx.props as props
+    from nsx.runner import DEFAULT_SEED, RunConfig, run_suite
+
+    lines = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            lines.append(repr(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(props, "_rand_form", recorded(props._rand_form))
+    monkeypatch.setattr(props, "_rand_map", recorded(props._rand_map))
+    suite = run_suite(only=("S12",), config=RunConfig(seed=DEFAULT_SEED))
+    assert suite.scenarios[0].status == "pass"
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return f"sha256 {digest}\nobjects {len(lines)}\n"
+
+
+def test_battery_draw_stream_matches_golden(monkeypatch):
+    assert _battery_draws_digest(monkeypatch) == GOLDEN_DRAWS.read_text()
+
+
+def test_randbelow_is_the_getrandbits_rejection_rule():
+    # The batteries read getrandbits(n.bit_length()) and redraw while the
+    # value is >= n, which gives randrange's draws only under this rule.
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+# -- arguments the scenario language cannot express ----------------------
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_battery_rejects_a_budget_below_one(samples):
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        run_property_battery("dd_zero", samples, None, 1)
+
+
+def test_battery_rejects_a_bool_budget():
+    with pytest.raises(DomainError, match="samples must be an integer"):
+        run_property_battery("dd_zero", True, None, 1)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((0,), "dims must be at least 1"),
+        ((2, MAX_DIM + 1), f"dims must be at most {MAX_DIM}"),
+        ((3.0,), "dims must be an integer"),
+        ((True,), "dims must be an integer"),
+    ],
+)
+def test_battery_rejects_dimensions_outside_the_charts(dims, message):
+    for name in ("dd_zero", "double_star"):
+        with pytest.raises(DomainError, match=message):
+            run_property_battery(name, 3, dims, 1)
+
+
+def test_battery_takes_the_extreme_dimensions():
+    passed, evidence = run_property_battery("dd_zero", 2, (1, MAX_DIM), 1)
+    assert passed and evidence["dims"] == [1, MAX_DIM]

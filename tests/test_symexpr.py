@@ -18,10 +18,21 @@ from nsx.symexpr import (
     ONE,
     PI,
     ZERO,
+    _EXP,
+    _OPQ,
+    _PI,
+    _SIN,
+    _SYM,
     Equal,
     Expr,
     NotEqual,
     Undecided,
+    _as_expr,
+    _canonical,
+    _mono_product,
+    _monomial_expr,
+    _pythagorean_fixpoint,
+    _sum,
     bump,
     bump_prime,
     compile_numpy,
@@ -268,6 +279,118 @@ def test_diff_chain_rules():
     assert cos_of(u).diff("y") == -(x**2) * sin_of(u)
     assert PI.diff("x").is_zero
     assert (PI * x).diff("x") == PI
+
+
+# -- the fast paths of diff, single-term products and _canonical ---------
+#
+# Each is compared with the general code it short-cuts, kept here as it
+# was: structural equality, since the Pythagorean collapse is not
+# confluent and a different order of summing would show.
+
+_FAST_PATH_ATOMS = [
+    x, y, PI, exp_of(y), exp_of(x * y), sin_of(x), cos_of(x), sin_of(x + y), cos_of(x + y),
+    opaque_fn("chi", "x"),
+]
+
+monomial_exprs = st.tuples(
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+    st.lists(st.tuples(st.sampled_from(_FAST_PATH_ATOMS), st.integers(-1, 3)), max_size=3),
+).map(lambda t: rat(t[0]) * math.prod((a**e for a, e in t[1]), start=ONE))
+
+# Sums taken one `+` at a time, whose result depends on their order, and
+# sums taken in one step.
+fast_path_sums = st.one_of(
+    st.lists(monomial_exprs, min_size=1, max_size=4).map(lambda es: sum(es, ZERO)),
+    st.lists(monomial_exprs, max_size=4).map(_sum),
+)
+
+
+def _diff_by_terms(e, name):
+    pieces = []
+    for mono, n in e.terms:
+        for i, (atom, k) in enumerate(mono):
+            da = _atom_derivative_by_terms(atom, name)
+            if da.is_zero:
+                continue
+            lowered = ((atom, k - 1),) if k != 1 else ()
+            piece = _monomial_expr(mono[:i] + lowered + mono[i + 1 :], n * k, e.den)
+            pieces.append(piece if atom[0] == _SYM else piece * da)
+    return _sum(pieces)
+
+
+def _atom_derivative_by_terms(atom, name):
+    kind = atom[0]
+    if kind == _SYM:
+        return ONE if atom[1] == name else ZERO
+    if kind == _PI:
+        return ZERO
+    if kind == _OPQ:
+        return opaque_fn(atom[1] + "'", atom[2]) if atom[2] == name else ZERO
+    du = _diff_by_terms(atom[1], name)
+    if du.is_zero:
+        return ZERO
+    if kind == _EXP:
+        return exp_of(atom[1]) * du
+    if kind == _SIN:
+        return cos_of(atom[1]) * du
+    return -sin_of(atom[1]) * du
+
+
+def _mul_by_dict(a, b):
+    acc = {}
+    for m1, n1 in a.terms:
+        for m2, n2 in b.terms:
+            m = m2 if not m1 else m1 if not m2 else _mono_product(m1, m2)
+            acc[m] = acc.get(m, 0) + n1 * n2
+    return _canonical(acc, a.den * b.den)
+
+
+def _canonical_by_full_scan(acc, den):
+    if len(acc) > 1 and any(a[0] == _SIN and e >= 2 for m in acc for a, e in m):
+        _pythagorean_fixpoint(acc)
+    g = math.gcd(den, *acc.values())
+    return Expr(tuple(sorted((m, n // g) for m, n in acc.items() if n)), den // g)
+
+
+def _same(a, b):
+    return (a.terms, a.den) == (b.terms, b.den)
+
+
+@given(fast_path_sums, st.sampled_from("xyz"))
+@settings(max_examples=300, deadline=None)
+def test_diff_matches_the_term_by_term_derivative(e, name):
+    assert _same(e.diff(name), _diff_by_terms(e, name))
+
+
+def test_diff_collapses_partners_from_coordinate_and_other_pieces_together():
+    # d/dx gives exp(x)*sin(y)^2 from the exp atom and exp(x)*cos(y)^2
+    # from the coordinate x: one sum over both pieces collapses them.
+    e = exp_of(x) * sin_of(y) ** 2 + x * exp_of(x) * cos_of(y) ** 2
+    got = e.diff("x")
+    assert _same(got, _diff_by_terms(e, "x"))
+    assert got == exp_of(x) + x * exp_of(x) * cos_of(y) ** 2
+
+
+@given(monomial_exprs, st.one_of(monomial_exprs, fast_path_sums, rationals, st.integers(-3, 3)))
+@settings(max_examples=300, deadline=None)
+def test_products_match_the_dict_product(a, b):
+    for left, right in ((a, b), (b, a)):
+        got = left * right
+        assert _same(got, _mul_by_dict(_as_expr(left), _as_expr(right)))
+
+
+@given(
+    st.lists(
+        st.tuples(monomial_exprs.map(lambda e: e.terms[0][0]), st.integers(-2, 2)), max_size=6
+    ),
+    st.integers(1, 12),
+)
+@settings(max_examples=300, deadline=None)
+def test_canonical_sin_precheck_matches_the_full_scan(pairs, den):
+    acc = {}
+    for mono, n in pairs:
+        acc[mono] = acc.get(mono, 0) + n
+    assert _same(_canonical(dict(acc), den), _canonical_by_full_scan(dict(acc), den))
 
 
 def test_diff_opaque_uses_primed_name():
