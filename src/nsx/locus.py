@@ -27,9 +27,11 @@ test is array work over a batch, exact in integers for rational pins on
 rational axes and bit for bit the float sum of `_coord_dist_sq`
 otherwise.
 
-A float value inside the tolerance band decides nothing by itself: it
-is a counterexample only when an exact value confirms it, and otherwise
-the report counts it under `band` and is undecided.
+Every sample claim is decided by `_decide` under one rule: a float
+decides only outside the tolerance band, an exact value decides where
+one is computed, and a float inside the band or a NaN or infinite value
+decides nothing; the report counts such a sample under `band` or
+`non_finite`, per side, and is undecided.
 """
 
 from __future__ import annotations
@@ -39,18 +41,20 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from operator import eq, gt, lt, ne
 
 import numpy as np
 
 from .errors import DomainError
 from .pointcheck import map_rank_at
-from .points import Column, PointSet, PointView, exact_values, is_rational, points_of
+from .points import Column, PointSet, PointView, is_rational, points_of
 from .symexpr import (
     Equal,
     NotEqual,
+    _point_value,
     compile_numpy,
-    evaluate,
+    ratio_float,
     semantically_equal,
 )
 
@@ -92,10 +96,9 @@ def derive_seed(*parts):
 
 def _float(v):
     """float(v), or an infinity of v's sign where v is beyond the float range."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
+    if isinstance(v, (int, Fraction)):
+        return ratio_float(v.numerator, v.denominator)
+    return float(v)
 
 
 def _dyadic_axis(lo, hi):
@@ -450,7 +453,7 @@ def _float_quotients(nums, den):
     `float(Fraction)` is; Python ints in an object array are divided singly.
     """
     if nums.dtype == object:
-        return np.array([_float(Fraction(n, den)) for n in nums], dtype=np.float64)
+        return np.array([ratio_float(n, den) for n in nums], dtype=np.float64)
     return nums.astype(np.float64) / den
 
 
@@ -629,28 +632,36 @@ def off_locus_envs(sampler, margin, count, seed):
 
 @dataclass
 class LocusReport:
+    """A locus check's outcome.  Samples are counted per side: on the locus
+    ("on") or off it ("off"), each either failed, non-finite, in the band,
+    or holding."""
+
     kind: str
     passed: bool
     on_count: int = 0
     off_count: int = 0
     on_failures: int = 0
     off_failures: int = 0
-    non_finite: int = 0
-    band: int = 0
+    on_non_finite: int = 0
+    off_non_finite: int = 0
+    on_band: int = 0
+    off_band: int = 0
     counterexamples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     undecided: bool = False
+
+    @property
+    def non_finite(self):
+        return self.on_non_finite + self.off_non_finite
+
+    @property
+    def band(self):
+        return self.on_band + self.off_band
 
     def fail(self, note=None):
         self.passed = False
         if note:
             self.notes.append(note)
-
-    def band_hit(self):
-        """Count a float sample inside the tolerance band that no exact
-        value decides; it leaves the report undecided."""
-        self.band += 1
-        self.undecided = True
 
     def add_counterexample(self, env, reason, value=None, side=None):
         self.passed = False
@@ -685,97 +696,143 @@ def _pull_subject(subject, via):
     return subject.subs(subst)
 
 
+@dataclass(frozen=True)
+class _Mode:
+    """A claim on the values of a sample, one value per expression.
+
+    An exact value (p, q), q > 0, holds when holds(p) does (0 == p, 0 != p,
+    0 < p or 0 > p), and a sample's exact values are joined by `join`, all
+    or any.  floats(vals, tol) takes a (values x samples) matrix of finite
+    floats and gives two masks over the samples: those a float shows
+    violated, and those inside the tolerance band, which a float does not
+    decide.
+    """
+
+    join: object
+    holds: object
+    floats: object
+
+    def settle(self, values):
+        """True or False when the exact values among `values` decide the
+        claim; otherwise the values as floats, for the float rule."""
+        nums = [v[0] for v in values if type(v) is tuple]
+        if not nums:
+            return values if values else self.join(())
+        got = self.join(map(self.holds, nums))
+        if len(nums) == len(values) or got != self.join(()):
+            return got
+        return [ratio_float(*v) if type(v) is tuple else v for v in values]
+
+    def witness(self, values):
+        """The first exact value of a violated sample that does not hold."""
+        return next(Fraction(*v) for v in values if type(v) is tuple and not self.holds(v[0]))
+
+
+def _never(vals):
+    return np.zeros(vals.shape[1], dtype=bool)
+
+
+_MODES = {
+    # Within tol counts as vanishing, not as a band hit: on-locus points at
+    # float latitudes (S11's fourth check) never have exact values, so the
+    # band rule would leave such checks undecided until rational
+    # enclosures can decide them.
+    "vanish": _Mode(all, partial(eq, 0), lambda v, tol: ((np.abs(v) > tol).any(0), _never(v))),
+    "nonzero": _Mode(any, partial(ne, 0), lambda v, tol: (_never(v), np.abs(v).max(0) <= tol)),
+    "positive": _Mode(any, partial(lt, 0), lambda v, tol: (v[0] < -tol, np.abs(v[0]) <= tol)),
+    "negative": _Mode(any, partial(gt, 0), lambda v, tol: (v[0] > tol, np.abs(v[0]) <= tol)),
+    "field-norm": _Mode(any, partial(ne, 0), lambda v, tol: (_never(v), (v * v).sum(0) <= tol * tol)),
+}
+
+
+def _point_values(exprs, envs):
+    """Per point of envs, in order, a tuple of each expression's value as an
+    exact pair (p, q), q > 0, or a float: its point set's integer column
+    entry where the set has one, else `_point_value` at the point."""
+    if not isinstance(envs, PointSet):
+        return zip(*[[_value_at(e, env) for env in envs] for e in exprs])
+    columns = []
+    for e in exprs:
+        col = envs.column(e)
+        columns.append([_point_value(e, env) for env in envs] if col is None else [(p, col[1]) for p in col[0]])
+    return zip(*columns)
+
+
+def _value_at(expr, env):
+    """`_point_values` at one point of a list."""
+    if type(env) is PointView:
+        col = env.points.column(expr)
+        if col is not None:
+            return col[0][env.index], col[1]
+    return _point_value(expr, env)
+
+
 def _float_values(exprs, envs):
     """Float values of the expressions over a `_DyadicPoints`, one row per expression."""
     envf = dict(zip(envs.region.chart.coords, envs.floats))
     return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
-def _finite_samples(report, vals):
-    """Mask of the samples (columns of vals) whose values are all finite.
+def _decide(report, exprs, envs, mode, tol, side, reason, screen):
+    """Decide the claim `_MODES[mode]` of the expressions at every point of
+    envs, and record the outcome on the report's `side`, "on" or "off".
 
-    A NaN or infinite sample neither meets nor violates an off-locus
-    requirement; it is counted on the report and leaves it undecided.
+    Exact first (screen False): each value is read off the point's set by
+    column, else computed at the point, and only the samples whose exact
+    values do not decide them go to the float rule.  Float screen (screen
+    True, envs a `_DyadicPoints`): every value is a numpy float, and only
+    the finite samples that the floats do not show holding are evaluated
+    exactly, where every expression is a polynomial and the point
+    rational; no column is built.  A float inside the tolerance band counts
+    under band, and a sample with a NaN or infinite value under
+    non_finite; either leaves the report undecided.  Each violated sample
+    is a counterexample, in the order of envs, whose value is its first
+    exact value that does not hold, else its first float beyond tol.
     """
-    finite = np.all(np.isfinite(vals), axis=0)
-    report.non_finite += int(np.count_nonzero(~finite))
-    if report.non_finite:
-        report.undecided = True
-    return finite
-
-
-def _check_on_vanishing(report, exprs, envs, tol):
-    for env, exacts in zip(envs, exact_values(exprs, envs)):
-        for e, exact in zip(exprs, exacts):
-            if exact is not None:
-                if exact[0]:
-                    report.add_counterexample(env, "nonzero on locus", Fraction(*exact), side="on")
-                continue
-            v = evaluate(e, env)
-            if isinstance(v, Fraction):
-                ok = v == 0
-            else:
-                # Within tol counts as vanishing, not as a band hit: on-locus
-                # points at float latitudes (S11's fourth check) never have
-                # exact values, so the band rule would leave such checks
-                # undecided until rational enclosures can decide them.
-                ok = abs(v) <= tol
-            if not ok:
-                report.add_counterexample(env, "nonzero on locus", v, side="on")
-
-
-def _exact_recheck(exprs, env):
-    """Exact values of the expressions at env, or None unless every one is
-    polynomial and the point is rational."""
-    if not all(e.is_polynomial() for e in exprs):
-        return None
-    if not all(is_rational(v) for v in env.values()):
-        return None
-    return [evaluate(e, env) for e in exprs]
-
-
-_EXACT_HOLDS = {
-    "nonzero": lambda xs: any(x != 0 for x in xs),
-    "positive": lambda xs: xs[0] > 0,
-    "negative": lambda xs: xs[0] < 0,
-}
-
-
-def _check_off_requirement(report, exprs, envs, mode, tol):
-    """Sign or nonvanishing requirement over the off-locus population.
-
-    Floats drive the sweep.  A violating sample is re-checked exactly when
-    the expressions are polynomial and the point rational, so a float
-    underflow cannot manufacture a failure.  Without an exact value, a
-    float beyond the tolerance band on the wrong side is a violation, and
-    one inside the band (every value within tol of zero) is a band hit.
-    """
-    if not envs:
-        return
-    vals = _float_values(exprs, envs)
-    size = np.max(np.abs(vals), axis=0)
-    if mode == "nonzero":
-        violated = size <= tol
-    elif mode == "positive":
-        violated = vals[0] <= tol
-    elif mode == "negative":
-        violated = vals[0] >= -tol
+    rule = _MODES[mode]
+    fails = []  # (index, value) per violated sample
+    if screen:
+        rows = range(len(envs))
+        vals = _float_values(exprs, envs) if rows else None
     else:
-        raise DomainError(f"unknown off-locus mode {mode!r}")
-    finite = _finite_samples(report, vals)
-    for i in map(int, np.nonzero(violated & finite)[0]):
-        env = envs[i]
-        exact = _exact_recheck(exprs, env)
-        if exact is None:
-            if size[i] <= tol:
-                report.band_hit()
+        rows, floated = [], []
+        for i, values in enumerate(_point_values(exprs, envs)):
+            holds = rule.settle(values)
+            if holds is False:
+                fails.append((i, rule.witness(values)))
+            elif holds is not True:
+                rows.append(i)
+                floated.append(holds)
+        vals = np.array(floated, dtype=float).T
+    non_finite = band = 0
+    if rows:
+        finite = np.isfinite(vals).all(0)
+        non_finite = len(rows) - int(finite.sum())
+        violated, in_band = rule.floats(vals, tol)
+        for j in np.flatnonzero((violated | in_band) & finite).tolist():
+            env = envs[rows[j]]
+            holds = None
+            if screen and all(e.is_polynomial() for e in exprs) and all(map(is_rational, env.values())):
+                values = [_point_value(e, env) for e in exprs]
+                holds = rule.settle(values)
+            if holds is False:
+                fails.append((rows[j], rule.witness(values)))
+            elif holds is True:
                 continue
-            value = float(vals[0, i])  # one expression: sign modes only
-        elif _EXACT_HOLDS[mode](exact):
-            continue  # the float was inside the band; the exact value holds
-        else:
-            value = exact[0]
-        report.add_counterexample(env, f"off-locus {mode} violated", value, side="off")
+            elif in_band[j]:
+                band += 1
+            else:
+                fails.append((rows[j], next(float(v) for v in vals[:, j] if abs(v) > tol)))
+    if side == "on":
+        report.on_non_finite += non_finite
+        report.on_band += band
+    else:
+        report.off_non_finite += non_finite
+        report.off_band += band
+    if non_finite or band:
+        report.undecided = True
+    for i, value in sorted(fails, key=lambda f: f[0]):
+        report.add_counterexample(envs[i], reason, value, side=side)
 
 
 def _off_envs(report, sampler, margin, seed):
@@ -816,14 +873,16 @@ def verify_vanishing_locus(
     Modes: nonzero (some coefficient exceeds tol in absolute value),
     positive / negative (single-coefficient forms only, strict sign
     beyond tol), none (off requirement waived; an identically zero form
-    passes only under this waiver).  A NaN or infinite off-locus sample
-    leaves the check undecided.
+    passes only under this waiver).  `_decide` decides both sides, exact
+    first on the locus and behind a float screen off it.
 
     With `via`, the forms live on via.target while locus and region live
     on via.source; coefficients are composed with the map, which tests
     vanishing at the parametrized points (not the pullback, which could
     also vanish by restriction).
     """
+    if off_mode not in ("nonzero", "positive", "negative", "none"):
+        raise DomainError(f"unknown off-locus mode {off_mode!r}")
     report = LocusReport(kind="vanishing_locus", passed=True)
     sampler = LocusSampler(locus, region, seed)
     on_envs = sampler.on_envs
@@ -837,7 +896,7 @@ def verify_vanishing_locus(
     on_exprs = _pull_subject([form.comps[k] for k in sorted(form.comps)], via)
     if not on_exprs:
         report.notes.append("form is identically zero")
-    _check_on_vanishing(report, on_exprs, on_envs, tol)
+    _decide(report, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
 
     if off_mode != "none":
         target = form if off_form is None else off_form
@@ -845,12 +904,13 @@ def verify_vanishing_locus(
         if off_mode in ("positive", "negative") and len(off_exprs) > 1:
             raise DomainError(f"{off_mode} requires a single-coefficient form")
         envs = _off_envs(report, sampler, margin, seed)
+        reason = f"off-locus {off_mode} violated"
         if not off_exprs:
             for env in envs:
-                report.add_counterexample(env, f"off-locus {off_mode} violated", 0, side="off")
+                report.add_counterexample(env, reason, 0, side="off")
             report.fail("off-locus form is identically zero")
         else:
-            _check_off_requirement(report, off_exprs, envs, off_mode, tol)
+            _decide(report, off_exprs, envs, off_mode, tol, "off", reason, screen=True)
     else:
         report.notes.append("off-locus requirement waived")
 
@@ -868,32 +928,16 @@ def verify_positive(
     """Single-coefficient form is strictly positive on the whole region.
 
     The sign is exact wherever the value is; a float must be beyond tol.
-    A float within tol of zero is counted under band, and a NaN or
-    infinite value under non_finite; either leaves the report undecided.
+    `_decide` decides every sample exact first, on the report's "on" side.
     """
     report = LocusReport(kind="positive", passed=True)
     exprs = [form.comps[k] for k in sorted(form.comps)]
     if len(exprs) != 1:
         report.fail("form does not have exactly one coefficient")
         return report
-    expr = exprs[0]
     envs = region_envs(region, derive_seed(seed, "positive"))
     report.on_count = len(envs)
-    for env in envs:
-        v = evaluate(expr, env)
-        if isinstance(v, Fraction):
-            ok = v > 0
-        elif not math.isfinite(v):
-            report.non_finite += 1
-            report.undecided = True
-            continue
-        elif abs(v) <= tol:
-            report.band_hit()
-            continue
-        else:
-            ok = v > tol
-        if not ok:
-            report.add_counterexample(env, "positive sign violated", v, side="on")
+    _decide(report, exprs, envs, "positive", tol, "on", "positive sign violated", screen=False)
     return report
 
 
@@ -944,8 +988,7 @@ def verify_fixed_points(
     """The field vanishes on the locus and is bounded away from zero off
     it: squared norm > tol**2 at every off-locus sample.  A smaller norm
     is a counterexample only where the exact components are all zero;
-    without exact components it is a band hit.  A band hit or a NaN or
-    infinite off-locus sample leaves the check undecided.
+    without exact components it is a band hit (`_decide`'s field-norm).
 
     With `via`, the field lives on via.target while locus, region, and
     margins live on via.source; components are pulled through the map.
@@ -960,20 +1003,9 @@ def verify_fixed_points(
 
     sampler = LocusSampler(locus, region, seed)
     report.on_count = len(sampler.on_envs)
-    _check_on_vanishing(report, comps, sampler.on_envs, tol)
-
+    _decide(report, comps, sampler.on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
     envs = _off_envs(report, sampler, margin, seed)
-    if envs:
-        vals = _float_values(comps, envs)
-        norm_sq = np.sum(vals * vals, axis=0)
-        finite = _finite_samples(report, vals)
-        for i in map(int, np.nonzero((norm_sq <= tol * tol) & finite)[0]):
-            env = envs[i]
-            exact = _exact_recheck(comps, env)
-            if exact is None:
-                report.band_hit()
-            elif not any(exact):
-                report.add_counterexample(env, "field zero off locus", 0, side="off")
+    _decide(report, comps, envs, "field-norm", tol, "off", "field zero off locus", screen=True)
     _enforce_floors(report, locus, "nonzero")
     return report
 
@@ -998,8 +1030,7 @@ def verify_dividing_set(
     while staying nonzero at margin-separated off-locus samples.  An
     identically zero pairing is flagged as degenerate and fails; a
     declared-empty locus passes when the off-locus requirement holds
-    everywhere sampled.  A NaN or infinite off-locus sample leaves the
-    check undecided.
+    everywhere sampled.
     """
     report = LocusReport(kind="dividing_set", passed=True)
     paired = alpha.interior(xfield)
@@ -1026,9 +1057,8 @@ def verify_dividing_set(
     scalar = _pull_subject(declared_scalar, via)
     sampler = LocusSampler(locus, region, seed)
     report.on_count = len(sampler.on_envs)
-    _check_on_vanishing(report, [scalar], sampler.on_envs, tol)
-
+    _decide(report, [scalar], sampler.on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
     envs = _off_envs(report, sampler, margin, seed)
-    _check_off_requirement(report, [scalar], envs, "nonzero", tol)
+    _decide(report, [scalar], envs, "nonzero", tol, "off", "off-locus nonzero violated", screen=True)
     _enforce_floors(report, locus, "nonzero")
     return report

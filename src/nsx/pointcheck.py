@@ -32,7 +32,7 @@ import numpy as np
 from . import _linalg
 from .errors import DomainError
 from .points import PointView
-from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat
+from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat, ratio_float
 
 RANK_THRESHOLD = 1e-8
 RANK_BAND_FLOOR = 1e-10
@@ -67,39 +67,52 @@ def _point_rows(values):
     to the float SVD.  A positive scale keeps every rank, kernel, RREF
     and sign decided on the rows.  This is the path at a plain env, and at
     a point of a set whose matrix has an entry without a column value
-    (see `_set_rows`).
+    (see `_matrix_rows`).
     """
     try:
         s = math.lcm(*[q for row in values for _, q in row])
     except TypeError:  # a float value is not a pair
-        return [[x[0] / x[1] if type(x) is tuple else float(x) for x in r] for r in values], None
+        return [[ratio_float(*x) if type(x) is tuple else float(x) for x in r] for r in values], None
     if s == 1:
         return [[p for p, _ in row] for row in values], 1
     return [[p * (s // q) for p, q in row] for row in values], s
 
 
-def _set_rows(env, owner, tag, entries):
-    """(rows, s) at a point of a point set, as `_point_rows` would decide
-    them, or None off a point set or when an entry has no column value.
+def _matrix_rows(env, owner, tag, entries):
+    """A point matrix at env as `_point_rows` decides it: (rows, s).
 
     entries() gives the matrix as rows of (Expr, sign) pairs, None for a
-    zero entry.  Its integer columns are put over one positive scale s, the
-    lcm of the columns' denominators, once per (owner, tag) and set; each
-    point's rows are read from those columns.
+    zero entry.  At a point of a point set whose entries all have column
+    values, the integer columns are put over one positive scale s, the lcm
+    of the columns' denominators, once per (owner, tag) and set, and the
+    point's rows are read from them.  Elsewhere each distinct entry is
+    evaluated once at the point.
     """
-    if type(env) is not PointView:
-        return None
-    points = env.points
-    cols = points.cached(owner, tag, lambda: _column_rows(points, entries()))
-    if cols is None:
-        return None
-    cols, s = cols
-    i = env.index
-    return [[col[i] for col in row] for row in cols], s
+    if type(env) is PointView:
+        points = env.points
+        cols = points.cached(owner, tag, lambda: _column_rows(points, entries()))
+        if cols is not None:
+            cols, s = cols
+            i = env.index
+            return [[col[i] for col in row] for row in cols], s
+    values = {}
+
+    def value(entry):
+        if entry is None:
+            return _ZERO
+        expr, sign = entry
+        v = values.get(id(expr))
+        if v is None:
+            v = values[id(expr)] = _point_value(expr, env)
+        if sign == 1:
+            return v
+        return (-v[0], v[1]) if type(v) is tuple else -v
+
+    return _point_rows([[value(entry) for entry in row] for row in entries()])
 
 
 def _column_rows(points, entries):
-    """The matrix of `_set_rows` as integer columns over one scale, or None."""
+    """The matrix of `_matrix_rows` as integer columns over one scale, or None."""
     values = {}
     for row in entries:
         for entry in row:
@@ -130,23 +143,11 @@ def _form_entries(form):
     return m
 
 
-def _form_values(form, env):
-    """Point values of the skew matrix of a 2-form."""
-    n = form.chart.dim
-    m = [[_ZERO] * n for _ in range(n)]
-    for (i, j), coeff in form.comps.items():
-        v = _point_value(coeff, env)
-        m[i][j] = v
-        m[j][i] = (-v[0], v[1]) if type(v) is tuple else -v
-    return m
-
-
 def _form_rows(form, env):
     """The skew matrix of a 2-form at env as `_point_rows` gives it."""
     if form.degree != 2:
         raise DomainError("form_matrix_at needs a 2-form")
-    rows = _set_rows(env, form, "form", lambda: _form_entries(form))
-    return rows if rows is not None else _point_rows(_form_values(form, env))
+    return _matrix_rows(env, form, "form", lambda: _form_entries(form))
 
 
 def form_matrix_at(form, env):
@@ -171,10 +172,7 @@ def rank_at(form, env):
 
 def map_rank_at(cmap, env):
     jac = cmap.jacobian()
-    rows = _set_rows(env, cmap, "jacobian", lambda: [[(e, 1) for e in row] for row in jac])
-    if rows is None:
-        rows = _point_rows([[_point_value(e, env) for e in row] for row in jac])
-    return _matrix_rank(*rows)
+    return _matrix_rank(*_matrix_rows(env, cmap, "jacobian", lambda: [[(e, 1) for e in row] for row in jac]))
 
 
 def _gradient_entries(form):
@@ -189,11 +187,7 @@ def gradient_matrix_at(form, env):
     """First partials of every coefficient: rows by coordinate, columns
     by increasing index tuple over the full C(n, k) tuple space, as
     _point_rows gives them (integer rows and a scale, or floats and None)."""
-    rows = _set_rows(env, form, "gradient", lambda: _gradient_entries(form))
-    if rows is not None:
-        return rows
-    entries = _gradient_entries(form)
-    return _point_rows([[_ZERO if e is None else _point_value(e[0], env) for e in row] for row in entries])
+    return _matrix_rows(env, form, "gradient", lambda: _gradient_entries(form))
 
 
 def gradient_rank_at(form, env):

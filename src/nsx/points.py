@@ -189,24 +189,6 @@ class PointView(Mapping):
         return repr(dict(self))
 
 
-def exact_at(expr, env):
-    """(numerator, den) of expr at env from its point set's column, or None
-    when env is not a `PointView` or the column has no exact value."""
-    if type(env) is not PointView:
-        return None
-    col = env.points.column(expr)
-    return None if col is None else (col[0][env.index], col[1])
-
-
-def exact_values(exprs, envs):
-    """Per point of envs, in order, the `exact_at` of each expression: read
-    off the set's columns once when envs is a point set."""
-    if not isinstance(envs, PointSet):
-        return ([exact_at(e, env) for e in exprs] for env in envs)
-    cols = [envs.column(e) for e in exprs]
-    return ([None if c is None else (c[0][i], c[1]) for c in cols] for i in range(len(envs)))
-
-
 def points_of(envs):
     """A point set of plain envs sharing one key order, in order.  Values
     stay the objects given, so each point reads as before."""

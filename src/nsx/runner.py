@@ -477,10 +477,9 @@ def _locus_report_result(report):
         "counterexamples": report.counterexamples,
         "notes": report.notes,
     }
-    detail = (
-        f"{report.on_count - report.on_failures}/{report.on_count} on-locus, "
-        f"{report.off_count - report.off_failures - report.non_finite - report.band}/{report.off_count} off-locus"
-    )
+    on_held = report.on_count - report.on_failures - report.on_non_finite - report.on_band
+    off_held = report.off_count - report.off_failures - report.off_non_finite - report.off_band
+    detail = f"{on_held}/{report.on_count} on-locus, {off_held}/{report.off_count} off-locus"
     return _locus_result(report, evidence, detail)
 
 
@@ -519,7 +518,7 @@ def _compare_forms(left, right, ctx, evidence):
     return "pass", "(equal)"
 
 
-def _run_closed(ctx, p):
+def run_closed(ctx, p):
     form = ctx.form(p["form"])
     residual = form.d()
     n = len(residual.comps)
@@ -530,7 +529,7 @@ def _run_closed(ctx, p):
     return ("pass" if n == 0 else "fail"), evidence, "(exact)" if n == 0 else f"({n} residual terms)"
 
 
-def _run_equal(ctx, p):
+def run_equal(ctx, p):
     left = ctx.form(p["left"])
     right = ctx.form(p["right"])
     evidence = {}
@@ -538,7 +537,7 @@ def _run_equal(ctx, p):
     return verdict, evidence, detail
 
 
-def _run_pullback_eq(ctx, p):
+def run_pullback_eq(ctx, p):
     cmap = ctx.scope.named("map", p["map"])
     upstairs = _subs_value(_value(ctx.scope, cmap.target, p["form"]), ctx.where)
     if not isinstance(upstairs, DForm):
@@ -570,7 +569,7 @@ def _sample_envs(ctx, p, chart):
     return envs
 
 
-def _run_rank_at(ctx, p):
+def run_rank_at(ctx, p):
     form = ctx.form(p["form"])
     expected = p["rank"]
     envs = _sample_envs(ctx, p, form.chart)
@@ -598,7 +597,7 @@ def _run_rank_at(ctx, p):
     return "pass", evidence, detail
 
 
-def _run_gradient_rank_at(ctx, p):
+def run_gradient_rank_at(ctx, p):
     form = ctx.form(p["form"])
     env = ctx.point_env(p["point"], form.chart)
     v = gradient_rank_at(form, env)
@@ -610,7 +609,7 @@ def _run_gradient_rank_at(ctx, p):
     return "pass", evidence, f"(rank {v.rank})"
 
 
-def _run_nearsympl_at(ctx, p):
+def run_nearsympl_at(ctx, p):
     form = ctx.form(p["form"])
     envs = _sample_envs(ctx, p, form.chart)
     failures = []
@@ -638,7 +637,7 @@ def _run_nearsympl_at(ctx, p):
     return "pass", evidence, f"({len(envs)} points)"
 
 
-def _run_contact(ctx, p):
+def run_contact(ctx, p):
     form = ctx.form(p["form"], degree=1, what="a 1-form")
     maps = [ctx.scope.named("map", m) for m in p["maps"]]
     parametrizations = maps if maps else [None]
@@ -695,7 +694,7 @@ def _run_contact(ctx, p):
     return ("pass" if verdict.passed else "fail"), evidence, detail
 
 
-def _run_vanishing_locus(ctx, p):
+def run_vanishing_locus(ctx, p):
     form = ctx.form(p["form"])
     off_form = ctx.form(p["off_form"]) if p["off_form"] is not None else None
     report = verify_vanishing_locus(
@@ -712,7 +711,7 @@ def _run_vanishing_locus(ctx, p):
     return _locus_report_result(report)
 
 
-def _run_rank_drop_locus(ctx, p):
+def run_rank_drop_locus(ctx, p):
     cmap = ctx.scope.named("map", p["map"])
     report = verify_rank_drop_locus(
         cmap,
@@ -726,7 +725,7 @@ def _run_rank_drop_locus(ctx, p):
     return _locus_report_result(report)
 
 
-def _run_fixed_points(ctx, p):
+def run_fixed_points(ctx, p):
     report = verify_fixed_points(
         ctx.vfield(p["field"]),
         ctx.locus(p["locus"]),
@@ -739,7 +738,7 @@ def _run_fixed_points(ctx, p):
     return _locus_report_result(report)
 
 
-def _run_dividing_set(ctx, p):
+def run_dividing_set(ctx, p):
     alpha = ctx.form(p["alpha"], degree=1, what="a 1-form")
     scalar = ctx.scalar(p["scalar"], what="the declared pairing")
     report = verify_dividing_set(
@@ -756,7 +755,7 @@ def _run_dividing_set(ctx, p):
     return _locus_report_result(report)
 
 
-def _run_bracket_table(ctx, p):
+def run_bracket_table(ctx, p):
     dim = p["dim"]
     ys = Chart(f"bt{dim}", tuple(f"y{i}" for i in range(1, dim + 1)))
     scratch = Scope(ctx.config)
@@ -784,7 +783,7 @@ def _run_bracket_table(ctx, p):
     return "fail", evidence, "(graph checks failed)"
 
 
-def _run_stabilize(ctx, p):
+def run_stabilize(ctx, p):
     eta = ctx.form(p["eta"], degree=2, what="a 2-form")
     base = ctx.form(p["base"], degree=2, what="a 2-form")
     envs = region_envs(ctx.region(p["region"]), derive_seed(ctx.seed, "stabilize"))
@@ -803,7 +802,7 @@ def _run_stabilize(ctx, p):
     return "fail", evidence, f"(no constant up to {k_max})"
 
 
-def _run_property(ctx, p):
+def run_property(ctx, p):
     passed, evidence = run_property_battery(
         p["name"], p["samples"], p["dims"], derive_seed(ctx.seed, "prop", p["name"])
     )
@@ -815,7 +814,7 @@ def _run_property(ctx, p):
     return ("pass" if passed else "fail"), evidence, detail
 
 
-def _run_positive(ctx, p):
+def run_positive(ctx, p):
     form = ctx.form(p["form"])
     report = verify_positive(
         form,
@@ -831,23 +830,8 @@ def _run_positive(ctx, p):
     return _locus_result(report, evidence, f"{report.on_count} samples")
 
 
-_RUNNERS = {
-    "closed": _run_closed,
-    "equal": _run_equal,
-    "rank_at": _run_rank_at,
-    "nearsympl_at": _run_nearsympl_at,
-    "gradient_rank_at": _run_gradient_rank_at,
-    "contact": _run_contact,
-    "vanishing_locus": _run_vanishing_locus,
-    "rank_drop_locus": _run_rank_drop_locus,
-    "fixed_points": _run_fixed_points,
-    "dividing_set": _run_dividing_set,
-    "pullback_eq": _run_pullback_eq,
-    "bracket_table": _run_bracket_table,
-    "stabilize": _run_stabilize,
-    "property": _run_property,
-    "positive": _run_positive,
-}
+# The runner of each check kind is its run_<kind> function above.
+_RUNNERS = {kind: globals()[f"run_{kind}"] for kind in dsl.CHECK_KINDS}
 
 
 def run_check(scope, stmt, sid, index, config):

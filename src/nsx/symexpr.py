@@ -664,6 +664,15 @@ def evaluate(expr, env):
     return Fraction(*value) if value[0] else _F0
 
 
+def ratio_float(p, q):
+    """p / q for ints p and q > 0, correctly rounded as float(Fraction(p, q))
+    is, or an infinity of its sign past the float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
 def _point_value(expr, env):
     """evaluate's value as an exact pair (p, q) with q > 0, or a float.
 
@@ -788,7 +797,7 @@ def _plan_value(den, terms, env):
                 total_q = total_q // g * q
     total_q *= den
     if has_float:
-        return total_p / total_q + float_sum
+        return ratio_float(total_p, total_q) + float_sum
     return total_p, total_q
 
 
@@ -808,8 +817,7 @@ def _deferred_value(p, q, floats, others, env):
         if v == 0 and e < 0:
             raise EvaluationError(f"zero atom sym raised to power {e}")
         if result is _EXACT:
-            # int / int rounds the quotient once, as float(Fraction) does.
-            result = p / q
+            result = ratio_float(p, q)
         result = result * v**e
     for atom, e in others:
         v = _atom_value(atom, env)
@@ -817,7 +825,7 @@ def _deferred_value(p, q, floats, others, env):
             raise EvaluationError(f"zero atom {_KIND_NAMES[atom[0]]} raised to power {e}")
         if isinstance(v, float):
             if result is _EXACT:
-                result = p / q
+                result = ratio_float(p, q)
             result = result * v**e
         elif v == 0:
             return None
@@ -834,13 +842,13 @@ def _atom_value(atom, env):
         return math.pi
     if kind == _OPQ:
         v = _env_value(env, atom[2])
-        return float(_opaque_numeric(atom[1])(v[0] / v[1] if type(v) is tuple else v))
+        return float(_opaque_numeric(atom[1])(ratio_float(*v) if type(v) is tuple else v))
     _, den, terms = _plan(atom[1])
     arg = _plan_value(den, terms, env)
     if type(arg) is tuple:
         if not arg[0]:
             return 0 if kind == _SIN else 1
-        arg = arg[0] / arg[1]
+        arg = ratio_float(*arg)
     return _TRANSCENDENTAL[kind](arg)
 
 

@@ -154,6 +154,19 @@ def test_a_bound_too_large_for_a_float_ends_in_verdicts(tmp_path, capsys):
     )
 
 
+def test_an_exact_value_past_the_float_range_is_non_finite(tmp_path, capsys):
+    # exp(x) is exactly 1 at x = 0 and infinite as a float at every other
+    # sample, whose exact argument is too large for a float.
+    path = tmp_path / "huge.nsx"
+    path.write_text(HUGE_REGION + "check positive exp(x) region R\n")
+    report = tmp_path / "report.json"
+    assert cli.main(["check", str(path), "--json", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    check = json.loads(report.read_text())["scenarios"][0]["checks"][2]
+    assert (check["verdict"], check["detail"]) == ("undecided", "(12 samples, 10 non-finite)")
+    assert check["evidence"] == {"counterexamples": [], "failures": 0, "non_finite": 10, "samples": 12}
+
+
 @pytest.mark.parametrize("interval", ["[2, 1]", "[0.5, 1/3]"])
 def test_an_empty_interval_is_an_elaboration_error(tmp_path, interval):
     path = tmp_path / "empty.nsx"

@@ -37,7 +37,6 @@ from nsx.pointcheck import (
     near_symplectic_at,
     rank_at,
 )
-from nsx.points import exact_at
 from nsx.symexpr import PI, evaluate, exp_of, opaque_fn, rat, sin_of, sym
 
 C2 = Chart("c2", ("x", "y"))
@@ -734,6 +733,36 @@ def test_vanishing_locus_detects_on_failures():
     assert all(c["reason"] == "nonzero on locus" for c in rep.counterexamples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vanishing_locus_non_finite_on_samples_are_undecided(register_opaque, bad):
+    # badf(y) is NaN or inf at each of the 3 lattice points on x = 0: no
+    # sample fails, and each is counted under non_finite on the locus side.
+    register_opaque("badf", lambda t: np.full(np.shape(t), bad))
+    form = coord_differential(C2, "x") * opaque_fn("badf", "y")
+    locus = CoordLocus(C2, (("x", F(0)),))
+    rep = verify_vanishing_locus(form, locus, _region(count=8), off_mode="none")
+    assert rep.undecided and rep.on_failures == 0 and not rep.counterexamples
+    assert (rep.on_count, rep.on_non_finite, rep.off_non_finite, rep.non_finite) == (3, 3, 0, 3)
+
+
+def test_on_locus_failures_count_once_per_sample():
+    # Neither coefficient vanishes at the 3 samples on x = 0; each sample
+    # is one counterexample, valued at its first coefficient, 1 + y^2.
+    form = coord_differential(C2, "x") * (sym("y") ** 2 + 1) + coord_differential(C2, "y") * (sym("y") ** 2 + 2)
+    rep = verify_vanishing_locus(form, CoordLocus(C2, (("x", F(0)),)), _region(), off_mode="none")
+    assert rep.on_failures == 3
+    assert [c["value"] for c in rep.counterexamples] == ["2", "1", "2"]
+
+
+def test_on_locus_exact_nonzero_decides_beside_a_float():
+    # Both coefficients are below tol: the first is the exact 10^-12 and the
+    # second the float pi/10^12.  The exact value still fails every sample.
+    form = coord_differential(C2, "x") * rat(1, 10**12) + coord_differential(C2, "y") * (PI * rat(1, 10**12))
+    rep = verify_vanishing_locus(form, CoordLocus(C2, (("x", F(0)),)), _region(), off_mode="none")
+    assert rep.on_failures == 3 and not rep.undecided
+    assert {c["value"] for c in rep.counterexamples} == {"1/1000000000000"}
+
+
 def test_vanishing_counterexamples_are_capped():
     wide = _region(lattice=(17, 17), count=0)
     rep = verify_vanishing_locus(_dy_times_x(), CoordLocus(C2, (("y", F(0)),)), wide)
@@ -989,9 +1018,9 @@ def test_point_sets_decide_as_their_plain_envs(case):
         env = dict(view)
         value = _outcome(evaluate, expr, env)
         assert _outcome(evaluate, expr, view) == value
-        exact = exact_at(expr, view)
-        if exact is not None:
-            assert F(*exact) == value
+        col = view.points.column(expr)
+        if col is not None:
+            assert F(col[0][view.index], col[1]) == value
         assert region.contains(view) == region.contains(env)
         assert _outcome(form_matrix_at, form, view) == _outcome(form_matrix_at, form, env)
         assert _outcome(_gradient_values, form, view) == _outcome(_gradient_values, form, env)

@@ -374,6 +374,28 @@ def test_non_finite_locus_samples_are_undecided(register_opaque):
     assert rec.detail == "(3/3 on-locus, 0/16 off-locus, 16 non-finite)"
 
 
+def test_locus_tallies_subtract_only_their_own_side(register_opaque):
+    import numpy as np
+
+    # nan0(x) is NaN on x = 0 and x elsewhere: the on-locus samples are
+    # non-finite, and every off-locus sample holds.
+    register_opaque("nan0", lambda t: np.where(np.asarray(t, dtype=float) == 0, np.nan, t))
+    text = (
+        "chart C(x, y)\n"
+        "opaque nan0\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 16\n"
+        "locus L on C = coords(x = 0)\n"
+        "check vanishing_locus nan0(x)*d(y) on L region R\n"
+        "check vanishing_locus (1 + y^2)*d(x) + (2 + y^2)*d(y) on L region R expect fail\n"
+    )
+    nan_on, failing = _run(text).checks
+    assert nan_on.verdict == "undecided" and nan_on.evidence["non_finite"] == 3
+    assert nan_on.detail == "(0/3 on-locus, 16/16 off-locus, 3 non-finite)"
+    # One failure per sample, not one per nonvanishing coefficient.
+    assert failing.verdict == "fail" and failing.evidence["on_failures"] == 3
+    assert failing.detail == "(0/3 on-locus, 16/16 off-locus)"
+
+
 def test_non_finite_positive_samples_are_undecided(register_opaque):
     import numpy as np
 
