@@ -947,14 +947,16 @@ def _read_margin(p):
     return margin
 
 
-_VIA_MARGIN = {"via": _name("via", "a map name"), "margin": _Field("margin", _read_margin)}
+_MARGIN = {"margin": _Field("margin", _read_margin)}
+# The options of the locus checks whose expressions are pulled through a map.
+_VIA_MARGIN = {"via": _name("via", "a map name"), **_MARGIN}
 
 
 class _Place:
     """Where a pointwise check looks: `at (point)`, or
-    `on|off L region R [points n] [via m] [margin q]`."""
+    `on|off L region R [points n] [margin q]`."""
 
-    _sampled = _Spec(_LOCUS, *_REGION, points=_count("points", "a point count"), **_VIA_MARGIN)
+    _sampled = _Spec(_LOCUS, *_REGION, points=_count("points", "a point count"), **_MARGIN)
 
     def read(self, parser, out):
         if parser.eat_keyword("at"):
@@ -992,7 +994,7 @@ CHECK_SPECS = {
     "vanishing_locus": _Spec(_expr("form"), *_ON_LOCUS, off=_OffMode(), **_VIA_MARGIN),
     "rank_drop_locus": _Spec(
         _name("map", "a map name"), *_ON_LOCUS,
-        "regular", _int("regular", "a rank"), "singular", _int("singular", "a rank"), **_VIA_MARGIN,
+        "regular", _int("regular", "a rank"), "singular", _int("singular", "a rank"), **_MARGIN,
     ),
     "fixed_points": _Spec(_name("field", "a field name"), *_ON_LOCUS, **_VIA_MARGIN),
     "dividing_set": _Spec(

@@ -17,8 +17,9 @@ A random draw of an interval is one of its 2**12 + 1 dyadic points:
 fraction of the way in floats on a float-bounded one.  Seeded draws read
 their k values in batches from their own generator (`_DyadicStream`) and
 are kept as `_DyadicPoints`.  Every sample population is a point set
-(`points.PointSet`): the draws, a region's lattice, a coordinate locus's
-lattice with its pins, and a list of points.  A point reads as a
+(`points.PointSet`) over its chart's coordinates: the draws, a region's
+lattice, a coordinate locus's lattice with its pins, a points locus, a
+map's image points and a union's parts in turn.  A point reads as a
 read-only view of its set, and exact values, point matrices and region
 tests are computed once per set, by column.  Off-locus draws are taken
 by rejection against the targets, the tuples of (coord, value) pins that
@@ -31,7 +32,10 @@ Every sample claim is decided by `_decide` under one rule: a float
 decides only outside the tolerance band, an exact value decides where
 one is computed, and a float inside the band or a NaN or infinite value
 decides nothing; the report counts such a sample under `band` or
-`non_finite`, per side, and is undecided.
+`non_finite`, per side, and is undecided.  `vanishing_locus`,
+`fixed_points` and `dividing_set` run one on/off sequence,
+`_verify_locus`, in which an on-locus sample outside the region is one
+counterexample and is not decided.
 """
 
 from __future__ import annotations
@@ -171,14 +175,12 @@ class Region:
         return tuple(_dyadic_axis(lo, hi) for lo, hi in self.intervals)
 
     def contains(self, env):
-        if type(env) is PointView:
-            points = env.points
-            return points.cached(self, "inside", lambda: self._inside(points))[env.index]
-        for c, (lo, hi) in zip(self.chart.coords, self.intervals):
-            v = env[c]
-            if v < lo or v > hi:
-                return False
-        return True
+        """Whether a point lies in the region: a `PointView`, read off its
+        set's `_inside`, or a plain dict, taken as a one-point set."""
+        if type(env) is not PointView:
+            env = points_of([env], self.chart.coords)[0]
+        points = env.points
+        return points.cached(self, "inside", lambda: self._inside(points))[env.index]
 
     def _inside(self, points):
         """contains() at every point of a set, read by column: an exact
@@ -303,28 +305,28 @@ class EmptyLocus:
 
 
 def _locus_on_envs(locus, region, seed):
+    """The locus's on-locus samples as one point set; a coordinate locus's
+    points read with the pins first, then the free coordinates."""
     if isinstance(locus, EmptyLocus):
-        return []
+        return points_of([], locus.chart.coords)
     if isinstance(locus, PointsLocus):
-        return points_of(dict(p) for p in locus.points)
+        return points_of(map(dict, locus.points), locus.chart.coords)
     if isinstance(locus, CoordLocus):
         pinned = locus.pinned
         if region is None:
             if len(pinned) != len(locus.chart.coords):
                 raise DomainError("a partial coordinate locus needs an ambient region")
-            return points_of([pinned])
+            return points_of([pinned], tuple(pinned))
         free = [c for c in locus.chart.coords if c not in pinned]
         return _lattice_product(pinned, region, free)
     if isinstance(locus, ImageLocus):
         src = region_envs(locus.source_region, derive_seed(seed, "image-locus"))
         if locus.cmap is None:
             return src
-        return [locus.cmap.apply(e) for e in src]
+        return points_of(map(locus.cmap.apply, src), locus.chart.coords)
     if isinstance(locus, UnionLocus):
-        out = []
-        for i, part in enumerate(locus.parts):
-            out.extend(_locus_on_envs(part, region, derive_seed(seed, "union", i)))
-        return out
+        parts = [_locus_on_envs(part, region, derive_seed(seed, "union", i)) for i, part in enumerate(locus.parts)]
+        return sum(parts[1:], parts[0])
     raise DomainError(f"unknown locus flavour {type(locus).__name__}")
 
 
@@ -663,6 +665,18 @@ class LocusReport:
         if note:
             self.notes.append(note)
 
+    def add_undecided(self, side, band, non_finite=0):
+        """Count samples on `side` that no value decides, inside the band
+        or non-finite; any such sample leaves the report undecided."""
+        if side == "on":
+            self.on_band += band
+            self.on_non_finite += non_finite
+        else:
+            self.off_band += band
+            self.off_non_finite += non_finite
+        if band or non_finite:
+            self.undecided = True
+
     def add_counterexample(self, env, reason, value=None, side=None):
         self.passed = False
         if side == "on":
@@ -681,19 +695,20 @@ def _printable(v):
     return v if isinstance(v, float) else str(v)
 
 
-def _pull_subject(subject, via):
-    """Rewrite a form, field-component list, or scalar through a map.
+def _pull_subject(via, *expr_lists):
+    """Each list of expressions composed with a map, each distinct
+    expression once; the lists as given without a map.
 
-    With `via`, the locus and region live on via.source and the subject
-    on via.target; composing with the map moves the whole check to the
-    source chart.
+    With `via`, the locus and region live on via.source and the
+    expressions on via.target; composing with the map moves the whole
+    check to the source chart.
     """
     if via is None:
-        return subject
+        return expr_lists
     subst = via.substitution()
-    if isinstance(subject, list):
-        return [e.subs(subst) for e in subject]
-    return subject.subs(subst)
+    distinct = dict.fromkeys(e for exprs in expr_lists for e in exprs)
+    pulled = {e: e.subs(subst) for e in distinct}
+    return [[pulled[e] for e in exprs] for exprs in expr_lists]
 
 
 @dataclass(frozen=True)
@@ -746,25 +761,14 @@ _MODES = {
 
 
 def _point_values(exprs, envs):
-    """Per point of envs, in order, a tuple of each expression's value as an
-    exact pair (p, q), q > 0, or a float: its point set's integer column
-    entry where the set has one, else `_point_value` at the point."""
-    if not isinstance(envs, PointSet):
-        return zip(*[[_value_at(e, env) for env in envs] for e in exprs])
+    """Per point of the set envs, in order, a tuple of each expression's
+    value as an exact pair (p, q), q > 0, or a float: the set's integer
+    column entry where the set has one, else `_point_value` at the point."""
     columns = []
     for e in exprs:
         col = envs.column(e)
         columns.append([_point_value(e, env) for env in envs] if col is None else [(p, col[1]) for p in col[0]])
     return zip(*columns)
-
-
-def _value_at(expr, env):
-    """`_point_values` at one point of a list."""
-    if type(env) is PointView:
-        col = env.points.column(expr)
-        if col is not None:
-            return col[0][env.index], col[1]
-    return _point_value(expr, env)
 
 
 def _float_values(exprs, envs):
@@ -823,14 +827,7 @@ def _decide(report, exprs, envs, mode, tol, side, reason, screen):
                 band += 1
             else:
                 fails.append((rows[j], next(float(v) for v in vals[:, j] if abs(v) > tol)))
-    if side == "on":
-        report.on_non_finite += non_finite
-        report.on_band += band
-    else:
-        report.off_non_finite += non_finite
-        report.off_band += band
-    if non_finite or band:
-        report.undecided = True
+    report.add_undecided(side, band, non_finite)
     for i, value in sorted(fails, key=lambda f: f[0]):
         report.add_counterexample(envs[i], reason, value, side=side)
 
@@ -855,6 +852,41 @@ def _enforce_floors(report, locus, off_mode):
         report.fail(f"only {report.off_count} off-locus samples, need {MIN_OFF_SAMPLES}")
 
 
+def _verify_locus(report, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed):
+    """The on/off sequence of a locus check, recorded on the report.
+
+    The locus is sampled and each sample tested against the region: a
+    sample outside it is one counterexample and is not decided further.
+    The expressions are pulled through `via`; `_decide` holds on_exprs to
+    vanish at the other samples, exact first, and off_exprs to `off_mode`
+    (`_MODES`, or "none" to waive it) at margin-separated off-locus samples
+    behind the float screen, with `reason` for each violation.  No
+    off-locus expression means an identically zero off-locus form, which
+    fails at every off-locus sample.  Then the sample floors apply.
+    """
+    sampler = LocusSampler(locus, region, seed)
+    on_envs = sampler.on_envs
+    report.on_count = len(on_envs)
+    if region is not None:
+        outside = [e for e in on_envs if not region.contains(e)]
+        for e in outside:
+            report.add_counterexample(e, "locus sample outside region", side="on")
+        if outside:
+            on_envs = points_of([e for e in on_envs if region.contains(e)], on_envs.coords)
+    on_exprs, off_exprs = _pull_subject(via, on_exprs, off_exprs)
+    _decide(report, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
+    if off_mode != "none":
+        envs = _off_envs(report, sampler, margin, seed)
+        if off_exprs:
+            _decide(report, off_exprs, envs, off_mode, tol, "off", reason, screen=True)
+        else:
+            for env in envs:
+                report.add_counterexample(env, reason, 0, side="off")
+            report.fail("off-locus form is identically zero")
+    _enforce_floors(report, locus, off_mode)
+    return report
+
+
 def verify_vanishing_locus(
     form,
     locus,
@@ -873,8 +905,8 @@ def verify_vanishing_locus(
     Modes: nonzero (some coefficient exceeds tol in absolute value),
     positive / negative (single-coefficient forms only, strict sign
     beyond tol), none (off requirement waived; an identically zero form
-    passes only under this waiver).  `_decide` decides both sides, exact
-    first on the locus and behind a float screen off it.
+    passes only under this waiver).  `_verify_locus` runs the on/off
+    sequence.
 
     With `via`, the forms live on via.target while locus and region live
     on via.source; coefficients are composed with the map, which tests
@@ -884,38 +916,17 @@ def verify_vanishing_locus(
     if off_mode not in ("nonzero", "positive", "negative", "none"):
         raise DomainError(f"unknown off-locus mode {off_mode!r}")
     report = LocusReport(kind="vanishing_locus", passed=True)
-    sampler = LocusSampler(locus, region, seed)
-    on_envs = sampler.on_envs
-    report.on_count = len(on_envs)
-
-    if region is not None:
-        outside = [e for e in on_envs if not region.contains(e)]
-        for e in outside:
-            report.add_counterexample(e, "locus sample outside region", side="on")
-
-    on_exprs = _pull_subject([form.comps[k] for k in sorted(form.comps)], via)
+    on_exprs = [form.comps[k] for k in sorted(form.comps)]
     if not on_exprs:
         report.notes.append("form is identically zero")
-    _decide(report, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
-
-    if off_mode != "none":
-        target = form if off_form is None else off_form
-        off_exprs = _pull_subject([target.comps[k] for k in sorted(target.comps)], via)
-        if off_mode in ("positive", "negative") and len(off_exprs) > 1:
-            raise DomainError(f"{off_mode} requires a single-coefficient form")
-        envs = _off_envs(report, sampler, margin, seed)
-        reason = f"off-locus {off_mode} violated"
-        if not off_exprs:
-            for env in envs:
-                report.add_counterexample(env, reason, 0, side="off")
-            report.fail("off-locus form is identically zero")
-        else:
-            _decide(report, off_exprs, envs, off_mode, tol, "off", reason, screen=True)
-    else:
+    target = form if off_form is None else off_form
+    off_exprs = [target.comps[k] for k in sorted(target.comps)]
+    if off_mode in ("positive", "negative") and len(off_exprs) > 1:
+        raise DomainError(f"{off_mode} requires a single-coefficient form")
+    if off_mode == "none":
         report.notes.append("off-locus requirement waived")
-
-    _enforce_floors(report, locus, off_mode)
-    return report
+    reason = f"off-locus {off_mode} violated"
+    return _verify_locus(report, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed)
 
 
 def verify_positive(
@@ -952,7 +963,8 @@ def verify_rank_drop_locus(
     seed=0,
 ):
     """Jacobian rank of `cmap` equals singular_rank on the locus and
-    regular_rank at margin-separated off-locus samples.
+    regular_rank at margin-separated off-locus samples.  A sample whose
+    rank is undecided counts under its side's band, as in `_decide`.
     """
     report = LocusReport(kind="rank_drop_locus", passed=True)
     sampler = LocusSampler(locus, region, seed)
@@ -962,8 +974,7 @@ def verify_rank_drop_locus(
         for env in envs:
             verdict = map_rank_at(cmap, env)
             if verdict.undecided:
-                report.add_counterexample(env, f"{label}: rank undecided", side=side)
-                report.undecided = True
+                report.add_undecided(side, 1)
             elif verdict.rank != expected:
                 report.add_counterexample(
                     env, f"{label}: rank {verdict.rank}, expected {expected}", side=side
@@ -994,20 +1005,11 @@ def verify_fixed_points(
     margins live on via.source; components are pulled through the map.
     """
     report = LocusReport(kind="fixed_points", passed=True)
-    comps = [xfield.comps.get(i, None) for i in range(xfield.chart.dim)]
-    comps = [c for c in comps if c is not None]
-    comps = _pull_subject(comps, via)
+    comps = [xfield.comps[i] for i in sorted(xfield.comps)]
     if not comps:
         report.fail("field is identically zero")
         return report
-
-    sampler = LocusSampler(locus, region, seed)
-    report.on_count = len(sampler.on_envs)
-    _decide(report, comps, sampler.on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
-    envs = _off_envs(report, sampler, margin, seed)
-    _decide(report, comps, envs, "field-norm", tol, "off", "field zero off locus", screen=True)
-    _enforce_floors(report, locus, "nonzero")
-    return report
+    return _verify_locus(report, comps, comps, "field-norm", "field zero off locus", locus, region, via, margin, tol, seed)
 
 
 def verify_dividing_set(
@@ -1054,11 +1056,5 @@ def verify_dividing_set(
         report.fail("pairing is identically zero; locus claim is degenerate")
         return report
 
-    scalar = _pull_subject(declared_scalar, via)
-    sampler = LocusSampler(locus, region, seed)
-    report.on_count = len(sampler.on_envs)
-    _decide(report, [scalar], sampler.on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
-    envs = _off_envs(report, sampler, margin, seed)
-    _decide(report, [scalar], envs, "nonzero", tol, "off", "off-locus nonzero violated", screen=True)
-    _enforce_floors(report, locus, "nonzero")
-    return report
+    scalar = [declared_scalar]
+    return _verify_locus(report, scalar, scalar, "nonzero", "off-locus nonzero violated", locus, region, via, margin, tol, seed)

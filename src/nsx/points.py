@@ -137,11 +137,10 @@ class PointSet(Sequence):
     __hash__ = None
 
     def __add__(self, other):
-        """The points of self, then those of other: a set when other is a
-        set over the same coordinates, a list otherwise."""
-        if isinstance(other, PointSet) and other.coords == self.coords:
-            return PointSet(self.coords, [a + b for a, b in zip(self.columns, other.columns)], self.n + other.n)
-        return list(self) + list(other)
+        """The points of self, then those of other, a set over self's
+        coordinates: other's columns are read by coordinate name."""
+        cols = other.columns
+        return PointSet(self.coords, [a + cols[other.slots[c]] for c, a in zip(self.coords, self.columns)], self.n + other.n)
 
     def __repr__(self):
         return f"{type(self).__name__}({list(map(dict, self))!r})"
@@ -189,11 +188,8 @@ class PointView(Mapping):
         return repr(dict(self))
 
 
-def points_of(envs):
-    """A point set of plain envs sharing one key order, in order.  Values
+def points_of(envs, coords):
+    """The point set of envs, Mappings over `coords`, in order.  Values
     stay the objects given, so each point reads as before."""
     envs = list(envs)
-    coords = tuple(envs[0]) if envs else ()
-    if any(tuple(e) != coords for e in envs):
-        return envs
     return PointSet(coords, [Column([e[c] for e in envs]) for c in coords], len(envs))

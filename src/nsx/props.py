@@ -18,8 +18,6 @@ from .symexpr import _SYM, _canonical, _normalize_monomial, rat
 
 __all__ = ["run_property_battery", "PROPERTY_NAMES"]
 
-PROPERTY_NAMES = ("dd_zero", "graded_comm", "functorial", "antiderivation", "double_star")
-
 _DEFAULT_DIMS = (2, 3, 4, 5, 6)
 
 _NUMERATORS = (-3, -2, -1, 1, 2, 3)
@@ -113,75 +111,63 @@ def _rand_map(rng, source, target):
     return ChartMap("phi", source, target, comps)
 
 
-def _run_dd_zero(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        chart = _chart(rng.choice(dims))
-        degree = rng.randrange(0, chart.dim)
-        form = _rand_form(rng, chart, degree)
-        if form.d().d().comps:
-            failures += 1
-    return failures
+def _dd_zero(rng, dims):
+    chart = _chart(rng.choice(dims))
+    degree = rng.randrange(0, chart.dim)
+    form = _rand_form(rng, chart, degree)
+    return bool(form.d().d().comps)
 
 
-def _run_graded_comm(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        chart = _chart(rng.choice(dims))
-        p = rng.randrange(0, chart.dim + 1)
-        q = rng.randrange(0, chart.dim - p + 1)
-        a = _rand_form(rng, chart, p)
-        b = _rand_form(rng, chart, q)
-        lhs = a.wedge(b)
-        rhs = b.wedge(a)
-        if p * q % 2:
-            rhs = -rhs
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _graded_comm(rng, dims):
+    chart = _chart(rng.choice(dims))
+    p = rng.randrange(0, chart.dim + 1)
+    q = rng.randrange(0, chart.dim - p + 1)
+    a = _rand_form(rng, chart, p)
+    b = _rand_form(rng, chart, q)
+    rhs = b.wedge(a)
+    return a.wedge(b) != (-rhs if p * q % 2 else rhs)
 
 
-def _run_functorial(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        db = rng.choice(dims)
-        da = rng.choice(dims)
-        source, target = _chart(da), _chart(db)
-        if source == target:
-            # Move the target up a dimension, or down from the largest
-            # declared one; no chart has 0 coordinates, so 1 moves up.
-            target = _chart(db + 1 if db < max(dims) or db == 1 else db - 1)
-        phi = _rand_map(rng, source, target)
-        p = rng.randrange(0, target.dim)
-        q = rng.randrange(0, target.dim - p + 1)
-        a = _rand_form(rng, target, p)
-        b = _rand_form(rng, target, q)
-        if phi.pullback(a.wedge(b)) != phi.pullback(a).wedge(phi.pullback(b)):
-            failures += 1
-    return failures
+def _functorial(rng, dims):
+    db = rng.choice(dims)
+    da = rng.choice(dims)
+    source, target = _chart(da), _chart(db)
+    if source == target:
+        # Move the target up a dimension, or down from the largest
+        # declared one; no chart has 0 coordinates, so 1 moves up.
+        target = _chart(db + 1 if db < max(dims) or db == 1 else db - 1)
+    phi = _rand_map(rng, source, target)
+    p = rng.randrange(0, target.dim)
+    q = rng.randrange(0, target.dim - p + 1)
+    a = _rand_form(rng, target, p)
+    b = _rand_form(rng, target, q)
+    return phi.pullback(a.wedge(b)) != phi.pullback(a).wedge(phi.pullback(b))
 
 
-def _run_antiderivation(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        chart = _chart(rng.choice(dims))
-        p = rng.randrange(0, chart.dim)
-        q = rng.randrange(0, chart.dim - p)
-        a = _rand_form(rng, chart, p)
-        b = _rand_form(rng, chart, q)
-        lhs = a.wedge(b).d()
-        second = a.wedge(b.d())
-        if p % 2:
-            second = -second
-        rhs = a.d().wedge(b) + second
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _antiderivation(rng, dims):
+    chart = _chart(rng.choice(dims))
+    p = rng.randrange(0, chart.dim)
+    q = rng.randrange(0, chart.dim - p)
+    a = _rand_form(rng, chart, p)
+    b = _rand_form(rng, chart, q)
+    second = a.wedge(b.d())
+    return a.wedge(b).d() != a.d().wedge(b) + (-second if p % 2 else second)
 
 
-def _run_double_star(rng, samples, dims):
-    """Exhaustive over basis forms; `samples` is ignored and the checked
-    count is returned through the evidence instead."""
+# The sampled batteries: each identity draws one random instance and
+# returns whether it is violated.
+_BATTERIES = {
+    "dd_zero": _dd_zero,
+    "graded_comm": _graded_comm,
+    "functorial": _functorial,
+    "antiderivation": _antiderivation,
+}
+
+PROPERTY_NAMES = (*_BATTERIES, "double_star")
+
+
+def _run_double_star(dims):
+    """Exhaustive over basis forms: (failures, forms checked)."""
     failures = 0
     checked = 0
     for dim in dims:
@@ -212,24 +198,19 @@ def _check_count(name, n, most=None):
 
 def run_property_battery(name, samples, dims, seed):
     """Returns (passed, evidence dict).  `samples` may be None, for 100
-    samples, and `dims` empty or None, for dimensions 2 to 6."""
+    samples, and `dims` empty or None, for dimensions 2 to 6; double_star
+    checks every basis form and ignores `samples`."""
+    if name not in PROPERTY_NAMES:
+        raise DomainError(f"unknown property battery {name!r}")
     if samples is not None:
         _check_count("samples", samples)
     dims = tuple(dims) if dims else _DEFAULT_DIMS
     for dim in dims:
         _check_count("dims", dim, MAX_DIM)
-    rng = random.Random(seed)
     if name == "double_star":
-        failures, checked = _run_double_star(rng, samples, dims)
+        failures, checked = _run_double_star(dims)
         return failures == 0, {"checked": checked, "failures": failures, "dims": list(dims)}
-    runners = {
-        "dd_zero": _run_dd_zero,
-        "graded_comm": _run_graded_comm,
-        "functorial": _run_functorial,
-        "antiderivation": _run_antiderivation,
-    }
-    if name not in runners:
-        raise ValueError(f"unknown property battery {name!r}")
+    rng = random.Random(seed)
     count = 100 if samples is None else samples
-    failures = runners[name](rng, count, dims)
+    failures = sum(_BATTERIES[name](rng, dims) for _ in range(count))
     return failures == 0, {"samples": count, "failures": failures, "dims": list(dims)}

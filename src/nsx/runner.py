@@ -48,6 +48,7 @@ from .pointcheck import (
     rank_at,
     stabilizing_constant_search,
 )
+from .points import points_of
 from .props import run_property_battery
 from .symexpr import (
     PI,
@@ -552,9 +553,11 @@ def run_pullback_eq(ctx, p):
 
 
 def _sample_envs(ctx, p, chart):
-    """The declared point, or the samples on or off the declared locus."""
+    """The declared point as a one-point set, or the samples on or off the
+    declared locus."""
     if p["mode"] == "at":
-        return [ctx.point_env(p["point"], chart)]
+        env = ctx.point_env(p["point"], chart)
+        return points_of([env], tuple(env))
     locus = ctx.locus(p["locus"])
     region = ctx.region(p["region"])
     sampler = LocusSampler(locus, region, ctx.seed)

@@ -1,5 +1,6 @@
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,8 +193,8 @@ def test_builtin_scenarios_round_trip():
 CHECK_BODIES = {
     "closed": ["om"],
     "equal": ["om, d(x)"],
-    "rank_at": ["om, 2 at (x=1, y=-1/2)", "om, 2 on L region R", "om, 0 off L region R points 4 via m margin 1/8"],
-    "nearsympl_at": ["om at (x=0, y=0)", "om on L region R points 3 via m margin 1/4", "om off L region R"],
+    "rank_at": ["om, 2 at (x=1, y=-1/2)", "om, 2 on L region R", "om, 0 off L region R points 4 margin 1/8"],
+    "nearsympl_at": ["om at (x=0, y=0)", "om on L region R points 3 margin 1/4", "om off L region R"],
     "gradient_rank_at": ["om, 3 at (x=0, y=0)"],
     "contact": ["al", "al via (m1, m2) grid 64 aux 8"],
     "vanishing_locus": [
@@ -202,7 +203,7 @@ CHECK_BODIES = {
         "om on L region R off negative",
         "om on L region R off none",
     ],
-    "rank_drop_locus": ["f on L region R regular 4 singular 3", "f on L region R regular 4 singular 3 via m margin 1/8"],
+    "rank_drop_locus": ["f on L region R regular 4 singular 3", "f on L region R regular 4 singular 3 margin 1/8"],
     "fixed_points": ["X on L region R", "X on L region R via m margin 1/2"],
     "dividing_set": ["al, X, 5/2*x on L region R", "al, X, x on L region R via m margin 1/8"],
     "pullback_eq": ["m, d(x), d(y)"],
@@ -232,11 +233,45 @@ def test_every_kind_has_a_runner():
     assert set(runner._RUNNERS) == set(CHECK_KINDS)
 
 
+class _ReadKeys(Mapping):
+    """A check payload that records in `read` each key its runner reads."""
+
+    def __init__(self, payload, read):
+        self.payload, self.read = payload, read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.payload[key]
+
+    def __iter__(self):
+        return iter(self.payload)
+
+    def __len__(self):
+        return len(self.payload)
+
+
+def test_every_check_option_is_read(monkeypatch):
+    # The suite's checks cover every kind.  Each field that a kind's checks
+    # carry is read by the runner of at least one of them, so no option is
+    # parsed and then ignored.
+    carried, read = {}, {}
+    for kind, run in list(runner._RUNNERS.items()):
+
+        def recording(ctx, p, kind=kind, run=run):
+            carried.setdefault(kind, set()).update(p)
+            return run(ctx, _ReadKeys(p, read.setdefault(kind, set())))
+
+        monkeypatch.setitem(runner._RUNNERS, kind, recording)
+    runner.run_suite()
+    assert set(carried) == set(CHECK_KINDS)
+    assert {kind: keys - read[kind] for kind, keys in carried.items()} == {kind: set() for kind in carried}
+
+
 def test_keyword_options_in_any_order():
     # A repeated option keeps its last value.
     for canonical, shuffled in [
         ("check contact al via (m) grid 64 aux 8", "check contact al aux 8 grid 3 via (m) grid 64"),
-        ("check rank_at om, 2 off L region R points 4 via m margin 1/8", "check rank_at om, 2 off L region R margin 1/8 via m points 4"),
+        ("check rank_at om, 2 off L region R points 4 margin 1/8", "check rank_at om, 2 off L region R margin 1/8 points 4"),
         ("check property dd_zero samples 10 dims (2, 3)", "check property dd_zero dims (2, 3) samples 10"),
         ("check vanishing_locus om on L region R off none via m", "check vanishing_locus om on L region R via m off none"),
         ("check vanishing_locus om on L region R off none", "check vanishing_locus om on L region R off positive(om2) off none"),
@@ -414,6 +449,10 @@ def test_check_kinds_inventory():
         ("chart C(x, y)\ncheck property dd_zero samples 0\n", 2, 32, "samples must be at least 1"),
         ("chart C(x, y)\ncheck contact al grid 0\n", 2, 23, "grid must be at least 1"),
         ("chart C(x, y)\ncheck fixed_points X on L region R margin -1/8\n", 2, 43, "margin must be nonnegative"),
+        # Only the locus checks that pull their expressions through a map take `via`.
+        ("chart C(x, y)\ncheck rank_drop_locus f on L region R regular 2 singular 1 via m\n", 2, 60, "end of statement"),
+        ("chart C(x, y)\ncheck rank_at om, 2 off L region R via m margin 1/8\n", 2, 36, "end of statement"),
+        ("chart C(x, y)\ncheck nearsympl_at om off L region R via m\n", 2, 38, "end of statement"),
         ("chart C(x, y)\nmap f : C C\n", 2, 11, "expected '->'"),
         ("chart C(x, y)\nmetric g on C = diagonal(1, 1)\n", 2, 17, "expected keyword 'diag'"),
         ("chart C(x, y)\nregion R on C = [0, 1]^2 lattice 3\n", 2, 35, "expected keyword 'random'"),

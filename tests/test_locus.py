@@ -37,6 +37,7 @@ from nsx.pointcheck import (
     near_symplectic_at,
     rank_at,
 )
+from nsx.points import PointSet, points_of
 from nsx.symexpr import PI, evaluate, exp_of, opaque_fn, rat, sin_of, sym
 
 C2 = Chart("c2", ("x", "y"))
@@ -537,7 +538,7 @@ def test_region_envs_match_random_env(case):
     region, seed = case
     rng = random.Random(seed)
     want = [random_env(region, rng) for _ in range(region.random_count)]
-    _assert_same_values(region_envs(region, seed), lattice_envs(region) + want)
+    _assert_same_values(region_envs(region, seed), list(lattice_envs(region)) + want)
     # The float columns of the same draws carry the same bits.
     stream = locus_mod._DyadicStream(random.Random(seed))
     cols = locus_mod._DyadicPoints.read(region, stream, region.random_count).floats
@@ -875,6 +876,24 @@ def test_vanishing_locus_flags_samples_outside_region():
     assert any(c["reason"] == "locus sample outside region" for c in rep.counterexamples)
 
 
+@pytest.mark.parametrize("check", ["vanishing_locus", "fixed_points", "dividing_set"])
+def test_an_outside_sample_fails_once_and_is_not_decided(check):
+    # x = 2 lies outside [-1, 1]^2: each of the 3 lattice samples of the locus
+    # is one counterexample, named for the region, and is not decided.
+    locus = CoordLocus(C2, (("x", F(2)),))
+    region = _region(count=8)
+    field = VectorField.build(C2, [("y", rat(1))])
+    if check == "vanishing_locus":
+        rep = verify_vanishing_locus(coord_differential(C2, "y"), locus, region)
+    elif check == "fixed_points":
+        rep = verify_fixed_points(field, locus, region)
+    else:
+        rep = verify_dividing_set(coord_differential(C2, "y"), field, rat(1), locus, region)
+    assert not rep.passed and rep.on_count == 3 and rep.on_failures == 3
+    assert [c["reason"] for c in rep.counterexamples] == ["locus sample outside region"] * 3
+    assert [c["point"] for c in rep.counterexamples] == [{"x": "2", "y": y} for y in ("-1", "0", "1")]
+
+
 def test_outside_region_counterexamples_keep_their_order():
     # The pin y = 3/2 lies outside [-1, 1]: every lattice sample of the
     # locus is outside the region, each one counterexample, in lattice order,
@@ -899,6 +918,22 @@ def test_outside_region_counterexamples_keep_their_order():
 
 
 # -- point sets against their plain envs -----------------------------------
+
+
+def test_point_sets_concatenate_by_coordinate_name():
+    # Each union part is a point set; the union reads every point in its
+    # first part's key order, with the other parts' columns found by name.
+    union = UnionLocus((CoordLocus(C2, (("x", F(0)),)), CoordLocus(C2, (("y", F(1, 2)),))))
+    on_envs = LocusSampler(union, _region(lattice=(2, 2)), seed=0).on_envs
+    assert isinstance(on_envs, PointSet) and on_envs.coords == ("x", "y")
+    assert on_envs == [
+        {"x": F(0), "y": F(-1)},
+        {"x": F(0), "y": F(1)},
+        {"x": F(-1), "y": F(1, 2)},
+        {"x": F(1), "y": F(1, 2)},
+    ]
+    mixed = points_of([{"y": 0.5, "x": F(2)}], ("y", "x"))
+    assert list(map(dict, on_envs[:1] + mixed)) == [{"x": F(0), "y": F(-1)}, {"x": F(2), "y": 0.5}]
 
 _Q4 = Chart("q4", ("t", "x1", "x2", "x3"))
 _Q3 = Chart("q3", ("a", "b", "c"))
@@ -1094,6 +1129,19 @@ def test_rank_drop_locus():
     wrong = verify_rank_drop_locus(fold, locus, region, regular_rank=2, singular_rank=2)
     assert not wrong.passed and wrong.on_failures == 3
     assert "rank 1, expected 2" in wrong.counterexamples[0]["reason"]
+
+
+def test_rank_drop_locus_undecided_ranks_are_band_hits(register_opaque):
+    # nanf and nanf' are NaN everywhere, so no Jacobian rank is decided: each
+    # sample counts under its side's band, and none is a failure.
+    register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
+    register_opaque("nanf'", lambda t: np.full(np.shape(t), np.nan))
+    cmap = ChartMap("nan", P2, P2, (sym("u"), opaque_fn("nanf", "v")))
+    locus = CoordLocus(P2, (("v", F(0)),))
+    rep = verify_rank_drop_locus(cmap, locus, _region(chart=P2), regular_rank=2, singular_rank=1)
+    assert rep.undecided and rep.passed and not rep.counterexamples
+    assert (rep.on_failures, rep.off_failures) == (0, 0)
+    assert (rep.on_band, rep.off_band, rep.on_count, rep.off_count) == (3, 16, 3, 16)
 
 
 # -- fixed points ----------------------------------------------------------

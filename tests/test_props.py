@@ -131,6 +131,11 @@ def test_battery_rejects_a_budget_below_one(samples):
         run_property_battery("dd_zero", samples, None, 1)
 
 
+def test_battery_rejects_an_unknown_name():
+    with pytest.raises(DomainError, match="unknown property battery 'dd_one'"):
+        run_property_battery("dd_one", 3, None, 1)
+
+
 def test_battery_rejects_a_bool_budget():
     with pytest.raises(DomainError, match="samples must be an integer"):
         run_property_battery("dd_zero", True, None, 1)

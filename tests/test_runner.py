@@ -396,6 +396,23 @@ def test_locus_tallies_subtract_only_their_own_side(register_opaque):
     assert failing.detail == "(0/3 on-locus, 16/16 off-locus)"
 
 
+def test_locus_samples_outside_the_region_fail_once():
+    # x = 2 is outside [-1, 1]^2: each of the 3 samples of L is one failure,
+    # so no on-locus count goes below zero, and fixed_points names them too.
+    text = (
+        "chart C(x, y)\n"
+        "form om on C = d(y)\n"
+        "vfield X on C = e(y)\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 8\n"
+        "locus L on C = coords(x=2)\n"
+        "check vanishing_locus om on L region R expect report\n"
+        "check fixed_points X on L region R expect report\n"
+    )
+    for rec in _run(text).checks:
+        assert rec.verdict == "fail" and rec.detail == "(0/3 on-locus, 8/8 off-locus)"
+        assert {c["reason"] for c in rec.evidence["counterexamples"]} == {"locus sample outside region"}
+
+
 def test_non_finite_positive_samples_are_undecided(register_opaque):
     import numpy as np
 
