@@ -1,16 +1,19 @@
 """Small exact and floating linear algebra kit.
 
 Exact routines take matrices as sequences of rows of Fractions or ints and
-never approximate.  Inside, a row holding a Fraction is scaled to integers
-by the lcm of its denominators, a row of ints is taken as it is, and one
-fraction-free elimination serves rank, RREF, row basis, kernel, determinant
-and inverse: a row operation p*a - f*b is followed by division by the row's
-content, so no Fraction is built until an output needs one.  Point matrices
-arrive as rows of ints over one positive scale (pointcheck._point_rows);
-integer_kernel and row_basis answer in ints, so a caller on such rows builds
-no Fraction at all.  The floating rank uses an SVD with a relative threshold
-plus an explicit undecided band, so borderline spectra are reported as such
-instead of being silently rounded to a rank.
+never approximate.  Each routine puts its rows into ints first: a row
+holding a Fraction is scaled by the lcm of its denominators, a row of ints
+is taken as it is, and an `IntRow`, a row marked as holding only ints, is
+taken with no scan of its entries.  One fraction-free elimination on the
+int rows then serves rank, RREF, row basis, kernel, determinant and
+inverse: a row operation p*a - f*b is followed by division by the row's
+content, so no Fraction is built until an output needs one.  Point
+matrices arrive as IntRows over one positive scale (pointcheck._point_rows
+and the tables of pointcheck._point_table); integer_kernel and row_basis
+answer in ints, so a caller on such rows builds no Fraction at all.  The
+floating rank uses an SVD with a relative threshold plus an explicit
+undecided band, so borderline spectra are reported as such instead of
+being silently rounded to a rank.
 """
 
 from fractions import Fraction
@@ -21,14 +24,26 @@ import numpy as np
 _F0 = Fraction(0)
 
 
+class IntRow(tuple):
+    """A matrix row that holds only ints.  The exact routines take it as it
+    is, without checking its entries' types."""
+
+    __slots__ = ()
+
+
 def _integer_rows(rows):
-    """Each row times the lcm of its denominators, as lists of ints, and
-    the product of those lcms.  A row of ints is kept as it is."""
+    """Each row times the lcm of its denominators, as rows of ints, and
+    the product of those lcms.  An IntRow or a row of ints is kept as it
+    is."""
+    rows = list(rows)
+    # One C-level pass over the rows: point matrices arrive as IntRows.
+    if {*map(type, rows)} == {IntRow}:
+        return rows, 1
     out = []
     scale = 1
     for row in rows:
-        # One C-level pass per row: point rows arrive as ints.
-        if {*map(type, row)} == {int}:
+        # One C-level pass per row.
+        if type(row) is IntRow or {*map(type, row)} == {int}:
             # Rows are replaced, never edited in place, so no copy is made.
             out.append(row)
             continue
@@ -43,7 +58,15 @@ def _integer_rows(rows):
 
 
 def _eliminate(rows, ncols, reduced):
-    """Fraction-free Gaussian elimination over the first ncols columns.
+    """`_reduce` of rows put into ints by `_integer_rows`."""
+    m, den = _integer_rows(rows)
+    return _reduce(m, den, ncols, reduced)
+
+
+def _reduce(m, den, ncols, reduced):
+    """Fraction-free Gaussian elimination of the int rows m over their
+    first ncols columns, m a list this call may reorder, den the scale of
+    `_integer_rows`.
 
     Returns (int_rows, pivots, num, den).  The first len(pivots) rows are
     the pivot rows, in order.  A row p*a - f*b is divided by the gcd of its
@@ -53,7 +76,6 @@ def _eliminate(rows, ncols, reduced):
     (echelon form), and a square matrix of full rank has determinant
     num / den times the product of the diagonal.
     """
-    m, den = _integer_rows(rows)
     n = len(m)
     num = 1
     pivots = []
@@ -61,8 +83,10 @@ def _eliminate(rows, ncols, reduced):
     for c in range(ncols):
         if r == n:
             break
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, n):
+            if m[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
@@ -101,18 +125,18 @@ def exact_rref(rows, ncols):
 
 def row_basis(rows, ncols):
     """A basis of the row space: the pivot rows of an echelon form, as
-    lists of ints."""
+    rows of ints (lists, or IntRows given and left as they were)."""
     m, pivots, _, _ = _eliminate(rows, ncols, False)
     return m[: len(pivots)]
 
 
 def exact_rank(rows, ncols=None):
-    rows = list(rows)
-    if not rows:
+    m, den = _integer_rows(rows)
+    if not m:
         return 0
     if ncols is None:
-        ncols = len(rows[0])
-    return len(_eliminate(rows, ncols, False)[1])
+        ncols = len(m[0])
+    return len(_reduce(m, den, ncols, False)[1])
 
 
 def _kernel(rows, ncols):
@@ -181,7 +205,9 @@ def column_span_equal(a_rows, b_rows):
     rb = exact_rank(b_rows)
     if ra != rb:
         return False
-    joined = [list(x) + list(y) for x, y in zip(a_rows, b_rows)]
+    joined = [
+        IntRow(x + y) if type(x) is type(y) is IntRow else list(x) + list(y) for x, y in zip(a_rows, b_rows)
+    ]
     return exact_rank(joined) == ra
 
 

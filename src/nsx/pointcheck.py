@@ -11,11 +11,14 @@ exact matrices are decided by exact elimination with no tolerance at
 all.  An exact point matrix (a 2-form's matrix, a Jacobian, a gradient
 matrix, the partials behind D_K) is built as integer rows over one
 positive scale, which changes no rank, kernel, image or sign; no Fraction
-is built on the way.  At a point of a point set (`points.PointView`) the
-rows come from integer columns built once per matrix and set; elsewhere,
-or where an entry has no column value, from symexpr's integer-pair values
-at that point.  A matrix with a float entry goes through an SVD with a
-relative threshold and an explicit undecided band.
+is built on the way.  The rows are `_linalg.IntRow`s, so the elimination
+takes them without scanning their entries.  At a point of a point set
+(`points.PointView`) the rows come from integer columns built once per
+matrix and set: a table of every point's rows, built once and read by one
+index.  Elsewhere, or where an entry has no column value, they come from
+symexpr's integer-pair values at that point.  A matrix with a float entry
+goes through an SVD with a relative threshold and an explicit undecided
+band.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
 import numpy as np
 
 from . import _linalg
+from ._linalg import IntRow
 from .errors import DomainError
 from .points import PointView
 from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat, ratio_float
@@ -62,9 +67,9 @@ def _point_rows(values):
 
     values holds what symexpr._point_value gives: exact pairs (p, q) with
     q > 0, or floats.  When every value is a pair, returns (rows, s) with
-    rows of ints and s the lcm of the q's, so entry / s is each value.
-    Otherwise returns the values as floats and None, so the matrix goes
-    to the float SVD.  A positive scale keeps every rank, kernel, RREF
+    rows `_linalg.IntRow`s and s the lcm of the q's, so entry / s is each
+    value.  Otherwise returns the values as floats and None, so the matrix
+    goes to the float SVD.  A positive scale keeps every rank, kernel, RREF
     and sign decided on the rows.  This is the path at a plain env, and at
     a point of a set whose matrix has an entry without a column value
     (see `_matrix_rows`).
@@ -74,27 +79,26 @@ def _point_rows(values):
     except TypeError:  # a float value is not a pair
         return [[ratio_float(*x) if type(x) is tuple else float(x) for x in r] for r in values], None
     if s == 1:
-        return [[p for p, _ in row] for row in values], 1
-    return [[p * (s // q) for p, q in row] for row in values], s
+        return [IntRow([p for p, _ in row]) for row in values], 1
+    return [IntRow([p * (s // q) for p, q in row]) for row in values], s
 
 
 def _matrix_rows(env, owner, tag, entries):
     """A point matrix at env as `_point_rows` decides it: (rows, s).
 
     entries() gives the matrix as rows of (Expr, sign) pairs, None for a
-    zero entry.  At a point of a point set whose entries all have column
-    values, the integer columns are put over one positive scale s, the lcm
-    of the columns' denominators, once per (owner, tag) and set, and the
-    point's rows are read from them.  Elsewhere each distinct entry is
-    evaluated once at the point.
+    zero entry.  At a point of a point set, entries() is called once per
+    (owner, tag) and set, and so is `_point_table`: where every entry has
+    a column value, the point's rows are one index into its table.
+    Elsewhere each distinct entry is evaluated once at the point.
     """
     if type(env) is PointView:
         points = env.points
-        cols = points.cached(owner, tag, lambda: _column_rows(points, entries()))
-        if cols is not None:
-            cols, s = cols
-            i = env.index
-            return [[col[i] for col in row] for row in cols], s
+        table, s, entries = points.cached(owner, tag, lambda: _point_table(points, entries()))
+        if table is not None:
+            return table[env.index], s
+    else:
+        entries = entries()
     values = {}
 
     def value(entry):
@@ -108,19 +112,18 @@ def _matrix_rows(env, owner, tag, entries):
             return v
         return (-v[0], v[1]) if type(v) is tuple else -v
 
-    return _point_rows([[value(entry) for entry in row] for row in entries()])
+    return _point_rows([[value(entry) for entry in row] for row in entries])
 
 
-def _column_rows(points, entries):
-    """The matrix of `_matrix_rows` as integer columns over one scale, or None."""
-    values = {}
-    for row in entries:
-        for entry in row:
-            if entry is not None and id(entry[0]) not in values:
-                value = points.column(entry[0])
-                if value is None:
-                    return None
-                values[id(entry[0])] = value
+def _point_table(points, entries):
+    """(table, s, entries): table[i] the rows of the matrix at point i, as
+    IntRows over one positive scale s, the lcm of the entries' column
+    denominators.  Where an entry has no column value, found before any
+    column is computed, table and s are None."""
+    exprs = {id(entry[0]): entry[0] for row in entries for entry in row if entry is not None}
+    if not points.has_columns(exprs.values()):
+        return None, None, entries
+    values = {key: points.column(expr) for key, expr in exprs.items()}
     s = math.lcm(*[den for _, den in values.values()])
     zeros = [0] * len(points)
 
@@ -131,7 +134,10 @@ def _column_rows(points, entries):
         m = s // den * entry[1]
         return nums if m == 1 else [x * m for x in nums]
 
-    return [[scaled(entry) for entry in row] for row in entries], s
+    # A chart has a coordinate, so the matrix has a row and a column.  Row
+    # r at every point is zip's transpose of its entries' columns.
+    by_row = [map(IntRow, zip(*map(scaled, row))) for row in entries]
+    return list(map(list, zip(*by_row))), s, entries
 
 
 def _form_entries(form):
@@ -159,9 +165,15 @@ def form_matrix_at(form, env):
     return [[Fraction(x, s) for x in row] for row in rows], True
 
 
+@lru_cache(maxsize=None)
+def _exact_verdict(rank):
+    # A verdict is frozen, so one per rank serves every exact point.
+    return RankVerdict(rank, False, True)
+
+
 def _matrix_rank(rows, scale):
     if scale is not None:
-        return RankVerdict(_linalg.exact_rank(rows), False, True)
+        return _exact_verdict(_linalg.exact_rank(rows))
     rank, und = _linalg.float_rank(rows, RANK_THRESHOLD, RANK_BAND_FLOOR)
     return RankVerdict(rank, und, False)
 
@@ -273,16 +285,17 @@ def near_symplectic_at(form, env):
     used = [any(k[v] for k in kernel) for v in range(dim)]
     pairings = []
     for v, (rows, s) in enumerate(partials):
-        if not used[v] or not any(map(any, rows)):
-            pairings.append(None)
-            continue
-        pk = [[sum(map(mul, row, kb)) for row in rows] for kb in kernel]
-        weight = common // s
-        pairings.append([weight * sum(map(mul, kernel[a], pk[b])) for a, b in _K_PAIRS])
-    d_rows = [
-        [sum(k[v] * g[col] for v, g in enumerate(pairings) if g and k[v]) for col in range(6)]
-        for k in kernel
-    ]
+        if used[v] and any(map(any, rows)):
+            pk = [[sum(map(mul, row, kb)) for row in rows] for kb in kernel]
+            weight = common // s
+            pairings.append((v, [weight * sum(map(mul, kernel[a], pk[b])) for a, b in _K_PAIRS]))
+    d_rows = []
+    for k in kernel:
+        row = [0] * 6
+        for v, g in pairings:
+            if kv := k[v]:
+                row = [x + kv * y for x, y in zip(row, g)]
+        d_rows.append(row)
     image_basis = _linalg.row_basis(d_rows, 6)
     image_dim = len(image_basis)
     verdict = DegeneracyVerdict(

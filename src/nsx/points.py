@@ -7,11 +7,13 @@ was given).  Point i reads as a `PointView`, a read-only Mapping of its set
 that equals the {coord: value} dict it stands for, with its keys in the
 set's coordinate order.
 
-Work that is the same at every point of a set (an expression's exact
-values, a point matrix's integer rows, a region test) is done once per
-set, by column, and kept in the set's cache.  The cache lives and dies
-with the set, and each entry holds the object it was computed for (a form,
-a map, an expression, a region), so no entry outlives its object.
+Work that is the same at every point of a set is done once per set, by
+column, and kept in the set's cache: an expression's exact values, a
+region test, and a point matrix's table, the matrix's integer rows at
+every point over one scale, built from its entries' columns and read at a
+point by one index.  The cache lives and dies with the set, and each entry
+holds the object it was computed for (a form, a map, an expression, a
+region), so no entry outlives its object.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .symexpr import column_value
+from .symexpr import column_coords, column_value
 
 
 def is_rational(v):
@@ -163,6 +165,17 @@ class PointSet(Sequence):
     def column(self, expr):
         """`symexpr.column_value` of expr over this set, computed once."""
         return self.cached(expr, "column", lambda: column_value(expr, self.exact_column, self.n))
+
+    def has_columns(self, exprs):
+        """Whether every expr has a `column`, decided by `column_value`'s
+        rule without computing one."""
+        coords = set()
+        for expr in exprs:
+            names = column_coords(expr)
+            if names is None:
+                return False
+            coords.update(names)
+        return None not in map(self.exact_column, coords)
 
 
 class PointView(Mapping):

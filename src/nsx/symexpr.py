@@ -700,16 +700,13 @@ def column_value(expr, exact, n):
     coordinates).  Where it has a value, that value equals `_point_value`'s
     at every point, and every entry is an int.
     """
-    names, den, terms = _plan(expr)
-    if names or any(others or any(e < 0 for _, e in coords) for _, coords, others in terms):
+    names = column_coords(expr)
+    if names is None:
         return None
-    cols = {}
-    for _, coords, _ in terms:
-        for name, _ in coords:
-            if name not in cols:
-                cols[name] = exact(name)
-                if cols[name] is None:
-                    return None
+    cols = dict(zip(names, map(exact, names)))
+    if None in cols.values():
+        return None
+    _, den, terms = _plan(expr)
     # Term t is n_t * prod(num**e) / q_t with q_t = prod(den**e); over the
     # lcm of the q_t it is a weight times the product of its columns.
     qs = [math.prod([cols[name][1] ** e for name, e in coords]) for _, coords, _ in terms]
@@ -728,6 +725,18 @@ def column_value(expr, exact, n):
             col = [x * weight for x in col]
         total = list(map(add, total, col))
     return total, common * den
+
+
+@lru_cache(maxsize=4096)
+def column_coords(expr):
+    """The coordinates whose exact columns `column_value` reads for expr,
+    or None when it declines expr whatever the columns: when an atom of
+    expr is not a coordinate with a positive exponent.  Otherwise it
+    declines exactly when one of these columns is not exact."""
+    names, _, terms = _plan(expr)
+    if names or any(others or any(e < 0 for _, e in coords) for _, coords, others in terms):
+        return None
+    return tuple({name: None for _, coords, _ in terms for name, _ in coords})
 
 
 @lru_cache(maxsize=4096)

@@ -19,8 +19,19 @@ entries = st.one_of(
 )
 
 
+# The entries of marked int rows: zeros, small ints, bools, and ints of
+# 2**63 and beyond in absolute value.
+int_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63)),
+)
+
+
 @st.composite
-def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(1, 7), square=False):
+def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(1, 7), square=False, entry=entries):
     """Rational matrices, wide and tall, half of them built as a product
     through fewer dimensions (so rank-deficient), with some rows and
     columns then set to zero."""
@@ -28,11 +39,11 @@ def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(1, 7), square=Fals
     c = r if square else draw(ncols)
     if draw(st.booleans()):
         k = draw(st.integers(0, max(min(r, c) - 1, 0)))
-        left = [[draw(entries) for _ in range(k)] for _ in range(r)]
-        right = [[draw(entries) for _ in range(c)] for _ in range(k)]
+        left = [[draw(entry) for _ in range(k)] for _ in range(r)]
+        right = [[draw(entry) for _ in range(c)] for _ in range(k)]
         m = [[sum((left[i][t] * right[t][j] for t in range(k)), 0) for j in range(c)] for i in range(r)]
     else:
-        m = [[draw(entries) for _ in range(c)] for _ in range(r)]
+        m = [[draw(entry) for _ in range(c)] for _ in range(r)]
     if r and c:
         for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
             m[i] = [0] * c
@@ -123,6 +134,51 @@ def test_column_span_equal_matches_sympy(a, data):
     want = rank == sb.rank() == sa.row_join(sb).rank()
     assert _linalg.column_span_equal(a, b) is want
     assert _linalg.column_span_equal(a, a)
+
+
+def _marked(m):
+    return [_linalg.IntRow(row) for row in m]
+
+
+@given(matrices(entry=int_entries))
+@settings(max_examples=150, deadline=None)
+def test_marked_int_rows_match_sympy(m):
+    # IntRows are taken without a scan of their entries' types; every
+    # answer is sympy's, and the same as on the unmarked rows.
+    ncols = len(m[0]) if m else 1
+    marked = _marked(m)
+    pivots = _sympy(m, ncols).rref()[1]
+    rank = len(pivots)
+    assert _linalg.exact_rank(marked, ncols) == rank
+    if m:
+        assert _linalg.exact_rank(marked) == rank
+    basis = _linalg.row_basis(marked, ncols)
+    assert len(basis) == rank
+    assert all(isinstance(x, int) for row in basis for x in row)
+    if basis:
+        assert _sympy(basis, ncols).rank() == rank
+        assert _sympy(m + [list(row) for row in basis], ncols).rank() == rank
+    kernel = _linalg.integer_kernel(marked, ncols)
+    assert kernel == _linalg.integer_kernel(m, ncols)
+    assert len(kernel) == ncols - rank
+    free = [c for c in range(ncols) if c not in pivots]
+    for v, f in zip(kernel, free):
+        assert all(type(x) is int for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+        assert v[f] > 0 and all(v[c] == 0 for c in free if c != f)
+    # The rows given are left as they were.
+    assert marked == _marked(m)
+
+
+@given(matrices(nrows=st.integers(1, 5), ncols=st.integers(1, 4), entry=int_entries), st.data())
+@settings(max_examples=100, deadline=None)
+def test_column_span_equal_on_marked_rows_matches_sympy(a, data):
+    b = data.draw(matrices(nrows=st.just(len(a)), ncols=st.integers(1, 4), entry=int_entries))
+    sa, sb = _sympy(a, len(a[0])), _sympy(b, len(b[0]))
+    want = sa.rank() == sb.rank() == sa.row_join(sb).rank()
+    assert _linalg.column_span_equal(_marked(a), _marked(b)) is want
+    assert _linalg.column_span_equal(_marked(a), b) is want
+    assert _linalg.column_span_equal(_marked(a), _marked(a))
 
 
 def test_column_span_equal_needs_equal_row_counts():

@@ -250,6 +250,52 @@ def test_nearsympl_at_differentiates_once_per_check(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_point_matrix_table_is_built_once_per_owner_and_tag(monkeypatch):
+    # However many of a set's points are read, each (owner, tag) builds one
+    # table, and each point's rows are the plain env's rows.
+    from nsx import pointcheck
+    from nsx.points import points_of
+
+    calls = []
+    table = pointcheck._point_table
+    monkeypatch.setattr(pointcheck, "_point_table", lambda p, e: calls.append(e) or table(p, e))
+    om = SD[0] * sym("x1") + SD[1] * (sym("x2") ** 2 + rat(1, 3)) + SD[2] * sym("x3")
+    rng = random.Random(3)
+    envs = [{c: Fraction(rng.randint(-8, 8), 4) for c in C4.coords} for _ in range(7)]
+    points = points_of(envs, C4.coords)
+    for _ in range(2):
+        for view, env in zip(points, envs):
+            rows, s = pointcheck._form_rows(om, view)
+            assert all(type(row) is _linalg.IntRow for row in rows)
+            want, t = pointcheck._form_rows(om, env)
+            assert [[Fraction(x, s) for x in row] for row in rows] == [[Fraction(x, t) for x in row] for row in want]
+            assert rank_at(om, view) == rank_at(om, env)
+            assert gradient_rank_at(om, view) == gradient_rank_at(om, env)
+    assert len(calls) == 2
+
+
+def test_at_point_rank_builds_its_entries_once(monkeypatch):
+    # S8's `at (point)` sample is a one-point set whose matrix has exp
+    # entries: no column of any entry is computed, and the entries are
+    # built once for the exact fallback at the point.
+    from nsx import pointcheck, points
+    from nsx.runner import RunConfig, run_scenario_text
+    from nsx.scenarios import SUITE
+
+    text = next(text for sid, _, text in SUITE if sid == "S8")
+    decls = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("check "))
+    entries, columns = [], []
+    form_entries = pointcheck._form_entries
+    column_value = points.column_value
+    monkeypatch.setattr(pointcheck, "_form_entries", lambda f: entries.append(f) or form_entries(f))
+    monkeypatch.setattr(points, "column_value", lambda *a: columns.append(a[0]) or column_value(*a))
+    check = "check rank_at omA, 2 at (z1=1/2, z2=1/3, z3=-1/4, x1=0, x2=0, x3=0)\n"
+    (rec,) = run_scenario_text(decls + check, "T", "unit scenario", RunConfig()).checks
+    assert (rec.verdict, rec.detail) == ("pass", "(rank 2)")
+    assert len(entries) == 1
+    assert columns == []
+
+
 def test_partials_and_powers_are_built_once_per_form(monkeypatch):
     from nsx.symexpr import Expr
 
