@@ -554,9 +554,6 @@ class Metric:
             self._stars[idx] = out
         return out
 
-    def volume_form(self):
-        return DForm(self.chart, self.chart.dim, {tuple(range(self.chart.dim)): ONE * rat(self.sqrt_det)})
-
 
 def _row_sets(matrix, cols):
     """The increasing row tuples R, one per set, for which the columns

@@ -31,7 +31,7 @@ otherwise.
 Every sample claim is decided by `_decide` under one rule: a float
 decides only outside the tolerance band, an exact value decides where
 one is computed, and a float inside the band or a NaN or infinite value
-decides nothing; the report counts such a sample under `band` or
+decides nothing; the outcome counts such a sample under `band` or
 `non_finite`, per side, and is undecided.  `vanishing_locus`,
 `fixed_points` and `dividing_set` run one on/off sequence,
 `_verify_locus`, in which an on-locus sample outside the region is one
@@ -71,7 +71,7 @@ __all__ = [
     "UnionLocus",
     "EmptyLocus",
     "LocusSampler",
-    "LocusReport",
+    "Outcome",
     "verify_vanishing_locus",
     "verify_positive",
     "verify_rank_drop_locus",
@@ -629,17 +629,21 @@ def off_locus_envs(sampler, margin, count, seed):
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Outcomes
 
 
 @dataclass
-class LocusReport:
-    """A locus check's outcome.  Samples are counted per side: on the locus
-    ("on") or off it ("off"), each either failed, non-finite, in the band,
-    or holding."""
+class Outcome:
+    """The outcome record of a sampled check.  Samples are counted per side:
+    on the locus ("on") or off it ("off"), each either failed, non-finite,
+    in the band, or holding; a check without a locus counts on "on".
+
+    `verdict` is the one verdict rule of a sampled check: undecided when
+    any sample was undecided (or the check was left undecided), else pass
+    unless a counterexample or a failed requirement was recorded."""
 
     kind: str
-    passed: bool
+    passed: bool = True
     on_count: int = 0
     off_count: int = 0
     on_failures: int = 0
@@ -651,6 +655,12 @@ class LocusReport:
     counterexamples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     undecided: bool = False
+
+    @property
+    def verdict(self):
+        if self.undecided:
+            return "undecided"
+        return "pass" if self.passed else "fail"
 
     @property
     def non_finite(self):
@@ -667,7 +677,7 @@ class LocusReport:
 
     def add_undecided(self, side, band, non_finite=0):
         """Count samples on `side` that no value decides, inside the band
-        or non-finite; any such sample leaves the report undecided."""
+        or non-finite; any such sample leaves the outcome undecided."""
         if side == "on":
             self.on_band += band
             self.on_non_finite += non_finite
@@ -777,9 +787,9 @@ def _float_values(exprs, envs):
     return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
-def _decide(report, exprs, envs, mode, tol, side, reason, screen):
+def _decide(outcome, exprs, envs, mode, tol, side, reason, screen):
     """Decide the claim `_MODES[mode]` of the expressions at every point of
-    envs, and record the outcome on the report's `side`, "on" or "off".
+    envs, and record each sample on the outcome's `side`, "on" or "off".
 
     Exact first (screen False): each value is read off the point's set by
     column, else computed at the point, and only the samples whose exact
@@ -789,7 +799,7 @@ def _decide(report, exprs, envs, mode, tol, side, reason, screen):
     exactly, where every expression is a polynomial and the point
     rational; no column is built.  A float inside the tolerance band counts
     under band, and a sample with a NaN or infinite value under
-    non_finite; either leaves the report undecided.  Each violated sample
+    non_finite; either leaves the outcome undecided.  Each violated sample
     is a counterexample, in the order of envs, whose value is its first
     exact value that does not hold, else its first float beyond tol.
     """
@@ -827,33 +837,33 @@ def _decide(report, exprs, envs, mode, tol, side, reason, screen):
                 band += 1
             else:
                 fails.append((rows[j], next(float(v) for v in vals[:, j] if abs(v) > tol)))
-    report.add_undecided(side, band, non_finite)
+    outcome.add_undecided(side, band, non_finite)
     for i, value in sorted(fails, key=lambda f: f[0]):
-        report.add_counterexample(envs[i], reason, value, side=side)
+        outcome.add_counterexample(envs[i], reason, value, side=side)
 
 
-def _off_envs(report, sampler, margin, seed):
+def _off_envs(outcome, sampler, margin, seed):
     """Margin-separated off-locus samples of the sampler's region, counted
-    on the report, which fails when the draw budget runs out first."""
+    on the outcome, which fails when the draw budget runs out first."""
     if sampler.region is None:
         raise DomainError("off-locus samples need a region")
     count = max(MIN_OFF_SAMPLES, sampler.region.random_count)
     envs, exhausted = off_locus_envs(sampler, margin, count, seed)
-    report.off_count = len(envs)
+    outcome.off_count = len(envs)
     if exhausted:
-        report.fail("rejection sampling exhausted before the requested count")
+        outcome.fail("rejection sampling exhausted before the requested count")
     return envs
 
 
-def _enforce_floors(report, locus, off_mode):
-    if report.on_count < MIN_ON_SAMPLES and not isinstance(locus, EmptyLocus):
-        report.fail(f"only {report.on_count} on-locus samples, need {MIN_ON_SAMPLES}")
-    if off_mode != "none" and report.off_count < MIN_OFF_SAMPLES:
-        report.fail(f"only {report.off_count} off-locus samples, need {MIN_OFF_SAMPLES}")
+def _enforce_floors(outcome, locus, off_mode):
+    if outcome.on_count < MIN_ON_SAMPLES and not isinstance(locus, EmptyLocus):
+        outcome.fail(f"only {outcome.on_count} on-locus samples, need {MIN_ON_SAMPLES}")
+    if off_mode != "none" and outcome.off_count < MIN_OFF_SAMPLES:
+        outcome.fail(f"only {outcome.off_count} off-locus samples, need {MIN_OFF_SAMPLES}")
 
 
-def _verify_locus(report, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed):
-    """The on/off sequence of a locus check, recorded on the report.
+def _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed):
+    """The on/off sequence of a locus check, recorded on the outcome.
 
     The locus is sampled and each sample tested against the region: a
     sample outside it is one counterexample and is not decided further.
@@ -866,25 +876,40 @@ def _verify_locus(report, on_exprs, off_exprs, off_mode, reason, locus, region, 
     """
     sampler = LocusSampler(locus, region, seed)
     on_envs = sampler.on_envs
-    report.on_count = len(on_envs)
+    outcome.on_count = len(on_envs)
     if region is not None:
         outside = [e for e in on_envs if not region.contains(e)]
         for e in outside:
-            report.add_counterexample(e, "locus sample outside region", side="on")
+            outcome.add_counterexample(e, "locus sample outside region", side="on")
         if outside:
             on_envs = points_of([e for e in on_envs if region.contains(e)], on_envs.coords)
     on_exprs, off_exprs = _pull_subject(via, on_exprs, off_exprs)
-    _decide(report, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
+    _decide(outcome, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
     if off_mode != "none":
-        envs = _off_envs(report, sampler, margin, seed)
+        envs = _off_envs(outcome, sampler, margin, seed)
         if off_exprs:
-            _decide(report, off_exprs, envs, off_mode, tol, "off", reason, screen=True)
+            _decide(outcome, off_exprs, envs, off_mode, tol, "off", reason, screen=True)
         else:
             for env in envs:
-                report.add_counterexample(env, reason, 0, side="off")
-            report.fail("off-locus form is identically zero")
-    _enforce_floors(report, locus, off_mode)
-    return report
+                outcome.add_counterexample(env, reason, 0, side="off")
+            outcome.fail("off-locus form is identically zero")
+    _enforce_floors(outcome, locus, off_mode)
+    return outcome
+
+
+def rank_claim(outcome, envs, rank_of, expected, label, side):
+    """Hold the rank verdict `rank_of(env)` to `expected` at every point of
+    envs, on the outcome's `side`: an undecided rank counts under the
+    side's band, as in `_decide`, and any other rank is a counterexample,
+    "<label>: rank r, expected e".  Returns the verdicts, in the order of
+    envs."""
+    verdicts = [rank_of(env) for env in envs]
+    for env, verdict in zip(envs, verdicts):
+        if verdict.undecided:
+            outcome.add_undecided(side, 1)
+        elif verdict.rank != expected:
+            outcome.add_counterexample(env, f"{label}: rank {verdict.rank}, expected {expected}", side=side)
+    return verdicts
 
 
 def verify_vanishing_locus(
@@ -915,18 +940,18 @@ def verify_vanishing_locus(
     """
     if off_mode not in ("nonzero", "positive", "negative", "none"):
         raise DomainError(f"unknown off-locus mode {off_mode!r}")
-    report = LocusReport(kind="vanishing_locus", passed=True)
+    outcome = Outcome("vanishing_locus")
     on_exprs = [form.comps[k] for k in sorted(form.comps)]
     if not on_exprs:
-        report.notes.append("form is identically zero")
+        outcome.notes.append("form is identically zero")
     target = form if off_form is None else off_form
     off_exprs = [target.comps[k] for k in sorted(target.comps)]
     if off_mode in ("positive", "negative") and len(off_exprs) > 1:
         raise DomainError(f"{off_mode} requires a single-coefficient form")
     if off_mode == "none":
-        report.notes.append("off-locus requirement waived")
+        outcome.notes.append("off-locus requirement waived")
     reason = f"off-locus {off_mode} violated"
-    return _verify_locus(report, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed)
+    return _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region, via, margin, tol, seed)
 
 
 def verify_positive(
@@ -939,17 +964,17 @@ def verify_positive(
     """Single-coefficient form is strictly positive on the whole region.
 
     The sign is exact wherever the value is; a float must be beyond tol.
-    `_decide` decides every sample exact first, on the report's "on" side.
+    `_decide` decides every sample exact first, on the outcome's "on" side.
     """
-    report = LocusReport(kind="positive", passed=True)
+    outcome = Outcome("positive")
     exprs = [form.comps[k] for k in sorted(form.comps)]
     if len(exprs) != 1:
-        report.fail("form does not have exactly one coefficient")
-        return report
+        outcome.fail("form does not have exactly one coefficient")
+        return outcome
     envs = region_envs(region, derive_seed(seed, "positive"))
-    report.on_count = len(envs)
-    _decide(report, exprs, envs, "positive", tol, "on", "positive sign violated", screen=False)
-    return report
+    outcome.on_count = len(envs)
+    _decide(outcome, exprs, envs, "positive", tol, "on", "positive sign violated", screen=False)
+    return outcome
 
 
 def verify_rank_drop_locus(
@@ -963,27 +988,16 @@ def verify_rank_drop_locus(
     seed=0,
 ):
     """Jacobian rank of `cmap` equals singular_rank on the locus and
-    regular_rank at margin-separated off-locus samples.  A sample whose
-    rank is undecided counts under its side's band, as in `_decide`.
+    regular_rank at margin-separated off-locus samples, by `rank_claim`.
     """
-    report = LocusReport(kind="rank_drop_locus", passed=True)
+    outcome = Outcome("rank_drop_locus")
     sampler = LocusSampler(locus, region, seed)
-    report.on_count = len(sampler.on_envs)
-
-    def rank_claim(envs, expected, label, side):
-        for env in envs:
-            verdict = map_rank_at(cmap, env)
-            if verdict.undecided:
-                report.add_undecided(side, 1)
-            elif verdict.rank != expected:
-                report.add_counterexample(
-                    env, f"{label}: rank {verdict.rank}, expected {expected}", side=side
-                )
-
-    rank_claim(sampler.on_envs, singular_rank, "on locus", "on")
-    rank_claim(_off_envs(report, sampler, margin, seed), regular_rank, "off locus", "off")
-    _enforce_floors(report, locus, "nonzero")
-    return report
+    outcome.on_count = len(sampler.on_envs)
+    rank_of = partial(map_rank_at, cmap)
+    rank_claim(outcome, sampler.on_envs, rank_of, singular_rank, "on locus", "on")
+    rank_claim(outcome, _off_envs(outcome, sampler, margin, seed), rank_of, regular_rank, "off locus", "off")
+    _enforce_floors(outcome, locus, "nonzero")
+    return outcome
 
 
 def verify_fixed_points(
@@ -1004,12 +1018,12 @@ def verify_fixed_points(
     With `via`, the field lives on via.target while locus, region, and
     margins live on via.source; components are pulled through the map.
     """
-    report = LocusReport(kind="fixed_points", passed=True)
+    outcome = Outcome("fixed_points")
     comps = [xfield.comps[i] for i in sorted(xfield.comps)]
     if not comps:
-        report.fail("field is identically zero")
-        return report
-    return _verify_locus(report, comps, comps, "field-norm", "field zero off locus", locus, region, via, margin, tol, seed)
+        outcome.fail("field is identically zero")
+        return outcome
+    return _verify_locus(outcome, comps, comps, "field-norm", "field zero off locus", locus, region, via, margin, tol, seed)
 
 
 def verify_dividing_set(
@@ -1034,27 +1048,27 @@ def verify_dividing_set(
     declared-empty locus passes when the off-locus requirement holds
     everywhere sampled.
     """
-    report = LocusReport(kind="dividing_set", passed=True)
+    outcome = Outcome("dividing_set")
     paired = alpha.interior(xfield)
     computed = paired.coefficient(())
-    outcome = semantically_equal(computed, declared_scalar)
-    if isinstance(outcome, NotEqual):
-        report.fail("computed pairing disagrees with the declared scalar")
+    comparison = semantically_equal(computed, declared_scalar)
+    if isinstance(comparison, NotEqual):
+        outcome.fail("computed pairing disagrees with the declared scalar")
         # The witness is a tuple of (coord, value) pairs and may be absent.
-        if outcome.witness is not None:
-            report.add_counterexample(
-                dict(outcome.witness), "scalar mismatch", outcome.values
+        if comparison.witness is not None:
+            outcome.add_counterexample(
+                dict(comparison.witness), "scalar mismatch", comparison.values
             )
-        return report
-    if not isinstance(outcome, Equal):
-        report.undecided = True
-        report.notes.append("scalar comparison inconclusive")
+        return outcome
+    if not isinstance(comparison, Equal):
+        outcome.undecided = True
+        outcome.notes.append("scalar comparison inconclusive")
     else:
-        report.notes.append("computed pairing matches the declared scalar")
+        outcome.notes.append("computed pairing matches the declared scalar")
 
     if computed.is_zero:
-        report.fail("pairing is identically zero; locus claim is degenerate")
-        return report
+        outcome.fail("pairing is identically zero; locus claim is degenerate")
+        return outcome
 
     scalar = [declared_scalar]
-    return _verify_locus(report, scalar, scalar, "nonzero", "off-locus nonzero violated", locus, region, via, margin, tol, seed)
+    return _verify_locus(outcome, scalar, scalar, "nonzero", "off-locus nonzero violated", locus, region, via, margin, tol, seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import dsl
 from .charts import Chart, ChartMap, DForm, Metric, VectorField, function_form
@@ -28,11 +29,14 @@ from .locus import (
     EmptyLocus,
     ImageLocus,
     LocusSampler,
+    Outcome,
     PointsLocus,
     Region,
     UnionLocus,
+    _printable,
     derive_seed,
     off_locus_envs,
+    rank_claim,
     region_envs,
     verify_dividing_set,
     verify_fixed_points,
@@ -453,35 +457,31 @@ class _Ctx:
         return DEFAULT_MARGIN if value is None else value
 
 
-def _locus_result(report, evidence, detail):
-    """Verdict, evidence and detail of a locus report; a nonzero
+def _locus_result(outcome, evidence, detail):
+    """Verdict, evidence and detail of a locus outcome; a nonzero
     non-finite or band count is added to the evidence and the detail."""
-    if report.non_finite:
-        evidence["non_finite"] = report.non_finite
-        detail += f", {report.non_finite} non-finite"
-    if report.band:
-        evidence["band"] = report.band
-        detail += f", {report.band} in band"
-    if report.undecided:
-        verdict = "undecided"
-    else:
-        verdict = "pass" if report.passed else "fail"
-    return verdict, evidence, f"({detail})"
+    if outcome.non_finite:
+        evidence["non_finite"] = outcome.non_finite
+        detail += f", {outcome.non_finite} non-finite"
+    if outcome.band:
+        evidence["band"] = outcome.band
+        detail += f", {outcome.band} in band"
+    return outcome.verdict, evidence, f"({detail})"
 
 
-def _locus_report_result(report):
+def _locus_report_result(outcome):
     evidence = {
-        "on_count": report.on_count,
-        "off_count": report.off_count,
-        "on_failures": report.on_failures,
-        "off_failures": report.off_failures,
-        "counterexamples": report.counterexamples,
-        "notes": report.notes,
+        "on_count": outcome.on_count,
+        "off_count": outcome.off_count,
+        "on_failures": outcome.on_failures,
+        "off_failures": outcome.off_failures,
+        "counterexamples": outcome.counterexamples,
+        "notes": outcome.notes,
     }
-    on_held = report.on_count - report.on_failures - report.on_non_finite - report.on_band
-    off_held = report.off_count - report.off_failures - report.off_non_finite - report.off_band
-    detail = f"{on_held}/{report.on_count} on-locus, {off_held}/{report.off_count} off-locus"
-    return _locus_result(report, evidence, detail)
+    on_held = outcome.on_count - outcome.on_failures - outcome.on_non_finite - outcome.on_band
+    off_held = outcome.off_count - outcome.off_failures - outcome.off_non_finite - outcome.off_band
+    detail = f"{on_held}/{outcome.on_count} on-locus, {off_held}/{outcome.off_count} off-locus"
+    return _locus_result(outcome, evidence, detail)
 
 
 def _compare_forms(left, right, ctx, evidence):
@@ -576,68 +576,55 @@ def run_rank_at(ctx, p):
     form = ctx.form(p["form"])
     expected = p["rank"]
     envs = _sample_envs(ctx, p, form.chart)
-    failures = []
-    undecided = 0
-    for env in envs:
-        v = rank_at(form, env)
-        if v.undecided:
-            undecided += 1
-        elif v.rank != expected:
-            failures.append({"point": {c: str(x) for c, x in env.items()}, "rank": v.rank})
+    outcome = Outcome("rank_at")
+    verdicts = rank_claim(outcome, envs, partial(rank_at, form), expected, "rank_at", "on")
     evidence = {
         "expected": expected,
         "points": len(envs),
-        "mismatches": len(failures),
-        "undecided": undecided,
+        "mismatches": outcome.on_failures,
+        "undecided": outcome.band,
     }
-    if failures:
-        evidence["first_mismatch"] = failures[0]
-    if undecided:
-        return "undecided", evidence, f"({undecided} of {len(envs)} points undecided)"
-    if failures:
-        return "fail", evidence, f"(rank {failures[0]['rank']}, expected {expected})"
-    detail = f"(rank {expected}" + (f" at {len(envs)} points)" if len(envs) > 1 else ")")
-    return "pass", evidence, detail
+    details = {
+        "undecided": f"({outcome.band} of {len(envs)} points undecided)",
+        "pass": f"(rank {expected}" + (f" at {len(envs)} points)" if len(envs) > 1 else ")"),
+    }
+    if outcome.counterexamples:
+        rank = next(v.rank for v in verdicts if not v.undecided and v.rank != expected)
+        evidence["first_mismatch"] = {"point": outcome.counterexamples[0]["point"], "rank": rank}
+        details["fail"] = f"(rank {rank}, expected {expected})"
+    return outcome.verdict, evidence, details[outcome.verdict]
 
 
 def run_gradient_rank_at(ctx, p):
     form = ctx.form(p["form"])
     env = ctx.point_env(p["point"], form.chart)
-    v = gradient_rank_at(form, env)
+    outcome = Outcome("gradient_rank_at")
+    (v,) = rank_claim(outcome, [env], partial(gradient_rank_at, form), p["rank"], "gradient_rank_at", "on")
     evidence = {"expected": p["rank"], "rank": v.rank, "exact": v.exact}
-    if v.undecided:
-        return "undecided", evidence, "(rank undecided)"
-    if v.rank != p["rank"]:
-        return "fail", evidence, f"(rank {v.rank}, expected {p['rank']})"
-    return "pass", evidence, f"(rank {v.rank})"
+    details = {"undecided": "(rank undecided)", "fail": f"(rank {v.rank}, expected {p['rank']})", "pass": f"(rank {v.rank})"}
+    return outcome.verdict, evidence, details[outcome.verdict]
 
 
 def run_nearsympl_at(ctx, p):
     form = ctx.form(p["form"])
     envs = _sample_envs(ctx, p, form.chart)
-    failures = []
-    q_signs = set()
-    consistent = True
-    for env in envs:
-        v = near_symplectic_at(form, env)
-        if v.passed:
-            q_signs.add(v.q_sign)
-            if v.grad_kernel_consistent is False:
-                consistent = False
-        else:
-            failures.append(
-                {"point": {c: str(x) for c, x in env.items()}, "reason": v.reason}
-            )
+    outcome = Outcome("nearsympl_at")
+    verdicts = [near_symplectic_at(form, env) for env in envs]
+    for env, v in zip(envs, verdicts):
+        if not v.passed:
+            outcome.add_counterexample(env, v.reason, side="on")
+    held = [v for v in verdicts if v.passed]
     evidence = {
         "points": len(envs),
-        "failures": len(failures),
-        "q_signs": sorted(s for s in q_signs if s),
-        "grad_kernel_consistent": consistent,
+        "failures": outcome.on_failures,
+        "q_signs": sorted({v.q_sign for v in held if v.q_sign}),
+        "grad_kernel_consistent": all(v.grad_kernel_consistent is not False for v in held),
     }
-    if failures:
-        evidence["first_failure"] = failures[0]
-        return "fail", evidence, f"({failures[0]['reason']})"
-    return "pass", evidence, f"({len(envs)} points)"
+    detail = f"({len(envs)} points)"
+    if outcome.counterexamples:
+        evidence["first_failure"] = outcome.counterexamples[0]
+        detail = f"({evidence['first_failure']['reason']})"
+    return outcome.verdict, evidence, detail
 
 
 def run_contact(ctx, p):
@@ -692,15 +679,13 @@ def run_contact(ctx, p):
         detail = f"({pos + neg} samples, one sign)"
     else:
         detail = f"({verdict.reason}; +{pos} -{neg} 0:{zero})"
-    if verdict.undecided:
-        return "undecided", evidence, detail
-    return ("pass" if verdict.passed else "fail"), evidence, detail
+    return Outcome("contact", verdict.passed, undecided=verdict.undecided).verdict, evidence, detail
 
 
 def run_vanishing_locus(ctx, p):
     form = ctx.form(p["form"])
     off_form = ctx.form(p["off_form"]) if p["off_form"] is not None else None
-    report = verify_vanishing_locus(
+    outcome = verify_vanishing_locus(
         form,
         ctx.locus(p["locus"]),
         ctx.region(p["region"]),
@@ -711,12 +696,12 @@ def run_vanishing_locus(ctx, p):
         tol=ctx.tol,
         seed=ctx.seed,
     )
-    return _locus_report_result(report)
+    return _locus_report_result(outcome)
 
 
 def run_rank_drop_locus(ctx, p):
     cmap = ctx.scope.named("map", p["map"])
-    report = verify_rank_drop_locus(
+    outcome = verify_rank_drop_locus(
         cmap,
         ctx.locus(p["locus"]),
         ctx.region(p["region"]),
@@ -725,11 +710,11 @@ def run_rank_drop_locus(ctx, p):
         margin=ctx.margin(p["margin"]),
         seed=ctx.seed,
     )
-    return _locus_report_result(report)
+    return _locus_report_result(outcome)
 
 
 def run_fixed_points(ctx, p):
-    report = verify_fixed_points(
+    outcome = verify_fixed_points(
         ctx.vfield(p["field"]),
         ctx.locus(p["locus"]),
         ctx.region(p["region"]),
@@ -738,13 +723,13 @@ def run_fixed_points(ctx, p):
         tol=ctx.tol,
         seed=ctx.seed,
     )
-    return _locus_report_result(report)
+    return _locus_report_result(outcome)
 
 
 def run_dividing_set(ctx, p):
     alpha = ctx.form(p["alpha"], degree=1, what="a 1-form")
     scalar = ctx.scalar(p["scalar"], what="the declared pairing")
-    report = verify_dividing_set(
+    outcome = verify_dividing_set(
         alpha,
         ctx.vfield(p["field"]),
         scalar,
@@ -755,7 +740,7 @@ def run_dividing_set(ctx, p):
         tol=ctx.tol,
         seed=ctx.seed,
     )
-    return _locus_report_result(report)
+    return _locus_report_result(outcome)
 
 
 def run_bracket_table(ctx, p):
@@ -799,7 +784,7 @@ def run_stabilize(ctx, p):
         "samples": len(envs),
     }
     if result.witness is not None:
-        evidence["witness"] = {c: str(v) for c, v in result.witness.items()}
+        evidence["witness"] = {c: _printable(v) for c, v in result.witness.items()}
     if result.found:
         return "pass", evidence, f"(K = {result.constant})"
     return "fail", evidence, f"(no constant up to {k_max})"
@@ -819,18 +804,18 @@ def run_property(ctx, p):
 
 def run_positive(ctx, p):
     form = ctx.form(p["form"])
-    report = verify_positive(
+    outcome = verify_positive(
         form,
         ctx.region(p["region"]),
         tol=ctx.tol,
         seed=ctx.seed,
     )
     evidence = {
-        "samples": report.on_count,
-        "failures": report.on_failures,
-        "counterexamples": report.counterexamples,
+        "samples": outcome.on_count,
+        "failures": outcome.on_failures,
+        "counterexamples": outcome.counterexamples,
     }
-    return _locus_result(report, evidence, f"{report.on_count} samples")
+    return _locus_result(outcome, evidence, f"{outcome.on_count} samples")
 
 
 # The runner of each check kind is its run_<kind> function above.
@@ -888,9 +873,7 @@ def run_scenario_text(text, sid, anchor, config=None):
         raise
     except Exception as e:  # a defect of nsx, not of the input
         raise InternalError(where, e) from e
-    status = "pass" if checks and all(c.ok for c in checks) else "fail"
-    if not checks:
-        status = "pass"
+    status = "pass" if all(c.ok for c in checks) else "fail"
     return ScenarioReport(sid=sid, anchor=anchor, status=status, checks=checks)
 
 

@@ -827,7 +827,7 @@ def _deferred_value(p, q, floats, others, env):
             raise EvaluationError(f"zero atom sym raised to power {e}")
         if result is _EXACT:
             result = ratio_float(p, q)
-        result = result * v**e
+        result = result * _float_power(v, e)
     for atom, e in others:
         v = _atom_value(atom, env)
         if v == 0 and e < 0:
@@ -835,10 +835,19 @@ def _deferred_value(p, q, floats, others, env):
         if isinstance(v, float):
             if result is _EXACT:
                 result = ratio_float(p, q)
-            result = result * v**e
+            result = result * _float_power(v, e)
         elif v == 0:
             return None
     return result
+
+
+def _float_power(v, e):
+    """v**e for a float v and an int e, an infinity of its sign past the
+    float range, as numpy gives it."""
+    try:
+        return v**e
+    except OverflowError:
+        return math.copysign(math.inf, v) if e % 2 else math.inf
 
 
 _TRANSCENDENTAL = {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}
@@ -858,7 +867,10 @@ def _atom_value(atom, env):
         if not arg[0]:
             return 0 if kind == _SIN else 1
         arg = ratio_float(*arg)
-    return _TRANSCENDENTAL[kind](arg)
+    try:
+        return _TRANSCENDENTAL[kind](arg)
+    except (OverflowError, ValueError):  # exp past the float range, sin or cos of an infinity
+        return math.inf if kind == _EXP else math.nan
 
 
 def _env_value(env, name):

@@ -114,11 +114,12 @@ def test_equal_skips_overflowing_samples(tmp_path, seed):
     assert check["verdict"] == "undecided"
 
 
-def test_eval_skips_an_overflowing_object(tmp_path, capsys):
+def test_eval_prints_an_overflowing_value_as_inf(tmp_path, capsys):
+    # Past the float range exact evaluation gives inf, as numpy does.
     path = tmp_path / "big.nsx"
     path.write_text("chart C(x)\nconst k = exp(exp(exp(x)))\nconst h = x + 1\n")
     assert cli.main(["eval", str(path), "--at", "x=9"]) == 0
-    assert capsys.readouterr().out == "k: skipped (math range error)\nh = 10\n"
+    assert capsys.readouterr().out == "k = inf\nh = 10\n"
 
 
 def test_eval_names_the_line_of_an_elaboration_error(tmp_path, capsys):

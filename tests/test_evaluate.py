@@ -5,6 +5,8 @@ as integer pairs: a Fraction per factor and per term.  The property draws
 polynomial, Laurent, pi, exp, sin, cos and opaque expressions and points
 of ints, Fractions, floats and mixtures, zeros included, and requires the
 same value of the same type, the same float bits and the same exception.
+Past the float range the reference takes numpy's value, an infinity, and
+sin or cos of an infinity is NaN, where Python's float arithmetic raises.
 """
 
 import math
@@ -97,7 +99,7 @@ def _reference_term(mono, n, den, env):
         if isinstance(v, float):
             if not isinstance(result, float):
                 result = float(result / den)
-            result = result * v**e
+            result = result * _reference_power(v, e)
         elif v == 0:
             return None
         else:
@@ -119,7 +121,21 @@ def _reference_atom(atom, env):
         if arg == 0:
             return _F0 if kind == _SIN else _F1
         arg = float(arg)
-    return {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}[kind](arg)
+    try:
+        return {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}[kind](arg)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.exp(arg))
+    except ValueError:  # sin or cos of an infinity
+        return math.nan
+
+
+def _reference_power(v, e):
+    try:
+        return v**e
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.float64(v) ** e)
 
 
 # -- strategies -----------------------------------------------------------
@@ -243,5 +259,15 @@ def test_reference_cases_cover_each_outcome():
             assert got[2] == want
         else:
             assert got[0] == "float"
+    # Past the float range a value is non-finite, as numpy gives it, not an
+    # OverflowError or a ValueError.
+    for expr, env, want in [
+        (x**2, {"x": 1e200}, math.inf),
+        (x**3, {"x": -1e200}, -math.inf),
+        (x**-3, {"x": -1e-200}, -math.inf),
+        (exp_of(rat(1000) * x) * y, {"x": 1, "y": Fraction(-1, 2)}, -math.inf),
+    ]:
+        assert evaluate(expr, env) == want
+    assert math.isnan(evaluate(sin_of(exp_of(rat(1000) * x)), {"x": 1}))
     # A float coordinate keeps numpy's float type.
     assert type(evaluate(x * y, {"x": Fraction(1, 3), "y": np.float64(0.5)})) is np.float64

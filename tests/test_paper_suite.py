@@ -290,14 +290,31 @@ SYMBOLIC_SCENARIOS = ("S7", "S9", "S12")
 GOLDEN_SYMBOLIC = Path(__file__).parent / "golden" / "symbolic_report.json"
 
 
-def test_symbolic_scenarios_match_golden_report(monkeypatch):
+# Seeds 0, 1 and 7 as well, written by the engine before the sampled checks
+# shared one outcome record.  The batteries report counts, not draws, so
+# these files differ from each other only in their seed.
+GOLDEN_SYMBOLIC_BY_SEED = {
+    seed: Path(__file__).parent / "golden" / f"symbolic_report_seed{seed}.json" for seed in (0, 1, 7)
+}
+
+
+def _symbolic_report(monkeypatch, seed):
     def no_svd(*args, **kwargs):
         raise AssertionError("an SVD would make the golden bytes depend on BLAS")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    suite = run_suite(only=SYMBOLIC_SCENARIOS, config=RunConfig(seed=DEFAULT_SEED))
+    suite = run_suite(only=SYMBOLIC_SCENARIOS, config=RunConfig(seed=seed))
     assert [s.sid for s in suite.scenarios] == list(SYMBOLIC_SCENARIOS)
-    assert report_json(suite) == GOLDEN_SYMBOLIC.read_text()
+    return report_json(suite)
+
+
+def test_symbolic_scenarios_match_golden_report(monkeypatch):
+    assert _symbolic_report(monkeypatch, DEFAULT_SEED) == GOLDEN_SYMBOLIC.read_text()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SYMBOLIC_BY_SEED))
+def test_symbolic_scenarios_match_golden_report_at_seed(monkeypatch, seed):
+    assert _symbolic_report(monkeypatch, seed) == GOLDEN_SYMBOLIC_BY_SEED[seed].read_text()
 
 
 # S8's checks 0-10, the exact ones: closedness, semantic equality and the

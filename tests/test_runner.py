@@ -513,6 +513,46 @@ def test_rank_at_a_non_finite_matrix_is_undecided(register_opaque):
     assert rec.evidence["undecided"] == 1 and rec.detail == "(1 of 1 points undecided)"
 
 
+def test_rank_at_an_overflowing_entry_is_undecided():
+    # exp(1000) is past the float range: the entry is inf, as numpy gives
+    # it, so the float rank is undecided rather than an OverflowError.
+    text = "chart C(x, y)\nform om on C = exp(1000*x)*d(x) /\\ d(y)\ncheck rank_at om, 2 at (x=1, y=0)\n"
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided"
+    assert rec.evidence["undecided"] == 1 and rec.detail == "(1 of 1 points undecided)"
+
+
+def test_vanishing_locus_overflowing_samples_are_non_finite():
+    # On the locus x = 1 the samples at y = -1 and y = 1 overflow in exact
+    # evaluation, and one off-locus sample overflows in numpy; each is
+    # counted under non_finite.
+    text = (
+        "chart C(x, y)\n"
+        "form om on C = exp(1000*x)*y*d(y)\n"
+        "region R on C = [-1, 1] x [-1, 1] lattice 3 random 8\n"
+        "locus L on C = coords(x=1)\n"
+        "check vanishing_locus om on L region R off nonzero\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "undecided" and rec.evidence["on_failures"] == 0
+    assert rec.evidence["non_finite"] == 3
+    assert rec.detail == "(1/3 on-locus, 2/8 off-locus, 3 non-finite, 5 in band)"
+
+
+def test_a_stabilize_witness_prints_as_a_counterexample_point_does():
+    # base vanishes at x = 0, so no K makes eta + K*base full rank there;
+    # the witness keeps its exact coordinate a string and its float a number.
+    text = (
+        "chart C(x, y)\n"
+        "form eta on C = 0*d(x) /\\ d(y)\n"
+        "form base on C = x*d(x) /\\ d(y)\n"
+        "region R on C = [0, 0] x [0.5, 0.5] lattice 1 random 0\n"
+        "check stabilize eta, base region R k_max 2 expect fail\n"
+    )
+    (rec,) = _run(text).checks
+    assert rec.verdict == "fail" and rec.evidence["witness"] == {"x": "0", "y": 0.5}
+
+
 def test_finite_contact_evidence_has_no_non_finite_key():
     text = "chart C(x, y, z)\nform al on C = d(z) + (x^3 + x) * d(y)\ncheck contact al grid 8\n"
     (rec,) = _run(text).checks

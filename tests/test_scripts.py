@@ -20,8 +20,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         ["degeneracy_profile.py"],
         ["contact_latitude_scan.py", "--constants", "5", "--steps", "64"],
+        ["code_lines.py", "--files"],
     ],
-    ids=["degeneracy_profile", "contact_latitude_scan"],
+    ids=["degeneracy_profile", "contact_latitude_scan", "code_lines"],
 )
 def test_script_runs(argv, cli_env, tmp_path):
     proc = subprocess.run(
@@ -33,6 +34,31 @@ def test_script_runs(argv, cli_env, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
+
+
+def test_code_lines_counts_neither_comments_nor_docstrings(cli_env, tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "x = 1  # a trailing comment\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return (\n"
+        "        x\n"
+        "    )\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(source)],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["5", "total"]
 
 
 def test_contact_certificate_shows_both_exact_signs(cli_env, tmp_path):
