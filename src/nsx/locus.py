@@ -24,9 +24,9 @@ read-only view of its set, and exact values, point matrices and region
 tests are computed once per set, by column.  Off-locus draws are taken
 by rejection against the targets, the tuples of (coord, value) pins that
 `LocusSampler.targets` measures the distance to a locus by: the margin
-test is array work over a batch, exact in integers for rational pins on
-rational axes and bit for bit the float sum of `_coord_dist_sq`
-otherwise.
+test is array work over a batch and over the targets of one shape, exact
+in integers for rational pins on rational axes and bit for bit the float
+sum of `_coord_dist_sq` otherwise.
 
 Every sample claim is decided by `_decide` under one rule: a float
 decides only outside the tolerance band, an exact value decides where
@@ -51,7 +51,7 @@ from operator import eq, gt, lt, ne
 import numpy as np
 
 from .errors import DomainError
-from .pointcheck import map_rank_at
+from .pointcheck import map_rank_at, per_class
 from .points import Column, PointSet, PointView, is_rational, points_of
 from .symexpr import (
     Equal,
@@ -396,6 +396,11 @@ class _DyadicPoints(PointSet):
     float-bounded axis the float64 draws themselves.
     """
 
+    # An axis has 4097 draws, so two of 64 draws agree on one axis about
+    # half the time and on two about once in 8000 sets: a class would save a
+    # point check now and then, less than finding classes costs.
+    may_repeat = False
+
     def __init__(self, region, ks):
         self.region, self.ks = region, ks
         self.coords = region.chart.coords
@@ -449,13 +454,16 @@ def _numerator_column(axis, k):
 
 
 def _float_quotients(nums, den):
-    """float(Fraction(n, den)) of every numerator, an infinity of its sign
-    past the float range.  An int64 array holds numerators below 2**53 over
-    a den below 2**53, so the one IEEE division is correctly rounded, as
-    `float(Fraction)` is; Python ints in an object array are divided singly.
+    """float(Fraction(n, d)) of every numerator n over its den d, an
+    infinity of its sign past the float range; den is one int or an array
+    that broadcasts against nums.  An int64 array holds numerators below
+    2**53 over dens below 2**53, so the one IEEE division is correctly
+    rounded, as `float(Fraction)` is; Python ints in object arrays are
+    divided singly.
     """
     if nums.dtype == object:
-        return np.array([ratio_float(n, den) for n in nums], dtype=np.float64)
+        n, d = np.broadcast_arrays(nums, np.asarray(den, dtype=object))
+        return np.array(list(map(ratio_float, n.flat, d.flat)), dtype=np.float64).reshape(n.shape)
     return nums.astype(np.float64) / den
 
 
@@ -492,18 +500,22 @@ def _square_bound(terms, extremes):
     return sum(w * ((extremes[i] + 1) * q + abs(pd)) ** 2 for i, q, pd, w in terms)
 
 
-def _square_sum(terms, wide):
+def _square_sum(axes, per_target, wide):
     """A function of a batch of draws giving sum(w * (n_i*q - pd)**2) over
-    the (i, q, pd, w) terms per draw, n_i its numerator on axis i: in the
-    columns' own dtype, or on Python ints when `wide`."""
+    a target's (i, q, pd, w) terms, n_i a draw's numerator on axis i, per
+    target and draw.  Every target of per_target has its terms on `axes`,
+    in that order.  The sums are int64, or Python ints when `wide`, so
+    each is exact in any order of its terms."""
+    fields = np.array([[term[1:] for term in terms] for terms in per_target], dtype=object if wide else np.int64)
+    q, pd, w = fields[..., None].transpose(2, 0, 1, 3)  # each (targets, axes, 1)
 
     def total(points):
-        out = 0
-        for i, q, pd, w in terms:
-            col = points.numerators[i]
-            a = (col.astype(object) if wide else col) * q - pd
-            out = out + w * a * a
-        return out
+        n = np.stack([points.numerators[i] for i in axes])  # (axes, draws)
+        a = (n.astype(object) if wide else n) * q
+        a -= pd
+        a *= a
+        a *= w
+        return a.sum(1)
 
     return total
 
@@ -518,81 +530,133 @@ def _common_terms(pins, dens):
     return [(i, v.denominator, v.numerator * dens[i], common // sq) for (i, v), sq in zip(pins, sqs)], common
 
 
-def _rational_target_test(pins, dens, extremes, margin):
-    """`_coord_dist_sq(target, env) >= margin**2` for rational pins on
-    rational axes, as one integer comparison per draw over the common
-    denominator lcm((den*q)**2) * margin.denominator**2."""
-    terms, common = _common_terms(pins, dens)
-    md_sq = margin.denominator**2
-    terms = [(i, q, pd, w * md_sq) for i, q, pd, w in terms]
-    threshold = margin.numerator**2 * common
-    total = _square_sum(terms, max(_square_bound(terms, extremes), threshold) >= 1 << 63)
-    return lambda points: total(points) >= threshold
+def _target_plan(pins, dens, extremes, margin):
+    """(shape, values): `_coord_dist_sq(target, env) >= margin**2` for a
+    target's pins, as parts of one shape and one value per part.
 
+    Rational pins on rational axes make one part, ("int", axes, wide)
+    with value (terms, threshold): one integer comparison per draw,
+    sum(w * (n_i*q - pd)**2) >= threshold, over the common denominator
+    lcm((den*q)**2) * margin.denominator**2.
 
-def _float_target_test(pins, dens, extremes, margin):
-    """`_coord_dist_sq(target, env) >= margin**2`, bit for bit, for a target
-    with a pin that holds a float or lies on a float-bounded axis.
-
-    `_coord_dist_sq` sums from Fraction(0): the rational pins on rational
-    axes before the first other pin sum exactly, and their sum becomes a
-    float once.  Then every other pin adds (x - v)**2 in floats, and a
-    rational pin on a rational axis adds the float of its exact square.  A
-    value past the float range is an infinity of its sign here, where
-    `_coord_dist_sq` raises OverflowError.  A float d compares exactly with
-    the rational margin**2, which rounds to m: d > m means d > margin**2,
-    d < m means d < margin**2, and the tie d == m is decided once.  When
-    margin**2 is past the float range, m is inf and only d == inf passes.
+    Any other target reproduces `_coord_dist_sq` bit for bit.  It sums
+    from Fraction(0): the rational pins on rational axes before the first
+    other pin sum exactly, and their sum becomes a float once, a part
+    ("exact", axes, wide) with value (terms, common).  Then every other
+    pin adds (x - v)**2 in floats, a part ("float", axis) with value
+    float(v), and a rational pin on a rational axis adds the float of its
+    exact square, an "exact" part of its own.  wide is whether the sums
+    need Python ints.
     """
-    margin_sq = margin * margin
-    m = _float(margin_sq)
-    tie_passes = m == math.inf or Fraction(m) >= margin_sq
+    is_exact = [is_rational(v) and dens[i] is not None for i, v in pins]
+    if all(is_exact):
+        terms, common = _common_terms(pins, dens)
+        md_sq = margin.denominator**2
+        terms = [(i, q, pd, w * md_sq) for i, q, pd, w in terms]
+        threshold = margin.numerator**2 * common
+        wide = max(_square_bound(terms, extremes), threshold) >= 1 << 63
+        return (("int", tuple(i for i, _ in pins), wide),), ((terms, threshold),)
+    shape, values = [], []
 
     def exact(rational_pins):
         terms, common = _common_terms(rational_pins, dens)
-        total = _square_sum(terms, max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT)
-        return lambda points: _float_quotients(total(points), common)
+        wide = max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT
+        shape.append(("exact", tuple(i for i, _ in rational_pins), wide))
+        values.append((terms, common))
 
-    def inexact(i, v):
-        v = _float(v)
-        return lambda points: (points.floats[i] - v) ** 2
-
-    is_exact = [is_rational(v) and dens[i] is not None for i, v in pins]
     first = is_exact.index(False)
-    parts = [exact(pins[:first])] if first else []
-    parts += [exact([pin]) if e else inexact(*pin) for pin, e in zip(pins[first:], is_exact[first:])]
+    if first:
+        exact(pins[:first])
+    for (i, v), e in zip(pins[first:], is_exact[first:]):
+        if e:
+            exact([(i, v)])
+        else:
+            shape.append(("float", i))
+            values.append(_float(v))
+    return tuple(shape), tuple(values)
+
+
+def _column(values, dtype):
+    """One value per target as a column in dtype."""
+    return np.array(values, dtype=dtype)[:, None]
+
+
+def _group_test(shape, values, margin):
+    """The margin test of targets of one shape, `values` holding each
+    target's values: a function of a batch of draws giving a bool per
+    draw, whether it passes every target.  The targets are the rows of one
+    (targets x draws) array: its integer sums are exact, and its every
+    float element takes the operations, in the order, of its target's test
+    alone, so every bit is kept.
+
+    A float distance d compares exactly with the rational margin**2,
+    which rounds to m: d > m means d > margin**2, d < m means d <
+    margin**2, and the tie d == m is decided once.  When margin**2 is past
+    the float range, m is inf and only d == inf passes.  A value past the
+    float range is an infinity of its sign here, where `_coord_dist_sq`
+    raises OverflowError, and a NaN distance passes no test.
+    """
+    parts = []
+    for part, column in zip(shape, zip(*values)):
+        if part[0] == "float":
+            v = _column(column, np.float64)
+            parts.append(lambda points, i=part[1], v=v: (points.floats[i] - v) ** 2)
+            continue
+        total = _square_sum(part[1], [terms for terms, _ in column], part[2])
+        bound = _column([b for _, b in column], object if part[2] else np.int64)
+        if part[0] == "int":
+            return lambda points: (total(points) >= bound).all(0)
+        parts.append(lambda points, total=total, common=bound: _float_quotients(total(points), common))
+    margin_sq = margin * margin
+    m = _float(margin_sq)
+    tie_passes = m == math.inf or Fraction(m) >= margin_sq
 
     def passes(points):
         d = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for part in parts:
                 d = d + part(points)
-        return d >= m if tie_passes else d > m
+        ok = d >= m if tie_passes else d > m
+        return ok.all(0)
 
     return passes
+
+
+# Targets per group test.  A group's arrays hold targets x axes x draws
+# elements, so with _BATCH_DRAWS this caps their size.  Uncapped, one
+# 512-draw batch against 4096 targets on Python ints peaked at 327 MB,
+# against 5 MB at 64, and took no less time; from 16 to 64 targets a
+# group, the time per target stays within about 15%
+# (BENCH_pointclasses.json, "group_cap").
+_GROUP_TARGETS = 64
 
 
 def _margin_test(sampler, margin):
     """`distance_sq(env) >= margin**2` over a batch of draws.
 
-    Returns one function per target of a `_DyadicPoints` batch, giving a
-    bool per draw.  A draw is accepted when it passes every target: that is
-    the nearest target's test, and it rejects a draw at NaN distance from
-    any target.  A target of rational pins on rational axes is decided in
-    integers; any other reproduces the bits of `_coord_dist_sq`.
+    Returns functions of a `_DyadicPoints` batch, each giving a bool per
+    draw; a draw is accepted when every function passes it.  Targets are
+    tested in groups: those of one shape (`_target_plan`: the same pin
+    axes, the same exact pins, the same int64 or Python-int path), at most
+    _GROUP_TARGETS at a time, are one `_group_test`.  A draw passes when it
+    passes every target: that is the nearest target's test, and it rejects
+    a draw at NaN distance from any target.  A target of rational pins on
+    rational axes is decided in integers; any other reproduces the bits of
+    `_coord_dist_sq`.
     """
     axes = sampler.region.dyadic_axes
     extremes = [None if axis is None else _axis_extreme(axis) for axis in axes]
     dens = [None if axis is None else axis[2] for axis in axes]
     index = {c: i for i, c in enumerate(sampler.region.chart.coords)}
-    tests = []
+    groups = {}
     for target in sampler.targets:
-        pins = [(index[c], v) for c, v in target]
-        if all(is_rational(v) and dens[i] is not None for i, v in pins):
-            tests.append(_rational_target_test(pins, dens, extremes, margin))
-        else:
-            tests.append(_float_target_test(pins, dens, extremes, margin))
-    return tests
+        shape, values = _target_plan([(index[c], v) for c, v in target], dens, extremes, margin)
+        groups.setdefault(shape, []).append(values)
+    return [
+        _group_test(shape, group[k : k + _GROUP_TARGETS], margin)
+        for shape, group in groups.items()
+        for k in range(0, len(group), _GROUP_TARGETS)
+    ]
 
 
 _BATCH_DRAWS = 512  # draws per margin test; a cap on the arrays' size
@@ -897,15 +961,19 @@ def _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region,
     return outcome
 
 
-def rank_claim(outcome, envs, rank_of, expected, label, side):
-    """Hold the rank verdict `rank_of(env)` to `expected` at every point of
-    envs, on the outcome's `side`: an undecided rank counts under the
-    side's band, as in `_decide`, and any other rank is a counterexample,
+def rank_claim(outcome, envs, check, subject, expected, label, side):
+    """Hold the rank verdict `check(subject, env)`, taken by `per_class`, to
+    `expected` at every point of envs, on the outcome's `side`: as in
+    `_decide`, a rank of a matrix with
+    a NaN or infinite entry counts under the side's non_finite, any other
+    undecided rank under its band, and any other rank is a counterexample,
     "<label>: rank r, expected e".  Returns the verdicts, in the order of
     envs."""
-    verdicts = [rank_of(env) for env in envs]
+    verdicts = list(per_class(check, subject, envs))
     for env, verdict in zip(envs, verdicts):
-        if verdict.undecided:
+        if verdict.non_finite:
+            outcome.add_undecided(side, 0, 1)
+        elif verdict.undecided:
             outcome.add_undecided(side, 1)
         elif verdict.rank != expected:
             outcome.add_counterexample(env, f"{label}: rank {verdict.rank}, expected {expected}", side=side)
@@ -993,9 +1061,8 @@ def verify_rank_drop_locus(
     outcome = Outcome("rank_drop_locus")
     sampler = LocusSampler(locus, region, seed)
     outcome.on_count = len(sampler.on_envs)
-    rank_of = partial(map_rank_at, cmap)
-    rank_claim(outcome, sampler.on_envs, rank_of, singular_rank, "on locus", "on")
-    rank_claim(outcome, _off_envs(outcome, sampler, margin, seed), rank_of, regular_rank, "off locus", "off")
+    rank_claim(outcome, sampler.on_envs, map_rank_at, cmap, singular_rank, "on locus", "on")
+    rank_claim(outcome, _off_envs(outcome, sampler, margin, seed), map_rank_at, cmap, regular_rank, "off locus", "off")
     _enforce_floors(outcome, locus, "nonzero")
     return outcome
 

@@ -18,7 +18,11 @@ matrix and set: a table of every point's rows, built once and read by one
 index.  Elsewhere, or where an entry has no column value, they come from
 symexpr's integer-pair values at that point.  A matrix with a float entry
 goes through an SVD with a relative threshold and an explicit undecided
-band.
+band; one with a NaN or infinite entry decides nothing.
+
+A point check over a point set runs once per class of points that agree
+on the coordinates its entries read (`per_class`), and every other point
+of the class reads its class's verdict.
 """
 
 from __future__ import annotations
@@ -28,15 +32,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import mul
 
 import numpy as np
 
 from . import _linalg
 from ._linalg import IntRow
+from .charts import ChartMap
 from .errors import DomainError
-from .points import PointView
+from .points import PointSet, PointView
 from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat, ratio_float
 
 RANK_THRESHOLD = 1e-8
@@ -53,9 +58,50 @@ def check_tolerance(tol):
 
 @dataclass(frozen=True)
 class RankVerdict:
+    """A matrix's rank; undecided inside the float band, or when an entry
+    is NaN or infinite (non_finite)."""
+
     rank: int
     undecided: bool
     exact: bool
+    non_finite: bool = False
+
+
+def _finite(rows):
+    return all(map(math.isfinite, [x for row in rows for x in row]))
+
+
+def per_class(check, subject, envs):
+    """check(subject, env) at every point of envs, in order, as an iterator
+    that computes each verdict when it is read.
+
+    subject is a form or a map, and check one of this module's point
+    checks.  Over a point set, check runs once per class of points that
+    agree on the coordinates subject's entries read (`PointSet.classes`):
+    a map's Jacobian, a form's coefficients, which its partials and wedge
+    powers read no more of.  Every other point of a class gets the
+    verdict of its class's first point, the same object, which no caller
+    changes.  Elsewhere, where no two points agree, or over a set that
+    does not look for classes (`PointSet.may_repeat`), check runs at every
+    point.
+    """
+    reps = None
+    if isinstance(envs, PointSet) and envs.may_repeat:
+        if isinstance(subject, ChartMap):
+            exprs = [e for row in subject.jacobian() for e in row]
+        else:
+            exprs = subject.comps.values()
+        reps = envs.classes(set().union(*(e.free_coords() for e in exprs)))
+    if reps is None:
+        return map(check, repeat(subject), envs)
+    verdicts = {}
+
+    def verdict(rep, env):
+        if rep not in verdicts:
+            verdicts[rep] = check(subject, env)
+        return verdicts[rep]
+
+    return map(verdict, reps, envs)
 
 
 # The point value of a zero entry.
@@ -175,7 +221,7 @@ def _matrix_rank(rows, scale):
     if scale is not None:
         return _exact_verdict(_linalg.exact_rank(rows))
     rank, und = _linalg.float_rank(rows, RANK_THRESHOLD, RANK_BAND_FLOOR)
-    return RankVerdict(rank, und, False)
+    return RankVerdict(rank, und, False, not _finite(rows))
 
 
 def rank_at(form, env):
@@ -229,7 +275,12 @@ def _wedge_square_gram(u, v):
 class DegeneracyVerdict:
     """The degeneracy test's outcome at one point.  kernel and d_matrix are
     integer: each kernel vector is a positive multiple of exact_kernel's,
-    and D_K's rows and columns carry positive scales."""
+    and D_K's rows and columns carry positive scales.
+
+    A verdict is built whole and never changed: `per_class` gives one
+    verdict object to every point of a class.  It is not frozen, because a
+    frozen dataclass takes about four times as long to build, and a sweep
+    of distinct points builds one per point."""
 
     passed: bool
     reason: str
@@ -243,6 +294,15 @@ class DegeneracyVerdict:
     q_sign: str | None = None
     grad_kernel_consistent: bool | None = None
     exact: bool = True
+    non_finite: bool = False
+
+
+def _inexact(rows):
+    """The verdict at a point whose matrix `rows` has a float entry: a
+    failure when every entry is finite, and no decision otherwise."""
+    if _finite(rows):
+        return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
+    return DegeneracyVerdict(False, "non-finite point value", exact=False, non_finite=True)
 
 
 def near_symplectic_at(form, env):
@@ -252,7 +312,9 @@ def near_symplectic_at(form, env):
     restricted first-order matrix D_K has a 3-dimensional image, and
     the wedge-square quadratic form is semi-definite on that image.
     The kernel consistency between the form and its half-top power is
-    computed and reported but does not gate the verdict.
+    computed and reported but does not gate the verdict.  A point whose
+    form or partial matrix has a NaN or infinite entry is not decided
+    (non_finite).
     """
     chart = form.chart
     dim = chart.dim
@@ -260,7 +322,7 @@ def near_symplectic_at(form, env):
         raise DomainError("degeneracy test needs an even chart dimension >= 4")
     m, scale = _form_rows(form, env)
     if scale is None:
-        return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
+        return _inexact(m)
     rank = _linalg.exact_rank(m)
     if rank == dim:
         return DegeneracyVerdict(False, "nondegenerate point", rank=rank, kernel_dim=0)
@@ -273,7 +335,7 @@ def near_symplectic_at(form, env):
     for partial in form.partials():
         rows, scale = _form_rows(partial, env)
         if scale is None:
-            return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
+            return _inexact(rows)
         partials.append((rows, scale))
     # D_K on integers: row c, column (a, b) is the sum over coordinates v of
     # k_c[v] * (k_a^T P_v k_b), P_v the partial along v, put over one scale
@@ -298,32 +360,25 @@ def near_symplectic_at(form, env):
         d_rows.append(row)
     image_basis = _linalg.row_basis(d_rows, 6)
     image_dim = len(image_basis)
-    verdict = DegeneracyVerdict(
-        True,
-        "",
+    fields = dict(
         rank=rank,
         kernel_dim=4,
         kernel=kernel,
         d_matrix=d_rows,
         image_dim=image_dim,
         ker_dk_dim=4 - image_dim,
+        grad_kernel_consistent=_grad_kernel_consistent(form, env),
     )
-    verdict.grad_kernel_consistent = _grad_kernel_consistent(form, env)
     if image_dim != 3:
-        verdict.passed = False
-        verdict.reason = "image rank != 3"
-        return verdict
+        return DegeneracyVerdict(False, "image rank != 3", **fields)
     gram = [
         [_wedge_square_gram(bi, bj) for bj in image_basis] for bi in image_basis
     ]
     pos, neg, zero = _linalg.inertia(gram)
-    verdict.q_signature = (pos, neg, zero)
     if pos and neg:
-        verdict.passed = False
-        verdict.reason = "indefinite image"
-        return verdict
-    verdict.q_sign = "positive" if pos else ("negative" if neg else "zero")
-    return verdict
+        return DegeneracyVerdict(False, "indefinite image", q_signature=(pos, neg, zero), **fields)
+    q_sign = "positive" if pos else ("negative" if neg else "zero")
+    return DegeneracyVerdict(True, "", q_signature=(pos, neg, zero), q_sign=q_sign, **fields)
 
 
 def _grad_kernel_consistent(form, env):
@@ -585,8 +640,7 @@ def stabilizing_constant_search(eta, base, sample_envs, *, k_max=1 << 16):
     while k <= k_max:
         candidate = eta + base * rat(k)
         witness = None
-        for env in sample_envs:
-            verdict = rank_at(candidate, env)
+        for env, verdict in zip(sample_envs, per_class(rank_at, candidate, sample_envs)):
             if verdict.rank != dim or verdict.undecided:
                 witness = dict(env)
                 break

@@ -11,9 +11,17 @@ Work that is the same at every point of a set is done once per set, by
 column, and kept in the set's cache: an expression's exact values, a
 region test, and a point matrix's table, the matrix's integer rows at
 every point over one scale, built from its entries' columns and read at a
-point by one index.  The cache lives and dies with the set, and each entry
-holds the object it was computed for (a form, a map, an expression, a
-region), so no entry outlives its object.
+point by one index, and an opaque function's values, from one array call
+over its coordinate's column.  The cache lives and dies with the set, and
+each entry holds the object it was computed for (a form, a map, an
+expression, a region, a numeric), so no entry outlives its object.
+
+Work that depends only on the coordinates it reads is done once per
+distinct point: the points that agree on those coordinates form a class
+(`PointSet.classes`), and a point check computed at one point of a class
+is read at every other.  Where no two points agree, the check runs at
+every point, with no memo, and so it does over seeded random draws, which
+seldom agree (`PointSet.may_repeat`).
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .symexpr import column_coords, column_value
+import numpy as np
+
+from .symexpr import column_coords, column_value, ratio_float
 
 
 def is_rational(v):
@@ -105,6 +115,10 @@ class PointSet(Sequence):
     sequence of Mappings that equal its points.
     """
 
+    # Whether points of the set agree on the coordinates a check reads often
+    # enough for `classes` to pay for finding them.
+    may_repeat = True
+
     def __init__(self, coords, columns, n):
         self.coords = tuple(coords)
         self.columns = columns
@@ -166,6 +180,50 @@ class PointSet(Sequence):
         """`symexpr.column_value` of expr over this set, computed once."""
         return self.cached(expr, "column", lambda: column_value(expr, self.exact_column, self.n))
 
+    def classes(self, coords):
+        """Per point, the index of the first point that agrees with it on
+        every coordinate of `coords`, read off their exact columns, so a
+        point and its class's first point hold equal values there.  None
+        when no two points agree, or when a coordinate's column is not
+        exact or not in the set.  Computed once per set and coordinates."""
+        coords = tuple(sorted(coords))
+
+        def build():
+            cols = list(map(self.exact_column, coords))
+            if None in cols:
+                return None
+            columns = [nums for nums, _ in cols]
+            # A column without a repeat makes every point distinct.
+            if any(len(set(nums)) == self.n for nums in columns):
+                return None
+            points = list(zip(*columns)) if columns else [()] * self.n
+            if len(set(points)) == self.n:
+                return None
+            first = {}
+            return [first.setdefault(p, i) for i, p in enumerate(points)]
+
+        key = ("classes", coords)
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
+
+    def numeric_column(self, fn, coord):
+        """float(fn(x)) for x each point's value of coord as a float, from
+        one call of fn over the whole column; fn must be elementwise (see
+        `symexpr.OpaqueRegistry`).  None when coord's column is not exact
+        or not in the set.  Computed once per set, coordinate and fn, so a
+        new fn is called afresh."""
+
+        def build():
+            exact = self.exact_column(coord)
+            if exact is None:
+                return None
+            nums, den = exact
+            values = np.asarray(fn(np.array([ratio_float(x, den) for x in nums], dtype=float)), dtype=float)
+            return np.broadcast_to(values, (self.n,)).tolist()
+
+        return self.cached(fn, ("numeric", coord), build)
+
     def has_columns(self, exprs):
         """Whether every expr has a `column`, decided by `column_value`'s
         rule without computing one."""
@@ -190,6 +248,12 @@ class PointView(Mapping):
     def __getitem__(self, coord):
         points = self.points
         return points.columns[points.slots[coord]].value(self.index)
+
+    def numeric(self, fn, coord):
+        """float(fn(x)) at this point's value x of coord, read off its set's
+        `numeric_column`; None where the set has none."""
+        col = self.points.numeric_column(fn, coord)
+        return None if col is None else col[self.index]
 
     def __iter__(self):
         return iter(self.points.coords)

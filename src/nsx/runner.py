@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import dsl
 from .charts import Chart, ChartMap, DForm, Metric, VectorField, function_form
@@ -49,6 +48,7 @@ from .pointcheck import (
     contact_test,
     gradient_rank_at,
     near_symplectic_at,
+    per_class,
     rank_at,
     stabilizing_constant_search,
 )
@@ -458,7 +458,7 @@ class _Ctx:
 
 
 def _locus_result(outcome, evidence, detail):
-    """Verdict, evidence and detail of a locus outcome; a nonzero
+    """Verdict, evidence and detail of a sampled outcome; a nonzero
     non-finite or band count is added to the evidence and the detail."""
     if outcome.non_finite:
         evidence["non_finite"] = outcome.non_finite
@@ -577,15 +577,18 @@ def run_rank_at(ctx, p):
     expected = p["rank"]
     envs = _sample_envs(ctx, p, form.chart)
     outcome = Outcome("rank_at")
-    verdicts = rank_claim(outcome, envs, partial(rank_at, form), expected, "rank_at", "on")
+    verdicts = rank_claim(outcome, envs, rank_at, form, expected, "rank_at", "on")
+    undecided = outcome.band + outcome.non_finite
     evidence = {
         "expected": expected,
         "points": len(envs),
         "mismatches": outcome.on_failures,
-        "undecided": outcome.band,
+        "undecided": undecided,
     }
+    if outcome.non_finite:
+        evidence["non_finite"] = outcome.non_finite
     details = {
-        "undecided": f"({outcome.band} of {len(envs)} points undecided)",
+        "undecided": f"({undecided} of {len(envs)} points undecided)",
         "pass": f"(rank {expected}" + (f" at {len(envs)} points)" if len(envs) > 1 else ")"),
     }
     if outcome.counterexamples:
@@ -599,7 +602,7 @@ def run_gradient_rank_at(ctx, p):
     form = ctx.form(p["form"])
     env = ctx.point_env(p["point"], form.chart)
     outcome = Outcome("gradient_rank_at")
-    (v,) = rank_claim(outcome, [env], partial(gradient_rank_at, form), p["rank"], "gradient_rank_at", "on")
+    (v,) = rank_claim(outcome, [env], gradient_rank_at, form, p["rank"], "gradient_rank_at", "on")
     evidence = {"expected": p["rank"], "rank": v.rank, "exact": v.exact}
     details = {"undecided": "(rank undecided)", "fail": f"(rank {v.rank}, expected {p['rank']})", "pass": f"(rank {v.rank})"}
     return outcome.verdict, evidence, details[outcome.verdict]
@@ -609,9 +612,11 @@ def run_nearsympl_at(ctx, p):
     form = ctx.form(p["form"])
     envs = _sample_envs(ctx, p, form.chart)
     outcome = Outcome("nearsympl_at")
-    verdicts = [near_symplectic_at(form, env) for env in envs]
+    verdicts = list(per_class(near_symplectic_at, form, envs))
     for env, v in zip(envs, verdicts):
-        if not v.passed:
+        if v.non_finite:
+            outcome.add_undecided("on", 0, 1)
+        elif not v.passed:
             outcome.add_counterexample(env, v.reason, side="on")
     held = [v for v in verdicts if v.passed]
     evidence = {
@@ -620,11 +625,11 @@ def run_nearsympl_at(ctx, p):
         "q_signs": sorted({v.q_sign for v in held if v.q_sign}),
         "grad_kernel_consistent": all(v.grad_kernel_consistent is not False for v in held),
     }
-    detail = f"({len(envs)} points)"
+    detail = f"{len(envs)} points"
     if outcome.counterexamples:
         evidence["first_failure"] = outcome.counterexamples[0]
-        detail = f"({evidence['first_failure']['reason']})"
-    return outcome.verdict, evidence, detail
+        detail = evidence["first_failure"]["reason"]
+    return _locus_result(outcome, evidence, detail)
 
 
 def run_contact(ctx, p):

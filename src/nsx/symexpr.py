@@ -582,8 +582,11 @@ class OpaqueRegistry:
     """Numeric callables for opaque function names.
 
     Callables must accept a float or an ndarray and return the same
-    shape.  Lookup is by exact name, so derivatives need their own
-    entry under the primed name.
+    shape, and must be elementwise: an array call gives, bit for bit, the
+    scalar call at every element.  `compile_numpy` relies on this, and so
+    does exact evaluation at a point of a point set, which reads an opaque
+    value off one array call over the set's column.  Lookup is by exact
+    name, so derivatives need their own entry under the primed name.
     """
 
     def __init__(self):
@@ -859,8 +862,15 @@ def _atom_value(atom, env):
     if kind == _PI:
         return math.pi
     if kind == _OPQ:
+        fn = _opaque_numeric(atom[1])
+        # A point of a point set (points.PointView) reads the value off one
+        # call of fn over its set's column.
+        numeric = getattr(env, "numeric", None)
+        v = None if numeric is None else numeric(fn, atom[2])
+        if v is not None:
+            return v
         v = _env_value(env, atom[2])
-        return float(_opaque_numeric(atom[1])(ratio_float(*v) if type(v) is tuple else v))
+        return float(fn(ratio_float(*v) if type(v) is tuple else v))
     _, den, terms = _plan(atom[1])
     arg = _plan_value(den, terms, env)
     if type(arg) is tuple:

@@ -681,6 +681,40 @@ def test_squares_beyond_int64_use_python_ints(locus, margin):
     assert 0 < len(got)
 
 
+def _many_targets(with_nan):
+    """A union of 70 rational points, 20 points with a float x, 6 lines with
+    a rational pin before a float one, and two targets whose squares pass
+    int64 (one exact, one with a float pin), among them; with_nan adds a
+    point whose x is NaN to the float-x points."""
+    rng = random.Random(8)
+    rational = [(("x", F(rng.randint(-16, 16), 16)), ("y", F(rng.randint(-9, 9), 9))) for _ in range(70)]
+    float_x = [(("x", rng.uniform(-1, 1)), ("y", F(rng.randint(-7, 7), 7))) for _ in range(20)]
+    rational[35:35] = [(("x", F(1, 3**25)), ("y", F(2, 7)))]
+    float_x[10:10] = [(("x", 0.25), ("y", F(1, 3**25)))] + ([(("x", math.nan), ("y", F(0)))] if with_nan else [])
+    lines = [CoordLocus(C2, (("y", F(rng.randint(-5, 5), 5)), ("x", rng.uniform(-1, 1)))) for _ in range(6)]
+    return UnionLocus((PointsLocus(C2, tuple(rational)), *lines, PointsLocus(C2, tuple(float_x))))
+
+
+@pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan-pin"])
+def test_grouped_targets_match_the_reference_draw_for_draw(with_nan):
+    # Targets of one shape are tested as one array; every draw's verdict is
+    # the per-target `_coord_dist_sq` test at every target.  A NaN pin
+    # rejects every draw, from inside its group.
+    region, margin = _region(intervals=_RATIONAL_BOX), F(1, 16)
+    sampler = LocusSampler(_many_targets(with_nan), region, seed=0)
+    tests = locus_mod._margin_test(sampler, margin)
+    assert len(sampler.targets) == 98 + with_nan and len(tests) == 6
+    batch = locus_mod._DyadicPoints.read(region, locus_mod._DyadicStream(random.Random(6)), 400)
+    ok = np.ones(len(batch), dtype=bool)
+    for passes in tests:
+        ok &= passes(batch)
+    want = [all(locus_mod._coord_dist_sq(t, env) >= margin * margin for t in sampler.targets) for env in batch]
+    assert ok.tolist() == want
+    assert any(want) != with_nan and not all(want)
+    if not with_nan:
+        assert len(_assert_same_off_locus_envs(sampler.locus, region, margin, 16, seed=4)) == 16
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 @pytest.mark.parametrize("sizes", [(0, 1, 5), (513,), (3, 1000, 1, 64)])
 def test_dyadic_stream_is_the_randrange_sequence(seed, sizes):
@@ -701,6 +735,21 @@ def test_dyadic_stream_batch_ending_on_a_rejected_word():
     reference = random.Random(seed)
     for size in (n, 2 * n + 70, 1):
         assert reader.take(size).tolist() == [reference.randrange(0, 4097) for _ in range(size)]
+
+
+def test_random_draws_run_a_point_check_at_every_draw():
+    # Seeded draws do not look for classes (`PointSet.may_repeat`), so a
+    # check runs at every draw, also where two draws agree; the same points
+    # as a plain point set run it once per class.
+    from nsx.pointcheck import per_class
+
+    cmap = ChartMap("m", C2, C2, (sym("x") ** 2, sym("x") * sym("y")))
+    draws = locus_mod._DyadicPoints(_region(), np.array([[5, 7], [5, 7], [9, 1], [5, 2]]))
+    for points, runs in ((draws, 4), (points_of(list(draws), C2.coords), 3)):
+        calls = []
+        verdicts = list(per_class(lambda f, env: calls.append(env) or map_rank_at(f, env), cmap, points))
+        assert len(calls) == runs
+        assert verdicts == [map_rank_at(cmap, env) for env in draws]
 
 
 def test_dyadic_points_read_like_a_list():
@@ -1132,16 +1181,31 @@ def test_rank_drop_locus():
 
 
 def test_rank_drop_locus_undecided_ranks_are_band_hits(register_opaque):
+    # tiny' is 1e-9 everywhere, so every Jacobian has the singular values 1
+    # and 1e-9, inside the band: each sample counts under its side's band,
+    # and none is a failure.
+    register_opaque("tiny", lambda t: 1e-9 * np.asarray(t, dtype=float))
+    register_opaque("tiny'", lambda t: np.full(np.shape(t), 1e-9))
+    cmap = ChartMap("tiny", P2, P2, (sym("u"), opaque_fn("tiny", "v")))
+    locus = CoordLocus(P2, (("v", F(0)),))
+    rep = verify_rank_drop_locus(cmap, locus, _region(chart=P2), regular_rank=2, singular_rank=1)
+    assert rep.undecided and rep.passed and not rep.counterexamples
+    assert (rep.on_failures, rep.off_failures, rep.non_finite) == (0, 0, 0)
+    assert (rep.on_band, rep.off_band, rep.on_count, rep.off_count) == (3, 16, 3, 16)
+
+
+def test_rank_drop_locus_non_finite_ranks_are_undecided(register_opaque):
     # nanf and nanf' are NaN everywhere, so no Jacobian rank is decided: each
-    # sample counts under its side's band, and none is a failure.
+    # sample counts under its side's non_finite, not its band, and none is a
+    # failure.
     register_opaque("nanf", lambda t: np.full(np.shape(t), np.nan))
     register_opaque("nanf'", lambda t: np.full(np.shape(t), np.nan))
     cmap = ChartMap("nan", P2, P2, (sym("u"), opaque_fn("nanf", "v")))
     locus = CoordLocus(P2, (("v", F(0)),))
     rep = verify_rank_drop_locus(cmap, locus, _region(chart=P2), regular_rank=2, singular_rank=1)
     assert rep.undecided and rep.passed and not rep.counterexamples
-    assert (rep.on_failures, rep.off_failures) == (0, 0)
-    assert (rep.on_band, rep.off_band, rep.on_count, rep.off_count) == (3, 16, 3, 16)
+    assert (rep.on_failures, rep.off_failures, rep.band) == (0, 0, 0)
+    assert (rep.on_non_finite, rep.off_non_finite, rep.on_count, rep.off_count) == (3, 16, 3, 16)
 
 
 # -- fixed points ----------------------------------------------------------

@@ -8,8 +8,12 @@ cases are named `<kind> <case>`: `fail` is a decided failure, `band` a
 sample that no value decides inside the tolerance or rank band, and
 `non_finite` a NaN or infinite value; `float point` fails at a point with
 float coordinates.  The golden was written by the engine before the sampled
-checks shared one outcome record, apart from the two `float point` entries,
-whose float coordinates are now printed as JSON numbers.
+checks shared one outcome record, apart from five entries: the two `float
+point` entries, whose float coordinates are now printed as JSON numbers,
+and `rank_at non_finite`, `rank_drop_locus non_finite` and `nearsympl_at
+non_finite`, whose NaN or infinite matrices are now counted as non-finite
+samples, where they were band hits or, for `nearsympl_at`, a decided
+failure.
 """
 
 import json

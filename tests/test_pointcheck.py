@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsx import _linalg
+from nsx import _linalg, pointcheck
 from nsx.charts import Chart, ChartMap, coord_differential, zero_form
 from nsx.errors import DomainError
 from nsx.pointcheck import (
@@ -15,6 +17,7 @@ from nsx.pointcheck import (
     gradient_rank_at,
     map_rank_at,
     near_symplectic_at,
+    per_class,
     rank_at,
     stabilizing_constant_search,
     _constant_sign,
@@ -111,7 +114,7 @@ def test_rank_at_non_finite_entry_is_undecided(register_opaque, bad):
     register_opaque("badf", lambda t: np.full(np.shape(t), bad))
     om = OM_STD + _w(0, 1) * opaque_fn("badf", "t")
     v = rank_at(om, _origin(C4))
-    assert (v.undecided, v.exact) == (True, False)
+    assert (v.undecided, v.exact, v.non_finite) == (True, False, True)
 
 
 def _exact_kernel_at(form, env):
@@ -294,6 +297,68 @@ def test_at_point_rank_builds_its_entries_once(monkeypatch):
     assert (rec.verdict, rec.detail) == ("pass", "(rank 2)")
     assert len(entries) == 1
     assert columns == []
+
+
+# Few values per coordinate, so that points repeat on the coordinates a
+# form reads; 0 makes degenerate points.
+_POOL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3)])
+_READ = st.lists(st.sampled_from(C4.coords), min_size=0, max_size=4, unique=True)
+_WEIGHTS = st.lists(st.integers(-2, 2), min_size=5, max_size=5)
+
+
+def _linear(weights, coords):
+    return rat(weights[0]) + sum((rat(w) * sym(c) for w, c in zip(weights[1:], coords)), ZERO)
+
+
+@st.composite
+def _point_class_cases(draw):
+    """A 2-form and a map on C4 that read a few coordinates, and points that
+    repeat on them."""
+    read = draw(_READ)
+    form = sum((basis * _linear(draw(_WEIGHTS), read) for basis in SD + ASD[:1]), zero_form(C4, 2))
+    comps = tuple(_linear(draw(_WEIGHTS), read) * sym(c) if c in read else sym(c) for c in C4.coords)
+    cmap = ChartMap("m", C4, C4, comps)
+    envs = draw(st.lists(st.fixed_dictionaries({c: _POOL for c in C4.coords}), min_size=1, max_size=12))
+    return form, cmap, envs
+
+
+def _distinct(points, exprs):
+    coords = sorted(set().union(*(e.free_coords() for e in exprs)))
+    return len({tuple(p[c] for c in coords) for p in points})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_class_cases())
+def test_point_checks_run_once_per_distinct_projection(case):
+    # Over a point set, each check runs once per class of points that agree
+    # on the coordinates its entries read, and every verdict equals the
+    # per-point verdict on a plain dict.
+    from nsx.points import points_of
+
+    form, cmap, envs = case
+    points = points_of(envs, C4.coords)
+    want_rank = [rank_at(form, env) for env in envs]
+    want_map = [map_rank_at(cmap, env) for env in envs]
+    want_near = [near_symplectic_at(form, env) for env in envs]
+    calls = []
+    exact_rank = _linalg.exact_rank
+    _linalg.exact_rank = lambda *a: calls.append(a) or exact_rank(*a)
+    try:
+        assert list(per_class(rank_at, form, points)) == want_rank
+        assert len(calls) == _distinct(points, form.comps.values())
+        calls.clear()
+        assert list(per_class(map_rank_at, cmap, points)) == want_map
+        assert len(calls) == _distinct(points, [e for row in cmap.jacobian() for e in row])
+    finally:
+        _linalg.exact_rank = exact_rank
+    checked = []
+    near = list(per_class(lambda f, e: checked.append(e) or near_symplectic_at(f, e), form, points))
+    assert near == want_near and len(checked) == _distinct(points, form.comps.values())
+    assert list(per_class(rank_at, form, envs)) == want_rank  # plain dicts: every point
+    eta, base = form, OM_STD
+    assert stabilizing_constant_search(eta, base, points, k_max=4) == stabilizing_constant_search(
+        eta, base, envs, k_max=4
+    )
 
 
 def test_partials_and_powers_are_built_once_per_form(monkeypatch):

@@ -213,6 +213,28 @@ def test_explicit_point_budget_is_kept(mode, points):
     assert rec.evidence["points"] == points
 
 
+def test_class_verdicts_are_shared_and_left_unchanged(monkeypatch):
+    # Every point of a class gets its class's verdict object.  The checks
+    # read the verdicts and change none, so after a run each still equals
+    # the verdict taken afresh at its point.
+    from nsx import locus, pointcheck, runner
+
+    seen = []
+
+    def spy(check, subject, envs):
+        verdicts = list(pointcheck.per_class(check, subject, envs))
+        seen.append((check, subject, envs, verdicts))
+        return iter(verdicts)
+
+    monkeypatch.setattr(runner, "per_class", spy)
+    monkeypatch.setattr(locus, "per_class", spy)
+    run_suite(only=["S3", "S4", "S6"])
+    kinds = {check.__name__ for check, _, envs, verdicts in seen if len(set(map(id, verdicts))) < len(envs)}
+    assert kinds == {"near_symplectic_at", "map_rank_at", "rank_at"}
+    for check, subject, envs, verdicts in seen:
+        assert verdicts == [check(subject, env) for env in envs]
+
+
 def test_engine_fault_is_an_error_verdict_and_the_suite_finishes(monkeypatch):
     import numpy as np
 
@@ -509,7 +531,7 @@ def test_rank_at_a_non_finite_matrix_is_undecided(register_opaque):
         "check rank_at om, 2 at (x=1/2, y=0)\n"
     )
     (rec,) = _run(text).checks
-    assert rec.verdict == "undecided"
+    assert rec.verdict == "undecided" and rec.evidence["non_finite"] == 1
     assert rec.evidence["undecided"] == 1 and rec.detail == "(1 of 1 points undecided)"
 
 
@@ -518,7 +540,7 @@ def test_rank_at_an_overflowing_entry_is_undecided():
     # it, so the float rank is undecided rather than an OverflowError.
     text = "chart C(x, y)\nform om on C = exp(1000*x)*d(x) /\\ d(y)\ncheck rank_at om, 2 at (x=1, y=0)\n"
     (rec,) = _run(text).checks
-    assert rec.verdict == "undecided"
+    assert rec.verdict == "undecided" and rec.evidence["non_finite"] == 1
     assert rec.evidence["undecided"] == 1 and rec.detail == "(1 of 1 points undecided)"
 
 

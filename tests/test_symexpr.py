@@ -530,6 +530,45 @@ def test_bump_is_zero_far_outside_without_warnings(fn):
         assert fn(np.array(far + [0.0])).tolist() == [0.0] * len(far) + [fn(0.0)]
 
 
+def _bump_grid():
+    """A dense grid over [-3/2, 3/2] and the floats next to, at and past +-1."""
+    near = [1.0 - 2.0**-k for k in range(1, 54)] + [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 2**-30]
+    special = [0.0, -0.0, 5e-324, 1e-300, math.inf, -math.inf, math.nan, 1e200]
+    grid = np.concatenate([np.linspace(-1.5, 1.5, 20001), near, np.negative(near), special])
+    return grid
+
+
+@pytest.mark.parametrize("fn", [bump, bump_prime])
+def test_bump_array_calls_equal_scalar_calls_bit_for_bit(fn):
+    # A point set reads an opaque value off one array call over its column,
+    # where a plain point calls the numeric on one float.
+    grid = _bump_grid()
+    scalar = np.array([fn(float(t)) for t in grid], dtype=np.float64)
+    assert fn(grid).tobytes() == scalar.tobytes()
+    assert np.count_nonzero(scalar) > 10000
+
+
+def test_reregistering_a_numeric_between_evaluations_over_one_set_takes_effect(register_opaque):
+    from nsx.points import points_of
+
+    calls = []
+
+    def numeric(scale):
+        return lambda t: calls.append(np.shape(t)) or scale * np.asarray(t, dtype=float)
+
+    register_opaque("g", numeric(2.0))
+    e = opaque_fn("g", "x") * y + opaque_fn("g", "y")
+    envs = [{"x": Fraction(k, 4), "y": Fraction(1 - k, 3)} for k in range(5)]
+    points = points_of(envs, ("x", "y"))
+    first = [evaluate(e, p) for p in points]
+    assert first == [2 * float(env["x"]) * float(env["y"]) + 2 * float(env["y"]) for env in envs]
+    assert calls == [(5,), (5,)]  # one call per column, not per point
+    register_opaque("g", numeric(3.0))
+    second = [evaluate(e, p) for p in points]
+    assert second == [evaluate(e, env) for env in envs]
+    assert second == [3 * float(env["x"]) * float(env["y"]) + 3 * float(env["y"]) for env in envs]
+
+
 def test_evaluate_exact_trig_folding():
     # sin at an argument that evaluates to exactly zero stays a Fraction
     e = rat(5) * sin_of(x - 1) + y
