@@ -23,10 +23,12 @@ map's image points and a union's parts in turn.  A point reads as a
 read-only view of its set, and exact values, point matrices and region
 tests are computed once per set, by column.  Off-locus draws are taken
 by rejection against the targets, the tuples of (coord, value) pins that
-`LocusSampler.targets` measures the distance to a locus by: the margin
-test is array work over a batch and over the targets of one shape, exact
-in integers for rational pins on rational axes and bit for bit the float
-sum of `_coord_dist_sq` otherwise.
+`LocusSampler.targets` measures the distance to a locus by.  The exact
+squared distance `_coord_dist_sq` defines the margin test, and a float
+filter decides it over a batch as array work, over the targets that pin
+the same axes at once: a float distance decides only outside a proven
+error bound, and every other (target, draw) pair falls back to the exact
+distance (`_margin_test`).
 
 Every sample claim is decided by `_decide` under one rule: a float
 decides only outside the tolerance band, an exact value decides where
@@ -35,7 +37,8 @@ decides nothing; the outcome counts such a sample under `band` or
 `non_finite`, per side, and is undecided.  `vanishing_locus`,
 `fixed_points` and `dividing_set` run one on/off sequence,
 `_verify_locus`, in which an on-locus sample outside the region is one
-counterexample and is not decided.
+counterexample and is not decided; `rank_drop_locus` shares that rule
+for its on-locus samples (`_on_envs`).
 """
 
 from __future__ import annotations
@@ -170,29 +173,43 @@ class Region:
             raise DomainError("random sample count must be nonnegative")
 
     @cached_property
+    def reach(self):
+        """Per axis, a float at least |x| and |float(x)| at every draw x of
+        its interval: the larger |end| as a float, widened by 2**-50, which
+        covers the rounding of a rational end and the draws of a
+        float-bounded interval, computed in floats."""
+        return [max(abs(_float(lo)), abs(_float(hi))) * (1 + 2.0**-50) for lo, hi in self.intervals]
+
+    @cached_property
     def dyadic_axes(self):
         """The `_dyadic_axis` of each interval, in coordinate order."""
         return tuple(_dyadic_axis(lo, hi) for lo, hi in self.intervals)
 
     def contains(self, env):
         """Whether a point lies in the region: a `PointView`, read off its
-        set's `_inside`, or a plain dict, taken as a one-point set."""
+        set's `inside`, or a plain dict, taken as a one-point set."""
         if type(env) is not PointView:
             env = points_of([env], self.chart.coords)[0]
-        points = env.points
-        return points.cached(self, "inside", lambda: self._inside(points))[env.index]
+        return self.inside(env.points)[env.index]
+
+    def inside(self, points):
+        """contains() at every point of a set, computed once per set."""
+        return points.cached(self, "inside", lambda: self._inside(points))
 
     def _inside(self, points):
-        """contains() at every point of a set, read by column: an exact
-        column against rational ends in integers, n*lo.d >= lo.n*den."""
+        """`inside`, read by column: an exact column against rational ends
+        in integers, n*lo.d >= lo.n*den, at its least and greatest
+        numerators first, and at every point only when those fall outside."""
         inside = [True] * len(points)
-        for c, (lo, hi) in zip(self.chart.coords, self.intervals):
+        for c, (lo, hi), axis in zip(self.chart.coords, self.intervals, self.dyadic_axes):
             col = points.columns[points.slots[c]]
-            exact = col.exact()
-            if exact is not None and is_rational(lo) and is_rational(hi):
+            exact = None if axis is None else col.exact()
+            if exact is not None:
                 nums, den = exact
                 lo_n, lo_d = lo.numerator * den, lo.denominator
                 hi_n, hi_d = hi.numerator * den, hi.denominator
+                if not nums or (lo_d * min(nums) >= lo_n and hi_d * max(nums) <= hi_n):
+                    continue
                 ok = [lo_d * x >= lo_n and hi_d * x <= hi_n for x in nums]
             else:
                 ok = [not (v < lo or v > hi) for v in map(col.value, range(len(points)))]
@@ -357,8 +374,9 @@ class LocusSampler:
         return _locus_targets(self.locus, self.region, self.seed, derive_seed(self.seed, "cloud"))
 
     def distance_sq(self, env):
-        """Squared distance from env to the nearest target, None without
-        targets; a Fraction whenever every value involved is rational."""
+        """Squared distance from env to the nearest target by
+        `_coord_dist_sq`, None without targets: a Fraction wherever every
+        value involved is finite."""
         return min((_coord_dist_sq(t, env) for t in self.targets), default=None)
 
 
@@ -376,13 +394,25 @@ def _locus_targets(locus, region, seed, cloud_seed):
 
 
 def _coord_dist_sq(pins, env):
-    """Sum of (env[c] - v)**2 over the (c, v) pins, in pin order from
-    Fraction(0), so a float result keeps its bits."""
-    total = Fraction(0)
+    """Sum of (env[c] - v)**2 over the (c, v) pins, the one exact
+    definition of the distance to a target: every finite value reads as
+    the rational it is, so the sum is a Fraction.  A term holding a NaN or
+    an infinity is taken in floats, with a finite value beside an infinity
+    read as 0, so a NaN (or inf - inf) makes the distance NaN and, failing
+    that, an infinity makes it inf."""
+    exact, other = Fraction(0), 0.0
     for c, v in pins:
-        d = env[c] - v
-        total = total + d * d
-    return total
+        x = env[c]
+        if _finite(x) and _finite(v):
+            d = Fraction(x) - Fraction(v)
+            exact += d * d
+        else:
+            other += ((0.0 if _finite(x) else x) - (0.0 if _finite(v) else v)) ** 2
+    return exact if other == 0 else other
+
+
+def _finite(v):
+    return not isinstance(v, float) or math.isfinite(v)
 
 
 class _DyadicPoints(PointSet):
@@ -406,6 +436,7 @@ class _DyadicPoints(PointSet):
         self.coords = region.chart.coords
         self.n = len(ks)
         self.cache = {}
+        self.float_columns = {}
 
     @classmethod
     def read(cls, region, stream, n):
@@ -431,14 +462,23 @@ class _DyadicPoints(PointSet):
         """The numerator column of each rational axis, None for a float one."""
         return [axis and _numerator_column(axis, k) for axis, k in zip(self.region.dyadic_axes, self.ks.T)]
 
-    @cached_property
+    @property
     def floats(self):
-        """The float64 column of each axis: float() of the items' values, bit for bit."""
-        r = self.region
-        return [
-            _dyadic_value(lo, hi, None, k) if axis is None else _float_quotients(nums, axis[2])
-            for (lo, hi), axis, nums, k in zip(r.intervals, r.dyadic_axes, self.numerators, self.ks.T)
-        ]
+        """The float64 column of each axis, by `axis_floats`."""
+        return list(map(self.axis_floats, range(len(self.coords))))
+
+    def axis_floats(self, i):
+        """The float64 column of axis i: float() of the items' values, bit
+        for bit.  Computed once per axis and kept in `float_columns`."""
+        col = self.float_columns.get(i)
+        if col is None:
+            (lo, hi), axis, k = self.region.intervals[i], self.region.dyadic_axes[i], self.ks[:, i]
+            if axis is None:
+                col = _dyadic_value(lo, hi, None, k)
+            else:
+                col = _float_quotients(_numerator_column(axis, k), axis[2])
+            self.float_columns[i] = col
+        return col
 
 
 def _axis_extreme(axis):
@@ -454,16 +494,14 @@ def _numerator_column(axis, k):
 
 
 def _float_quotients(nums, den):
-    """float(Fraction(n, d)) of every numerator n over its den d, an
-    infinity of its sign past the float range; den is one int or an array
-    that broadcasts against nums.  An int64 array holds numerators below
-    2**53 over dens below 2**53, so the one IEEE division is correctly
+    """float(Fraction(n, den)) of every numerator n, an infinity of its
+    sign past the float range.  An int64 array holds numerators below
+    2**53 over a den below 2**53, so the one IEEE division is correctly
     rounded, as `float(Fraction)` is; Python ints in object arrays are
     divided singly.
     """
     if nums.dtype == object:
-        n, d = np.broadcast_arrays(nums, np.asarray(den, dtype=object))
-        return np.array(list(map(ratio_float, n.flat, d.flat)), dtype=np.float64).reshape(n.shape)
+        return np.array([ratio_float(n, den) for n in nums.tolist()], dtype=np.float64)
     return nums.astype(np.float64) / den
 
 
@@ -494,169 +532,95 @@ class _DyadicStream:
         return out
 
 
-def _square_bound(terms, extremes):
-    """A bound on every constant and on sum(w * (n_i*q - pd)**2) over the
-    (i, q, pd, w) terms, where `extremes[i]` bounds |n_i|."""
-    return sum(w * ((extremes[i] + 1) * q + abs(pd)) ** 2 for i, q, pd, w in terms)
-
-
-def _square_sum(axes, per_target, wide):
-    """A function of a batch of draws giving sum(w * (n_i*q - pd)**2) over
-    a target's (i, q, pd, w) terms, n_i a draw's numerator on axis i, per
-    target and draw.  Every target of per_target has its terms on `axes`,
-    in that order.  The sums are int64, or Python ints when `wide`, so
-    each is exact in any order of its terms."""
-    fields = np.array([[term[1:] for term in terms] for terms in per_target], dtype=object if wide else np.int64)
-    q, pd, w = fields[..., None].transpose(2, 0, 1, 3)  # each (targets, axes, 1)
-
-    def total(points):
-        n = np.stack([points.numerators[i] for i in axes])  # (axes, draws)
-        a = (n.astype(object) if wide else n) * q
-        a -= pd
-        a *= a
-        a *= w
-        return a.sum(1)
-
-    return total
-
-
-def _common_terms(pins, dens):
-    """The squared distances to rational pins (axis, p/q) over one
-    denominator: (n/den - p/q)**2 == (n*q - p*den)**2 / (den*q)**2, so
-    their sum is sum(w * (n[axis]*q - p*den)**2) / common over the
-    returned (axis, q, p*den, w) terms, with common = lcm((den*q)**2)."""
-    sqs = [(dens[i] * v.denominator) ** 2 for i, v in pins]
-    common = math.lcm(*sqs)
-    return [(i, v.denominator, v.numerator * dens[i], common // sq) for (i, v), sq in zip(pins, sqs)], common
-
-
-def _target_plan(pins, dens, extremes, margin):
-    """(shape, values): `_coord_dist_sq(target, env) >= margin**2` for a
-    target's pins, as parts of one shape and one value per part.
-
-    Rational pins on rational axes make one part, ("int", axes, wide)
-    with value (terms, threshold): one integer comparison per draw,
-    sum(w * (n_i*q - pd)**2) >= threshold, over the common denominator
-    lcm((den*q)**2) * margin.denominator**2.
-
-    Any other target reproduces `_coord_dist_sq` bit for bit.  It sums
-    from Fraction(0): the rational pins on rational axes before the first
-    other pin sum exactly, and their sum becomes a float once, a part
-    ("exact", axes, wide) with value (terms, common).  Then every other
-    pin adds (x - v)**2 in floats, a part ("float", axis) with value
-    float(v), and a rational pin on a rational axis adds the float of its
-    exact square, an "exact" part of its own.  wide is whether the sums
-    need Python ints.
-    """
-    is_exact = [is_rational(v) and dens[i] is not None for i, v in pins]
-    if all(is_exact):
-        terms, common = _common_terms(pins, dens)
-        md_sq = margin.denominator**2
-        terms = [(i, q, pd, w * md_sq) for i, q, pd, w in terms]
-        threshold = margin.numerator**2 * common
-        wide = max(_square_bound(terms, extremes), threshold) >= 1 << 63
-        return (("int", tuple(i for i, _ in pins), wide),), ((terms, threshold),)
-    shape, values = [], []
-
-    def exact(rational_pins):
-        terms, common = _common_terms(rational_pins, dens)
-        wide = max(_square_bound(terms, extremes), common) >= _FLOAT_EXACT
-        shape.append(("exact", tuple(i for i, _ in rational_pins), wide))
-        values.append((terms, common))
-
-    first = is_exact.index(False)
-    if first:
-        exact(pins[:first])
-    for (i, v), e in zip(pins[first:], is_exact[first:]):
-        if e:
-            exact([(i, v)])
-        else:
-            shape.append(("float", i))
-            values.append(_float(v))
-    return tuple(shape), tuple(values)
-
-
-def _column(values, dtype):
-    """One value per target as a column in dtype."""
-    return np.array(values, dtype=dtype)[:, None]
-
-
-def _group_test(shape, values, margin):
-    """The margin test of targets of one shape, `values` holding each
-    target's values: a function of a batch of draws giving a bool per
-    draw, whether it passes every target.  The targets are the rows of one
-    (targets x draws) array: its integer sums are exact, and its every
-    float element takes the operations, in the order, of its target's test
-    alone, so every bit is kept.
-
-    A float distance d compares exactly with the rational margin**2,
-    which rounds to m: d > m means d > margin**2, d < m means d <
-    margin**2, and the tie d == m is decided once.  When margin**2 is past
-    the float range, m is inf and only d == inf passes.  A value past the
-    float range is an infinity of its sign here, where `_coord_dist_sq`
-    raises OverflowError, and a NaN distance passes no test.
-    """
-    parts = []
-    for part, column in zip(shape, zip(*values)):
-        if part[0] == "float":
-            v = _column(column, np.float64)
-            parts.append(lambda points, i=part[1], v=v: (points.floats[i] - v) ** 2)
-            continue
-        total = _square_sum(part[1], [terms for terms, _ in column], part[2])
-        bound = _column([b for _, b in column], object if part[2] else np.int64)
-        if part[0] == "int":
-            return lambda points: (total(points) >= bound).all(0)
-        parts.append(lambda points, total=total, common=bound: _float_quotients(total(points), common))
-    margin_sq = margin * margin
-    m = _float(margin_sq)
-    tie_passes = m == math.inf or Fraction(m) >= margin_sq
-
-    def passes(points):
-        d = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for part in parts:
-                d = d + part(points)
-        ok = d >= m if tie_passes else d > m
-        return ok.all(0)
-
-    return passes
-
-
-# Targets per group test.  A group's arrays hold targets x axes x draws
-# elements, so with _BATCH_DRAWS this caps their size.  Uncapped, one
-# 512-draw batch against 4096 targets on Python ints peaked at 327 MB,
-# against 5 MB at 64, and took no less time; from 16 to 64 targets a
-# group, the time per target stays within about 15%
-# (BENCH_pointclasses.json, "group_cap").
+# Targets per group.  A group's float arrays hold targets x draws
+# elements, so with _BATCH_DRAWS this caps their size.  One 512-draw batch
+# against 4096 rational points (2 axes, on a 2-vCPU Xeon VM) took 10.7 ms
+# and peaked at 1.0 MB in groups of 64, 14.3 ms in groups of 16, and
+# 23.5 ms and 33.9 MB in one group; from 32 to 128 targets a group the
+# time stays within about 15%.
 _GROUP_TARGETS = 64
 
 
 def _margin_test(sampler, margin):
-    """`distance_sq(env) >= margin**2` over a batch of draws.
+    """`distance_sq(env) >= margin**2` over a batch of draws, as a float
+    filter with an exact fallback.
 
-    Returns functions of a `_DyadicPoints` batch, each giving a bool per
-    draw; a draw is accepted when every function passes it.  Targets are
-    tested in groups: those of one shape (`_target_plan`: the same pin
-    axes, the same exact pins, the same int64 or Python-int path), at most
-    _GROUP_TARGETS at a time, are one `_group_test`.  A draw passes when it
-    passes every target: that is the nearest target's test, and it rejects
-    a draw at NaN distance from any target.  A target of rational pins on
-    rational axes is decided in integers; any other reproduces the bits of
-    `_coord_dist_sq`.
+    Returns functions `passes(points, ok)` of a `_DyadicPoints` batch and a
+    bool per draw, each of which clears ok at the draws it rejects; a draw
+    passes when it passes every target.  Targets are grouped by their pin
+    axes, at most _GROUP_TARGETS to a group, and a group's float squared
+    distances over `_DyadicPoints.floats` are one (targets x draws) array.
+
+    The float distance decides a (target, draw) pair only outside a proven
+    error bound (a floating-point filter, as in Shewchuk, Discrete Comput.
+    Geom. 18, 1997).  For a target of k pins, let D be the exact squared
+    distance of a draw and D~ the float sum, from 0.0, of fl(fl(x~ - v~)**2)
+    over the pins, x~ = float(x) of the draw's value x and v~ = float(v) of
+    the pin v.  With u = 2**-53 and eta = 2**-1074, a rounding turns w into
+    w*(1 + d) + e, |d| <= u and |e| <= eta, where e is nonzero only below
+    the normal range and never for a sum or a difference.  Per pin let
+    R = reach + |v~|, reach the axis's `Region.reach`, which bounds |x| and
+    |x~|; as |v| <= (1 + u)*|v~| + eta, x~ - v~ is within about u*R + 2*eta
+    of x - v.  The difference and the square add one relative rounding
+    each and the k - 1 sums one each, so (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3)
+
+        |D~ - D| <= gamma(k + 8) * sum(R**2) + 7*k*eta,
+
+    gamma(n) = n*u / (1 - n*u), with the eta*R cross terms folded into
+    u*R**2 + eta.  m = float(margin**2) is within u*m + eta of margin**2.
+    The test widens the bound to
+
+        tol = (k + 8) * 2**-51 * S + 2**-50 * m + k * 2**-1060,
+
+    S the float sum of R**2: more than twice the bound, which covers the
+    error of m and the roundings of S, tol and m +- tol.  A draw with
+    D~ > m + tol is then at D > margin**2, and one with D~ < m - tol at
+    D < margin**2.  Every other pair is decided by `_coord_dist_sq`, the
+    one exact definition: a tie with the margin, a NaN distance (which
+    rejects the draw), and every pair where a value, m or m + tol is past
+    the float range, where the bound does not hold.  An infinite pin gives
+    D~ = inf, which passes, as the exact distance does, unless it meets an
+    infinite draw.
     """
-    axes = sampler.region.dyadic_axes
-    extremes = [None if axis is None else _axis_extreme(axis) for axis in axes]
-    dens = [None if axis is None else axis[2] for axis in axes]
     index = {c: i for i, c in enumerate(sampler.region.chart.coords)}
+    reach = sampler.region.reach
+    margin_sq = margin * margin
+    m = _float(margin_sq)
     groups = {}
     for target in sampler.targets:
-        shape, values = _target_plan([(index[c], v) for c, v in target], dens, extremes, margin)
-        groups.setdefault(shape, []).append(values)
-    return [
-        _group_test(shape, group[k : k + _GROUP_TARGETS], margin)
-        for shape, group in groups.items()
-        for k in range(0, len(group), _GROUP_TARGETS)
-    ]
+        groups.setdefault(tuple(index[c] for c, _ in target), []).append(target)
+    tests = []
+    for axes, targets in groups.items():
+        k = len(axes)
+        for start in range(0, len(targets), _GROUP_TARGETS):
+            part = targets[start : start + _GROUP_TARGETS]
+            pins = [[_float(v) for _, v in t] for t in part]
+            lo, hi = [], []
+            for vs in pins:
+                # Python floats: past the float range inf or NaN, never an error.
+                r = [reach[i] + abs(v) for i, v in zip(axes, vs)]
+                tol = (k + 8) * 2.0**-51 * sum(x * x for x in r) + 2.0**-50 * m + k * 2.0**-1060
+                hi.append(m + tol)
+                lo.append(m - tol if math.isfinite(m + tol) else -math.inf)
+            cols = list(np.array(pins, dtype=np.float64).T[:, :, None])
+            tests.append(partial(_filter, axes, part, cols, np.array(lo)[:, None], np.array(hi)[:, None], margin_sq))
+    return tests
+
+
+def _filter(axes, targets, pins, lo, hi, margin_sq, points, ok):
+    """One group's test of `_margin_test` over the batch `points`: clears
+    ok at every draw that a target rejects.  `pins` holds a (targets x 1)
+    float column per axis of `axes`, and lo and hi the targets' m -+ tol.
+    The caller ignores numpy's overflow and invalid warnings, since a
+    distance past the float range is inf or NaN by design."""
+    d = sum((points.axis_floats(i) - v) ** 2 for i, v in zip(axes, pins))
+    ok &= ~(d < lo).any(0)
+    unsure = ~(d > hi) & ok
+    if unsure.any():
+        for i in np.flatnonzero(unsure.any(0)).tolist():
+            env = points[i]
+            ok[i] = all(_coord_dist_sq(targets[t], env) >= margin_sq for t in np.flatnonzero(unsure[:, i]).tolist())
 
 
 _BATCH_DRAWS = 512  # draws per margin test; a cap on the arrays' size
@@ -669,7 +633,8 @@ def off_locus_envs(sampler, margin, count, seed):
     draws at squared distance >= margin**2 from every target of the locus;
     exhausted is True when the draw budget ran out first.  The draws are
     those `random_env` makes, in order, read in batches from one
-    `_DyadicStream`, and each batch is margin-tested as a whole.
+    `_DyadicStream`, and each batch is margin-tested as a whole; the float
+    columns the test reads are kept for the accepted draws.
     """
     if not is_rational(margin):
         raise DomainError(f"a margin must be rational, got {margin!r}")
@@ -677,19 +642,25 @@ def off_locus_envs(sampler, margin, count, seed):
     tests = _margin_test(sampler, margin)
     stream = _DyadicStream(random.Random(derive_seed(seed, "off-locus")))
     budget = max(64, _REJECTION_CAP_FACTOR * count)
-    draws, kept, accepted = 0, 0, []
-    while kept < count and draws < budget:
-        # Enough draws for the rest at the acceptance rate seen so far.
-        size = min(_BATCH_DRAWS, budget - draws, (count - kept) * (draws + 1) // (kept + 1) + 1)
-        batch = _DyadicPoints.read(region, stream, size)
-        ok = np.ones(size, dtype=bool)
-        for passes in tests:
-            ok &= passes(batch)
-        accepted.append(batch.ks[np.flatnonzero(ok)[: count - kept]])
-        kept += len(accepted[-1])
-        draws += size
+    draws, kept, accepted, floats = 0, 0, [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while kept < count and draws < budget:
+            # Enough draws for the rest at the acceptance rate seen so far.
+            size = min(_BATCH_DRAWS, budget - draws, (count - kept) * (draws + 1) // (kept + 1) + 1)
+            batch = _DyadicPoints.read(region, stream, size)
+            ok = np.ones(size, dtype=bool)
+            for passes in tests:
+                passes(batch, ok)
+            rows = np.flatnonzero(ok)[: count - kept]
+            accepted.append(batch.ks[rows])
+            floats.append({i: col[rows] for i, col in batch.float_columns.items()})
+            kept += len(rows)
+            draws += size
     ks = np.concatenate(accepted) if accepted else np.empty((0, len(region.intervals)), dtype=np.int64)
-    return _DyadicPoints(region, ks), kept < count
+    points = _DyadicPoints(region, ks)
+    if floats:
+        points.float_columns = {i: np.concatenate([f[i] for f in floats]) for i in floats[0]}
+    return points, kept < count
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +817,11 @@ def _point_values(exprs, envs):
 
 
 def _float_values(exprs, envs):
-    """Float values of the expressions over a `_DyadicPoints`, one row per expression."""
+    """Float values of the expressions over a `_DyadicPoints`, one row per
+    expression; past the float range inf or NaN, which `_decide` counts."""
     envf = dict(zip(envs.region.chart.coords, envs.floats))
-    return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.stack([np.broadcast_to(compile_numpy(e)(envf), (len(envs),)) for e in exprs])
 
 
 def _decide(outcome, exprs, envs, mode, tol, side, reason, screen):
@@ -886,7 +859,8 @@ def _decide(outcome, exprs, envs, mode, tol, side, reason, screen):
     if rows:
         finite = np.isfinite(vals).all(0)
         non_finite = len(rows) - int(finite.sum())
-        violated, in_band = rule.floats(vals, tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # only finite samples are read
+            violated, in_band = rule.floats(vals, tol)
         for j in np.flatnonzero((violated | in_band) & finite).tolist():
             env = envs[rows[j]]
             holds = None
@@ -919,6 +893,21 @@ def _off_envs(outcome, sampler, margin, seed):
     return envs
 
 
+def _on_envs(outcome, sampler):
+    """The sampler's on-locus samples inside its region, all of them
+    counted on the outcome: a sample outside the region is one
+    counterexample and is not decided further."""
+    on_envs = sampler.on_envs
+    outcome.on_count = len(on_envs)
+    inside = [True] if sampler.region is None else sampler.region.inside(on_envs)
+    if not all(inside):
+        for e, ok in zip(on_envs, inside):
+            if not ok:
+                outcome.add_counterexample(e, "locus sample outside region", side="on")
+        on_envs = points_of([e for e, ok in zip(on_envs, inside) if ok], on_envs.coords)
+    return on_envs
+
+
 def _enforce_floors(outcome, locus, off_mode):
     if outcome.on_count < MIN_ON_SAMPLES and not isinstance(locus, EmptyLocus):
         outcome.fail(f"only {outcome.on_count} on-locus samples, need {MIN_ON_SAMPLES}")
@@ -930,8 +919,8 @@ def _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region,
     """The on/off sequence of a locus check, recorded on the outcome.
 
     The locus is sampled and each sample tested against the region: a
-    sample outside it is one counterexample and is not decided further.
-    The expressions are pulled through `via`; `_decide` holds on_exprs to
+    sample outside it is one counterexample and is not decided further
+    (`_on_envs`).  The expressions are pulled through `via`; `_decide` holds on_exprs to
     vanish at the other samples, exact first, and off_exprs to `off_mode`
     (`_MODES`, or "none" to waive it) at margin-separated off-locus samples
     behind the float screen, with `reason` for each violation.  No
@@ -939,16 +928,8 @@ def _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region,
     fails at every off-locus sample.  Then the sample floors apply.
     """
     sampler = LocusSampler(locus, region, seed)
-    on_envs = sampler.on_envs
-    outcome.on_count = len(on_envs)
-    if region is not None:
-        outside = [e for e in on_envs if not region.contains(e)]
-        for e in outside:
-            outcome.add_counterexample(e, "locus sample outside region", side="on")
-        if outside:
-            on_envs = points_of([e for e in on_envs if region.contains(e)], on_envs.coords)
     on_exprs, off_exprs = _pull_subject(via, on_exprs, off_exprs)
-    _decide(outcome, on_exprs, on_envs, "vanish", tol, "on", "nonzero on locus", screen=False)
+    _decide(outcome, on_exprs, _on_envs(outcome, sampler), "vanish", tol, "on", "nonzero on locus", screen=False)
     if off_mode != "none":
         envs = _off_envs(outcome, sampler, margin, seed)
         if off_exprs:
@@ -1056,12 +1037,13 @@ def verify_rank_drop_locus(
     seed=0,
 ):
     """Jacobian rank of `cmap` equals singular_rank on the locus and
-    regular_rank at margin-separated off-locus samples, by `rank_claim`.
+    regular_rank at margin-separated off-locus samples, by `rank_claim`;
+    an on-locus sample outside the region is one counterexample and is not
+    decided (`_on_envs`).
     """
     outcome = Outcome("rank_drop_locus")
     sampler = LocusSampler(locus, region, seed)
-    outcome.on_count = len(sampler.on_envs)
-    rank_claim(outcome, sampler.on_envs, map_rank_at, cmap, singular_rank, "on locus", "on")
+    rank_claim(outcome, _on_envs(outcome, sampler), map_rank_at, cmap, singular_rank, "on locus", "on")
     rank_claim(outcome, _off_envs(outcome, sampler, margin, seed), map_rank_at, cmap, regular_rank, "off locus", "off")
     _enforce_floors(outcome, locus, "nonzero")
     return outcome

@@ -295,14 +295,25 @@ class DegeneracyVerdict:
     grad_kernel_consistent: bool | None = None
     exact: bool = True
     non_finite: bool = False
+    undecided: bool = False
 
 
-def _inexact(rows):
-    """The verdict at a point whose matrix `rows` has a float entry: a
-    failure when every entry is finite, and no decision otherwise."""
-    if _finite(rows):
-        return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
-    return DegeneracyVerdict(False, "non-finite point value", exact=False, non_finite=True)
+def _inexact(rows, dim=None):
+    """The verdict at a point whose matrix `rows` has a float entry.  A NaN
+    or infinite entry decides nothing (non_finite).  With the chart's dim,
+    rows are the form's matrix and its decided float rank fails the test
+    where it is dim or another rank than dim - 4.  Anything else, a rank in
+    the band, a float rank of dim - 4 or a float partial matrix, whose D_K
+    no float decides, is a band hit (undecided)."""
+    if not _finite(rows):
+        return DegeneracyVerdict(False, "non-finite point value", exact=False, non_finite=True)
+    if dim is not None:
+        rank, undecided = _linalg.float_rank(rows, RANK_THRESHOLD, RANK_BAND_FLOOR)
+        if not undecided and rank == dim:
+            return DegeneracyVerdict(False, "nondegenerate point", rank=rank, kernel_dim=0, exact=False)
+        if not undecided and rank != dim - 4:
+            return DegeneracyVerdict(False, "kernel not 4-dim", rank=rank, kernel_dim=dim - rank, exact=False)
+    return DegeneracyVerdict(False, "point evaluation is not exact", exact=False, undecided=True)
 
 
 def near_symplectic_at(form, env):
@@ -313,8 +324,8 @@ def near_symplectic_at(form, env):
     the wedge-square quadratic form is semi-definite on that image.
     The kernel consistency between the form and its half-top power is
     computed and reported but does not gate the verdict.  A point whose
-    form or partial matrix has a NaN or infinite entry is not decided
-    (non_finite).
+    form or partial matrix has a float entry is decided only as far as
+    the form's float rank goes (`_inexact`).
     """
     chart = form.chart
     dim = chart.dim
@@ -322,7 +333,7 @@ def near_symplectic_at(form, env):
         raise DomainError("degeneracy test needs an even chart dimension >= 4")
     m, scale = _form_rows(form, env)
     if scale is None:
-        return _inexact(m)
+        return _inexact(m, dim)
     rank = _linalg.exact_rank(m)
     if rank == dim:
         return DegeneracyVerdict(False, "nondegenerate point", rank=rank, kernel_dim=0)
@@ -470,7 +481,10 @@ def contact_test(
     Pass needs one strict sign across every sample of every chart;
     all-negative passes flagged orientation_reversed.  A parametrization
     whose Jacobian drops rank at any sample fails the whole check; any
-    other chart with a NaN or infinite sample leaves it undecided.  The
+    other chart with a NaN or infinite sample leaves it undecided.  A
+    symbolic zero fails, and so do decided signs of both kinds, samples
+    beyond tol or symbolic signs; otherwise a sample within tol of zero,
+    which no float decides, leaves the check undecided.  The
     Jacobian rank test runs once per distinct matrix (an entry that does
     not use a coordinate repeats along that coordinate's axis) and once
     per parametrization and sampled sub-grid: its count is kept on the
@@ -515,9 +529,11 @@ def contact_test(
         return ContactVerdict(True, False, "", reports)
     if signs == {-1}:
         return ContactVerdict(True, True, "uniform negative sign", reports)
-    if any(r.n_zero for r in reports) or any(r.sign == 0 and r.mode == "symbolic" for r in reports):
+    if any(r.sign == 0 and r.mode == "symbolic" for r in reports):
         return ContactVerdict(False, False, "vanishing samples", reports)
-    return ContactVerdict(False, False, "mixed signs", reports)
+    if any(r.n_pos or r.sign == 1 for r in reports) and any(r.n_neg or r.sign == -1 for r in reports):
+        return ContactVerdict(False, False, "mixed signs", reports)
+    return ContactVerdict(False, False, "samples in band", reports, undecided=True)
 
 
 def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol):
@@ -535,7 +551,8 @@ def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol
         n = grid_n * grid_n
         env = {c: _unit_draws(rng, n) for c in chart.coords}
         shape = (n,)
-    values = np.broadcast_to(np.asarray(compile_numpy(coeff)(env), dtype=float), shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite sample is counted
+        values = np.broadcast_to(np.asarray(compile_numpy(coeff)(env), dtype=float), shape)
     report = ContactChartReport(label, "sampled", 0, samples=int(values.size))
     # A NaN or infinite sample is neither signed nor zero, and is left
     # out of the smallest absolute value.
@@ -598,16 +615,17 @@ def _count_jacobian_drops(parm, env, shape):
     )
     drops = parm._jacobian_drops.get(key)
     if drops is None:
-        stacked = np.stack(
-            [
-                np.stack(
-                    [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
-                    axis=-1,
-                )
-                for row in jac
-            ],
-            axis=-2,
-        )  # (*sub_shape, target_dim, src_dim)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            stacked = np.stack(
+                [
+                    np.stack(
+                        [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
+                        axis=-1,
+                    )
+                    for row in jac
+                ],
+                axis=-2,
+            )  # (*sub_shape, target_dim, src_dim)
         sv = np.linalg.svd(stacked, compute_uv=False)
         smax = np.maximum(sv[..., 0], 1e-300)
         smin = sv[..., src_dim - 1]

@@ -614,8 +614,8 @@ def run_nearsympl_at(ctx, p):
     outcome = Outcome("nearsympl_at")
     verdicts = list(per_class(near_symplectic_at, form, envs))
     for env, v in zip(envs, verdicts):
-        if v.non_finite:
-            outcome.add_undecided("on", 0, 1)
+        if v.non_finite or v.undecided:
+            outcome.add_undecided("on", v.undecided, v.non_finite)
         elif not v.passed:
             outcome.add_counterexample(env, v.reason, side="on")
     held = [v for v in verdicts if v.passed]

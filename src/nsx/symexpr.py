@@ -765,7 +765,7 @@ def _plan_value(den, terms, env):
     """_point_value of a plan's den and terms at env."""
     total_p, total_q = 0, 1
     float_sum = 0.0
-    has_float = False
+    kind = None  # the value's float type, once a term is a float
     for n, coords, others in terms:
         # Exact pass first: the term's rational coordinate factors.
         p, q = n, 1
@@ -797,8 +797,9 @@ def _plan_value(den, terms, env):
                 if value is None:
                     continue
                 if value is not _EXACT:
-                    float_sum += value
-                    has_float = True
+                    if kind is not np.float64:
+                        kind = type(value)
+                    float_sum += float(value)
                     continue
             # The exact sum keeps the lcm of its terms' denominators.
             if q == total_q:
@@ -808,8 +809,8 @@ def _plan_value(den, terms, env):
                 total_p = total_p * (q // g) + p * (total_q // g)
                 total_q = total_q // g * q
     total_q *= den
-    if has_float:
-        return ratio_float(total_p, total_q) + float_sum
+    if kind is not None:
+        return kind(ratio_float(total_p, total_q) + float_sum)
     return total_p, total_q
 
 
@@ -822,14 +823,20 @@ def _deferred_value(p, q, floats, others, env):
     exact zero, and _EXACT when every factor is exactly 1.
 
     exp(0) = 1, sin(0) = 0 and cos(0) = 1 at an exact zero argument keep
-    exactness through transcendental atoms.
+    exactness through transcendental atoms.  A numpy float coordinate is
+    multiplied in as a Python float, which goes past the float range to
+    inf or NaN without numpy's warning, and gives the value numpy's type,
+    as here and in `_plan_value`'s sum, so the bits are numpy's.
     """
     result = _EXACT
+    kind = float
     for v, e in floats:
         if v == 0 and e < 0:
             raise EvaluationError(f"zero atom sym raised to power {e}")
         if result is _EXACT:
             result = ratio_float(p, q)
+        if type(v) is not float:
+            kind, v = type(v), float(v)
         result = result * _float_power(v, e)
     for atom, e in others:
         v = _atom_value(atom, env)
@@ -841,7 +848,7 @@ def _deferred_value(p, q, floats, others, env):
             result = result * _float_power(v, e)
         elif v == 0:
             return None
-    return result
+    return result if kind is float else kind(result)
 
 
 def _float_power(v, e):

@@ -297,13 +297,21 @@ def test_coord_locus_distance_matches_fraction_sum(pins, point):
         assert d == sum(((env[c] - v) ** 2 for c, v in values), Fraction(0))
 
 
-def test_coord_locus_distance_with_a_float_keeps_its_bits():
+def test_coord_locus_distance_with_a_float_is_exact():
+    # A float reads as the binary rational it is, wherever it stands.
     values = (("x", F(1, 3)), ("y", F(-2, 7)))
     s = LocusSampler(CoordLocus(C2, values), None, seed=0)
     for env in ({"x": 0.1, "y": F(5, 9)}, {"x": F(5, 9), "y": 0.1}, {"x": 0.1, "y": -2.75}):
         d = s.distance_sq(env)
-        want = _old_coord_dist_sq(values, env)
-        assert isinstance(d, float) and d.hex() == want.hex()
+        want = _old_coord_dist_sq(values, {c: F(*v.as_integer_ratio()) for c, v in env.items()})
+        assert isinstance(d, Fraction) and d == want
+        assert d != _old_coord_dist_sq(values, env)  # the float sum rounds
+    # A NaN, or an infinity meeting one of its own sign, makes the distance
+    # NaN; otherwise an infinity makes it inf.
+    cases = [(math.nan, F(0), "nan"), (math.inf, F(10**400), "inf"), (-math.inf, math.inf, "inf")]
+    for pin, x, want in cases + [(math.inf, math.inf, "nan")]:
+        d = locus_mod._coord_dist_sq((("y", F(1, 3)), ("x", pin)), {"x": x, "y": F(0)})
+        assert isinstance(d, float) and repr(d) == want
 
 
 def test_union_parts_draw_their_clouds_once(monkeypatch):
@@ -627,8 +635,7 @@ def test_a_nan_target_rejects_every_draw_in_any_union_order():
 
 
 C3 = Chart("c3", ("x", "y", "z"))
-# Two rational pins before the float one: their squares sum exactly and
-# become a float once, which adding their floats would not reproduce.
+# Rational and float pins in one target, in either order.
 _EXACT_PREFIX = PointsLocus(
     C3,
     (
@@ -655,10 +662,12 @@ def test_finite_float_targets_take_the_array_path(locus, region):
 @pytest.mark.parametrize(
     "margin, accepted",
     # float(1/25) is above 1/25 and float(1/9) below 1/9.
-    [(F(1, 5), 8), (F(1, 3), 0)],
+    [(F(1, 5), 8), (F(1, 3), 8)],
 )
 def test_a_float_distance_tied_with_the_margin_is_decided_exactly(margin, accepted):
-    # Every draw is the origin, at float distance float(margin**2) from the target.
+    # Every draw is the origin, at exact distance margin**2 from the target
+    # whose x pin is the float 0.0, so the inclusive margin accepts it,
+    # whichever way the float distance and float(margin**2) round.
     region = _region(intervals=((F(0), F(0)), (F(0), F(0))))
     target = PointsLocus(C2, ((("x", 0.0), ("y", -margin)),))
     got = _assert_same_off_locus_envs(target, region, margin, 8, seed=0)
@@ -674,8 +683,8 @@ def test_a_float_distance_tied_with_the_margin_is_decided_exactly(margin, accept
     ids=["rational", "float"],
 )
 def test_squares_beyond_int64_use_python_ints(locus, margin):
-    # Numerators reach 2**52, so a square over the common denominator
-    # passes 2**63 and the margin test runs on Python ints.
+    # Draws reach +-2**40, so the squares pass 2**80 and the filter's
+    # bound scales with them.
     region = _region(intervals=((-(2**40), 2**40), (-(2**40), 2**40)))
     got = _assert_same_off_locus_envs(locus, region, margin, 40, seed=5)
     assert 0 < len(got)
@@ -697,22 +706,76 @@ def _many_targets(with_nan):
 
 @pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan-pin"])
 def test_grouped_targets_match_the_reference_draw_for_draw(with_nan):
-    # Targets of one shape are tested as one array; every draw's verdict is
-    # the per-target `_coord_dist_sq` test at every target.  A NaN pin
-    # rejects every draw, from inside its group.
+    # Targets that pin the same axes in the same order are tested as one
+    # array, at most 64 at a time: the 92 points make two groups and the 6
+    # lines, which pin y first, a third.  Every draw's verdict is the exact
+    # `_coord_dist_sq` test at every target.  A NaN pin rejects every draw,
+    # from inside its group.
     region, margin = _region(intervals=_RATIONAL_BOX), F(1, 16)
     sampler = LocusSampler(_many_targets(with_nan), region, seed=0)
     tests = locus_mod._margin_test(sampler, margin)
-    assert len(sampler.targets) == 98 + with_nan and len(tests) == 6
+    assert len(sampler.targets) == 98 + with_nan and len(tests) == 3
     batch = locus_mod._DyadicPoints.read(region, locus_mod._DyadicStream(random.Random(6)), 400)
     ok = np.ones(len(batch), dtype=bool)
     for passes in tests:
-        ok &= passes(batch)
+        passes(batch, ok)
     want = [all(locus_mod._coord_dist_sq(t, env) >= margin * margin for t in sampler.targets) for env in batch]
     assert ok.tolist() == want
     assert any(want) != with_nan and not all(want)
     if not with_nan:
         assert len(_assert_same_off_locus_envs(sampler.locus, region, margin, 16, seed=4)) == 16
+
+
+# Rational, float-bounded and +-2**40 regions; draws and near pins on them.
+_FILTER_REGIONS = st.one_of(
+    st.tuples(_interval(_SMALL_RATIONALS), _interval(_SMALL_RATIONALS)),
+    st.tuples(_interval(st.floats(-8, 8)), _interval(st.floats(-8, 8))),
+    st.just(((-(2**40), 2**40),) * 2),
+)
+_NEAR_PINS = st.lists(
+    st.tuples(st.integers(0, 31), st.integers(-4, 4), st.sampled_from(("x", "y", "xy")), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def _filter_cases(draw):
+    """A region, a margin, a batch of 32 draws, and targets whose distance
+    to one draw each is margin**2 times (1 + j*2**-52)**2 for a small j,
+    with pins as exact rationals or rounded to floats."""
+    region = Region(C2, draw(_FILTER_REGIONS), (1, 1), 0)
+    margin = draw(_rationals(F(1, 64), 2, 64))
+    batch = locus_mod._DyadicPoints.read(region, locus_mod._DyadicStream(random.Random(draw(_SEEDS))), 32)
+    targets = []
+    for i, j, axes, as_float in draw(_NEAR_PINS):
+        reach = margin * (1 + F(j, 2**52))
+        offsets = {axes: reach} if len(axes) == 1 else {"x": reach * F(3, 5), "y": reach * F(4, 5)}
+        pins = tuple((c, F(batch[i][c]) - d) for c, d in offsets.items())
+        targets.append(tuple((c, float(v)) for c, v in pins) if as_float else pins)
+    return region, margin, batch, targets
+
+
+def test_the_margin_filter_decides_every_draw_as_the_exact_distance(monkeypatch):
+    # Each target's float test matches `_coord_dist_sq` at every draw, and
+    # pins within a few ulps of the margin send pairs to that exact fallback.
+    exact = locus_mod._coord_dist_sq
+    fallbacks = []
+    monkeypatch.setattr(locus_mod, "_coord_dist_sq", lambda pins, env: fallbacks.append(pins) or exact(pins, env))
+
+    @settings(max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    @given(_filter_cases())
+    def check(case):
+        region, margin, batch, targets = case
+        for target in targets:
+            locus = CoordLocus(C2, target) if len(target) == 1 else PointsLocus(C2, (target,))
+            (passes,) = locus_mod._margin_test(LocusSampler(locus, region, seed=0), margin)
+            ok = np.ones(len(batch), dtype=bool)
+            passes(batch, ok)
+            assert ok.tolist() == [exact(target, env) >= margin * margin for env in batch]
+
+    check()
+    assert fallbacks
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
@@ -925,7 +988,7 @@ def test_vanishing_locus_flags_samples_outside_region():
     assert any(c["reason"] == "locus sample outside region" for c in rep.counterexamples)
 
 
-@pytest.mark.parametrize("check", ["vanishing_locus", "fixed_points", "dividing_set"])
+@pytest.mark.parametrize("check", ["vanishing_locus", "fixed_points", "dividing_set", "rank_drop_locus"])
 def test_an_outside_sample_fails_once_and_is_not_decided(check):
     # x = 2 lies outside [-1, 1]^2: each of the 3 lattice samples of the locus
     # is one counterexample, named for the region, and is not decided.
@@ -936,6 +999,9 @@ def test_an_outside_sample_fails_once_and_is_not_decided(check):
         rep = verify_vanishing_locus(coord_differential(C2, "y"), locus, region)
     elif check == "fixed_points":
         rep = verify_fixed_points(field, locus, region)
+    elif check == "rank_drop_locus":
+        identity = ChartMap("id", C2, C2, (sym("x"), sym("y")))
+        rep = verify_rank_drop_locus(identity, locus, region, regular_rank=2, singular_rank=2)
     else:
         rep = verify_dividing_set(coord_differential(C2, "y"), field, rat(1), locus, region)
     assert not rep.passed and rep.on_count == 3 and rep.on_failures == 3

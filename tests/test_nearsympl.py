@@ -5,7 +5,9 @@ matrices became integer rows over one scale: Fraction kernel vectors, a
 Fraction triple product per kernel pair and partial, and the RREF of D_K
 as the image basis.  Scaling a kernel vector or the partials by positive
 factors cannot move a verdict, and these tests check that it does not, on
-the suite's forms and on drawn 2-forms with every kind of outcome.
+the suite's forms and on drawn 2-forms with every kind of outcome.  At a
+point where the form's matrix is float, the reference decides by its float
+rank alone, and where a partial's is, it decides nothing.
 """
 
 import random
@@ -20,6 +22,8 @@ from nsx.charts import Chart, DForm
 from nsx.dsl import parse_scenario
 from nsx.pointcheck import (
     _K_PAIRS,
+    RANK_BAND_FLOOR,
+    RANK_THRESHOLD,
     DegeneracyVerdict,
     _wedge_square_gram,
     form_matrix_at,
@@ -54,7 +58,12 @@ def _reference_near_symplectic_at(form, env):
     dim = form.chart.dim
     m, exact = form_matrix_at(form, env)
     if not exact:
-        return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
+        rank, band = _linalg.float_rank(m, RANK_THRESHOLD, RANK_BAND_FLOOR)
+        if not band and rank == dim:
+            return DegeneracyVerdict(False, "nondegenerate point", rank=rank, kernel_dim=0, exact=False)
+        if not band and rank != dim - 4:
+            return DegeneracyVerdict(False, "kernel not 4-dim", rank=rank, kernel_dim=dim - rank, exact=False)
+        return DegeneracyVerdict(False, "point evaluation is not exact", exact=False, undecided=True)
     rank = _linalg.exact_rank(m)
     if rank == dim:
         return DegeneracyVerdict(False, "nondegenerate point", rank=rank, kernel_dim=0)
@@ -65,7 +74,7 @@ def _reference_near_symplectic_at(form, env):
     for partial in form.partials():
         rows, exact = form_matrix_at(partial, env)
         if not exact:
-            return DegeneracyVerdict(False, "point evaluation is not exact", exact=False)
+            return DegeneracyVerdict(False, "point evaluation is not exact", exact=False, undecided=True)
         partials.append(rows)
 
     def pairing(w, mv, u):
@@ -118,6 +127,8 @@ FIELDS = (
     "q_signature",
     "q_sign",
     "grad_kernel_consistent",
+    "exact",
+    "undecided",
 )
 
 

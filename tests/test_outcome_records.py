@@ -8,12 +8,14 @@ cases are named `<kind> <case>`: `fail` is a decided failure, `band` a
 sample that no value decides inside the tolerance or rank band, and
 `non_finite` a NaN or infinite value; `float point` fails at a point with
 float coordinates.  The golden was written by the engine before the sampled
-checks shared one outcome record, apart from five entries: the two `float
-point` entries, whose float coordinates are now printed as JSON numbers,
-and `rank_at non_finite`, `rank_drop_locus non_finite` and `nearsympl_at
+checks shared one outcome record, apart from seven entries: the two `float
+point` entries, whose float coordinates are now printed as JSON numbers;
+`rank_at non_finite`, `rank_drop_locus non_finite` and `nearsympl_at
 non_finite`, whose NaN or infinite matrices are now counted as non-finite
 samples, where they were band hits or, for `nearsympl_at`, a decided
-failure.
+failure; `contact band`, whose samples within the tolerance leave the
+check undecided, where they failed it; and `nearsympl_at band`, a float
+form matrix whose float rank is in the band, which was a decided failure.
 """
 
 import json
@@ -38,6 +40,8 @@ SCENARIOS = {
     "rank_at float point": PLANE + "form om on C = d(x) /\\ d(y)\n" + FLOAT_BOX.format(n=2)
     + "check rank_at om, 1 on L region R\n",
     "nearsympl_at fail": FOUR + "form om on C = d(w) /\\ d(x) + d(y) /\\ d(z)\n"
+    "check nearsympl_at om at (w=0, x=0, y=0, z=0)\n",
+    "nearsympl_at band": FOUR + "form om on C = exp(x)*d(w) /\\ d(x) + exp(-21)*d(y) /\\ d(z)\n"
     "check nearsympl_at om at (w=0, x=0, y=0, z=0)\n",
     "nearsympl_at non_finite": FOUR + "form om on C = 709*exp(709*x)*d(w) /\\ d(x) + d(y) /\\ d(z)\n"
     "check nearsympl_at om at (w=0, x=1, y=0, z=0)\n",

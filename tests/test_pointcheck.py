@@ -24,6 +24,7 @@ from nsx.pointcheck import (
     _count_jacobian_drops,
     _unit_draws,
 )
+from nsx.runner import RunConfig, run_scenario_text
 from nsx.symexpr import ONE, PI, ZERO, compile_numpy, cos_of, exp_of, opaque_fn, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
@@ -163,11 +164,33 @@ def test_near_symplectic_rejects_bad_dimension():
 
 
 def test_near_symplectic_float_env_refused():
+    # The float matrix is zero, of rank dim - 4, and no float decides D_K.
     om = SD[0] * sym("x1") + SD[1] * sym("x2") + SD[2] * sym("x3")
-    v = near_symplectic_at(om, {"t": 0.0, "x1": 0.1, "x2": 0.0, "x3": 0.0})
-    assert not v.passed
+    v = near_symplectic_at(om, {"t": 0.0, "x1": 0.0, "x2": 0.0, "x3": 0.0})
+    assert not v.passed and v.undecided
     assert v.reason == "point evaluation is not exact"
     assert not v.exact
+
+
+def test_near_symplectic_float_point_decides_by_float_rank():
+    om = SD[0] * sym("x1") + SD[1] * sym("x2") + SD[2] * sym("x3")
+    v = near_symplectic_at(om, {"t": 0.0, "x1": 0.1, "x2": 0.0, "x3": 0.0})
+    assert (v.passed, v.undecided, v.exact, v.reason, v.rank) == (False, False, False, "nondegenerate point", 4)
+    v = near_symplectic_at(_w(0, 1) * exp_of(sym("t")), {"t": 0.5, "x1": 0.0, "x2": 0.0, "x3": 0.0})
+    assert (v.passed, v.undecided, v.reason, v.kernel_dim) == (False, False, "kernel not 4-dim", 2)
+    # A singular value inside the rank band decides nothing.
+    v = near_symplectic_at(_w(0, 1) + _w(2, 3) * exp_of(rat(-21)), _origin(C4))
+    assert (v.passed, v.undecided, v.non_finite) == (False, True, False)
+
+
+def test_nearsympl_at_at_a_float_point_agrees_with_rank_at():
+    text = (
+        "chart C(w, x, y, z)\nform om on C = exp(x)*d(w) /\\ d(x) + d(y) /\\ d(z)\n"
+        "check nearsympl_at om at (w=0, x=1/2, y=0, z=0) expect fail\n"
+        "check rank_at om, 4 at (w=0, x=1/2, y=0, z=0)\n"
+    )
+    report = run_scenario_text(text, "T", "float point", RunConfig())
+    assert [(c.verdict, c.detail) for c in report.checks] == [("fail", "(nondegenerate point)"), ("pass", "(rank 4)")]
 
 
 def test_near_symplectic_nondegenerate_point():
@@ -425,6 +448,25 @@ def test_contact_sampled_positive():
     assert r.n_pos == 64 and r.n_neg == 0 and r.n_zero == 0
     assert r.min_abs >= 0.25
     assert set(r.worst_point) == {"x", "y", "z"}
+
+
+def test_contact_band_hits_are_undecided():
+    # density 2*exp(-40)*x: contact wherever x != 0, and every sample lies
+    # inside the tolerance band.
+    al = _dx(C3, "z") + _dx(C3, "y") * (exp_of(rat(-40)) * sym("x") ** 2)
+    v = contact_test(al, grid_n=4)
+    assert (v.passed, v.undecided, v.reason) == (False, True, "samples in band")
+    (r,) = v.charts
+    assert (r.n_pos, r.n_neg, r.n_zero) == (0, 0, 16)
+    # Beside band hits, decided samples of one sign still leave it
+    # undecided, and of both signs fail it: density x^2 + 1/4, then x - 1/3.
+    pos = sym("x") ** 3 * Fraction(1, 3) + sym("x") * Fraction(1, 4)
+    mixed = sym("x") ** 2 * Fraction(1, 2) - sym("x") * Fraction(1, 3)
+    for g, want in ((pos, (True, "samples in band")), (mixed, (False, "mixed signs"))):
+        v = contact_test(_dx(C3, "z") + _dx(C3, "y") * g, grid_n=8, tol=0.3)
+        (r,) = v.charts
+        assert r.n_zero > 0 and r.n_pos > 0 and (r.n_neg > 0) == (g is mixed)
+        assert not v.passed and (v.undecided, v.reason) == want
 
 
 def test_contact_sampled_mixed_signs():

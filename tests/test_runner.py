@@ -589,3 +589,17 @@ def test_run_config_rejects_a_tolerance_that_is_not_finite_and_at_least_0(tol, s
     with pytest.raises(DomainError, match=f"a tolerance must be a finite number at least 0, got {shown}$"):
         RunConfig(tol=tol)
     assert RunConfig(tol=0).tol == 0
+
+
+def test_locus_samples_outside_the_region_fail_every_locus_check():
+    # x = 2 lies outside [-1, 1]^2: rank_drop_locus, like vanishing_locus,
+    # counts each of the 3 on-locus samples as one counterexample.
+    text = (
+        "chart C(x, y)\nmap m : C -> C = (x, y)\nform om on C = d(y)\n"
+        "region R on C = [-1, 1]^2 lattice 3 random 8\nlocus L on C = coords(x=2)\n"
+        "check rank_drop_locus m on L region R regular 2 singular 2 expect fail\n"
+        "check vanishing_locus om on L region R expect fail\n"
+    )
+    checks = _run(text).checks
+    assert [(c.verdict, c.detail) for c in checks] == [("fail", "(0/3 on-locus, 8/8 off-locus)")] * 2
+    assert [c.evidence["on_failures"] for c in checks] == [3, 3]
