@@ -202,18 +202,43 @@ class DForm:
 
     def wedge_power(self, k):
         """The k-fold wedge of the form with itself, built once per form
-        and k."""
+        and k.  The first power is the form itself.  For an even degree of
+        at least 2, the square sums each unordered pair of components once
+        (`_square`); every further factor, and every factor of a 0-form or
+        of an odd degree, is wedged on one at a time."""
         if k < 0:
             raise DomainError("wedge powers are nonnegative")
+        if k == 1:
+            return self
         if self._powers is None:
             self._powers = {}
         out = self._powers.get(k)
         if out is None:
-            out = function_form(self.chart, rat(1))
-            for _ in range(k):
-                out = out.wedge(self)
+            if k == 0:
+                out = function_form(self.chart, rat(1))
+            elif k == 2 and self.degree and self.degree % 2 == 0:
+                out = self._square()
+            else:
+                out = self.wedge_power(k - 1).wedge(self)
             self._powers[k] = out
         return out
+
+    def _square(self):
+        # For an even degree dx_I /\ dx_J = dx_J /\ dx_I, so the pairs
+        # (I, J) and (J, I) of the full product add the same term: it is
+        # built once and added twice.  A component never pairs with itself.
+        deg = 2 * self.degree
+        if deg > self.chart.dim:
+            return DForm(self.chart, self.chart.dim, {})
+        items = list(self.comps.items())
+        terms = []
+        for n, (i1, c1) in enumerate(items):
+            for i2, c2 in items[n + 1 :]:
+                merged, sign = _merge_indices(i1, i2)
+                if merged is not None:
+                    term = (merged, c1 * c2 if sign > 0 else -(c1 * c2))
+                    terms += (term, term)
+        return DForm(self.chart, deg, _sum_by_key(terms))
 
     # -- calculus ------------------------------------------------------
 
@@ -410,20 +435,22 @@ class ChartMap:
 
     @cached_property
     def _jacobian_drops(self):
-        # Rank-drop counts of the Jacobian over sampled sub-grids, filled
-        # by pointcheck._count_jacobian_drops and keyed by the exact grid.
+        # The Jacobian's (drops, band, non_finite) sample counts over sampled
+        # sub-grids, filled by pointcheck._count_jacobian_drops and keyed by
+        # the exact grid.
         return {}
 
     def _differential_wedge(self, idx):
         """The pullback of the basis form dy_I: the wedge of the
         differentials of the components in idx, built once per map and
-        index prefix."""
+        index prefix.  A single index gives that differential itself."""
         out = self._wedges.get(idx)
         if out is None:
-            last = DForm(self.source, 1, {
+            out = DForm(self.source, 1, {
                 (j,): d for j, d in enumerate(self._jacobian[idx[-1]]) if not d.is_zero
             })
-            out = self._differential_wedge(idx[:-1]).wedge(last)
+            if len(idx) > 1:
+                out = self._differential_wedge(idx[:-1]).wedge(out)
             self._wedges[idx] = out
         return out
 

@@ -422,6 +422,8 @@ class ContactChartReport:
     min_abs: float | None = None
     worst_point: dict | None = None
     jacobian_drops: int = 0
+    jacobian_band: int = 0
+    jacobian_non_finite: int = 0
 
 
 @dataclass
@@ -480,16 +482,19 @@ def contact_test(
 
     Pass needs one strict sign across every sample of every chart;
     all-negative passes flagged orientation_reversed.  A parametrization
-    whose Jacobian drops rank at any sample fails the whole check; any
-    other chart with a NaN or infinite sample leaves it undecided.  A
-    symbolic zero fails, and so do decided signs of both kinds, samples
-    beyond tol or symbolic signs; otherwise a sample within tol of zero,
-    which no float decides, leaves the check undecided.  The
-    Jacobian rank test runs once per distinct matrix (an entry that does
-    not use a coordinate repeats along that coordinate's axis) and once
-    per parametrization and sampled sub-grid: its count is kept on the
-    map and scaled by each sweep's multiplicity.  tol must be a finite
-    number at least 0 (`check_tolerance`).
+    whose Jacobian decidedly drops rank at any sample fails the whole
+    check.  Otherwise a Jacobian sample with a NaN or infinite entry, or
+    one whose rank lies in the float band (smallest singular value
+    between RANK_BAND_FLOOR and RANK_THRESHOLD times the largest), leaves
+    it undecided, and so does any chart with a NaN or infinite density
+    sample.  A symbolic zero fails, and so do decided signs of both
+    kinds, samples beyond tol or symbolic signs; otherwise a sample
+    within tol of zero, which no float decides, leaves the check
+    undecided.  The Jacobian rank test (`_count_jacobian_drops`) runs one
+    SVD batch per group of independent blocks, each over the axes its own
+    entries read, and once per parametrization and sampled sub-grid: its
+    counts are kept on the map and scaled by each sweep's multiplicity.
+    tol must be a finite number at least 0 (`check_tolerance`).
     """
     check_tolerance(tol)
     rng = random.Random(seed)
@@ -523,6 +528,10 @@ def contact_test(
     drops = sum(r.jacobian_drops for r in reports)
     if drops:
         return ContactVerdict(False, False, "degenerate parametrization samples", reports)
+    if any(r.jacobian_non_finite for r in reports):
+        return ContactVerdict(False, False, "non-finite parametrization samples", reports, undecided=True)
+    if any(r.jacobian_band for r in reports):
+        return ContactVerdict(False, False, "parametrization samples in band", reports, undecided=True)
     if any(r.non_finite for r in reports):
         return ContactVerdict(False, False, "non-finite samples", reports, undecided=True)
     if signs == {1}:
@@ -572,7 +581,9 @@ def _sampled_chart_report(label, coeff, chart, parm, grid_n, aux_count, rng, tol
         elif report.n_pos == 0:
             report.sign = -1
     if parm is not None:
-        report.jacobian_drops = _count_jacobian_drops(parm, env, shape)
+        report.jacobian_drops, report.jacobian_band, report.jacobian_non_finite = _count_jacobian_drops(
+            parm, env, shape
+        )
     return report
 
 
@@ -590,18 +601,25 @@ def _env_at(env, idx, shape):
 
 
 def _count_jacobian_drops(parm, env, shape):
-    """Samples of the sweep shape where the Jacobian drops rank.
+    """(drops, band, non_finite): the samples of the sweep shape where the
+    Jacobian decidedly drops rank, where its rank lies in the float band,
+    and where an entry is NaN or infinite.
+
+    The rank rule is `_linalg.float_rank`'s: a smallest singular value
+    below RANK_BAND_FLOOR times the largest is a drop, one up to
+    RANK_THRESHOLD times the largest is in the band.  A sample with a
+    non-finite entry has no SVD and counts under non_finite alone.  The
+    singular values come from `_jacobian_extremes`, one SVD batch per
+    group of independent blocks.
 
     The entries are evaluated only over the axes spanned by the
-    coordinates they use, so the SVD runs once per distinct matrix, and
-    each drop counts once for every sample that repeats that matrix
-    along the other axes.  The count over that sub-grid is kept on the
-    map, keyed by the used coordinates' exact arrays and the numerics of
-    the Jacobian's opaque functions, so a later sweep over the same
-    sub-grid runs no SVD and only scales the count by its own
-    multiplicity.
+    coordinates they use, and each count counts once for every sample
+    that repeats that matrix along the other axes.  The counts over that
+    sub-grid are kept on the map, keyed by the used coordinates' exact
+    arrays and the numerics of the Jacobian's opaque functions, so a
+    later sweep over the same sub-grid runs no SVD and only scales the
+    counts by its own multiplicity.
     """
-    src_dim = parm.source.dim
     jac = parm.jacobian()
     used = set().union(*(e.free_coords() for row in jac for e in row))
     sub_env = {c: v for c, v in env.items() if c in used}
@@ -613,25 +631,88 @@ def _count_jacobian_drops(parm, env, shape):
         tuple((c, a.dtype.str, a.shape, a.tobytes()) for c, a in arrays),
         tuple((name, DEFAULT_REGISTRY.numeric(name)) for name in sorted(opaque)),
     )
-    drops = parm._jacobian_drops.get(key)
-    if drops is None:
+    counts = parm._jacobian_drops.get(key)
+    if counts is None:
+        smin, smax, bad = (np.broadcast_to(a, sub_shape) for a in _jacobian_extremes(jac, sub_env))
+        smax = np.maximum(smax, 1e-300)
+        drop = ~bad & (smin < RANK_BAND_FLOOR * smax)
+        band = ~bad & ~drop & (smin <= RANK_THRESHOLD * smax)
+        counts = tuple(int(np.count_nonzero(m)) for m in (drop, band, bad))
+        parm._jacobian_drops[key] = counts
+    return tuple(multiplicity * n for n in counts)
+
+
+def _jacobian_blocks(jac):
+    """The Jacobian's independent blocks: the connected components of its
+    rows and columns, a row and a column joined by every entry that is not
+    identically zero, as (rows, columns) pairs of sorted index lists in the
+    order of their first rows.  A zero row or column is in no block."""
+    blocks = []
+    for i, row in enumerate(jac):
+        cols = {j for j, e in enumerate(row) if not e.is_zero}
+        if not cols:
+            continue
+        rows = {i}
+        for b in [b for b in blocks if b[1] & cols]:
+            blocks.remove(b)
+            rows |= b[0]
+            cols |= b[1]
+        blocks.append((rows, cols))
+    return sorted((sorted(rows), sorted(cols)) for rows, cols in blocks)
+
+
+def _jacobian_extremes(jac, env):
+    """(smin, smax, non_finite) of the Jacobian over env's sub-grid, as
+    arrays that broadcast to it: its smallest and largest singular values
+    (the src_dim-th and the first), and whether an entry is NaN or
+    infinite.
+
+    The singular values of the Jacobian are those of its independent
+    blocks (`_jacobian_blocks`), padded with zeros.  So the largest is the
+    largest over the blocks; the smallest is 0 at every sample when a
+    column has no nonzero entry or a block has more columns than rows,
+    and otherwise the smallest over the blocks.  Blocks whose entries span
+    the same sub-grid axes run as one batch over those axes alone, a
+    block-diagonal matrix with the same singular values; a block of
+    constants is a single matrix.  A matrix with a non-finite entry is
+    zeroed before its SVD, which would fail on it.
+    """
+    blocks = _jacobian_blocks(jac)
+    groups = {}
+    for rows, cols in blocks:
+        coords = set().union(*(jac[r][c].free_coords() for r in rows for c in cols))
+        group_shape = np.broadcast_shapes(*(np.shape(env[c]) for c in coords))
+        g_rows, g_cols, g_coords = groups.setdefault(group_shape, ([], [], set()))
+        g_rows += rows
+        g_cols += cols
+        g_coords |= coords
+    wide = sum(len(cols) for _, cols in blocks) < len(jac[0]) or any(
+        len(cols) > len(rows) for rows, cols in blocks
+    )
+    smin = 0.0 if wide else np.inf
+    smax = 0.0
+    bad = False
+    for group_shape, (rows, cols, coords) in groups.items():
+        group_env = {c: env[c] for c in coords}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stacked = np.stack(
                 [
                     np.stack(
-                        [np.broadcast_to(compile_numpy(e)(sub_env), sub_shape) for e in row],
+                        [np.broadcast_to(compile_numpy(jac[r][c])(group_env), group_shape) for c in cols],
                         axis=-1,
                     )
-                    for row in jac
+                    for r in rows
                 ],
                 axis=-2,
-            )  # (*sub_shape, target_dim, src_dim)
+            )  # (*group_shape, rows, cols)
+        non_finite = ~np.isfinite(stacked).all(axis=(-2, -1))
+        if non_finite.any():
+            stacked = np.where(non_finite[..., None, None], 0.0, stacked)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        smax = np.maximum(sv[..., 0], 1e-300)
-        smin = sv[..., src_dim - 1]
-        drops = int(np.sum(smin <= RANK_THRESHOLD * smax))
-        parm._jacobian_drops[key] = drops
-    return multiplicity * drops
+        smin = np.minimum(smin, sv[..., -1])
+        smax = np.maximum(smax, sv[..., 0])
+        bad = bad | non_finite
+    return smin, smax, bad
 
 
 # -- stabilizing constant ------------------------------------------------

@@ -660,6 +660,10 @@ def run_contact(ctx, p):
             "zero": rep.n_zero,
             "jacobian_drops": rep.jacobian_drops,
         }
+        if rep.jacobian_band:
+            entry["jacobian_band"] = rep.jacobian_band
+        if rep.jacobian_non_finite:
+            entry["jacobian_non_finite"] = rep.jacobian_non_finite
         if rep.non_finite:
             entry["non_finite"] = rep.non_finite
         if rep.symbolic_value is not None:

@@ -19,7 +19,7 @@ from nsx.charts import (
     zero_form,
 )
 from nsx.errors import DomainError, UnsupportedMetricError
-from nsx.symexpr import ONE, ZERO, cos_of, evaluate, rat, sin_of, sym
+from nsx.symexpr import ONE, ZERO, cos_of, evaluate, exp_of, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -184,6 +184,52 @@ def test_wedge_power():
     assert a.wedge_power(2) == a.wedge(a)
     with pytest.raises(DomainError):
         a.wedge_power(-1)
+
+
+def _unit_wedge_power(form, k):
+    """The unit 0-form wedged with the form k times: the reference for
+    wedge_power."""
+    out = function_form(form.chart, rat(1))
+    for _ in range(k):
+        out = out.wedge(form)
+    return out
+
+
+C6 = Chart("c6", ("u", "v", "w", "x", "y", "z"))
+_U, _V = sym("u"), sym("v")
+# Polynomial, exp and sin/cos factors; sin(u) and cos(u) squares meet in
+# products, so the Pythagorean collapse runs on the sums.
+_FACTORS = [_U, sym("x"), _V**2, exp_of(_V), exp_of(-_U), sin_of(_U), cos_of(_U), sin_of(_U + _V), cos_of(_U + _V)]
+_term = st.builds(
+    lambda q, factors: math.prod(factors, start=rat(q)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+    st.lists(st.sampled_from(_FACTORS), max_size=3),
+)
+_wedge_coeffs = st.lists(_term, min_size=1, max_size=3).map(lambda ts: sum(ts, ZERO))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chart=st.sampled_from([C4, C6]), degree=st.integers(0, 4))
+def test_wedge_powers_match_the_unit_wedge_loop(data, chart, degree):
+    # Expr for Expr: the square's pair sum gives the same canonical sums as
+    # the full product, and so do the generic loop's other powers.
+    keys = st.sampled_from(list(itertools.combinations(range(chart.dim), degree)))
+    form = DForm.build(chart, degree, data.draw(st.lists(st.tuples(keys, _wedge_coeffs), min_size=1, max_size=8)))
+    assert form.wedge_power(1) is form
+    for k in (1, 2, 3):
+        got, want = form.wedge_power(k), _unit_wedge_power(form, k)
+        assert (got.degree, got.comps) == (want.degree, want.comps)
+        assert list(got.comps) == list(want.comps)
+
+
+@settings(max_examples=50, deadline=None)
+@given(comps=st.lists(_wedge_coeffs, min_size=1, max_size=4))
+def test_a_single_differential_is_the_unit_wedge_of_it(comps):
+    m = ChartMap("m", C6, Chart("t", tuple(f"t{i}" for i in range(len(comps)))), tuple(comps))
+    for i, row in enumerate(m.jacobian()):
+        d = DForm(C6, 1, {(j,): e for j, e in enumerate(row) if not e.is_zero})
+        got, want = m._differential_wedge((i,)), function_form(C6, ONE).wedge(d)
+        assert (got.degree, got.comps) == (want.degree, want.comps)
 
 
 # -- exterior derivative, against finite differences -------------------

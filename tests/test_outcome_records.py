@@ -16,6 +16,10 @@ samples, where they were band hits or, for `nearsympl_at`, a decided
 failure; `contact band`, whose samples within the tolerance leave the
 check undecided, where they failed it; and `nearsympl_at band`, a float
 form matrix whose float rank is in the band, which was a decided failure.
+The two `contact jacobian` entries were added when the contact sweep's
+Jacobian rank test took the float band and non-finite entries as no
+decision: the band one failed on 128 decided drops before, and the
+non_finite one ended in `error`, the SVD failing on a NaN.
 """
 
 import json
@@ -84,6 +88,14 @@ SCENARIOS = {
     "contact fail": SPACE + "form alpha on C = d(z) + x^2*d(y)\ncheck contact alpha grid 4\n",
     "contact band": SPACE + "form alpha on C = d(z) + exp(-40)*x^2*d(y)\ncheck contact alpha grid 4\n",
     "contact non_finite": SPACE + "form alpha on C = d(z) + x*exp(1000*x)*d(y)\ncheck contact alpha grid 4\n",
+    # A diffeomorphism whose Jacobian's singular-value ratio, about e^-21,
+    # lies in the rank band at every sample.
+    "contact jacobian band": SPACE + "chart P(a, t, p)\nmap m : P -> C = (exp(21)*a + t*t*a, t, p)\n"
+    "check contact d(z) + x*d(y) via (m) grid 4\n",
+    # The y entry of the Jacobian is inf - inf, NaN, on the grid's last t row.
+    "contact jacobian non_finite": SPACE + "chart P(a, t, p)\n"
+    "map m : P -> C = (a, t + exp(1000*t - 2000) - exp(999*t - 1998), p)\n"
+    "check contact d(z) + x*d(y) via (m) grid 4\n",
 }
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsx import _linalg, pointcheck
 from nsx.charts import Chart, ChartMap, coord_differential, zero_form
 from nsx.errors import DomainError
 from nsx.pointcheck import (
+    RANK_BAND_FLOOR,
     RANK_THRESHOLD,
     contact_test,
     form_matrix_at,
@@ -528,23 +529,32 @@ def _sweep_env(chart, grid_n, aux_count, seed=0):
     return env, (aux_count, grid_n, grid_n)
 
 
-def _full_batch_drops(parm, env, shape):
-    # The rank-drop count with one SVD per sample, as before the SVDs
-    # were deduplicated: the reference for _count_jacobian_drops.
+def _full_batch_ratios(parm, env, shape):
+    """Per sample of the sweep shape: the ratio of the Jacobian's smallest
+    singular value (the src_dim-th) to its largest, from one SVD of the
+    whole matrix per sample, and whether an entry is NaN or infinite."""
     src_dim = parm.source.dim
-    entries = []
-    for row in parm.jacobian():
-        entries.append(
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stacked = np.stack(
             [
-                np.broadcast_to(np.asarray(compile_numpy(e)(env), dtype=float), shape)
-                for e in row
-            ]
+                np.stack([np.broadcast_to(compile_numpy(e)(env), shape) for e in row], axis=-1)
+                for row in parm.jacobian()
+            ],
+            axis=-2,
         )
-    stacked = np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    smax = np.maximum(sv[..., 0], 1e-300)
-    smin = sv[..., src_dim - 1]
-    return int(np.sum(smin <= RANK_THRESHOLD * smax))
+    bad = ~np.isfinite(stacked).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(bad[..., None, None], 0.0, stacked), compute_uv=False)
+    smin = sv[..., src_dim - 1] if src_dim <= sv.shape[-1] else np.zeros(shape)
+    return smin / np.maximum(sv[..., 0], 1e-300), bad
+
+
+def _full_batch_drops(parm, env, shape):
+    # The (drops, band, non_finite) counts with one SVD of the whole
+    # Jacobian per sample: the reference for _count_jacobian_drops.
+    ratio, bad = _full_batch_ratios(parm, env, shape)
+    drop = ~bad & (ratio < RANK_BAND_FLOOR)
+    band = ~bad & ~drop & (ratio <= RANK_THRESHOLD)
+    return tuple(int(np.count_nonzero(m)) for m in (drop, band, bad))
 
 
 @pytest.mark.parametrize(
@@ -561,8 +571,95 @@ def _full_batch_drops(parm, env, shape):
 )
 def test_jacobian_drops_match_the_full_batch(parm, grid_n, aux_count, drops):
     env, shape = _sweep_env(parm.source, grid_n, aux_count)
-    assert _full_batch_drops(parm, env, shape) == drops
-    assert _count_jacobian_drops(parm, env, shape) == drops
+    assert _full_batch_drops(parm, env, shape) == (drops, 0, 0)
+    assert _count_jacobian_drops(parm, env, shape) == (drops, 0, 0)
+
+
+SP4 = Chart("sp4", ("a", "b", "th", "ph"))
+A, B = sym("a"), sym("b")
+# Pieces of a random map's components by the Jacobian entries they give:
+# constant, trigonometric, vanishing at 0, a product that joins two
+# coordinates, a constant far above 1 (a ratio of e^-21, in the band,
+# beside an entry of size 1), and a difference of exps that is NaN where
+# both overflow, u > 1.77, and below 1e-60 for u < 0.7.
+_PIECES = [
+    lambda u, v: u * Fraction(3, 2),
+    lambda u, v: sin_of(u),
+    lambda u, v: u**2,
+    lambda u, v: u * v,
+    lambda u, v: exp_of(rat(21)) * u,
+    lambda u, v: exp_of(rat(800) * u - rat(700)) - exp_of(rat(799) * u - rat(699)),
+]
+_SOURCE = [A, B, TH, PH]
+_components = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(_PIECES)), max_size=2),
+    min_size=3,
+    max_size=6,
+)
+
+
+def _random_map(components):
+    """A map SP4 -> R^m whose Jacobian's blocks follow from which source
+    coordinates each component's pieces read.  Component k starts from the
+    source coordinate k mod 4, so most maps reach every column."""
+    comps = tuple(
+        sum((piece(_SOURCE[i], _SOURCE[j]) for i, j, piece in pieces), _SOURCE[k % 4])
+        for k, pieces in enumerate(components)
+    )
+    target = Chart("rm", tuple(f"y{k}" for k in range(len(comps))))
+    return ChartMap("rand", SP4, target, comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    components=_components,
+    grid_n=st.integers(1, 4),
+    aux_count=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_block_counts_match_the_full_batch_outside_the_band_edges(components, grid_n, aux_count, seed):
+    parm = _random_map(components)
+    env, shape = _sweep_env(SP4, grid_n, aux_count, seed=seed)
+    ratio, bad = _full_batch_ratios(parm, env, shape)
+    # The block SVDs and the full one agree to rounding, so no ratio may
+    # lie within a factor of 4 of either edge of the band.
+    edges = [RANK_BAND_FLOOR, RANK_THRESHOLD]
+    assume(not any(np.any(~bad & (ratio > e / 4) & (ratio < e * 4)) for e in edges))
+    assert _count_jacobian_drops(parm, env, shape) == _full_batch_drops(parm, env, shape)
+
+
+@pytest.mark.parametrize(
+    "comps, counts",
+    [
+        # The ph column has no nonzero entry: every sample drops.
+        ((A, TH, TH), (2 * 16, 0, 0)),
+        # All entries are zero: every sample drops.
+        ((rat(1), rat(2), rat(3)), (2 * 16, 0, 0)),
+        # Row 0 reads a and th and no other row reads them: a block with
+        # more columns than rows, beside a zero row.  Every sample drops.
+        ((A + TH, rat(1), PH), (2 * 16, 0, 0)),
+        # One block of constants, a single matrix of ratio e^-21: the band.
+        ((exp_of(rat(21)) * A + TH, TH, PH), (0, 2 * 16, 0)),
+        # exp(1000 th - 2000) overflows on the last grid row of th, and is
+        # below 1e-12 on the others, which are regular.
+        ((A, exp_of(rat(1000) * TH - rat(2000)) + TH, PH), (0, 0, 2 * 4)),
+        # The same row as inf - inf: NaN, on which the SVD would fail.
+        ((A, exp_of(rat(1000) * TH - rat(2000)) - exp_of(rat(999) * TH - rat(1998)) + TH, PH), (0, 0, 2 * 4)),
+    ],
+    ids=["zero column", "all zero", "wide block", "constant band", "infinite", "nan"],
+)
+def test_jacobian_edge_cases_match_the_full_batch(comps, counts):
+    parm = ChartMap("edge", SP3, C3, comps)
+    env, shape = _sweep_env(SP3, 4, 2)
+    assert _count_jacobian_drops(parm, env, shape) == counts
+    assert _full_batch_drops(parm, env, shape) == counts
+
+
+def test_a_constant_jacobian_runs_one_svd_of_one_matrix(svd_batches):
+    lin = ChartMap("lin", SP3, C3, (A + TH, TH * 2 - PH, PH * Fraction(1, 3)))
+    env, shape = _sweep_env(SP3, 8, 3)
+    assert _count_jacobian_drops(lin, env, shape) == (0, 0, 0)
+    assert svd_batches == [()]
 
 
 @pytest.fixture
@@ -580,16 +677,17 @@ def svd_batches(monkeypatch):
 
 
 def test_jacobian_svd_runs_once_per_distinct_matrix(svd_batches):
-    # sphN's Jacobian depends on th and ph only, so the aux axis adds no
-    # SVD: one per grid point, not one per sample.  A fresh map, since
+    # sphN's Jacobian splits into the identity on z1, z2, z3, a single
+    # constant matrix, and the sphere block, which reads th and ph only:
+    # one SVD per grid point, not one per sample.  A fresh map, since
     # SPH_N keeps the counts of the sweeps other tests ran on it.
     sph_n = ChartMap("sphN", SP5, P6, SPH_N.comps)
     env, shape = _sweep_env(SP5, 8, 3)
-    assert _count_jacobian_drops(sph_n, env, shape) == 0
-    assert svd_batches == [(1, 8, 8)]
+    assert _count_jacobian_drops(sph_n, env, shape) == (0, 0, 0)
+    assert svd_batches == [(), (1, 8, 8)]
     # The same grid again is read from the map, with no SVD.
-    assert _count_jacobian_drops(sph_n, env, shape) == 0
-    assert svd_batches == [(1, 8, 8)]
+    assert _count_jacobian_drops(sph_n, env, shape) == (0, 0, 0)
+    assert svd_batches == [(), (1, 8, 8)]
 
 
 def test_kept_jacobian_drops_scale_with_each_sweeps_multiplicity(svd_batches):
@@ -599,9 +697,10 @@ def test_kept_jacobian_drops_scale_with_each_sweeps_multiplicity(svd_batches):
     for aux_count in (2, 3):
         env, shape = _sweep_env(SP3, 8, aux_count)
         assert _count_jacobian_drops(pinch, env, shape) == _full_batch_drops(pinch, env, shape)
-    # One SVD for the memo's 8 matrices; the other two are the reference's.
-    assert svd_batches == [(1, 8, 1), (2, 8, 8), (3, 8, 8)]
-    assert _count_jacobian_drops(pinch, env, shape) == 192
+    # The constant block of a and ph and the th block for the memo, run
+    # once; the other two are the reference's.
+    assert svd_batches == [(), (1, 8, 1), (2, 8, 8), (3, 8, 8)]
+    assert _count_jacobian_drops(pinch, env, shape) == (192, 0, 0)
 
 
 def test_another_grid_runs_a_new_svd(svd_batches):
@@ -609,16 +708,17 @@ def test_another_grid_runs_a_new_svd(svd_batches):
     for grid_n in (8, 7, 8):
         env, shape = _sweep_env(SP3, grid_n, 2)
         _count_jacobian_drops(pinch, env, shape)
-    assert svd_batches == [(1, 8, 1), (1, 7, 1)]
+    assert svd_batches == [(), (1, 8, 1), (), (1, 7, 1)]
 
 
 def test_other_aux_draws_run_a_new_svd_when_the_jacobian_reads_them(svd_batches):
     # asin's Jacobian reads the auxiliary a, so its draws are in the key.
+    # Its block of a and th runs over both axes, the ph block is constant.
     asin = ChartMap("asin", SP3, C3, (sym("a"), sym("a") * sin_of(TH), PH))
     for seed in (0, 1, 0):
         env, shape = _sweep_env(SP3, 7, 3, seed=seed)
-        assert _count_jacobian_drops(asin, env, shape) == 3 * 7
-    assert svd_batches == [(3, 7, 1), (3, 7, 1)]
+        assert _count_jacobian_drops(asin, env, shape) == (3 * 7, 0, 0)
+    assert svd_batches == [(3, 7, 1), (), (3, 7, 1), ()]
 
 
 def test_a_new_numeric_for_an_opaque_entry_runs_a_new_svd(register_opaque, svd_batches):
@@ -627,16 +727,17 @@ def test_a_new_numeric_for_an_opaque_entry_runs_a_new_svd(register_opaque, svd_b
     fmap = ChartMap("fmap", SP3, C3, (sym("a"), opaque_fn("f", "th"), PH))
     env, shape = _sweep_env(SP3, 8, 2)
     register_opaque("f'", lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    assert _count_jacobian_drops(fmap, env, shape) == 0
+    assert _count_jacobian_drops(fmap, env, shape) == (0, 0, 0)
     register_opaque("f'", lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    assert _count_jacobian_drops(fmap, env, shape) == 128
-    assert svd_batches == [(1, 8, 1), (1, 8, 1)]
+    assert _count_jacobian_drops(fmap, env, shape) == (128, 0, 0)
+    assert svd_batches == [(), (1, 8, 1), (), (1, 8, 1)]
 
 
 def test_s8_contact_sweeps_rank_test_each_map_once(svd_batches):
     # Checks 11-13 sweep alpha_K for three K through the same two sphere
-    # charts: one SVD per map over the whole scope, and a second run of
-    # the three reads the kept counts with the same evidence.
+    # charts: per map over the whole scope, one SVD of the constant z
+    # block and one batch of the sphere block, and a second run of the
+    # three reads the kept counts with the same evidence.
     from nsx.dsl import parse_scenario
     from nsx.runner import RunConfig, elaborate_scope, run_check
     from nsx.scenarios import SUITE
@@ -652,9 +753,9 @@ def test_s8_contact_sweeps_rank_test_each_map_once(svd_batches):
         return [run_check(scope, checks[i], "S8", i, config).evidence for i in (11, 12, 13)]
 
     first = run()
-    assert svd_batches == [(1, 64, 64), (1, 64, 64)]
+    assert svd_batches == [(), (1, 64, 64), (), (1, 64, 64)]
     assert run() == first
-    assert len(svd_batches) == 2
+    assert len(svd_batches) == 4
     assert all(
         chart["jacobian_drops"] == 0 and chart["samples"] == 8 * 64 * 64
         for evidence in first

@@ -21,8 +21,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["degeneracy_profile.py"],
         ["contact_latitude_scan.py", "--constants", "5", "--steps", "64"],
         ["code_lines.py", "--files"],
+        ["first_pass.py", "--only", "S9", "--processes", "1"],
     ],
-    ids=["degeneracy_profile", "contact_latitude_scan", "code_lines"],
+    ids=["degeneracy_profile", "contact_latitude_scan", "code_lines", "first_pass"],
 )
 def test_script_runs(argv, cli_env, tmp_path):
     proc = subprocess.run(
