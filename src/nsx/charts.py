@@ -44,7 +44,7 @@ class Chart:
         if len(set(self.coords)) != len(self.coords):
             raise DomainError(f"chart {self.name} repeats a coordinate name")
 
-    @property
+    @cached_property
     def dim(self):
         return len(self.coords)
 
@@ -72,12 +72,21 @@ def _merge_indices(left, right):
 def _sum_by_key(items):
     """Sum the Expr contributions of (key, Expr) pairs per key, each key
     once, and drop the zero sums.  A sum sees all of its contributions
-    together, so it depends only on their multiset, not on their order."""
-    groups = {}
+    together, so it depends only on their multiset, not on their order;
+    a key's lone contribution is its sum."""
+    sums = {}
+    shared = {}
     for key, coeff in items:
-        groups.setdefault(key, []).append(coeff)
-    sums = {key: _sum(cs) for key, cs in groups.items()}
-    return {key: v for key, v in sums.items() if not v.is_zero}
+        first = sums.get(key)
+        if first is None:
+            sums[key] = coeff
+        elif key in shared:
+            shared[key].append(coeff)
+        else:
+            shared[key] = [first, coeff]
+    for key, cs in shared.items():
+        sums[key] = _sum(cs)
+    return {key: v for key, v in sums.items() if v.terms}
 
 
 class DForm:

@@ -40,11 +40,47 @@ _INDEX_TUPLES = {
     for degree in range(dim + 1)
 }
 
-# The generators below draw an int in [0, n) as getrandbits(k), with
-# k = n.bit_length(), redrawn while it is >= n.  That is the rule of
-# random.Random._randbelow, so they make the draws, one for one, that
+# The steps of random.shuffle over n items: each position i from n - 1
+# down to 1 with the bit length of i + 1, the draw's range.
+_SHUFFLE_STEPS = {
+    n: tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+    for n in {len(keys) for keys in _INDEX_TUPLES.values()}
+}
+
+# Every draw here is an int in [0, n) taken as getrandbits(k), with
+# k = n.bit_length(), and redrawn while it is >= n.  That is the rule of
+# random.Random._randbelow, so the draws are, one for one, those that
 # randrange, choice and shuffle would make from the same stream, without
-# those functions' call layers.
+# those functions' call layers.  The generators inline the rule in their
+# loops; everything else draws through `_below`.
+
+
+def _below(bits, n):
+    """An int in [0, n) for n >= 1, drawn from `bits` (an RNG's
+    getrandbits) as random.Random._randbelow(n) draws it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+# Bound of the monomial memo of `_rand_poly`; the built-in suite's
+# batteries draw 115 distinct (coords, factor picks) keys.
+_MONOMIAL_MEMO = 1024
+
+# (coords, factor picks) -> monomial
+_monomials = {}
+
+
+def _new_monomial(key):
+    """The sorted monomial of the coordinates coords[i] for i in picks,
+    key being (coords, picks), kept in the memo while it has room."""
+    coords, picks = key
+    mono = _normalize_monomial([((_SYM, coords[i]), 1) for i in picks])
+    if len(_monomials) < _MONOMIAL_MEMO:
+        _monomials[key] = mono
+    return mono
 
 
 def _rand_poly(rng, coords, max_terms=3, max_deg=2):
@@ -53,8 +89,9 @@ def _rand_poly(rng, coords, max_terms=3, max_deg=2):
     one dict of numerators over 2 and canonicalized once.  The draws are
     those of randrange(1, max_terms + 1), then per term choice of the
     numerator, randrange(1, 3) for the denominator, randrange(0,
-    max_deg + 1) for the degree and choice(coords) per factor."""
-    bits = rng.getrandbits
+    max_deg + 1) for the degree and choice(coords) per factor.  The
+    monomial of each term's factors is looked up in the memo."""
+    bits, monomials = rng.getrandbits, _monomials
     n_coords, n_degs = len(coords), max_deg + 1
     k_terms, k_coords, k_degs = max_terms.bit_length(), n_coords.bit_length(), n_degs.bit_length()
     terms = bits(k_terms)
@@ -73,14 +110,16 @@ def _rand_poly(rng, coords, max_terms=3, max_deg=2):
         degree = bits(k_degs)
         while degree >= n_degs:
             degree = bits(k_degs)
-        factors = []
+        picks = []
         for _ in range(degree):
             i = bits(k_coords)
             while i >= n_coords:
                 i = bits(k_coords)
-            factors.append(((_SYM, coords[i]), 1))
-        # No factor or one is already a sorted monomial.
-        mono = _normalize_monomial(factors) if degree > 1 else tuple(factors)
+            picks.append(i)
+        key = (coords, tuple(picks))
+        mono = monomials.get(key)
+        if mono is None:
+            mono = _new_monomial(key)
         acc[mono] = acc.get(mono, 0) + numerator
     return _canonical(acc, 2)
 
@@ -92,8 +131,7 @@ def _rand_form(rng, chart, degree, max_terms=2):
     coefficient is dropped."""
     bits = rng.getrandbits
     keys = list(_INDEX_TUPLES[chart.dim, degree])
-    for i in range(len(keys) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _SHUFFLE_STEPS[len(keys)]:
         j = bits(k)
         while j > i:
             j = bits(k)
@@ -112,16 +150,18 @@ def _rand_map(rng, source, target):
 
 
 def _dd_zero(rng, dims):
-    chart = _chart(rng.choice(dims))
-    degree = rng.randrange(0, chart.dim)
+    bits = rng.getrandbits
+    chart = _chart(dims[_below(bits, len(dims))])
+    degree = _below(bits, chart.dim)
     form = _rand_form(rng, chart, degree)
     return bool(form.d().d().comps)
 
 
 def _graded_comm(rng, dims):
-    chart = _chart(rng.choice(dims))
-    p = rng.randrange(0, chart.dim + 1)
-    q = rng.randrange(0, chart.dim - p + 1)
+    bits = rng.getrandbits
+    chart = _chart(dims[_below(bits, len(dims))])
+    p = _below(bits, chart.dim + 1)
+    q = _below(bits, chart.dim - p + 1)
     a = _rand_form(rng, chart, p)
     b = _rand_form(rng, chart, q)
     rhs = b.wedge(a)
@@ -129,25 +169,27 @@ def _graded_comm(rng, dims):
 
 
 def _functorial(rng, dims):
-    db = rng.choice(dims)
-    da = rng.choice(dims)
+    bits = rng.getrandbits
+    db = dims[_below(bits, len(dims))]
+    da = dims[_below(bits, len(dims))]
     source, target = _chart(da), _chart(db)
     if source == target:
         # Move the target up a dimension, or down from the largest
         # declared one; no chart has 0 coordinates, so 1 moves up.
         target = _chart(db + 1 if db < max(dims) or db == 1 else db - 1)
     phi = _rand_map(rng, source, target)
-    p = rng.randrange(0, target.dim)
-    q = rng.randrange(0, target.dim - p + 1)
+    p = _below(bits, target.dim)
+    q = _below(bits, target.dim - p + 1)
     a = _rand_form(rng, target, p)
     b = _rand_form(rng, target, q)
     return phi.pullback(a.wedge(b)) != phi.pullback(a).wedge(phi.pullback(b))
 
 
 def _antiderivation(rng, dims):
-    chart = _chart(rng.choice(dims))
-    p = rng.randrange(0, chart.dim)
-    q = rng.randrange(0, chart.dim - p)
+    bits = rng.getrandbits
+    chart = _chart(dims[_below(bits, len(dims))])
+    p = _below(bits, chart.dim)
+    q = _below(bits, chart.dim - p)
     a = _rand_form(rng, chart, p)
     b = _rand_form(rng, chart, q)
     second = a.wedge(b.d())

@@ -953,8 +953,10 @@ def report_text(suite):
         for c in s.checks:
             mark = "" if c.ok else " [unexpected]"
             declared = " [declared fail]" if c.expect == "fail" and c.ok else ""
+            # An error's reason is in its evidence; the line shows it too.
+            reason = f": {c.evidence['error']}" if c.verdict == "error" else ""
             lines.append(
-                f"{s.sid}.{c.index} {c.kind} {c.verdict.upper()} {c.detail}{declared}{mark}"
+                f"{s.sid}.{c.index} {c.kind} {c.verdict.upper()} {c.detail}{reason}{declared}{mark}"
             )
         agreed = sum(1 for c in s.checks if c.ok)
         lines.append(f"{s.sid}: {s.status} ({agreed}/{len(s.checks)} checks as declared)")

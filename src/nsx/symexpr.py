@@ -244,9 +244,15 @@ class Expr:
         if n < 0:
             # Only single-monomial expressions are invertible here;
             # sums would need a quotient field we deliberately avoid.
-            mono, c = self.single_monomial()
+            if not self.terms:
+                raise DomainError("division by zero")
+            if len(self.terms) != 1:
+                raise DomainError(
+                    f"negative powers need a single-term base, got {len(self.terms)} terms"
+                )
+            ((mono, num),) = self.terms
             inv_mono = _normalize_monomial([(a, -e) for a, e in mono])
-            inv = 1 / c
+            inv = Fraction(self.den, num)
             base = _monomial_expr(inv_mono, inv.numerator, inv.denominator)
             return base ** (-n)
         # Square-and-multiply from the lowest set bit: no product by ONE and
@@ -435,7 +441,8 @@ def _canonical(acc, den):
     """The Expr of sum(n * mono for mono, n in acc) / den, for int
     numerators and den > 0: sin^2/cos^2 partners collapsed, zero terms
     dropped, the common factor cancelled and the terms sorted.  One term
-    has no Pythagorean partner."""
+    has no Pythagorean partner.  With no zero numerator and no common
+    factor, the sorted items are already the terms."""
     # A monomial is sorted by atom kind, so one holding sin ends in an atom
     # of kind _SIN or later.
     if len(acc) > 1 and any(
@@ -443,6 +450,8 @@ def _canonical(acc, den):
     ):
         _pythagorean_fixpoint(acc)
     g = math.gcd(den, *acc.values())
+    if g == 1 and all(acc.values()):
+        return Expr(tuple(sorted(acc.items())), den)
     return Expr(tuple(sorted((m, n // g) for m, n in acc.items() if n)), den // g)
 
 
@@ -540,7 +549,8 @@ def _atom_derivative(atom, name):
 def _subs_atom(atom, mapping):
     kind = atom[0]
     if kind == _SYM:
-        return mapping.get(atom[1], sym(atom[1]))
+        target = mapping.get(atom[1])
+        return _atom_expr(atom) if target is None else target
     if kind == _PI:
         return PI
     if kind == _OPQ:

@@ -14,12 +14,13 @@ from nsx.charts import (
     DForm,
     Metric,
     VectorField,
+    _sum_by_key,
     coord_differential,
     function_form,
     zero_form,
 )
 from nsx.errors import DomainError, UnsupportedMetricError
-from nsx.symexpr import ONE, ZERO, cos_of, evaluate, exp_of, rat, sin_of, sym
+from nsx.symexpr import ONE, ZERO, _sum, cos_of, evaluate, exp_of, rat, sin_of, sym
 
 C3 = Chart("c3", ("x", "y", "z"))
 C4 = Chart("c4", ("t", "x1", "x2", "x3"))
@@ -709,3 +710,29 @@ def test_form_operations_ignore_the_order_of_comps(data, degree, other_degree):
     assert _DIAGONAL.pullback(a) == _DIAGONAL.pullback(b)
     assert _SHEAR.pullback(a) == _SHEAR.pullback(b)
     assert _DENSE.star(a) == _DENSE.star(b)
+
+
+def _sum_by_key_by_groups(items):
+    # The grouping that _sum_by_key replaced: every key's contributions,
+    # a lone one included, summed through _sum.
+    groups = {}
+    for key, coeff in items:
+        groups.setdefault(key, []).append(coeff)
+    sums = {key: _sum(cs) for key, cs in groups.items()}
+    return {key: v for key, v in sums.items() if not v.is_zero}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([(0,), (1,), (2,), (0, 1)]),
+            st.one_of(_coeffs, _coeffs.map(lambda c: -c), st.just(ZERO)),
+        ),
+        max_size=8,
+    )
+)
+def test_sum_by_key_matches_the_grouped_sums(items):
+    got, want = _sum_by_key(items), _sum_by_key_by_groups(items)
+    assert list(got) == list(want)
+    assert all((got[k].terms, got[k].den) == (want[k].terms, want[k].den) for k in want)

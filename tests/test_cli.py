@@ -129,6 +129,24 @@ def test_eval_names_the_line_of_an_elaboration_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: 'w' is already defined\n"
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "division by zero"),
+        ("0^-1", "division by zero"),
+        ("1/(x + y)", "negative powers need a single-term base, got 2 terms"),
+    ],
+)
+def test_a_bad_division_names_its_rule(tmp_path, value, message, capsys):
+    path = tmp_path / "div.nsx"
+    path.write_text(f"chart C(x, y)\nconst k = {value}\n")
+    assert cli.main(["eval", str(path), "--at", "x=1,y=2"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"div.0 elaboration ERROR (error): line 2: {message} [unexpected]"
+
+
 # The upper bound 10^400, written out, is too large for a float.
 HUGE_REGION = f"""chart C(x, y)
 form om on C = x*d(x)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsx.props as props
 from nsx.charts import MAX_DIM
 from nsx.errors import DomainError
-from nsx.props import _rand_poly, run_property_battery
+from nsx.props import _BATTERIES, _below, _rand_poly, run_property_battery
 from nsx.symexpr import Expr, rat, sym
 
 
@@ -41,6 +42,19 @@ def test_rand_poly_matches_the_arithmetic_build(seed, coords, max_terms, max_deg
     assert got.key == want.key
     assert str(got) == str(want)
     assert rng.getstate() == ref_rng.getstate()
+
+
+def test_the_monomial_memo_stays_within_its_bound(monkeypatch):
+    # Once the memo is full, new monomials are built and not kept.
+    monkeypatch.setattr(props, "_monomials", {})
+    monkeypatch.setattr(props, "_MONOMIAL_MEMO", 4)
+    coords = ("w1", "w2", "w3", "x", "y")
+    for seed in range(30):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = _rand_poly(rng, coords, 4, 3)
+        want = _rand_poly_by_arithmetic(ref_rng, coords, 4, 3)
+        assert got.key == want.key
+    assert len(props._monomials) == 4
 
 
 def test_batteries_pass_and_report_their_budget():
@@ -91,7 +105,6 @@ GOLDEN_DRAWS = Path(__file__).parent / "golden" / "prop_draws.txt"
 
 
 def _battery_draws_digest(monkeypatch):
-    import nsx.props as props
     from nsx.runner import DEFAULT_SEED, RunConfig, run_suite
 
     lines = []
@@ -120,6 +133,98 @@ def test_randbelow_is_the_getrandbits_rejection_rule():
     # The batteries read getrandbits(n.bit_length()) and redraw while the
     # value is >= n, which gives randrange's draws only under this rule.
     assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.one_of(st.integers(1, 70), st.integers(1, 2**70)))
+def test_below_is_randbelow(seed, n):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _below(rng.getrandbits, n) == ref_rng._randbelow(n)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+# The battery samples as they were written on choice and randrange; the
+# draws of the generators they call are the same in both.
+
+
+def _dd_zero_by_choice(rng, dims):
+    chart = props._chart(rng.choice(dims))
+    degree = rng.randrange(0, chart.dim)
+    form = props._rand_form(rng, chart, degree)
+    return bool(form.d().d().comps)
+
+
+def _graded_comm_by_choice(rng, dims):
+    chart = props._chart(rng.choice(dims))
+    p = rng.randrange(0, chart.dim + 1)
+    q = rng.randrange(0, chart.dim - p + 1)
+    a = props._rand_form(rng, chart, p)
+    b = props._rand_form(rng, chart, q)
+    rhs = b.wedge(a)
+    return a.wedge(b) != (-rhs if p * q % 2 else rhs)
+
+
+def _functorial_by_choice(rng, dims):
+    db = rng.choice(dims)
+    da = rng.choice(dims)
+    source, target = props._chart(da), props._chart(db)
+    if source == target:
+        target = props._chart(db + 1 if db < max(dims) or db == 1 else db - 1)
+    phi = props._rand_map(rng, source, target)
+    p = rng.randrange(0, target.dim)
+    q = rng.randrange(0, target.dim - p + 1)
+    a = props._rand_form(rng, target, p)
+    b = props._rand_form(rng, target, q)
+    return phi.pullback(a.wedge(b)) != phi.pullback(a).wedge(phi.pullback(b))
+
+
+def _antiderivation_by_choice(rng, dims):
+    chart = props._chart(rng.choice(dims))
+    p = rng.randrange(0, chart.dim)
+    q = rng.randrange(0, chart.dim - p)
+    a = props._rand_form(rng, chart, p)
+    b = props._rand_form(rng, chart, q)
+    second = a.wedge(b.d())
+    return a.wedge(b).d() != a.d().wedge(b) + (-second if p % 2 else second)
+
+
+_BY_CHOICE = {
+    "dd_zero": _dd_zero_by_choice,
+    "graded_comm": _graded_comm_by_choice,
+    "functorial": _functorial_by_choice,
+    "antiderivation": _antiderivation_by_choice,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BY_CHOICE))
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (6, 2), (2, 3, 4, 5, 6), (1, 8)])
+def test_battery_samples_draw_as_choice_and_randrange(name, dims, monkeypatch):
+    # Each drawn form and map is recorded, so the test compares the
+    # instances both draw, not only their verdicts and the end state.
+    drawn = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            drawn.append(repr(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(props, "_rand_form", recorded(props._rand_form))
+    monkeypatch.setattr(props, "_rand_map", recorded(props._rand_map))
+    sample = _BATTERIES[name]
+    for seed in (0, 1, 7):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = [sample(rng, dims) for _ in range(12)]
+        got_drawn = drawn[:]
+        drawn.clear()
+        want = [_BY_CHOICE[name](ref_rng, dims) for _ in range(12)]
+        assert got == want
+        assert got_drawn == drawn
+        drawn.clear()
+        assert rng.getstate() == ref_rng.getstate()
 
 
 # -- arguments the scenario language cannot express ----------------------

@@ -184,6 +184,13 @@ def test_check_error_verdict():
     assert not rec.ok
     reported = _run(text.replace("at (x=1)", "at (x=1) expect report"))
     assert reported.checks[0].verdict == "error" and reported.checks[0].ok
+    # The text line shows the reason; the JSON keeps it in the evidence.
+    reason = rec.evidence["error"]
+    lines = report_text(SuiteReport(seed=1, scenarios=[rep, reported])).splitlines()
+    assert lines[0] == f"T.0 rank_at ERROR (error): {reason} [unexpected]"
+    assert lines[2] == f"T.0 rank_at ERROR (error): {reason}"
+    record = json.loads(report_json(SuiteReport(seed=1, scenarios=[rep])))["scenarios"][0]["checks"][0]
+    assert record["detail"] == "(error)" and record["evidence"] == {"error": reason}
 
 
 

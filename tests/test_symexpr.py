@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsx.dsl import parse_scenario, random_scenario
@@ -379,18 +379,29 @@ def test_products_match_the_dict_product(a, b):
         assert _same(got, _mul_by_dict(_as_expr(left), _as_expr(right)))
 
 
+x_mono = x.terms[0][0]
+
+
 @given(
     st.lists(
         st.tuples(monomial_exprs.map(lambda e: e.terms[0][0]), st.integers(-2, 2)), max_size=6
     ),
     st.integers(1, 12),
+    st.sampled_from([1, 2, 3, 6]),
 )
 @settings(max_examples=300, deadline=None)
-def test_canonical_sin_precheck_matches_the_full_scan(pairs, den):
+@example([((), 0)], 1, 1)
+@example([((), 2), ((), -2)], 3, 1)
+@example([(x_mono, 1), ((), 0)], 1, 1)
+@example([(x_mono, 1), ((), 1)], 1, 2)
+@example([(x_mono, 2), ((), -1), ((), 1)], 2, 3)
+def test_canonical_sin_precheck_matches_the_full_scan(pairs, den, common):
+    # `common` scales every numerator and den, so they share that factor;
+    # a numerator of 0, drawn or summed to, must drop its term.
     acc = {}
     for mono, n in pairs:
-        acc[mono] = acc.get(mono, 0) + n
-    assert _same(_canonical(dict(acc), den), _canonical_by_full_scan(dict(acc), den))
+        acc[mono] = acc.get(mono, 0) + n * common
+    assert _same(_canonical(dict(acc), den * common), _canonical_by_full_scan(dict(acc), den * common))
 
 
 def test_diff_opaque_uses_primed_name():
@@ -476,6 +487,24 @@ def test_single_monomial_and_as_fraction():
     assert (rat(2) * x * y).single_monomial() is not None
     with pytest.raises(DomainError):
         (x + y).single_monomial()
+
+
+@pytest.mark.parametrize("zero", [ZERO, rat(0), x - x])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_a_negative_power_of_zero_is_division_by_zero(zero, n):
+    with pytest.raises(DomainError, match="^division by zero$"):
+        zero**n
+    with pytest.raises(DomainError, match="^division by zero$"):
+        ONE / zero
+
+
+def test_a_negative_power_needs_a_single_term_base():
+    with pytest.raises(DomainError, match="^negative powers need a single-term base, got 2 terms$"):
+        (x + y) ** -2
+    with pytest.raises(DomainError, match="negative powers need a single-term base, got 3 terms"):
+        x / (x + y + 1)
+    assert (rat(-2, 3) * x * y**2) ** -1 == rat(-3, 2) / x / y**2
+    assert (-x) ** -2 == ONE / x**2
 
 
 # -- evaluation -------------------------------------------------------
