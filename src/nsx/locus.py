@@ -38,7 +38,9 @@ decides nothing; the outcome counts such a sample under `band` or
 `fixed_points` and `dividing_set` run one on/off sequence,
 `_verify_locus`, in which an on-locus sample outside the region is one
 counterexample and is not decided; `rank_drop_locus` shares that rule
-for its on-locus samples (`_on_envs`).
+for its on-locus samples (`_on_envs`) and holds its Jacobian ranks
+through `pointcheck.rank_claim`.  Every check records on one
+`pointcheck.Outcome`, whose `verdict` is the check's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import eq, gt, lt, ne
@@ -54,7 +56,7 @@ from operator import eq, gt, lt, ne
 import numpy as np
 
 from .errors import DomainError
-from .pointcheck import map_rank_at, per_class
+from .pointcheck import Outcome, map_rank_at, rank_claim
 from .points import Column, PointSet, PointView, is_rational, points_of
 from .symexpr import (
     Equal,
@@ -74,7 +76,6 @@ __all__ = [
     "UnionLocus",
     "EmptyLocus",
     "LocusSampler",
-    "Outcome",
     "verify_vanishing_locus",
     "verify_positive",
     "verify_rank_drop_locus",
@@ -88,7 +89,6 @@ DEFAULT_MARGIN = Fraction(1, 8)
 _DYADIC_BITS = 12
 _FLOAT_EXACT = 1 << 53  # every int of smaller magnitude is exact as a float64
 _REJECTION_CAP_FACTOR = 50
-_MAX_RECORDED_COUNTEREXAMPLES = 5
 
 
 def derive_seed(*parts):
@@ -663,83 +663,6 @@ def off_locus_envs(sampler, margin, count, seed):
     return points, kept < count
 
 
-# ---------------------------------------------------------------------------
-# Outcomes
-
-
-@dataclass
-class Outcome:
-    """The outcome record of a sampled check.  Samples are counted per side:
-    on the locus ("on") or off it ("off"), each either failed, non-finite,
-    in the band, or holding; a check without a locus counts on "on".
-
-    `verdict` is the one verdict rule of a sampled check: undecided when
-    any sample was undecided (or the check was left undecided), else pass
-    unless a counterexample or a failed requirement was recorded."""
-
-    kind: str
-    passed: bool = True
-    on_count: int = 0
-    off_count: int = 0
-    on_failures: int = 0
-    off_failures: int = 0
-    on_non_finite: int = 0
-    off_non_finite: int = 0
-    on_band: int = 0
-    off_band: int = 0
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    undecided: bool = False
-
-    @property
-    def verdict(self):
-        if self.undecided:
-            return "undecided"
-        return "pass" if self.passed else "fail"
-
-    @property
-    def non_finite(self):
-        return self.on_non_finite + self.off_non_finite
-
-    @property
-    def band(self):
-        return self.on_band + self.off_band
-
-    def fail(self, note=None):
-        self.passed = False
-        if note:
-            self.notes.append(note)
-
-    def add_undecided(self, side, band, non_finite=0):
-        """Count samples on `side` that no value decides, inside the band
-        or non-finite; any such sample leaves the outcome undecided."""
-        if side == "on":
-            self.on_band += band
-            self.on_non_finite += non_finite
-        else:
-            self.off_band += band
-            self.off_non_finite += non_finite
-        if band or non_finite:
-            self.undecided = True
-
-    def add_counterexample(self, env, reason, value=None, side=None):
-        self.passed = False
-        if side == "on":
-            self.on_failures += 1
-        elif side == "off":
-            self.off_failures += 1
-        if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:
-            point = {c: _printable(v) for c, v in env.items()}
-            rec = {"point": point, "reason": reason}
-            if value is not None:
-                rec["value"] = _printable(value)
-            self.counterexamples.append(rec)
-
-
-def _printable(v):
-    return v if isinstance(v, float) else str(v)
-
-
 def _pull_subject(via, *expr_lists):
     """Each list of expressions composed with a map, each distinct
     expression once; the lists as given without a map.
@@ -942,25 +865,6 @@ def _verify_locus(outcome, on_exprs, off_exprs, off_mode, reason, locus, region,
     return outcome
 
 
-def rank_claim(outcome, envs, check, subject, expected, label, side):
-    """Hold the rank verdict `check(subject, env)`, taken by `per_class`, to
-    `expected` at every point of envs, on the outcome's `side`: as in
-    `_decide`, a rank of a matrix with
-    a NaN or infinite entry counts under the side's non_finite, any other
-    undecided rank under its band, and any other rank is a counterexample,
-    "<label>: rank r, expected e".  Returns the verdicts, in the order of
-    envs."""
-    verdicts = list(per_class(check, subject, envs))
-    for env, verdict in zip(envs, verdicts):
-        if verdict.non_finite:
-            outcome.add_undecided(side, 0, 1)
-        elif verdict.undecided:
-            outcome.add_undecided(side, 1)
-        elif verdict.rank != expected:
-            outcome.add_counterexample(env, f"{label}: rank {verdict.rank}, expected {expected}", side=side)
-    return verdicts
-
-
 def verify_vanishing_locus(
     form,
     locus,
@@ -1100,7 +1004,7 @@ def verify_dividing_set(
     outcome = Outcome("dividing_set")
     paired = alpha.interior(xfield)
     computed = paired.coefficient(())
-    comparison = semantically_equal(computed, declared_scalar)
+    comparison = semantically_equal(computed, declared_scalar, tol=tol)
     if isinstance(comparison, NotEqual):
         outcome.fail("computed pairing disagrees with the declared scalar")
         # The witness is a tuple of (coord, value) pairs and may be absent.

@@ -23,6 +23,14 @@ band; one with a NaN or infinite entry decides nothing.
 A point check over a point set runs once per class of points that agree
 on the coordinates its entries read (`per_class`), and every other point
 of the class reads its class's verdict.
+
+`Outcome` is the one outcome record of a sampled check, here and in
+`locus`, and its `verdict` the one verdict rule.  `point_claim` is the
+one loop that records point verdicts on it: a NaN or infinite matrix
+under non_finite, any other undecided verdict under band, and a decided
+one that does not hold as a counterexample; `rank_claim` is its rank
+case.  The stabilize search records each constant it tries on its own
+outcome through `rank_claim`, and stops at the first that does not fail.
 """
 
 from __future__ import annotations
@@ -102,6 +110,111 @@ def per_class(check, subject, envs):
         return verdicts[rep]
 
     return map(verdict, reps, envs)
+
+
+_MAX_RECORDED_COUNTEREXAMPLES = 5
+
+
+@dataclass
+class Outcome:
+    """The outcome record of a sampled check.  Samples are counted per side:
+    on the locus ("on") or off it ("off"), each either failed, non-finite,
+    in the band, or holding; a check without a locus counts on "on".
+
+    `verdict` is the one verdict rule of a sampled check: undecided when
+    any sample was undecided (or the check was left undecided), else pass
+    unless a counterexample or a failed requirement was recorded."""
+
+    kind: str
+    passed: bool = True
+    on_count: int = 0
+    off_count: int = 0
+    on_failures: int = 0
+    off_failures: int = 0
+    on_non_finite: int = 0
+    off_non_finite: int = 0
+    on_band: int = 0
+    off_band: int = 0
+    counterexamples: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    undecided: bool = False
+
+    @property
+    def verdict(self):
+        if self.undecided:
+            return "undecided"
+        return "pass" if self.passed else "fail"
+
+    @property
+    def non_finite(self):
+        return self.on_non_finite + self.off_non_finite
+
+    @property
+    def band(self):
+        return self.on_band + self.off_band
+
+    def fail(self, note=None):
+        self.passed = False
+        if note:
+            self.notes.append(note)
+
+    def add_undecided(self, side, band, non_finite=0):
+        """Count samples on `side` that no value decides, inside the band
+        or non-finite; any such sample leaves the outcome undecided."""
+        if side == "on":
+            self.on_band += band
+            self.on_non_finite += non_finite
+        else:
+            self.off_band += band
+            self.off_non_finite += non_finite
+        if band or non_finite:
+            self.undecided = True
+
+    def add_counterexample(self, env, reason, value=None, side=None):
+        self.passed = False
+        if side == "on":
+            self.on_failures += 1
+        elif side == "off":
+            self.off_failures += 1
+        if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:
+            point = {c: _printable(v) for c, v in env.items()}
+            rec = {"point": point, "reason": reason}
+            if value is not None:
+                rec["value"] = _printable(value)
+            self.counterexamples.append(rec)
+
+
+def _printable(v):
+    return v if isinstance(v, float) else str(v)
+
+
+def point_claim(outcome, envs, check, subject, failure, side):
+    """Hold the verdict `check(subject, env)`, taken by `per_class`, at
+    every point of envs, on the outcome's `side`: a verdict on a matrix
+    with a NaN or infinite entry counts under the side's non_finite, any
+    other undecided verdict under its band, and a verdict for which
+    failure(verdict) gives a reason is a counterexample with that reason;
+    failure gives None where the point holds.  Returns the verdicts, in
+    the order of envs."""
+    verdicts = list(per_class(check, subject, envs))
+    for env, verdict in zip(envs, verdicts):
+        if verdict.non_finite:
+            outcome.add_undecided(side, 0, 1)
+        elif verdict.undecided:
+            outcome.add_undecided(side, 1)
+        elif (reason := failure(verdict)) is not None:
+            outcome.add_counterexample(env, reason, side=side)
+    return verdicts
+
+
+def rank_claim(outcome, envs, check, subject, expected, label, side):
+    """`point_claim` of a rank verdict held to `expected`: any other decided
+    rank is a counterexample, "<label>: rank r, expected e"."""
+
+    def failure(v):
+        return None if v.rank == expected else f"{label}: rank {v.rank}, expected {expected}"
+
+    return point_claim(outcome, envs, check, subject, failure, side)
 
 
 # The point value of a zero entry.
@@ -718,33 +831,23 @@ def _jacobian_extremes(jac, env):
 # -- stabilizing constant ------------------------------------------------
 
 
-@dataclass
-class StabilizeResult:
-    found: bool
-    constant: Fraction | None
-    tried: list
-    witness: dict | None
-
-
 def stabilizing_constant_search(eta, base, sample_envs, *, k_max=1 << 16):
-    """Smallest dyadic K = 2^j <= k_max making eta + K*base full rank at
-    every sample.  Returns the failing sample of the last attempt when
-    the budget runs out."""
+    """The smallest dyadic K = 2^j <= k_max that makes eta + K*base full
+    rank at every sample, as (K, outcome): K the last constant tried and
+    outcome its `Outcome`, by `rank_claim` against the chart's dim.
+
+    The search stops at the first K whose outcome is not `fail`: a pass
+    found K, and an undecided outcome, a rank in the band or a matrix with
+    a NaN or infinite entry, decides nothing further.  When every K up to
+    k_max fails, the outcome of the last one holds its counterexamples."""
     if eta.chart != base.chart or eta.degree != 2 or base.degree != 2:
         raise DomainError("stabilization needs two 2-forms on one chart")
-    dim = eta.chart.dim
-    tried = []
-    witness = None
+    if k_max < 1:
+        raise DomainError("k_max must be at least 1")
     k = Fraction(1)
-    while k <= k_max:
-        candidate = eta + base * rat(k)
-        witness = None
-        for env, verdict in zip(sample_envs, per_class(rank_at, candidate, sample_envs)):
-            if verdict.rank != dim or verdict.undecided:
-                witness = dict(env)
-                break
-        tried.append(k)
-        if witness is None:
-            return StabilizeResult(True, k, tried, None)
+    while True:
+        outcome = Outcome("stabilize", on_count=len(sample_envs))
+        rank_claim(outcome, sample_envs, rank_at, eta + base * rat(k), eta.chart.dim, f"K = {k}", "on")
+        if outcome.verdict != "fail" or 2 * k > k_max:
+            return k, outcome
         k *= 2
-    return StabilizeResult(False, None, tried, witness)

@@ -28,14 +28,11 @@ from .locus import (
     EmptyLocus,
     ImageLocus,
     LocusSampler,
-    Outcome,
     PointsLocus,
     Region,
     UnionLocus,
-    _printable,
     derive_seed,
     off_locus_envs,
-    rank_claim,
     region_envs,
     verify_dividing_set,
     verify_fixed_points,
@@ -44,12 +41,14 @@ from .locus import (
     verify_vanishing_locus,
 )
 from .pointcheck import (
+    Outcome,
     check_tolerance,
     contact_test,
     gradient_rank_at,
     near_symplectic_at,
-    per_class,
+    point_claim,
     rank_at,
+    rank_claim,
     stabilizing_constant_search,
 )
 from .points import points_of
@@ -612,12 +611,7 @@ def run_nearsympl_at(ctx, p):
     form = ctx.form(p["form"])
     envs = _sample_envs(ctx, p, form.chart)
     outcome = Outcome("nearsympl_at")
-    verdicts = list(per_class(near_symplectic_at, form, envs))
-    for env, v in zip(envs, verdicts):
-        if v.non_finite or v.undecided:
-            outcome.add_undecided("on", v.undecided, v.non_finite)
-        elif not v.passed:
-            outcome.add_counterexample(env, v.reason, side="on")
+    verdicts = point_claim(outcome, envs, near_symplectic_at, form, lambda v: None if v.passed else v.reason, "on")
     held = [v for v in verdicts if v.passed]
     evidence = {
         "points": len(envs),
@@ -785,18 +779,18 @@ def run_stabilize(ctx, p):
     base = ctx.form(p["base"], degree=2, what="a 2-form")
     envs = region_envs(ctx.region(p["region"]), derive_seed(ctx.seed, "stabilize"))
     k_max = (1 << 16) if p["k_max"] is None else p["k_max"]
-    result = stabilizing_constant_search(eta, base, envs, k_max=k_max)
+    k, outcome = stabilizing_constant_search(eta, base, envs, k_max=k_max)
+    found = outcome.verdict == "pass"
     evidence = {
-        "found": result.found,
-        "constant": str(result.constant) if result.constant is not None else None,
-        "attempts": len(result.tried),
+        "found": found,
+        "constant": str(k) if found else None,
+        "attempts": k.numerator.bit_length(),  # K = 2^(attempts - 1)
         "samples": len(envs),
     }
-    if result.witness is not None:
-        evidence["witness"] = {c: _printable(v) for c, v in result.witness.items()}
-    if result.found:
-        return "pass", evidence, f"(K = {result.constant})"
-    return "fail", evidence, f"(no constant up to {k_max})"
+    if outcome.verdict == "fail":
+        evidence["witness"] = outcome.counterexamples[0]["point"]
+        return _locus_result(outcome, evidence, f"no constant up to {k_max}")
+    return _locus_result(outcome, evidence, f"K = {k}")
 
 
 def run_property(ctx, p):

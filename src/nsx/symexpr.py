@@ -161,15 +161,6 @@ class Expr:
             return Fraction(self.terms[0][1], self.den)
         raise DomainError(f"expression is not a rational constant: {self}")
 
-    def single_monomial(self):
-        """The (monomial, coeff) pair when there is exactly one term."""
-        if len(self.terms) != 1:
-            raise DomainError(
-                f"expected a single-term expression, got {len(self.terms)} terms"
-            )
-        mono, n = self.terms[0]
-        return mono, Fraction(n, self.den)
-
     def free_coords(self):
         """All coordinate names the expression depends on."""
         out = set()

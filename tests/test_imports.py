@@ -1,6 +1,7 @@
 """Every name a module of nsx imports at top level is used in that module,
-every private name (`_x`) a module binds at top level is used somewhere
-in the package, and no module but symexpr calls the Expr constructor.
+every private name (`_x`) a module binds at top level or in a class body,
+a method or a class attribute, is used somewhere in the package, and no
+module but symexpr calls the Expr constructor.
 
 The package re-exports its API from `__init__.py`, so that file is left
 out of the import scan; `from __future__` imports are compiler directives,
@@ -39,9 +40,12 @@ def test_no_unused_top_level_import(path):
 
 
 def _private_names(tree):
-    """The `_x` names bound by the module's top-level defs and assignments."""
+    """The `_x` names bound by the defs and assignments of the module's top
+    level and of its class bodies: its functions, classes, methods and
+    module and class attributes."""
     names = set()
-    for node in tree.body:
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in (node for body in bodies for node in body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -75,6 +79,15 @@ def test_the_scan_sees_an_unreferenced_private_name():
         "b.py": "from a import _helper\nimport a\nprint(a._spare)\n",
     }
     assert _unreferenced_private_names(sources) == ["a.py:_unused"]
+
+
+def test_the_scan_sees_an_unreferenced_private_method_or_class_attribute():
+    sources = {
+        "a.py": "class A:\n    _tag = 1\n    _spare: int = 2\n    __slots__ = ()\n"
+        "    def _used(self):\n        return self._tag\n    def _unused(self):\n        pass\n",
+        "b.py": "from a import A\nprint(A()._used())\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a.py:_spare", "a.py:_unused"]
 
 
 def test_every_private_top_level_name_is_referenced():

@@ -19,7 +19,10 @@ form matrix whose float rank is in the band, which was a decided failure.
 The two `contact jacobian` entries were added when the contact sweep's
 Jacobian rank test took the float band and non-finite entries as no
 decision: the band one failed on 128 decided drops before, and the
-non_finite one ended in `error`, the SVD failing on a NaN.
+non_finite one ended in `error`, the SVD failing on a NaN.  The three
+`stabilize` entries were added when the stabilize search took the outcome
+record: its band and non_finite scenarios, whose ranks are full
+everywhere, failed with a witness before.
 """
 
 import json
@@ -88,6 +91,13 @@ SCENARIOS = {
     "contact fail": SPACE + "form alpha on C = d(z) + x^2*d(y)\ncheck contact alpha grid 4\n",
     "contact band": SPACE + "form alpha on C = d(z) + exp(-40)*x^2*d(y)\ncheck contact alpha grid 4\n",
     "contact non_finite": SPACE + "form alpha on C = d(z) + x*exp(1000*x)*d(y)\ncheck contact alpha grid 4\n",
+    "stabilize fail": FOUR + "form eta on C = d(w) /\\ d(x)\nform base on C = x*d(y) /\\ d(z)\n"
+    "region R on C = [0, 1]^4 lattice 2 random 4\ncheck stabilize eta, base region R k_max 4\n",
+    # eta + K*base has rank 4 everywhere; at x = 1 its float rank is in the band.
+    "stabilize band": FOUR + "form eta on C = exp(-20*x^2)*d(w) /\\ d(x)\nform base on C = d(y) /\\ d(z)\n"
+    "region R on C = [0, 1] x [1, 1] x [0, 1] x [0, 1] lattice 2 random 4\ncheck stabilize eta, base region R\n",
+    "stabilize non_finite": FOUR + "form eta on C = 709*exp(709*x)*d(w) /\\ d(x)\nform base on C = d(y) /\\ d(z)\n"
+    "region R on C = [0, 1] x [1, 1] x [0, 1] x [0, 1] lattice 2 random 4\ncheck stabilize eta, base region R\n",
     # A diffeomorphism whose Jacobian's singular-value ratio, about e^-21,
     # lies in the rank band at every sample.
     "contact jacobian band": SPACE + "chart P(a, t, p)\nmap m : P -> C = (exp(21)*a + t*t*a, t, p)\n"

@@ -817,11 +817,9 @@ def test_contact_mixed_chart_verdicts():
 
 
 def test_stabilize_immediate():
-    res = stabilizing_constant_search(_w(0, 1), _w(2, 3), [_origin(C4)])
-    assert res.found
-    assert res.constant == 1
-    assert res.tried == [Fraction(1)]
-    assert res.witness is None
+    k, outcome = stabilizing_constant_search(_w(0, 1), _w(2, 3), [_origin(C4)])
+    assert k == 1 and outcome.verdict == "pass"
+    assert outcome.counterexamples == []
 
 
 def test_stabilize_needs_doubling():
@@ -832,17 +830,22 @@ def test_stabilize_needs_doubling():
         {"t": Fraction(0), "x1": Fraction(-1), "x2": Fraction(0), "x3": Fraction(0)},
         {"t": Fraction(0), "x1": Fraction(-2), "x2": Fraction(0), "x3": Fraction(0)},
     ]
-    res = stabilizing_constant_search(eta, _w(2, 3), envs)
-    assert res.found and res.constant == 4
-    assert res.tried == [Fraction(1), Fraction(2), Fraction(4)]
+    k, outcome = stabilizing_constant_search(eta, _w(2, 3), envs)
+    assert k == 4 and outcome.verdict == "pass"
+    # A budget of 1 or 2 ends the search on a failing K; its witness is
+    # the one sample where that K loses rank.
+    for j, failed in [(1, envs[0]), (2, envs[1])]:
+        k, outcome = stabilizing_constant_search(eta, _w(2, 3), envs, k_max=j)
+        assert k == j and outcome.verdict == "fail"
+        assert [c["point"] for c in outcome.counterexamples] == [{c: str(v) for c, v in failed.items()}]
 
 
 def test_stabilize_exhausts_budget():
-    res = stabilizing_constant_search(_w(0, 1), _w(0, 2), [_origin(C4)], k_max=8)
-    assert not res.found
-    assert res.constant is None
-    assert res.tried == [Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
-    assert res.witness == _origin(C4)
+    k, outcome = stabilizing_constant_search(_w(0, 1), _w(0, 2), [_origin(C4)], k_max=8)
+    assert k == 8 and outcome.verdict == "fail"
+    assert outcome.counterexamples == [
+        {"point": {c: "0" for c in C4.coords}, "reason": "K = 8: rank 2, expected 4"}
+    ]
 
 
 def test_stabilize_rejects_bad_arguments():
@@ -851,6 +854,8 @@ def test_stabilize_rejects_bad_arguments():
     om3 = _dx(C3, "x").wedge(_dx(C3, "y"))
     with pytest.raises(DomainError):
         stabilizing_constant_search(_w(0, 1), om3, [_origin(C4)])
+    with pytest.raises(DomainError, match="k_max must be at least 1"):
+        stabilizing_constant_search(_w(0, 1), _w(2, 3), [_origin(C4)], k_max=0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

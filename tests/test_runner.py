@@ -224,17 +224,17 @@ def test_class_verdicts_are_shared_and_left_unchanged(monkeypatch):
     # Every point of a class gets its class's verdict object.  The checks
     # read the verdicts and change none, so after a run each still equals
     # the verdict taken afresh at its point.
-    from nsx import locus, pointcheck, runner
+    from nsx import pointcheck
 
     seen = []
+    per_class = pointcheck.per_class
 
     def spy(check, subject, envs):
-        verdicts = list(pointcheck.per_class(check, subject, envs))
+        verdicts = list(per_class(check, subject, envs))
         seen.append((check, subject, envs, verdicts))
         return iter(verdicts)
 
-    monkeypatch.setattr(runner, "per_class", spy)
-    monkeypatch.setattr(locus, "per_class", spy)
+    monkeypatch.setattr(pointcheck, "per_class", spy)
     run_suite(only=["S3", "S4", "S6"])
     kinds = {check.__name__ for check, _, envs, verdicts in seen if len(set(map(id, verdicts))) < len(envs)}
     assert kinds == {"near_symplectic_at", "map_rank_at", "rank_at"}
@@ -580,6 +580,24 @@ def test_a_stabilize_witness_prints_as_a_counterexample_point_does():
     )
     (rec,) = _run(text).checks
     assert rec.verdict == "fail" and rec.evidence["witness"] == {"x": "0", "y": 0.5}
+
+
+@pytest.mark.parametrize("tol, verdict", [(1e-9, "undecided"), (1e-14, "fail")])
+def test_dividing_set_compares_its_scalar_at_the_run_tolerance(tol, verdict):
+    # exp(x) and exp(x) + 10^-12 differ by 10^-12 everywhere: within the
+    # default tol no sampled point separates them, within 1e-14 one does.
+    text = (
+        "chart C(x, y)\n"
+        "form alpha on C = exp(x)*d(y)\n"
+        "vfield X on C = e(y)\n"
+        "locus L on C = empty\n"
+        "region R on C = [-1, 1]^2 lattice 2 random 8\n"
+        "check dividing_set alpha, X, exp(x) + 1/1000000000000 on L region R\n"
+    )
+    (rec,) = _run(text, tol=tol).checks
+    assert rec.verdict == verdict
+    reasons = [c["reason"] for c in rec.evidence["counterexamples"]]
+    assert reasons == (["scalar mismatch"] if verdict == "fail" else [])
 
 
 def test_finite_contact_evidence_has_no_non_finite_key():
