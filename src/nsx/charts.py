@@ -14,12 +14,12 @@ rather than quietly going numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import _linalg
 from .errors import DomainError, UnsupportedMetricError
+from .records import FrozenRecord
 from .symexpr import ONE, ZERO, _as_expr, _sum, rat
 
 MAX_DIM = 8
@@ -28,21 +28,31 @@ MAX_DIM = 8
 _MERGE_CACHE = 4096
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(FrozenRecord):
     """A named coordinate chart."""
 
-    name: str
-    coords: tuple
+    _fields = ("name", "coords")
 
-    def __post_init__(self):
-        if not (1 <= len(self.coords) <= MAX_DIM):
+    def __init__(self, name, coords):
+        if not (1 <= len(coords) <= MAX_DIM):
             raise DomainError(
-                f"chart {self.name} has {len(self.coords)} coordinates;"
+                f"chart {name} has {len(coords)} coordinates;"
                 f" supported range is 1..{MAX_DIM}"
             )
-        if len(set(self.coords)) != len(self.coords):
-            raise DomainError(f"chart {self.name} repeats a coordinate name")
+        if len(set(coords)) != len(coords):
+            raise DomainError(f"chart {name} repeats a coordinate name")
+        vars(self).update(name=name, coords=coords)
+
+    # Written out: every wedge and sum compares its operands' charts.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.name, self.coords))
 
     @cached_property
     def dim(self):
@@ -399,28 +409,25 @@ class VectorField:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(FrozenRecord):
     """A smooth map between charts, one scalar expression per target coordinate."""
 
-    name: str
-    source: Chart
-    target: Chart
-    comps: tuple
+    _fields = ("name", "source", "target", "comps")
 
-    def __post_init__(self):
-        if len(self.comps) != self.target.dim:
+    def __init__(self, name, source, target, comps):
+        if len(comps) != target.dim:
             raise DomainError(
-                f"map {self.name} needs {self.target.dim} component expressions,"
-                f" got {len(self.comps)}"
+                f"map {name} needs {target.dim} component expressions,"
+                f" got {len(comps)}"
             )
-        for c in self.comps:
-            extra = c.free_coords() - set(self.source.coords)
+        for c in comps:
+            extra = c.free_coords() - set(source.coords)
             if extra:
                 raise DomainError(
-                    f"map {self.name} component mentions {sorted(extra)} outside"
-                    f" source chart {self.source.name}"
+                    f"map {name} component mentions {sorted(extra)} outside"
+                    f" source chart {source.name}"
                 )
+        vars(self).update(name=name, source=source, target=target, comps=comps)
 
     def substitution(self):
         return dict(zip(self.target.coords, self.comps))

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .charts import MAX_DIM
 from .errors import ParseError
 from .props import PROPERTY_NAMES
+from .records import FrozenRecord
 
 __all__ = [
     "tokenize",
@@ -156,158 +156,195 @@ def tokenize(text):
 
 # ---------------------------------------------------------------------------
 # Expression AST
+#
+# A node keeps its fields in slots.  It is frozen, so its `__init__` fills
+# them through the slots' own setters (the `_set_*` names below the
+# classes), which cost less than `object.__setattr__`.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        _set_num_value(self, value)
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+class Pi(FrozenRecord):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(FrozenRecord):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set_ref_name(self, name)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
+class Call(FrozenRecord):
+    __slots__ = _fields = ("name", "arg")
+
+    def __init__(self, name, arg):
+        _set_call_name(self, name)
+        _set_call_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class D:
-    arg: object
+class D(FrozenRecord):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        _set_d_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Basis:
-    coord: str
+class Basis(FrozenRecord):
+    __slots__ = _fields = ("coord",)
+
+    def __init__(self, coord):
+        _set_basis_coord(self, coord)
 
 
-@dataclass(frozen=True)
-class Pullback:
-    map_name: str
-    arg: object
+class Pullback(FrozenRecord):
+    __slots__ = _fields = ("map_name", "arg")
+
+    def __init__(self, map_name, arg):
+        _set_pullback_map_name(self, map_name)
+        _set_pullback_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Star:
-    metric_name: str
-    arg: object
+class Star(FrozenRecord):
+    __slots__ = _fields = ("metric_name", "arg")
+
+    def __init__(self, metric_name, arg):
+        _set_star_metric_name(self, metric_name)
+        _set_star_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(FrozenRecord):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        _set_neg_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # + - ^ or a wedge-class lexeme
-    left: object
-    right: object
+class Bin(FrozenRecord):
+    __slots__ = _fields = ("op", "left", "right")  # op: + - ^ or a wedge-class lexeme
+
+    def __init__(self, op, left, right):
+        _set_bin_op(self, op)
+        _set_bin_left(self, left)
+        _set_bin_right(self, right)
+
+
+_set_num_value = Num.value.__set__
+_set_ref_name = Ref.name.__set__
+_set_call_name, _set_call_arg = Call.name.__set__, Call.arg.__set__
+_set_d_arg = D.arg.__set__
+_set_basis_coord = Basis.coord.__set__
+_set_pullback_map_name, _set_pullback_arg = Pullback.map_name.__set__, Pullback.arg.__set__
+_set_star_metric_name, _set_star_arg = Star.metric_name.__set__, Star.arg.__set__
+_set_neg_arg = Neg.arg.__set__
+_set_bin_op, _set_bin_left, _set_bin_right = Bin.op.__set__, Bin.left.__set__, Bin.right.__set__
 
 
 # ---------------------------------------------------------------------------
 # Statement AST
+#
+# A statement keeps its fields in its instance dict, which `print_statement`
+# reads whole, and fills them through `vars(self)`.  Its `line` is left out
+# of `==` and hash.
 
 
-@dataclass(frozen=True)
-class ChartStmt:
-    name: str
-    coords: tuple
-    line: int = field(default=0, compare=False)
+class _Statement(FrozenRecord):
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class ParamStmt:
-    names: tuple
-    line: int = field(default=0, compare=False)
+class ChartStmt(_Statement):
+    _fields = ("name", "coords", "line")
+
+    def __init__(self, name, coords, line=0):
+        vars(self).update(name=name, coords=coords, line=line)
 
 
-@dataclass(frozen=True)
-class OpaqueStmt:
-    names: tuple
-    line: int = field(default=0, compare=False)
+class ParamStmt(_Statement):
+    _fields = ("names", "line")
+
+    def __init__(self, names, line=0):
+        vars(self).update(names=names, line=line)
 
 
-@dataclass(frozen=True)
-class ConstStmt:
-    name: str
-    expr: object
-    line: int = field(default=0, compare=False)
+class OpaqueStmt(_Statement):
+    _fields = ("names", "line")
+
+    def __init__(self, names, line=0):
+        vars(self).update(names=names, line=line)
 
 
-@dataclass(frozen=True)
-class FormStmt:
-    name: str
-    chart: str
-    expr: object
-    line: int = field(default=0, compare=False)
+class ConstStmt(_Statement):
+    _fields = ("name", "expr", "line")
+
+    def __init__(self, name, expr, line=0):
+        vars(self).update(name=name, expr=expr, line=line)
 
 
-@dataclass(frozen=True)
-class VFieldStmt:
-    name: str
-    chart: str
-    expr: object
-    line: int = field(default=0, compare=False)
+class FormStmt(_Statement):
+    _fields = ("name", "chart", "expr", "line")
+
+    def __init__(self, name, chart, expr, line=0):
+        vars(self).update(name=name, chart=chart, expr=expr, line=line)
 
 
-@dataclass(frozen=True)
-class MapStmt:
-    name: str
-    source: str
-    target: str
-    comps: tuple
-    line: int = field(default=0, compare=False)
+class VFieldStmt(_Statement):
+    _fields = ("name", "chart", "expr", "line")
+
+    def __init__(self, name, chart, expr, line=0):
+        vars(self).update(name=name, chart=chart, expr=expr, line=line)
 
 
-@dataclass(frozen=True)
-class MetricStmt:
-    name: str
-    chart: str
-    diag: tuple  # empty tuple means euclidean
-    line: int = field(default=0, compare=False)
+class MapStmt(_Statement):
+    _fields = ("name", "source", "target", "comps", "line")
+
+    def __init__(self, name, source, target, comps, line=0):
+        vars(self).update(name=name, source=source, target=target, comps=comps, line=line)
 
 
-@dataclass(frozen=True)
-class RegionStmt:
-    name: str
-    chart: str
-    intervals: tuple  # ((lo, hi), ...)
-    lattice: tuple
-    random_count: int
-    line: int = field(default=0, compare=False)
+class MetricStmt(_Statement):
+    _fields = ("name", "chart", "diag", "line")
+
+    def __init__(self, name, chart, diag, line=0):
+        # An empty diag means euclidean.
+        vars(self).update(name=name, chart=chart, diag=diag, line=line)
 
 
-@dataclass(frozen=True)
-class LocusStmt:
-    name: str
-    chart: str
-    flavour: str  # coords points image union empty
-    payload: object
-    line: int = field(default=0, compare=False)
+class RegionStmt(_Statement):
+    _fields = ("name", "chart", "intervals", "lattice", "random_count", "line")
+
+    def __init__(self, name, chart, intervals, lattice, random_count, line=0):
+        # intervals: ((lo, hi), ...)
+        vars(self).update(
+            name=name, chart=chart, intervals=intervals, lattice=lattice, random_count=random_count, line=line
+        )
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    kind: str
-    payload: dict
-    where: tuple  # ((name, Fraction), ...)
-    note: str
-    expect: str  # pass fail report
-    line: int = field(default=0, compare=False)
+class LocusStmt(_Statement):
+    _fields = ("name", "chart", "flavour", "payload", "line")
+
+    def __init__(self, name, chart, flavour, payload, line=0):
+        # flavour: coords points image union empty
+        vars(self).update(name=name, chart=chart, flavour=flavour, payload=payload, line=line)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    statements: tuple
+class CheckStmt(_Statement):
+    _fields = ("kind", "payload", "where", "note", "expect", "line")
+
+    def __init__(self, kind, payload, where, note, expect, line=0):
+        # where: ((name, Fraction), ...); expect: pass fail report
+        vars(self).update(kind=kind, payload=payload, where=where, note=note, expect=expect, line=line)
+
+
+class Scenario(FrozenRecord):
+    _fields = ("statements",)
+
+    def __init__(self, statements):
+        vars(self).update(statements=statements)
 
     def checks(self):
         return [s for s in self.statements if isinstance(s, CheckStmt)]

@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import eq, gt, lt, ne
@@ -58,6 +57,7 @@ import numpy as np
 from .errors import DomainError
 from .pointcheck import Outcome, map_rank_at, rank_claim
 from .points import Column, PointSet, PointView, is_rational, points_of
+from .records import FrozenRecord
 from .symexpr import (
     Equal,
     NotEqual,
@@ -151,26 +151,25 @@ def _axis_lattice(lo, hi, res):
     return Column([base + step * i for i in idx], ld * hd * steps)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Product of closed coordinate intervals with sampling parameters."""
+class Region(FrozenRecord):
+    """Product of closed coordinate intervals with sampling parameters:
+    one (lo, hi) interval and one lattice resolution per chart coordinate,
+    and a count of random draws."""
 
-    chart: object
-    intervals: tuple  # one (lo, hi) per chart coordinate
-    lattice: tuple  # resolution per axis
-    random_count: int
+    _fields = ("chart", "intervals", "lattice", "random_count")
 
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.intervals) != n:
-            raise DomainError(f"region needs {n} intervals, got {len(self.intervals)}")
-        if len(self.lattice) != n:
+    def __init__(self, chart, intervals, lattice, random_count):
+        n = chart.dim
+        if len(intervals) != n:
+            raise DomainError(f"region needs {n} intervals, got {len(intervals)}")
+        if len(lattice) != n:
             raise DomainError(f"region needs {n} lattice resolutions")
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if lo > hi:
                 raise DomainError(f"empty interval [{lo}, {hi}]")
-        if self.random_count < 0:
+        if random_count < 0:
             raise DomainError("random sample count must be nonnegative")
+        vars(self).update(chart=chart, intervals=intervals, lattice=lattice, random_count=random_count)
 
     @cached_property
     def reach(self):
@@ -255,43 +254,45 @@ def region_envs(region, seed):
 # Locus flavours
 
 
-@dataclass(frozen=True)
-class CoordLocus:
-    """Coordinates pinned to rational values, the rest free."""
+class CoordLocus(FrozenRecord):
+    """Coordinates pinned to rational values, ((coord, Fraction), ...), the
+    rest free."""
 
-    chart: object
-    values: tuple  # ((coord, Fraction), ...)
+    _fields = ("chart", "values")
 
-    def __post_init__(self):
-        for c, v in self.values:
-            if c not in self.chart.coords:
+    def __init__(self, chart, values):
+        for c, v in values:
+            if c not in chart.coords:
                 raise DomainError(f"unknown coordinate {c!r}")
-        if not self.values:
+        if not values:
             raise DomainError("a coordinate locus must pin at least one coordinate")
+        vars(self).update(chart=chart, values=values)
 
     @property
     def pinned(self):
         return dict(self.values)
 
 
-@dataclass(frozen=True)
-class PointsLocus:
-    """An explicit finite set of points."""
+class PointsLocus(FrozenRecord):
+    """An explicit finite set of points, each a tuple ((coord, value), ...)."""
 
-    chart: object
-    points: tuple  # tuple of env-tuples ((coord, value), ...)
+    _fields = ("chart", "points")
+
+    def __init__(self, chart, points):
+        vars(self).update(chart=chart, points=points)
 
 
-@dataclass(frozen=True)
-class ImageLocus:
+class ImageLocus(FrozenRecord):
     """The image of a region under a chart map (identity if cmap is None).
 
     The locus is known only through its sample cloud; distances are
     measured against that cloud.
     """
 
-    cmap: object
-    source_region: Region
+    _fields = ("cmap", "source_region")
+
+    def __init__(self, cmap, source_region):
+        vars(self).update(cmap=cmap, source_region=source_region)
 
     @property
     def chart(self):
@@ -300,25 +301,26 @@ class ImageLocus:
         return self.cmap.target
 
 
-@dataclass(frozen=True)
-class UnionLocus:
-    parts: tuple
+class UnionLocus(FrozenRecord):
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        charts = {p.chart for p in self.parts}
-        if len(charts) != 1:
+    def __init__(self, parts):
+        if len({p.chart for p in parts}) != 1:
             raise DomainError("union locus parts must share a chart")
+        vars(self).update(parts=parts)
 
     @property
     def chart(self):
         return self.parts[0].chart
 
 
-@dataclass(frozen=True)
-class EmptyLocus:
+class EmptyLocus(FrozenRecord):
     """A locus declared to be empty; waives the on-sample floor."""
 
-    chart: object
+    _fields = ("chart",)
+
+    def __init__(self, chart):
+        vars(self).update(chart=chart)
 
 
 def _locus_on_envs(locus, region, seed):
@@ -679,8 +681,7 @@ def _pull_subject(via, *expr_lists):
     return [[pulled[e] for e in exprs] for exprs in expr_lists]
 
 
-@dataclass(frozen=True)
-class _Mode:
+class _Mode(FrozenRecord):
     """A claim on the values of a sample, one value per expression.
 
     An exact value (p, q), q > 0, holds when holds(p) does (0 == p, 0 != p,
@@ -691,9 +692,10 @@ class _Mode:
     decide.
     """
 
-    join: object
-    holds: object
-    floats: object
+    _fields = ("join", "holds", "floats")
+
+    def __init__(self, join, holds, floats):
+        vars(self).update(join=join, holds=holds, floats=floats)
 
     def settle(self, values):
         """True or False when the exact values among `values` decide the

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -50,6 +49,7 @@ from ._linalg import IntRow
 from .charts import ChartMap
 from .errors import DomainError
 from .points import PointSet, PointView
+from .records import FrozenRecord, Record
 from .symexpr import _EXP, _PI, DEFAULT_REGISTRY, _point_value, compile_numpy, rat, ratio_float
 
 RANK_THRESHOLD = 1e-8
@@ -64,15 +64,14 @@ def check_tolerance(tol):
     return tol
 
 
-@dataclass(frozen=True)
-class RankVerdict:
+class RankVerdict(FrozenRecord):
     """A matrix's rank; undecided inside the float band, or when an entry
     is NaN or infinite (non_finite)."""
 
-    rank: int
-    undecided: bool
-    exact: bool
-    non_finite: bool = False
+    _fields = ("rank", "undecided", "exact", "non_finite")
+
+    def __init__(self, rank, undecided, exact, non_finite=False):
+        vars(self).update(rank=rank, undecided=undecided, exact=exact, non_finite=non_finite)
 
 
 def _finite(rows):
@@ -115,8 +114,7 @@ def per_class(check, subject, envs):
 _MAX_RECORDED_COUNTEREXAMPLES = 5
 
 
-@dataclass
-class Outcome:
+class Outcome(Record):
     """The outcome record of a sampled check.  Samples are counted per side:
     on the locus ("on") or off it ("off"), each either failed, non-finite,
     in the band, or holding; a check without a locus counts on "on".
@@ -125,19 +123,28 @@ class Outcome:
     any sample was undecided (or the check was left undecided), else pass
     unless a counterexample or a failed requirement was recorded."""
 
-    kind: str
-    passed: bool = True
-    on_count: int = 0
-    off_count: int = 0
-    on_failures: int = 0
-    off_failures: int = 0
-    on_non_finite: int = 0
-    off_non_finite: int = 0
-    on_band: int = 0
-    off_band: int = 0
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    undecided: bool = False
+    _fields = (
+        "kind", "passed", "on_count", "off_count", "on_failures", "off_failures", "on_non_finite",
+        "off_non_finite", "on_band", "off_band", "counterexamples", "notes", "undecided",
+    )
+
+    def __init__(
+        self, kind, passed=True, on_count=0, off_count=0, on_failures=0, off_failures=0, on_non_finite=0,
+        off_non_finite=0, on_band=0, off_band=0, counterexamples=None, notes=None, undecided=False,
+    ):
+        self.kind = kind
+        self.passed = passed
+        self.on_count = on_count
+        self.off_count = off_count
+        self.on_failures = on_failures
+        self.off_failures = off_failures
+        self.on_non_finite = on_non_finite
+        self.off_non_finite = off_non_finite
+        self.on_band = on_band
+        self.off_band = off_band
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.notes = [] if notes is None else notes
+        self.undecided = undecided
 
     @property
     def verdict(self):
@@ -384,31 +391,40 @@ def _wedge_square_gram(u, v):
     )
 
 
-@dataclass
-class DegeneracyVerdict:
+class DegeneracyVerdict(Record):
     """The degeneracy test's outcome at one point.  kernel and d_matrix are
     integer: each kernel vector is a positive multiple of exact_kernel's,
     and D_K's rows and columns carry positive scales.
 
     A verdict is built whole and never changed: `per_class` gives one
-    verdict object to every point of a class.  It is not frozen, because a
-    frozen dataclass takes about four times as long to build, and a sweep
-    of distinct points builds one per point."""
+    verdict object to every point of a class.  It is a mutable record all
+    the same, whose `__init__` is plain assignments, the cheapest build: a
+    sweep of distinct points builds one per point."""
 
-    passed: bool
-    reason: str
-    rank: int | None = None
-    kernel_dim: int | None = None
-    kernel: list = field(default_factory=list)
-    d_matrix: list = field(default_factory=list)
-    image_dim: int | None = None
-    ker_dk_dim: int | None = None
-    q_signature: tuple | None = None
-    q_sign: str | None = None
-    grad_kernel_consistent: bool | None = None
-    exact: bool = True
-    non_finite: bool = False
-    undecided: bool = False
+    _fields = (
+        "passed", "reason", "rank", "kernel_dim", "kernel", "d_matrix", "image_dim", "ker_dk_dim",
+        "q_signature", "q_sign", "grad_kernel_consistent", "exact", "non_finite", "undecided",
+    )
+
+    def __init__(
+        self, passed, reason, rank=None, kernel_dim=None, kernel=None, d_matrix=None, image_dim=None,
+        ker_dk_dim=None, q_signature=None, q_sign=None, grad_kernel_consistent=None, exact=True,
+        non_finite=False, undecided=False,
+    ):
+        self.passed = passed
+        self.reason = reason
+        self.rank = rank
+        self.kernel_dim = kernel_dim
+        self.kernel = [] if kernel is None else kernel
+        self.d_matrix = [] if d_matrix is None else d_matrix
+        self.image_dim = image_dim
+        self.ker_dk_dim = ker_dk_dim
+        self.q_signature = q_signature
+        self.q_sign = q_sign
+        self.grad_kernel_consistent = grad_kernel_consistent
+        self.exact = exact
+        self.non_finite = non_finite
+        self.undecided = undecided
 
 
 def _inexact(rows, dim=None):
@@ -521,31 +537,41 @@ def _grad_kernel_consistent(form, env):
 # -- contact sweep -------------------------------------------------------
 
 
-@dataclass
-class ContactChartReport:
-    label: str
-    mode: str  # "symbolic" | "sampled"
-    sign: int
-    symbolic_value: str | None = None
-    samples: int = 0
-    n_pos: int = 0
-    n_neg: int = 0
-    n_zero: int = 0
-    non_finite: int = 0
-    min_abs: float | None = None
-    worst_point: dict | None = None
-    jacobian_drops: int = 0
-    jacobian_band: int = 0
-    jacobian_non_finite: int = 0
+class ContactChartReport(Record):
+    _fields = (
+        "label", "mode", "sign", "symbolic_value", "samples", "n_pos", "n_neg", "n_zero", "non_finite",
+        "min_abs", "worst_point", "jacobian_drops", "jacobian_band", "jacobian_non_finite",
+    )
+
+    def __init__(
+        self, label, mode, sign, symbolic_value=None, samples=0, n_pos=0, n_neg=0, n_zero=0, non_finite=0,
+        min_abs=None, worst_point=None, jacobian_drops=0, jacobian_band=0, jacobian_non_finite=0,
+    ):
+        self.label = label
+        self.mode = mode  # "symbolic" | "sampled"
+        self.sign = sign
+        self.symbolic_value = symbolic_value
+        self.samples = samples
+        self.n_pos = n_pos
+        self.n_neg = n_neg
+        self.n_zero = n_zero
+        self.non_finite = non_finite
+        self.min_abs = min_abs
+        self.worst_point = worst_point
+        self.jacobian_drops = jacobian_drops
+        self.jacobian_band = jacobian_band
+        self.jacobian_non_finite = jacobian_non_finite
 
 
-@dataclass
-class ContactVerdict:
-    passed: bool
-    orientation_reversed: bool
-    reason: str
-    charts: list
-    undecided: bool = False
+class ContactVerdict(Record):
+    _fields = ("passed", "orientation_reversed", "reason", "charts", "undecided")
+
+    def __init__(self, passed, orientation_reversed, reason, charts, undecided=False):
+        self.passed = passed
+        self.orientation_reversed = orientation_reversed
+        self.reason = reason
+        self.charts = charts
+        self.undecided = undecided
 
 
 def _constant_sign(expr):

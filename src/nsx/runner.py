@@ -16,11 +16,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dsl
-from .charts import Chart, ChartMap, DForm, Metric, VectorField, function_form
+from .charts import Chart, ChartMap, DForm, Metric, VectorField, function_form, zero_form
 from .errors import ElaborationError, InternalError, NsxError
 from .locus import (
     DEFAULT_MARGIN,
@@ -53,6 +52,7 @@ from .pointcheck import (
 )
 from .points import points_of
 from .props import run_property_battery
+from .records import FrozenRecord, Record
 from .symexpr import (
     PI,
     Equal,
@@ -83,14 +83,11 @@ DEFAULT_SEED = 0xC0FFEE
 REPORT_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    samples: int | None = None
-    tol: float = 1e-9
+class RunConfig(FrozenRecord):
+    _fields = ("seed", "samples", "tol")
 
-    def __post_init__(self):
-        check_tolerance(self.tol)
+    def __init__(self, seed=DEFAULT_SEED, samples=None, tol=1e-9):
+        vars(self).update(seed=seed, samples=samples, tol=check_tolerance(tol))
 
     def region_count(self, declared):
         if self.samples is None:
@@ -103,30 +100,36 @@ class RunConfig:
         return 64 if declared is None else declared
 
 
-@dataclass
-class CheckRecord:
-    index: int
-    kind: str
-    verdict: str  # pass fail undecided error
-    expect: str
-    ok: bool
-    anchor: str
-    detail: str
-    evidence: dict
+class CheckRecord(Record):
+    _fields = ("index", "kind", "verdict", "expect", "ok", "anchor", "detail", "evidence")
+
+    def __init__(self, index, kind, verdict, expect, ok, anchor, detail, evidence):
+        self.index = index
+        self.kind = kind
+        self.verdict = verdict  # pass fail undecided error
+        self.expect = expect
+        self.ok = ok
+        self.anchor = anchor
+        self.detail = detail
+        self.evidence = evidence
 
 
-@dataclass
-class ScenarioReport:
-    sid: str
-    anchor: str
-    status: str  # pass fail
-    checks: list
+class ScenarioReport(Record):
+    _fields = ("sid", "anchor", "status", "checks")
+
+    def __init__(self, sid, anchor, status, checks):
+        self.sid = sid
+        self.anchor = anchor
+        self.status = status  # pass fail
+        self.checks = checks
 
 
-@dataclass
-class SuiteReport:
-    seed: int
-    scenarios: list
+class SuiteReport(Record):
+    _fields = ("seed", "scenarios")
+
+    def __init__(self, seed, scenarios):
+        self.seed = seed
+        self.scenarios = scenarios
 
     @property
     def passed(self):
@@ -529,9 +532,19 @@ def run_closed(ctx, p):
     return ("pass" if n == 0 else "fail"), evidence, "(exact)" if n == 0 else f"({n} residual terms)"
 
 
+def _is_zero(node):
+    """Whether an expression is the literal 0, which a comparison takes as
+    the zero form of its other side's chart and degree."""
+    return type(node) is dsl.Num and node.value == 0
+
+
 def run_equal(ctx, p):
-    left = ctx.form(p["left"])
-    right = ctx.form(p["right"])
+    if _is_zero(p["left"]) and not _is_zero(p["right"]):
+        right = ctx.form(p["right"])
+        left = zero_form(right.chart, right.degree)
+    else:
+        left = ctx.form(p["left"])
+        right = zero_form(left.chart, left.degree) if _is_zero(p["right"]) else ctx.form(p["right"])
     evidence = {}
     verdict, detail = _compare_forms(left, right, ctx, evidence)
     return verdict, evidence, detail
@@ -539,13 +552,22 @@ def run_equal(ctx, p):
 
 def run_pullback_eq(ctx, p):
     cmap = ctx.scope.named("map", p["map"])
-    upstairs = _subs_value(_value(ctx.scope, cmap.target, p["form"]), ctx.where)
-    if not isinstance(upstairs, DForm):
-        raise ElaborationError("pullback_eq needs a form on the target chart")
-    expected = _subs_value(_value(ctx.scope, cmap.source, p["expected"]), ctx.where)
-    if not isinstance(expected, DForm):
-        raise ElaborationError("pullback_eq needs a form on the source chart")
+
+    def form(node, chart, where):
+        value = _subs_value(_value(ctx.scope, chart, node), ctx.where)
+        if not isinstance(value, DForm):
+            raise ElaborationError(f"pullback_eq needs a form on the {where} chart")
+        return value
+
+    if _is_zero(p["form"]) and not _is_zero(p["expected"]):
+        expected = form(p["expected"], cmap.source, "source")
+        upstairs = DForm.build(cmap.target, expected.degree, ())
+    else:
+        upstairs = form(p["form"], cmap.target, "target")
+        expected = None if _is_zero(p["expected"]) else form(p["expected"], cmap.source, "source")
     computed = cmap.pullback(upstairs)
+    if expected is None:
+        expected = zero_form(computed.chart, computed.degree)
     evidence = {"map": cmap.name}
     verdict, detail = _compare_forms(computed, expected, ctx, evidence)
     return verdict, evidence, detail

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -56,6 +55,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import DomainError, EvaluationError
+from .records import FrozenRecord
 
 __all__ = [
     "Expr",
@@ -975,24 +975,25 @@ def _build_atom_numpy(atom, e):
 # -- semantic comparison -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equal:
-    kind: str = "equal"
+class Equal(FrozenRecord):
+    _fields = ("kind",)
+
+    def __init__(self, kind="equal"):
+        vars(self).update(kind=kind)
 
 
-@dataclass(frozen=True)
-class NotEqual:
-    witness: tuple | None = None
-    values: tuple | None = None
-    non_finite: int = 0
-    kind: str = "not_equal"
+class NotEqual(FrozenRecord):
+    _fields = ("witness", "values", "non_finite", "kind")
+
+    def __init__(self, witness=None, values=None, non_finite=0, kind="not_equal"):
+        vars(self).update(witness=witness, values=values, non_finite=non_finite, kind=kind)
 
 
-@dataclass(frozen=True)
-class Undecided:
-    samples: int = 0
-    non_finite: int = 0
-    kind: str = "undecided"
+class Undecided(FrozenRecord):
+    _fields = ("samples", "non_finite", "kind")
+
+    def __init__(self, samples=0, non_finite=0, kind="undecided"):
+        vars(self).update(samples=samples, non_finite=non_finite, kind=kind)
 
 
 # Sampled points per comparison outside the polynomial fragment.

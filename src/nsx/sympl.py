@@ -13,13 +13,13 @@ X_q = e(p), and {p, q} = omega(X_p, X_q) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
 from .charts import Chart, ChartMap, DForm, VectorField
 from .errors import DomainError
-from .symexpr import Expr, rat, sym
+from .records import Record
+from .symexpr import rat, sym
 
 __all__ = [
     "SymplecticChart",
@@ -93,19 +93,27 @@ def poisson_bracket(f, g, s):
     return hamiltonian_vector_field(g, s).apply_to(f)
 
 
-@dataclass
-class StraighteningResult:
-    h: Expr
-    dim: int
-    names: list  # ordered function names p1, q1, p2, q2, ...
-    exprs: dict  # name -> Expr in the y coordinates
-    brackets: dict  # (name_a, name_b) -> Expr, a before b in `names`
-    offending: list  # (name_a, name_b, got Expr, expected Fraction)
-    passed: bool
-    q1_vanishes_on_graph: bool
-    pullback_is_standard: bool
-    reindexing_identical: bool
-    notes: list = field(default_factory=list)
+class StraighteningResult(Record):
+    _fields = (
+        "h", "dim", "names", "exprs", "brackets", "offending", "passed", "q1_vanishes_on_graph",
+        "pullback_is_standard", "reindexing_identical", "notes",
+    )
+
+    def __init__(
+        self, h, dim, names, exprs, brackets, offending, passed, q1_vanishes_on_graph, pullback_is_standard,
+        reindexing_identical, notes=None,
+    ):
+        self.h = h
+        self.dim = dim
+        self.names = names  # ordered function names p1, q1, p2, q2, ...
+        self.exprs = exprs  # name -> Expr in the y coordinates
+        self.brackets = brackets  # (name_a, name_b) -> Expr, a before b in `names`
+        self.offending = offending  # (name_a, name_b, got Expr, expected Fraction)
+        self.passed = passed
+        self.q1_vanishes_on_graph = q1_vanishes_on_graph
+        self.pullback_is_standard = pullback_is_standard
+        self.reindexing_identical = reindexing_identical
+        self.notes = [] if notes is None else notes
 
 
 def graph_straightening(h, dim):

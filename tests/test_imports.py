@@ -1,7 +1,8 @@
 """Every name a module of nsx imports at top level is used in that module,
 every private name (`_x`) a module binds at top level or in a class body,
-a method or a class attribute, is used somewhere in the package, and no
-module but symexpr calls the Expr constructor.
+a method or a class attribute, is used somewhere in the package, no
+module but symexpr calls the Expr constructor, and no class is a
+dataclass: importing nsx compiles no generated methods.
 
 The package re-exports its API from `__init__.py`, so that file is left
 out of the import scan; `from __future__` imports are compiler directives,
@@ -9,6 +10,8 @@ not names.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,40 @@ def test_only_symexpr_calls_the_expr_constructor(path):
     # Expr values must be canonical; only symexpr's constructors and
     # arithmetic build them.
     assert _expr_constructor_calls(path.read_text()) == []
+
+
+def _dataclass_decorations(source):
+    """The lines of the decorators that name `dataclass`, called or not,
+    by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+                    lines.append(deco.lineno)
+    return lines
+
+
+def test_the_scan_sees_a_dataclass_decorator():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+        "@staticmethod\ndef f():\n    pass\n"
+    )
+    assert _dataclass_decorations(source) == [3, 6, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_is_a_dataclass(path):
+    assert _dataclass_decorations(path.read_text()) == []
+
+
+def test_importing_nsx_leaves_dataclasses_unimported(cli_env):
+    # numpy does not import dataclasses either, so nothing in a fresh
+    # process that imports nsx builds a dataclass.
+    code = "import sys\nimport nsx, nsx.dsl, nsx.runner, nsx.cli\nprint('dataclasses' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, check=True)
+    assert proc.stdout == "False\n"

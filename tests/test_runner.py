@@ -297,6 +297,52 @@ def test_scenario_without_checks_passes():
     assert rep.status == "pass" and rep.checks == []
 
 
+# A literal 0 in `equal` or `pullback_eq` is the zero form of the other
+# side's chart and degree.  beta lives on the second chart, and m pulls it
+# back to 0.
+ZERO_SIDES = (
+    "chart A(u, v)\n"
+    "chart C(x, y, z)\n"
+    "form beta on C = x*y*d(z) + z*d(x)\n"
+    "form gam on A = u*d(v)\n"
+    "map m : A -> C = (0, v, u)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "check, verdict, detail",
+    [
+        ("equal d(d(beta)), 0", "pass", "(equal)"),
+        ("equal 0, d(d(beta))", "pass", "(equal)"),
+        ("equal d(beta), 0", "fail", "(differs at [0, 2])"),
+        ("equal 0, gam", "fail", "(differs at [1])"),
+        ("equal 0, 0", "pass", "(equal)"),
+        ("pullback_eq m, beta, 0", "pass", "(equal)"),
+        ("pullback_eq m, d(beta), 0", "pass", "(equal)"),
+        ("pullback_eq m, 0, d(gam)", "fail", "(differs at [0, 1])"),
+        ("pullback_eq m, 0, 0", "pass", "(equal)"),
+    ],
+)
+def test_a_literal_zero_takes_the_other_sides_chart_and_degree(check, verdict, detail):
+    (rec,) = _run(ZERO_SIDES + f"check {check} expect report\n").checks
+    assert (rec.verdict, rec.detail) == (verdict, detail)
+
+
+def test_only_the_literal_zero_takes_the_other_sides_degree():
+    # 0*u elaborates as a form of its own, a 0-form, so the degrees differ.
+    (rec,) = _run(ZERO_SIDES + "check equal d(gam), 0*u expect report\n").checks
+    assert (rec.verdict, rec.detail) == ("fail", "(degree 2 vs 0)")
+    (rec,) = _run(ZERO_SIDES + "check pullback_eq m, beta, 0*v expect report\n").checks
+    assert (rec.verdict, rec.detail) == ("fail", "(degree 1 vs 0)")
+
+
+def test_a_literal_zero_upstairs_needs_a_degree_the_target_has():
+    text = ZERO_SIDES + "map n : C -> A = (x, y)\ncheck pullback_eq n, 0, d(x) /\\ d(y) /\\ d(z)\n"
+    (rec,) = _run(text).checks
+    assert rec.verdict == "error"
+    assert rec.evidence == {"error": "degree 3 is outside 0..2 on chart A"}
+
+
 # -- suite orchestration -----------------------------------------------------
 
 

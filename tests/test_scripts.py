@@ -22,8 +22,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["contact_latitude_scan.py", "--constants", "5", "--steps", "64"],
         ["code_lines.py", "--files"],
         ["first_pass.py", "--only", "S9", "--processes", "1"],
+        ["import_cost.py", "--processes", "1", "--top", "3"],
     ],
-    ids=["degeneracy_profile", "contact_latitude_scan", "code_lines", "first_pass"],
+    ids=["degeneracy_profile", "contact_latitude_scan", "code_lines", "first_pass", "import_cost"],
 )
 def test_script_runs(argv, cli_env, tmp_path):
     proc = subprocess.run(
@@ -91,3 +92,16 @@ def test_contact_certificate_needs_opposite_signs(monkeypatch, capsys):
     monkeypatch.setattr(scan, "CERTIFY_T", (Fraction(1, 8), Fraction(1, 4)))
     assert not scan.certify([5])
     assert "no sign change certified" in capsys.readouterr().out
+
+
+def test_import_cost_reads_self_times_from_importtime_lines():
+    spec = importlib.util.spec_from_file_location("import_cost", SCRIPTS / "import_cost.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    stderr = (
+        "import time: self [us] | cumulative | imported package\n"
+        "import time:       120 |        120 |   nsx.errors\n"
+        "import time:      2400 |       2520 | nsx.dsl\n"
+        "some other line\n"
+    )
+    assert module.self_times(stderr) == {"nsx.errors": 120, "nsx.dsl": 2400}
