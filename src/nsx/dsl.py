@@ -22,10 +22,11 @@ products spelled i_<field>(expr).  Rationals are ordinary division:
 
 The grammar of each statement is one entry of STATEMENT_SPECS, and that of
 each check kind one entry of CHECK_SPECS; the parser and the printer both
-walk these two tables.  The scanner makes one pass of one regular
-expression, _TOKEN, whose every match is one token with the blanks before
-it; the parser reads the tokens as plain (type, value, line, col) tuples,
-and `tokenize` gives the same tokens as Token tuples.
+walk these two tables.  Every line parses to one Statement: its keyword
+and the fields its grammar entry fills.  The scanner makes one pass of one
+regular expression, _TOKEN, whose every match is one token with the blanks
+before it; the parser reads the tokens as plain (type, value, line, col)
+tuples, and `tokenize` gives the same tokens as Token tuples.
 """
 
 from __future__ import annotations
@@ -247,97 +248,34 @@ _set_bin_op, _set_bin_left, _set_bin_right = Bin.op.__set__, Bin.left.__set__, B
 
 # ---------------------------------------------------------------------------
 # Statement AST
-#
-# A statement keeps its fields in its instance dict, which `print_statement`
-# reads whole, and fills them through `vars(self)`.  Its `line` is left out
-# of `==` and hash.
 
 
-class _Statement(FrozenRecord):
-    _uncompared = ("line",)
+class Statement(FrozenRecord):
+    """One scenario line: its keyword, the fields its grammar entry fills,
+    and the line it starts on.  A declaration's fields are those its
+    STATEMENT_SPECS entry fills.  A `check` line's are those `parse_check`
+    fills: kind, payload (the CHECK_SPECS entry's fields), where ((name,
+    Fraction) pairs), note, and expect (pass, fail or report).  The fields
+    are attributes, kept in the instance dict in the order keyword, fields,
+    line; `print_statement` reads that dict whole.  `==` and hash compare
+    the keyword and the fields, not `line`."""
 
+    def __init__(self, keyword, fields, line=0):
+        vars(self).update(keyword=keyword, **fields, line=line)
 
-class ChartStmt(_Statement):
-    _fields = ("name", "coords", "line")
+    def _compared(self):
+        return {name: value for name, value in vars(self).items() if name != "line"}
 
-    def __init__(self, name, coords, line=0):
-        vars(self).update(name=name, coords=coords, line=line)
+    def __eq__(self, other):
+        if other.__class__ is not Statement:
+            return NotImplemented
+        return self._compared() == other._compared()
 
+    def __hash__(self):
+        return hash(frozenset(self._compared().items()))
 
-class ParamStmt(_Statement):
-    _fields = ("names", "line")
-
-    def __init__(self, names, line=0):
-        vars(self).update(names=names, line=line)
-
-
-class OpaqueStmt(_Statement):
-    _fields = ("names", "line")
-
-    def __init__(self, names, line=0):
-        vars(self).update(names=names, line=line)
-
-
-class ConstStmt(_Statement):
-    _fields = ("name", "expr", "line")
-
-    def __init__(self, name, expr, line=0):
-        vars(self).update(name=name, expr=expr, line=line)
-
-
-class FormStmt(_Statement):
-    _fields = ("name", "chart", "expr", "line")
-
-    def __init__(self, name, chart, expr, line=0):
-        vars(self).update(name=name, chart=chart, expr=expr, line=line)
-
-
-class VFieldStmt(_Statement):
-    _fields = ("name", "chart", "expr", "line")
-
-    def __init__(self, name, chart, expr, line=0):
-        vars(self).update(name=name, chart=chart, expr=expr, line=line)
-
-
-class MapStmt(_Statement):
-    _fields = ("name", "source", "target", "comps", "line")
-
-    def __init__(self, name, source, target, comps, line=0):
-        vars(self).update(name=name, source=source, target=target, comps=comps, line=line)
-
-
-class MetricStmt(_Statement):
-    _fields = ("name", "chart", "diag", "line")
-
-    def __init__(self, name, chart, diag, line=0):
-        # An empty diag means euclidean.
-        vars(self).update(name=name, chart=chart, diag=diag, line=line)
-
-
-class RegionStmt(_Statement):
-    _fields = ("name", "chart", "intervals", "lattice", "random_count", "line")
-
-    def __init__(self, name, chart, intervals, lattice, random_count, line=0):
-        # intervals: ((lo, hi), ...)
-        vars(self).update(
-            name=name, chart=chart, intervals=intervals, lattice=lattice, random_count=random_count, line=line
-        )
-
-
-class LocusStmt(_Statement):
-    _fields = ("name", "chart", "flavour", "payload", "line")
-
-    def __init__(self, name, chart, flavour, payload, line=0):
-        # flavour: coords points image union empty
-        vars(self).update(name=name, chart=chart, flavour=flavour, payload=payload, line=line)
-
-
-class CheckStmt(_Statement):
-    _fields = ("kind", "payload", "where", "note", "expect", "line")
-
-    def __init__(self, kind, payload, where, note, expect, line=0):
-        # where: ((name, Fraction), ...); expect: pass fail report
-        vars(self).update(kind=kind, payload=payload, where=where, note=note, expect=expect, line=line)
+    def __repr__(self):
+        return "Statement(" + ", ".join(f"{name}={value!r}" for name, value in vars(self).items()) + ")"
 
 
 class Scenario(FrozenRecord):
@@ -347,7 +285,7 @@ class Scenario(FrozenRecord):
         vars(self).update(statements=statements)
 
     def checks(self):
-        return [s for s in self.statements if isinstance(s, CheckStmt)]
+        return [s for s in self.statements if s.keyword == "check"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +527,9 @@ class _Parser:
         if t[1] not in STATEMENT_SPECS:
             self.error(f"unknown statement keyword {t[1]!r}")
         self.pos += 1
-        cls, spec = STATEMENT_SPECS[t[1]]
         fields = {}
-        spec.read(self, fields)
-        return cls(**fields, line=t[2])
+        STATEMENT_SPECS[t[1]].read(self, fields)
+        return Statement(t[1], fields, t[2])
 
     # -- checks ---------------------------------------------------------
 
@@ -612,7 +549,8 @@ class _Parser:
                 self.error("expected a quoted note")
             note = self.next()[1]
         expect = _EXPECT.read_value(self) if self.eat_keyword("expect") else "pass"
-        return CheckStmt(kind, payload, where, note, expect, line)
+        fields = {"kind": kind, "payload": payload, "where": where, "note": note, "expect": expect}
+        return Statement("check", fields, line)
 
 
 def parse_scenario(text):
@@ -926,26 +864,26 @@ class _Flavour:
 
 _ON_CHART = ("on", _name("chart", "a chart name"), "=")
 
-# keyword -> (statement class, grammar); `check` lines follow CHECK_SPECS.
+# keyword -> grammar, whose fields make the Statement; `check` lines follow
+# CHECK_SPECS.  A metric's empty diag means euclidean; a region's intervals
+# are ((lo, hi), ...).
 STATEMENT_SPECS = {
-    "chart": (ChartStmt, _Spec(_fresh("name", "a chart name"), _group(_fresh("coords", "a coordinate name"), tight=True))),
-    "param": (ParamStmt, _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "a parameter name"), ", ".join))),
-    "opaque": (OpaqueStmt, _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "an opaque function name"), ", ".join))),
-    "const": (ConstStmt, _Spec(_fresh("name", "a constant name"), "=", _expr("expr"))),
-    "form": (FormStmt, _Spec(_fresh("name", "a form name"), *_ON_CHART, _expr("expr"))),
-    "vfield": (VFieldStmt, _Spec(_fresh("name", "a field name"), *_ON_CHART, _expr("expr"))),
-    "map": (MapStmt, _Spec(
+    "chart": _Spec(_fresh("name", "a chart name"), _group(_fresh("coords", "a coordinate name"), tight=True)),
+    "param": _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "a parameter name"), ", ".join)),
+    "opaque": _Spec(_Field("names", lambda p: p.parse_list(p.fresh_name, "an opaque function name"), ", ".join)),
+    "const": _Spec(_fresh("name", "a constant name"), "=", _expr("expr")),
+    "form": _Spec(_fresh("name", "a form name"), *_ON_CHART, _expr("expr")),
+    "vfield": _Spec(_fresh("name", "a field name"), *_ON_CHART, _expr("expr")),
+    "map": _Spec(
         _fresh("name", "a map name"), ":", _name("source", "a source chart"), "->", _name("target", "a target chart"),
         "=", _group(_expr("comps")),
-    )),
-    "metric": (MetricStmt, _Spec(_fresh("name", "a metric name"), *_ON_CHART, _METRIC)),
-    "region": (RegionStmt, _Spec(
+    ),
+    "metric": _Spec(_fresh("name", "a metric name"), *_ON_CHART, _METRIC),
+    "region": _Spec(
         _fresh("name", "a region name"), *_ON_CHART, _Box(), "random", _int("random_count", "a random sample count")
-    )),
-    "locus": (LocusStmt, _Spec(_fresh("name", "a locus name"), *_ON_CHART, _Flavour())),
+    ),
+    "locus": _Spec(_fresh("name", "a locus name"), *_ON_CHART, _Flavour()),
 }
-
-_KEYWORDS = {cls: keyword for keyword, (cls, _) in STATEMENT_SPECS.items()}
 
 
 # -- checks -------------------------------------------------------------------
@@ -1065,12 +1003,12 @@ def _print_check(stmt):
 
 
 def print_statement(stmt):
-    if isinstance(stmt, CheckStmt):
+    if stmt.keyword == "check":
         return _print_check(stmt)
-    keyword = _KEYWORDS.get(type(stmt))
-    if keyword is None:
+    spec = STATEMENT_SPECS.get(stmt.keyword)
+    if spec is None:
         raise TypeError(f"unknown statement {stmt!r}")
-    return f"{keyword} {STATEMENT_SPECS[keyword][1].write(vars(stmt))}"
+    return f"{stmt.keyword} {spec.write(vars(stmt))}"
 
 
 def print_scenario(scenario):
@@ -1122,53 +1060,40 @@ def random_scenario(rng):
     printer knows so parse(print(s)) round-trips are meaningful."""
     dim = rng.randrange(2, 5)
     coords = [f"w{i}" for i in range(1, dim + 1)]
-    stmts = [ChartStmt("C", tuple(coords), 1)]
-    stmts.append(ParamStmt(("Kp",), 1))
-    stmts.append(ConstStmt("c0", _random_expr(rng, coords, 1), 1))
+    stmts = [Statement("chart", {"name": "C", "coords": tuple(coords)}, 1)]
+    stmts.append(Statement("param", {"names": ("Kp",)}, 1))
+    stmts.append(Statement("const", {"name": "c0", "expr": _random_expr(rng, coords, 1)}, 1))
     n_forms = rng.randrange(1, 4)
     form_names = []
     for i in range(n_forms):
         name = f"om{i}"
         form_names.append(name)
-        stmts.append(FormStmt(name, "C", _random_form_expr(rng, coords, 2), 1))
-    stmts.append(
-        VFieldStmt(
-            "X",
-            "C",
-            Bin("*", _random_expr(rng, coords, 1), Basis(rng.choice(coords))),
-            1,
-        )
-    )
+        stmts.append(Statement("form", {"name": name, "chart": "C", "expr": _random_form_expr(rng, coords, 2)}, 1))
+    field = Bin("*", _random_expr(rng, coords, 1), Basis(rng.choice(coords)))
+    stmts.append(Statement("vfield", {"name": "X", "chart": "C", "expr": field}, 1))
     lo = Fraction(-rng.randrange(1, 3))
     hi = Fraction(rng.randrange(1, 3))
-    stmts.append(
-        RegionStmt(
-            "R",
-            "C",
-            tuple([(lo, hi)] * dim),
-            tuple([rng.randrange(1, 4)] * dim),
-            rng.randrange(0, 33),
-            1,
-        )
-    )
-    stmts.append(
-        LocusStmt("L", "C", "coords", ((coords[0], Fraction(0)),), 1)
-    )
-    checks = []
-    checks.append(CheckStmt("closed", {"form": Ref(rng.choice(form_names))}, (), "", rng.choice(("pass", "fail", "report")), 1))
+    region = {
+        "name": "R",
+        "chart": "C",
+        "intervals": tuple([(lo, hi)] * dim),
+        "lattice": tuple([rng.randrange(1, 4)] * dim),
+        "random_count": rng.randrange(0, 33),
+    }
+    stmts.append(Statement("region", region, 1))
+    locus = {"name": "L", "chart": "C", "flavour": "coords", "payload": ((coords[0], Fraction(0)),)}
+    stmts.append(Statement("locus", locus, 1))
+
+    def check(kind, payload, where=(), note="", expect="report"):
+        return Statement("check", {"kind": kind, "payload": payload, "where": where, "note": note, "expect": expect}, 1)
+
+    checks = [check("closed", {"form": Ref(rng.choice(form_names))}, expect=rng.choice(("pass", "fail", "report")))]
     point = tuple((c, Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))) for c in coords)
     checks.append(
-        CheckStmt(
-            "rank_at",
-            {"form": Ref(rng.choice(form_names)), "rank": rng.randrange(0, dim + 1), "mode": "at", "point": point},
-            (),
-            "",
-            "report",
-            1,
-        )
+        check("rank_at", {"form": Ref(rng.choice(form_names)), "rank": rng.randrange(0, dim + 1), "mode": "at", "point": point})
     )
     checks.append(
-        CheckStmt(
+        check(
             "vanishing_locus",
             {
                 "form": Ref(rng.choice(form_names)),
@@ -1181,19 +1106,8 @@ def random_scenario(rng):
             },
             (("Kp", Fraction(rng.randrange(1, 5))),) if rng.random() < 0.4 else (),
             "random locus claim" if rng.random() < 0.5 else "",
-            "report",
-            1,
         )
     )
-    checks.append(
-        CheckStmt(
-            "equal",
-            {"left": _random_expr(rng, coords, 2), "right": _random_expr(rng, coords, 2)},
-            (),
-            "",
-            "report",
-            1,
-        )
-    )
+    checks.append(check("equal", {"left": _random_expr(rng, coords, 2), "right": _random_expr(rng, coords, 2)}))
     rng.shuffle(checks)
     return Scenario(tuple(stmts + checks))

@@ -1006,7 +1006,7 @@ def verify_dividing_set(
     outcome = Outcome("dividing_set")
     paired = alpha.interior(xfield)
     computed = paired.coefficient(())
-    comparison = semantically_equal(computed, declared_scalar, tol=tol)
+    comparison = semantically_equal(computed, declared_scalar, seed=seed, tol=tol)
     if isinstance(comparison, NotEqual):
         outcome.fail("computed pairing disagrees with the declared scalar")
         # The witness is a tuple of (coord, value) pairs and may be absent.

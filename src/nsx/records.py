@@ -7,15 +7,17 @@ so a record costs no more to define than any other class; generating the
 methods instead, with `exec`, would cost every fresh process milliseconds
 at import.
 
-- `==` holds only between records of one class whose compared fields are
-  equal; records of two classes never compare equal, whatever their fields.
-  The compared fields are `_fields` less those named in `_uncompared`.
+- `==` holds only between records of one class whose fields are equal;
+  records of two classes never compare equal, whatever their fields.
 - `repr` shows every field of `_fields`, in order:
   `Name(field=value, ...)`.
 - A `Record` is mutable and unhashable.  A `FrozenRecord` hashes its
-  compared fields and raises AttributeError on any assignment or deletion
+  fields and raises AttributeError on any assignment or deletion
   of an attribute, so its `__init__` fills its fields without `setattr`:
   through `vars(self)`, or through its slots' own setters.
+
+`dsl.Statement`, whose fields depend on its keyword, writes its own `==`,
+hash and `repr` over its instance dict.
 """
 
 from operator import attrgetter
@@ -32,16 +34,15 @@ def _key_of(names):
 
 
 class Record:
-    """A mutable record: `==` by class and compared fields; unhashable."""
+    """A mutable record: `==` by class and fields; unhashable."""
 
     __slots__ = ()
     _fields = ()
-    _uncompared = ()
     __hash__ = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = staticmethod(_key_of([f for f in cls._fields if f not in cls._uncompared]))
+        cls._key = staticmethod(_key_of(cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -55,7 +56,7 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """An immutable record, hashed by its compared fields."""
+    """An immutable record, hashed by its fields."""
 
     __slots__ = ()
 

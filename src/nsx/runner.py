@@ -330,25 +330,23 @@ def elaborate_scope(scenario, config):
 
 
 def _elaborate_statement(scope, stmt):
-    if isinstance(stmt, dsl.ChartStmt):
+    keyword = stmt.keyword
+    if keyword == "chart":
         scope.declare("chart", stmt.name, Chart(stmt.name, stmt.coords))
-    elif isinstance(stmt, dsl.ParamStmt):
+    elif keyword in ("param", "opaque"):
         for name in stmt.names:
-            scope.declare("param", name, sym(name))
-    elif isinstance(stmt, dsl.OpaqueStmt):
-        for name in stmt.names:
-            scope.declare("opaque", name, None)
-    elif isinstance(stmt, dsl.ConstStmt):
+            scope.declare(keyword, name, sym(name) if keyword == "param" else None)
+    elif keyword == "const":
         expr = _scalar_of(_infer_value(scope, stmt.expr), "a constant")
         scope.declare("const", stmt.name, expr)
-    elif isinstance(stmt, (dsl.FormStmt, dsl.VFieldStmt)):
-        kind = "form" if isinstance(stmt, dsl.FormStmt) else "field"
+    elif keyword in ("form", "vfield"):
+        kind = "form" if keyword == "form" else "field"
         value = _value(scope, scope.named("chart", stmt.chart), stmt.expr)
         got = "field" if isinstance(value, VectorField) else "form"
         if got != kind:
             raise ElaborationError(f"{stmt.name!r} elaborates to a {got}, not a {kind}")
         scope.declare(kind, stmt.name, value)
-    elif isinstance(stmt, dsl.MapStmt):
+    elif keyword == "map":
         source = scope.named("chart", stmt.source)
         target = scope.named("chart", stmt.target)
         comps = tuple(
@@ -356,7 +354,7 @@ def _elaborate_statement(scope, stmt):
             for c in stmt.comps
         )
         scope.declare("map", stmt.name, ChartMap(stmt.name, source, target, comps))
-    elif isinstance(stmt, dsl.MetricStmt):
+    elif keyword == "metric":
         chart = scope.named("chart", stmt.chart)
         metric = (
             Metric.euclidean(chart)
@@ -364,14 +362,14 @@ def _elaborate_statement(scope, stmt):
             else Metric.diagonal(chart, stmt.diag)
         )
         scope.declare("metric", stmt.name, metric)
-    elif isinstance(stmt, dsl.RegionStmt):
+    elif keyword == "region":
         chart = scope.named("chart", stmt.chart)
         count = scope.config.region_count(stmt.random_count)
         scope.declare("region", stmt.name, Region(chart, stmt.intervals, stmt.lattice, count))
-    elif isinstance(stmt, dsl.LocusStmt):
+    elif keyword == "locus":
         scope.declare("locus", stmt.name, _elaborate_locus(scope, stmt))
-    elif not isinstance(stmt, dsl.CheckStmt):
-        raise ElaborationError(f"unsupported statement {type(stmt).__name__}")
+    elif keyword != "check":
+        raise ElaborationError(f"unsupported statement {keyword}")
 
 
 def _elaborate_locus(scope, stmt):

@@ -13,8 +13,9 @@ from nsx.charts import MAX_DIM
 from nsx.dsl import (
     CHECK_KINDS,
     MAX_NESTING,
-    RegionStmt,
+    STATEMENT_SPECS,
     Scenario,
+    Statement,
     parse_scenario,
     print_scenario,
     random_scenario,
@@ -229,6 +230,55 @@ def test_round_trip_rows_cover_every_kind():
     assert list(CHECK_BODIES) == list(CHECK_KINDS)
 
 
+# The statement twin of CHECK_BODIES: one body per keyword, every locus
+# flavour and both metric forms, each written as the printer writes it and
+# each declaring names the preamble leaves free.
+STATEMENT_PREAMBLE = (
+    "chart C(x, y)\n"
+    "chart P(u, v)\n"
+    "region R on C = [-1, 1]^2 lattice 2 random 0\n"
+    "region S on P = [0, 1]^2 lattice 2 random 0\n"
+    "map m : P -> C = (u, u*v)\n"
+    "locus L on C = coords(x=0)\n"
+    "locus M on C = empty\n"
+)
+STATEMENT_BODIES = {
+    "chart": ["D(s, t, r)"],
+    "param": ["a", "a, b"],
+    "opaque": ["g, h"],
+    "const": ["k = 5/2*pi"],
+    "form": ["om on C = x*d(x) /\\ d(y) + sin(y)*d(y) wedge d(x)"],
+    "vfield": ["X on C = y*e(x) - x*e(y)"],
+    "map": ["f : C -> P = (x + y, x*y)"],
+    "metric": ["g on C = euclidean", "g on C = diag(4, 1/9)"],
+    "region": ["Q on C = [0, 1] x [-1/2, 1/2] lattice (2, 3) random 4", "Q on P = [0.25, 0.75]^2 lattice 3 random 0"],
+    "locus": [
+        "K on C = coords(x=0, y=1/2)",
+        "K on C = points((0, 0), (1, -1/2))",
+        "K on C = image(m, S)",
+        "K on C = image(id, R)",
+        "K on C = union(L, M)",
+        "K on C = empty",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "keyword, body", [(keyword, body) for keyword, bodies in STATEMENT_BODIES.items() for body in bodies]
+)
+def test_statement_lines_round_trip_and_elaborate(keyword, body):
+    text = f"{keyword} {body}\n"
+    s = parse_scenario(text)
+    printed = print_scenario(s)
+    assert printed == text
+    assert parse_scenario(printed) == s
+    runner.elaborate_scope(parse_scenario(STATEMENT_PREAMBLE + text), runner.RunConfig())
+
+
+def test_statement_rows_cover_every_keyword():
+    assert list(STATEMENT_BODIES) == list(STATEMENT_SPECS)
+
+
 def test_every_kind_has_a_runner():
     assert set(runner._RUNNERS) == set(CHECK_KINDS)
 
@@ -327,7 +377,8 @@ _FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @given(_FINITE_FLOATS, _FINITE_FLOATS)
 def test_float_region_bounds_round_trip(lo, hi):
     for intervals in [((lo, hi),) * 2, ((lo, hi), (F(-1), hi))]:
-        s = Scenario((RegionStmt("R", "C", intervals, (2, 2), 0),))
+        region = {"name": "R", "chart": "C", "intervals": intervals, "lattice": (2, 2), "random_count": 0}
+        s = Scenario((Statement("region", region),))
         assert parse_scenario(print_scenario(s)) == s
 
 

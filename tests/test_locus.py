@@ -1355,6 +1355,17 @@ def test_dividing_set_scalar_mismatch():
     assert rep.counterexamples and rep.counterexamples[0]["reason"] == "scalar mismatch"
 
 
+def test_dividing_set_compares_the_scalars_under_the_checks_seed(monkeypatch):
+    seeds = []
+    compare = locus_mod.semantically_equal
+    monkeypatch.setattr(locus_mod, "semantically_equal", lambda *a, **kw: seeds.append(kw.get("seed")) or compare(*a, **kw))
+    ey = VectorField.build(C2, [("y", rat(1))])
+    locus = CoordLocus(C2, (("x", F(0)),))
+    for seed in (0, 5, 99):
+        verify_dividing_set(_dy_times_x(), ey, sym("x") + rat(1), locus, _region(), seed=seed)
+    assert seeds == [0, 5, 99]
+
+
 def test_dividing_set_inconclusive_scalar(register_opaque):
     # Two opaque names backed by the same numeric: samples agree but the
     # comparison cannot be settled, so the verdict carries undecided.

@@ -22,7 +22,9 @@ decision: the band one failed on 128 decided drops before, and the
 non_finite one ended in `error`, the SVD failing on a NaN.  The three
 `stabilize` entries were added when the stabilize search took the outcome
 record: its band and non_finite scenarios, whose ranks are full
-everywhere, failed with a witness before.
+everywhere, failed with a witness before.  The `dividing_set mismatch`
+witness moved when the scalar comparison took the check's seed; it was
+drawn with seed 0 before, whatever the check's seed.
 """
 
 import json

@@ -2,11 +2,15 @@
 of the frozen ones, the frozen guard, the repr format, validation and fresh
 default lists in `__init__`, and cached properties on Chart and Region."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import nsx
 from nsx import dsl
 from nsx.charts import Chart, ChartMap
 from nsx.errors import DomainError
@@ -45,9 +49,11 @@ def test_line_is_left_out_of_equality_and_hash():
     assert [s.line for s in later.statements] == [3, 5, 8]
     assert first == later
     chart, form = first.statements[:2]
-    assert chart == dsl.ChartStmt("C", ("x", "y"), line=7) and hash(chart) == hash(dsl.ChartStmt("C", ("x", "y")))
+    twin = dsl.Statement("chart", {"name": "C", "coords": ("x", "y")})
+    assert chart == dsl.Statement("chart", {"name": "C", "coords": ("x", "y")}, line=7) and hash(chart) == hash(twin)
     assert form == later.statements[1] and hash(form) == hash(later.statements[1])
-    assert form != dsl.FormStmt("a", "C", dsl.D(dsl.Ref("y")), 2)
+    assert form != dsl.Statement("form", {"name": "a", "chart": "C", "expr": dsl.D(dsl.Ref("y"))}, 2)
+    assert form != dsl.Statement("vfield", {"name": "a", "chart": "C", "expr": dsl.D(dsl.Ref("x"))}, 2)
 
 
 @pytest.mark.parametrize(
@@ -56,8 +62,8 @@ def test_line_is_left_out_of_equality_and_hash():
         dsl.Num(1),
         dsl.Bin("+", A, A),
         dsl.Pi(),
-        dsl.ChartStmt("C", ("x",), 1),
-        dsl.CheckStmt("closed", {"form": A}, (), "", "pass", 1),
+        dsl.Statement("chart", {"name": "C", "coords": ("x",)}, 1),
+        dsl.Statement("check", {"kind": "closed", "payload": {"form": A}, "where": (), "note": "", "expect": "pass"}, 1),
         dsl.Scenario(()),
         Chart("C", ("x", "y")),
         Region(Chart("C", ("x",)), ((0, 1),), (2,), 0),
@@ -66,10 +72,10 @@ def test_line_is_left_out_of_equality_and_hash():
         RunConfig(),
         Equal(),
     ],
-    ids=lambda r: type(r).__name__,
+    ids=lambda r: type(r).__name__ + (f"-{r.keyword}" if hasattr(r, "keyword") else ""),
 )
 def test_a_frozen_record_refuses_assignment_and_deletion(record):
-    field = record._fields[0] if record._fields else "anything"
+    field = next(iter(record._fields), "keyword" if hasattr(record, "keyword") else "anything")
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
     with pytest.raises(AttributeError):
@@ -104,20 +110,37 @@ def test_repr_keeps_the_dataclass_format():
     assert repr(dsl.Pi()) == "Pi()"
     assert repr(dsl.Bin("^", dsl.Ref("x"), dsl.Num(-2))) == "Bin(op='^', left=Ref(name='x'), right=Num(value=-2))"
     assert repr(dsl.Pullback("m", dsl.D(A))) == "Pullback(map_name='m', arg=D(arg=Ref(name='a')))"
-    assert repr(dsl.ChartStmt("C", ("x", "y"), 4)) == "ChartStmt(name='C', coords=('x', 'y'), line=4)"
-    assert repr(dsl.CheckStmt("closed", {"form": A}, (), "", "pass")) == (
-        "CheckStmt(kind='closed', payload={'form': Ref(name='a')}, where=(), note='', expect='pass', line=0)"
+    chart = dsl.Statement("chart", {"name": "C", "coords": ("x", "y")}, 4)
+    assert repr(chart) == "Statement(keyword='chart', name='C', coords=('x', 'y'), line=4)"
+    check = dsl.Statement("check", {"kind": "closed", "payload": {"form": A}, "where": (), "note": "", "expect": "pass"})
+    assert repr(check) == (
+        "Statement(keyword='check', kind='closed', payload={'form': Ref(name='a')}, where=(), note='', expect='pass', line=0)"
     )
     assert repr(RunConfig(seed=5)) == "RunConfig(seed=5, samples=None, tol=1e-09)"
     assert repr(Undecided(samples=3)) == "Undecided(samples=3, non_finite=0, kind='undecided')"
     assert repr(Chart("C", ("x",))) == "Chart(name='C', coords=('x',))"
 
 
+# The fields each statement of a random scenario carries, in order.
+STATEMENT_FIELDS = {
+    "chart": ("name", "coords"),
+    "param": ("names",),
+    "const": ("name", "expr"),
+    "form": ("name", "chart", "expr"),
+    "vfield": ("name", "chart", "expr"),
+    "region": ("name", "chart", "intervals", "lattice", "random_count"),
+    "locus": ("name", "chart", "flavour", "payload"),
+    "check": ("kind", "payload", "where", "note", "expect"),
+}
+
+
 def test_print_statement_reads_every_statement_field():
-    text = dsl.print_scenario(dsl.random_scenario(random.Random(3)))
+    made = dsl.random_scenario(random.Random(3))
+    text = dsl.print_scenario(made)
     scenario = dsl.parse_scenario(text)
     assert dsl.print_scenario(scenario) == text
-    assert all(set(vars(s)) == set(s._fields) for s in scenario.statements)
+    for s in made.statements + scenario.statements:
+        assert list(vars(s)) == ["keyword", *STATEMENT_FIELDS[s.keyword], "line"]
 
 
 def test_init_validates_as_before():
@@ -165,7 +188,6 @@ def test_chart_equality_is_the_field_equality():
 def test_the_bases_hold_no_instance_state():
     class Pair(FrozenRecord):
         __slots__ = _fields = ("a", "b")
-        _uncompared = ("b",)
 
         def __init__(self, a, b):
             Pair.a.__set__(self, a)
@@ -177,7 +199,31 @@ def test_the_bases_hold_no_instance_state():
         def __init__(self, item):
             self.item = item
 
-    assert Pair(1, 2) == Pair(1, 3) and hash(Pair(1, 2)) == hash(Pair(1, 3))
+    assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash(Pair(1, 2)) and Pair(1, 2) != Pair(1, 3)
     assert repr(Pair(1, 2)) == "test_the_bases_hold_no_instance_state.<locals>.Pair(a=1, b=2)"
     assert not hasattr(Pair(1, 2), "__dict__")
     assert Box([1]) == Box([1]) and Box.__hash__ is None
+
+
+def _nsx_record_classes():
+    """Every Record subclass that a module of nsx defines, all modules imported."""
+    for module in pkgutil.iter_modules(nsx.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"nsx.{module.name}")
+    found, pending = [], [Record]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("nsx."):
+                found.append(cls)
+    return found
+
+
+def test_every_record_init_takes_its_fields_in_order():
+    # A Statement's fields come from its grammar entry, not from `_fields`.
+    checked = []
+    for cls in _nsx_record_classes():
+        if "__init__" in vars(cls) and cls is not dsl.Statement:
+            assert list(inspect.signature(cls.__init__).parameters)[1:] == list(cls._fields), cls.__qualname__
+            checked.append(cls)
+    assert {dsl.Bin, dsl.Scenario, Chart, Region, Outcome, CheckRecord} <= set(checked)
